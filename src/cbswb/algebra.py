@@ -117,6 +117,21 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, sig=[{sig}])"
 
 
+def image_indices(mapping: Sequence[int], arity: int, size: int) -> list:
+    """Flat index of (mapping[a1], .., mapping[ak]) in an arity-k table over
+    a carrier of the given size, for every (a1, .., ak) over the domain of
+    mapping in table order."""
+    row = [0]
+    for _ in range(arity):
+        row = [i * size + v for i in row for v in mapping]
+    return row
+
+
+def table_args(arity: int, size: int, idx: int) -> tuple:
+    """Argument tuple stored at flat index idx of an arity-k table."""
+    return next(itertools.islice(itertools.product(range(size), repeat=arity), idx, None))
+
+
 def parse_algebra(doc) -> FiniteAlgebra:
     """Build a FiniteAlgebra from a JSON document (dict or JSON text).
 
@@ -425,15 +440,17 @@ class Homomorphism:
         for v in mapping:
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < target.size):
                 raise ValidationError(f"mapping value {v!r} out of range")
-        for op in source.ops:
-            for args in itertools.product(range(source.size), repeat=op.arity):
-                lhs = mapping[source.apply(op.name, *args)]
-                rhs = target.apply(op.name, *(mapping[a] for a in args))
-                if lhs != rhs:
-                    raise ValidationError(
-                        f"map does not preserve {op.name!r} at {args}: "
-                        f"{lhs} != {rhs}"
-                    )
+        # equal signatures list the same operations in the same order
+        for op, op_t in zip(source.ops, target.ops):
+            # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), cell by cell in table order
+            rhs_row = [op_t.table[i] for i in image_indices(mapping, op.arity, target.size)]
+            lhs_row = [mapping[v] for v in op.table]
+            if lhs_row != rhs_row:
+                i = next(i for i, (lhs, rhs) in enumerate(zip(lhs_row, rhs_row)) if lhs != rhs)
+                raise ValidationError(
+                    f"map does not preserve {op.name!r} at {table_args(op.arity, source.size, i)}: "
+                    f"{lhs_row[i]} != {rhs_row[i]}"
+                )
         self.source = source
         self.target = target
         self.mapping = mapping

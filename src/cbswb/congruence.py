@@ -8,10 +8,16 @@ ordering of Con(A) by (descending block count, lexicographic rep array).
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, Homomorphism, quotient_algebra, satisfies
+from .algebra import (
+    FiniteAlgebra,
+    Homomorphism,
+    image_indices,
+    quotient_algebra,
+    satisfies,
+    table_args,
+)
 from .errors import BudgetError, ValidationError
 
 DEFAULT_CON_CAP = 8
@@ -47,14 +53,8 @@ def _blocks_from_rep(rep):
 
 
 def _rep_from_uf(uf: UnionFind, n: int):
-    least = {}
-    rep = [0] * n
-    for x in range(n):
-        r = uf.find(x)
-        if r not in least:
-            least[r] = x
-        rep[x] = least[r]
-    return tuple(rep)
+    # union keeps the smaller root, so every root is the least element of its block
+    return tuple(uf.find(x) for x in range(n))
 
 
 class Congruence:
@@ -167,22 +167,21 @@ def compatibility_witness(A: FiniteAlgebra, rep) -> Optional[dict]:
     """None when rep is compatible with every operation, otherwise a witness.
 
     Checks that each operation's table descends to the blocks: two argument
-    tuples that agree blockwise must produce values in the same block.
+    tuples that agree blockwise must produce values in the same block.  The
+    witness pairs the first argument tuple of a block tuple with the first
+    later one that lands in another block, both in table order.
     """
     for op in A.ops:
-        seen = {}
-        for idx, args in enumerate(itertools.product(range(A.size), repeat=op.arity)):
-            key = tuple(rep[a] for a in args)
-            val = rep[op.table[idx]]
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = (val, args)
-            elif prev[0] != val:
+        vals = [rep[v] for v in op.table]
+        first = {}
+        for idx, key in enumerate(image_indices(rep, op.arity, A.size)):
+            prev = first.setdefault(key, idx)
+            if vals[prev] != vals[idx]:
                 return {
                     "operation": op.name,
-                    "args": list(prev[1]),
-                    "other_args": list(args),
-                    "values": [prev[0], val],
+                    "args": list(table_args(op.arity, A.size, prev)),
+                    "other_args": list(table_args(op.arity, A.size, idx)),
+                    "values": [vals[prev], vals[idx]],
                 }
     return None
 
@@ -201,12 +200,38 @@ def is_congruence(A: FiniteAlgebra, blocks) -> bool:
     return True
 
 
+def _translation_columns(A: FiniteAlgebra):
+    """cols[x][i] is the value at x of the i-th basic translation of A.
+
+    A basic translation fixes every argument of one operation but one; the
+    translations are listed operation by operation, position by position,
+    contexts in table order.  The position of stride s (n**(k-1-pos) in the
+    mixed-radix encoding) holds x in the runs of s cells starting at
+    x*s + j*s*n.
+    """
+    n = A.size
+    cols = [[] for _ in range(n)]
+    for op in A.ops:
+        table = op.table
+        for pos in range(op.arity):
+            stride = n ** (op.arity - 1 - pos)
+            for x, col in enumerate(cols):
+                if stride == 1:
+                    col.extend(table[x::n])
+                else:
+                    for start in range(x * stride, len(table), stride * n):
+                        col.extend(table[start : start + stride])
+    return cols
+
+
 def generated_congruence(A: FiniteAlgebra, pairs) -> Congruence:
     """Smallest congruence of A containing the given pairs.
 
-    Union-find closure: whenever two classes merge, every one-coordinate
-    substitution instance of the merged pair is merged as well, until the
-    worklist drains.
+    Union-find closure under basic translations: a congruence is an
+    equivalence closed under every unary map x -> f(c1, .., x, .., ck), so
+    whenever a pair (x, y) merges two classes, the translation columns of x
+    and y are zipped and every pair of values merged in turn, until the
+    worklist drains (R. Freese, Computing congruences efficiently, 2008).
     """
     n = A.size
     uf = UnionFind(n)
@@ -216,19 +241,13 @@ def generated_congruence(A: FiniteAlgebra, pairs) -> Congruence:
             raise ValidationError(f"pair ({a}, {b}) out of range")
         if uf.union(a, b):
             work.append((a, b))
-    ops = [op for op in A.ops if op.arity >= 1]
-    while work:
-        x, y = work.pop()
-        for op in ops:
-            k = op.arity
-            for pos in range(k):
-                for ctx in itertools.product(range(n), repeat=k - 1):
-                    args_x = ctx[:pos] + (x,) + ctx[pos:]
-                    args_y = ctx[:pos] + (y,) + ctx[pos:]
-                    u = A.apply(op.name, *args_x)
-                    v = A.apply(op.name, *args_y)
-                    if uf.union(u, v):
-                        work.append((u, v))
+    if work:
+        cols = _translation_columns(A)
+        while work:
+            x, y = work.pop()
+            for u, v in zip(cols[x], cols[y]):
+                if u != v and uf.union(u, v):
+                    work.append((u, v))
     return Congruence(A, _rep_from_uf(uf, n))
 
 
@@ -251,18 +270,20 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
+    """Join in Con(A); both arguments must be congruences of one algebra.
+
+    Con(A) is a sublattice of the equivalence lattice Eq(A), so the join is
+    the transitive closure of the union of the two relations: one
+    union-find pass over both rep arrays, with no operation closure.
+    """
     t1._same_parent(t2)
-    seeds = [(x, t1.rep[x]) for x in range(len(t1.rep))]
-    seeds += [(x, t2.rep[x]) for x in range(len(t2.rep))]
-    return generated_congruence(t1.algebra, seeds)
-
-
-def lattice_op(kind: str, t1: Congruence, t2: Congruence) -> Congruence:
-    if kind == "meet":
-        return congruence_meet(t1, t2)
-    if kind == "join":
-        return congruence_join(t1, t2)
-    raise ValidationError(f"unknown lattice operation {kind!r}")
+    n = len(t1.rep)
+    uf = UnionFind(n)
+    for rep in (t1.rep, t2.rep):
+        for x, r in enumerate(rep):
+            if r != x:
+                uf.union(x, r)
+    return Congruence(t1.algebra, _rep_from_uf(uf, n))
 
 
 class BinaryRelation:

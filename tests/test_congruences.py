@@ -13,6 +13,7 @@ from cbswb.algebra import (
 from cbswb.congruence import (
     Congruence,
     all_congruences,
+    compatibility_witness,
     compose,
     congruence_join,
     congruence_meet,
@@ -65,6 +66,25 @@ def test_from_blocks_partition_validation():
         Congruence.from_blocks(z4, [[0, 1], [], [2, 3]])  # empty block
     ok = Congruence.from_blocks(z4, [[1, 3], [0, 2]], check=True)
     assert ok.rep == (0, 1, 0, 1)
+
+
+@pytest.mark.parametrize("name, rep, witness", [
+    # first clash on the first operation, after the first cell of its block tuple
+    ("z4ring", (0, 1, 2, 1),
+     {"operation": "add", "args": [1, 1], "other_args": [1, 3], "values": [2, 0]}),
+    # the clash is at the sixth cell of the block tuple; "args" stays its first cell
+    ("lat22", (0, 0, 0, 3),
+     {"operation": "join", "args": [0, 0], "other_args": [1, 2], "values": [0, 3]}),
+    # "meet" descends to 01|2|3, so the clash is on the second operation
+    ("lat22", (0, 0, 2, 3),
+     {"operation": "join", "args": [0, 2], "other_args": [1, 2], "values": [2, 3]}),
+])
+def test_compatibility_witness_is_first_clash_in_table_order(name, rep, witness):
+    A = corpus_algebra(name)
+    assert compatibility_witness(A, rep) == witness
+    assert compatibility_witness(A, list(rep)) == witness
+    with pytest.raises(ValidationError, match="not a congruence"):
+        Congruence.from_blocks(A, Congruence(A, rep).to_blocks_list())
 
 
 def test_all_congruences_equals_partition_filtering():

@@ -1,0 +1,119 @@
+"""Differential tests of the finite kernels on random algebras.
+
+Random algebras of at most 5 elements with operations of arity at most 2
+are checked against the brute-force oracles: generated congruences against
+partition filtering, joins against the transitive closure of the union, and
+homomorphism checks against exhaustive map enumeration.  Hypothesis runs
+derandomized with a bounded number of examples, so every run tries the
+same algebras.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbswb.algebra import FiniteAlgebra, Homomorphism, Operation
+from cbswb.congruence import Congruence, congruence_join, generated_congruence
+from cbswb.errors import ValidationError
+
+from oracles import all_homs, brute_congruences, join_closure
+
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def tables(draw, size, arities):
+    """Operations over a drawn labelling of the carrier, compatible with it.
+
+    Uniform random tables seldom have congruences besides the two trivial
+    ones, so cells whose arguments agree label by label draw their values
+    from one label class: the labelling's kernel is planted as a congruence.
+    """
+    label = draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+    classes = {}
+    for x, c in enumerate(label):
+        classes.setdefault(c, []).append(x)
+    ops = []
+    for i, k in enumerate(arities):
+        target = {}
+        table = []
+        for args in itertools.product(range(size), repeat=k):
+            key = tuple(label[a] for a in args)
+            if key not in target:
+                target[key] = draw(st.sampled_from(sorted(classes)))
+            table.append(draw(st.sampled_from(classes[target[key]])))
+        ops.append(Operation(f"f{i}", k, tuple(table)))
+    return ops
+
+
+signatures = st.lists(st.integers(0, 2), min_size=1, max_size=3)
+
+
+@st.composite
+def algebra_and_pairs(draw):
+    size = draw(st.integers(1, 5))
+    A = FiniteAlgebra("r", size, tables(draw, size, draw(signatures)))
+    element = st.integers(0, size - 1)
+    pairs = draw(st.lists(st.tuples(element, element), max_size=3))
+    return A, pairs
+
+
+@st.composite
+def algebra_pair(draw):
+    """Two algebras of one signature, small enough to enumerate all maps."""
+    arities = draw(signatures)
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5 if n <= 4 else 3))
+    return (FiniteAlgebra("a", n, tables(draw, n, arities)),
+            FiniteAlgebra("b", m, tables(draw, m, arities)))
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_generated_congruence_is_least_containing_congruence(case):
+    A, pairs = case
+    cons = brute_congruences(A)
+    principal = [[(a, b)] for a, b in itertools.combinations(range(A.size), 2)]
+    for gens in [pairs] + principal:
+        above = [rep for rep in cons if all(rep[a] == rep[b] for a, b in gens)]
+        least = max(above, key=lambda rep: len(set(rep)))
+        assert all(all(rep[x] == rep[least[x]] for x in range(A.size)) for rep in above)
+        assert generated_congruence(A, gens).rep == least, gens
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_congruence_join_is_equivalence_join(case):
+    A, _ = case
+    cons = brute_congruences(A)
+    for r1, r2 in itertools.combinations_with_replacement(sorted(cons), 2):
+        joined = congruence_join(Congruence(A, r1), Congruence(A, r2)).rep
+        assert joined == join_closure([r1, r2], A.size)
+        assert joined in cons
+
+
+def first_failing_cell(A, B, mapping):
+    for op, opb in zip(A.ops, B.ops):
+        for idx, args in enumerate(itertools.product(range(A.size), repeat=op.arity)):
+            lhs = mapping[op.table[idx]]
+            idxb = 0
+            for a in args:
+                idxb = idxb * B.size + mapping[a]
+            if lhs != opb.table[idxb]:
+                return f"map does not preserve {op.name!r} at {args}: {lhs} != {opb.table[idxb]}"
+    return None
+
+
+@KERNEL_SETTINGS
+@given(algebra_pair())
+def test_homomorphism_accepts_exactly_all_homs(case):
+    A, B = case
+    homs = {h.mapping for h in all_homs(A, B)}
+    for mapping in itertools.product(range(B.size), repeat=A.size):
+        if mapping in homs:
+            assert Homomorphism(A, B, mapping).mapping == mapping
+        else:
+            with pytest.raises(ValidationError) as err:
+                Homomorphism(A, B, mapping)
+            assert str(err.value) == first_failing_cell(A, B, mapping)
