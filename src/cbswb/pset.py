@@ -1,28 +1,83 @@
 """Eventually periodic subsets of the naturals with Boolean set calculus.
 
-A set is stored as an explicit prefix of membership bits below a threshold
-and a residue pattern modulo a period above it.  The canonical form uses
-the smallest working period and then the smallest threshold, so equality
-is plain field comparison.  The family is closed under union,
-intersection, complement and coordinate shifts, which is everything the
-symbolic factor-congruence layer needs.
+A set is stored as two bitmasks: `pbits` holds membership below a
+threshold, and `rbits` the residues modulo a period that decide membership
+above it.  The canonical form uses the smallest working period and then
+the smallest threshold, so equality is plain field comparison.  The family
+is closed under union, intersection, complement and coordinate shifts,
+which is everything the symbolic factor-congruence layer needs; each of
+them is a few big-integer bit operations.  Thresholds and periods are
+capped at SIZE_CAP bits, checked before any mask of that size is built.
 """
 
 import math
 import re
+from functools import lru_cache
 
-from .errors import FormatError, ValidationError
+from .errors import BudgetError, FormatError, ValidationError
+
+SIZE_CAP = 1 << 20
 
 
+def _budget(stage: str, threshold: int, period: int):
+    for what, value in (("threshold", threshold), ("period", period)):
+        if value > SIZE_CAP:
+            raise BudgetError(
+                f"periodic set {stage}: {what} reached {value}, over the {SIZE_CAP}-bit budget"
+            )
+
+
+@lru_cache(maxsize=256)
 def _divisors(n: int):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Divisors of n in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
+
+
+def _mask(n: int) -> int:
+    return (1 << n) - 1
+
+
+def _tile(bits: int, p: int, n: int) -> int:
+    """The residue mask `bits` of period p repeated over positions 0..n-1."""
+    # doubling the tiled width keeps this linear in n; bits < 2^p, so no overlaps
+    while p < n:
+        bits |= bits << p
+        p <<= 1
+    return bits & (1 << n) - 1
+
+
+def _rotate(bits: int, p: int, k: int) -> int:
+    """Residue mask of {(r + k) mod p : r in bits}."""
+    k %= p
+    return (bits << k | bits >> (p - k)) & _mask(p)
+
+
+def _bits(positions, n: int) -> int:
+    """Bitmask with the given positions, all below n, set."""
+    digits = bytearray(b"0" * n)
+    for x in positions:
+        digits[n - 1 - x] = 49  # "1"
+    return int(digits, 2) if n else 0
+
+
+def _of(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
+    """Canonical set from pbits < 2^t below threshold t and rbits < 2^p mod p."""
+    for d in _divisors(p):
+        low = rbits & (1 << d) - 1
+        if _tile(low, d, p) == rbits:
+            p, rbits = d, low
+            break
+    t = (pbits ^ _tile(rbits, p, t)).bit_length()
+    s = object.__new__(PeriodicSet)
+    s.threshold, s.pbits, s.period, s.rbits = t, pbits & (1 << t) - 1, p, rbits
+    return s
 
 
 class PeriodicSet:
     """Canonical eventually periodic subset of the naturals."""
 
-    __slots__ = ("threshold", "prefix", "period", "residues")
+    __slots__ = ("threshold", "pbits", "period", "rbits")
 
     def __init__(self, threshold: int, prefix, period: int, residues):
         prefix = tuple(bool(b) for b in prefix)
@@ -33,46 +88,50 @@ class PeriodicSet:
             raise ValidationError("period must be positive")
         if any(not (0 <= r < period) for r in residues):
             raise ValidationError("residues must lie below the period")
-        for d in _divisors(period):
-            if all((r in residues) == (((r + d) % period) in residues) for r in range(period)):
-                residues = frozenset(r for r in residues if r < d)
-                period = d
-                break
-        prefix = list(prefix)
-        while threshold > 0 and prefix[-1] == (((threshold - 1) % period) in residues):
-            prefix.pop()
-            threshold -= 1
-        self.threshold = threshold
-        self.prefix = tuple(prefix)
-        self.period = period
-        self.residues = residues
+        _budget("construction", threshold, period)
+        canon = _of(threshold, _bits((x for x, b in enumerate(prefix) if b), threshold),
+                    period, _bits(residues, period))
+        self.threshold, self.pbits = canon.threshold, canon.pbits
+        self.period, self.rbits = canon.period, canon.rbits
+
+    @property
+    def prefix(self):
+        """Membership bits below the threshold, as a tuple of booleans."""
+        return tuple(bool(self.pbits >> x & 1) for x in range(self.threshold))
+
+    @property
+    def residues(self):
+        """Residues modulo the period of the members at or above the threshold."""
+        return frozenset(r for r in range(self.period) if self.rbits >> r & 1)
 
     # -- factories ---------------------------------------------------------
 
     @staticmethod
     def empty() -> "PeriodicSet":
-        return PeriodicSet(0, (), 1, ())
+        return _of(0, 0, 1, 0)
 
     @staticmethod
     def naturals() -> "PeriodicSet":
-        return PeriodicSet(0, (), 1, (0,))
+        return _of(0, 0, 1, 1)
 
     @staticmethod
     def from_finite(items) -> "PeriodicSet":
-        items = sorted(set(items))
+        items = set(items)
         if any(x < 0 for x in items):
             raise ValidationError("members must be nonnegative")
-        if not items:
-            return PeriodicSet.empty()
-        n = items[-1] + 1
-        members = set(items)
-        bits = [x in members for x in range(n)]
-        return PeriodicSet(n, bits, 1, ())
+        n = max(items) + 1 if items else 0
+        _budget("construction", n, 1)
+        return _of(n, _bits(items, n), 1, 0)
 
     @staticmethod
     def block(lo: int, hi: int) -> "PeriodicSet":
         """The interval [lo, hi)."""
-        return PeriodicSet.from_finite(range(lo, hi))
+        if lo >= hi:
+            return PeriodicSet.empty()
+        if lo < 0:
+            raise ValidationError("members must be nonnegative")
+        _budget("construction", hi, 1)
+        return _of(hi, _mask(hi) ^ _mask(lo), 1, 0)
 
     # -- membership --------------------------------------------------------
 
@@ -80,66 +139,72 @@ class PeriodicSet:
         if x < 0:
             return False
         if x < self.threshold:
-            return self.prefix[x]
-        return (x % self.period) in self.residues
+            return bool(self.pbits >> x & 1)
+        return bool(self.rbits >> x % self.period & 1)
 
     def is_empty(self) -> bool:
-        return not any(self.prefix) and not self.residues
+        return not (self.pbits or self.rbits)
 
     def is_naturals(self) -> bool:
-        return all(self.prefix) and len(self.residues) == self.period
+        return self.pbits == _mask(self.threshold) and self.rbits == _mask(self.period)
 
     def is_finite(self) -> bool:
-        return not self.residues
+        return not self.rbits
 
     def members_below(self, n: int):
         return [x for x in range(n) if x in self]
 
     # -- Boolean calculus ----------------------------------------------------
 
-    def _binary(self, other: "PeriodicSet", fn) -> "PeriodicSet":
+    def _window(self, n: int) -> int:
+        """Membership bits of 0..n-1, for n at least the threshold."""
+        t = self.threshold
+        if n == t:
+            return self.pbits
+        return self.pbits | _tile(self.rbits, self.period, n) >> t << t
+
+    def _aligned(self, other: "PeriodicSet", stage: str):
+        """Both sets as windows below the larger threshold and masks mod the lcm."""
         n = max(self.threshold, other.threshold)
         p = math.lcm(self.period, other.period)
-        bits = [fn(x in self, x in other) for x in range(n)]
-        residues = [
-            r for r in range(p)
-            if fn((r % self.period) in self.residues, (r % other.period) in other.residues)
-        ]
-        return PeriodicSet(n, bits, p, residues)
+        _budget(stage, n, p)
+        return (n, p, self._window(n), other._window(n),
+                _tile(self.rbits, self.period, p), _tile(other.rbits, other.period, p))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._binary(other, lambda a, b: a or b)
+        n, p, a, b, ra, rb = self._aligned(other, "union")
+        return _of(n, a | b, p, ra | rb)
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._binary(other, lambda a, b: a and b)
+        n, p, a, b, ra, rb = self._aligned(other, "intersection")
+        return _of(n, a & b, p, ra & rb)
 
     def difference(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self._binary(other, lambda a, b: a and not b)
+        n, p, a, b, ra, rb = self._aligned(other, "difference")
+        return _of(n, a & ~b, p, ra & ~rb)
 
     def complement(self) -> "PeriodicSet":
-        bits = [not b for b in self.prefix]
-        residues = [r for r in range(self.period) if r not in self.residues]
-        return PeriodicSet(self.threshold, bits, self.period, residues)
+        t, p = self.threshold, self.period
+        return _of(t, self.pbits ^ _mask(t), p, self.rbits ^ _mask(p))
 
     def shift(self, k: int) -> "PeriodicSet":
         """{x + k : x in self}."""
         if k < 0:
             raise ValidationError("shift amount must be nonnegative")
-        bits = [False] * k + [x in self for x in range(self.threshold)]
-        residues = [(r + k) % self.period for r in self.residues]
-        return PeriodicSet(self.threshold + k, bits, self.period, residues)
+        _budget("shift", self.threshold + k, self.period)
+        return _of(self.threshold + k, self.pbits << k, self.period,
+                   _rotate(self.rbits, self.period, k))
 
     def backshift(self, k: int) -> "PeriodicSet":
         """{x - k : x in self, x >= k}; the loose inverse of shift."""
         if k < 0:
             raise ValidationError("shift amount must be nonnegative")
-        n = max(self.threshold - k, 0)
-        bits = [(x + k) in self for x in range(n)]
-        residues = [(r - k) % self.period for r in self.residues]
-        return PeriodicSet(n, bits, self.period, residues)
+        return _of(max(self.threshold - k, 0), self.pbits >> k, self.period,
+                   _rotate(self.rbits, self.period, -k))
 
     def subset(self, other: "PeriodicSet") -> bool:
-        return self.intersect(other) == self
+        _, _, a, b, ra, rb = self._aligned(other, "subset test")
+        return not (a & ~b or ra & ~rb)
 
     def __or__(self, other):
         return self.union(other)
@@ -155,19 +220,21 @@ class PeriodicSet:
             return NotImplemented
         return (
             self.threshold == other.threshold
-            and self.prefix == other.prefix
+            and self.pbits == other.pbits
             and self.period == other.period
-            and self.residues == other.residues
+            and self.rbits == other.rbits
         )
 
     def __hash__(self):
-        return hash((self.threshold, self.prefix, self.period, self.residues))
+        return hash((self.threshold, self.pbits, self.period, self.rbits))
 
     # -- text form -----------------------------------------------------------
 
     def render(self) -> str:
-        bits = "".join("1" if b else "0" for b in self.prefix)
-        inner = ",".join(str(r) for r in sorted(self.residues))
+        t = self.threshold
+        bits = format(self.pbits, "b").zfill(t)[::-1] if t else ""
+        inner = ",".join(str(r) for r, c in enumerate(reversed(format(self.rbits, "b")))
+                         if c == "1")
         return f"prefix={bits};period={self.period};residues={{{inner}}}"
 
     @staticmethod

@@ -119,6 +119,8 @@ def parse_report(text: str) -> Report:
     for field in ("verb", "status", "body"):
         if field not in doc:
             raise FormatError(f"report misses field {field!r}")
+    if not isinstance(doc["body"], dict):
+        raise FormatError("report body must be an object")
     return Report(doc["verb"], doc["status"], doc["body"], doc.get("timing"))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -182,6 +183,15 @@ def test_usage_and_resource_errors(capsys, tmp_path):
         assert out == "", argv
 
 
+def test_huge_period_literal_hits_the_budget(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "omega-demo", "--base", Z2, "--shift", "2",
+                         "--zeta", "prefix=;period=1000000000;residues={}")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: periodic set construction: period reached 1000000000")
+
+
 def test_argparse_failures_map_to_exit_two(capsys):
     assert run(capsys, "frobnicate", Z4)[0] == 2
     assert run(capsys, "fc")[0] == 2
@@ -231,6 +241,10 @@ def test_parse_report_rejections():
         parse_report(json.dumps({"schema": "other/9", "verb": "x", "status": "pass", "body": {}}))
     with pytest.raises(FormatError):
         parse_report(json.dumps({"schema": "cbswb-report/1", "verb": "x", "status": "pass"}))
+    for body in ([], "text", None):
+        with pytest.raises(FormatError, match="body must be an object"):
+            parse_report(json.dumps({"schema": "cbswb-report/1", "verb": "x", "status": "pass",
+                                     "body": body}))
 
 
 def test_lattice_dot_unit():

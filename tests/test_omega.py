@@ -150,6 +150,23 @@ def test_render_parse_round_trip():
             PeriodicSet.parse(bad)
 
 
+def test_size_budget():
+    # a period of a million bits is within the budget
+    big = PeriodicSet.parse("prefix=;period=1000000;residues={999999}")
+    assert big.period == 1000000 and 999999 in big and 1999999 in big and 5 not in big
+    with pytest.raises(BudgetError, match="construction: period reached 1000000000"):
+        PeriodicSet.parse("prefix=;period=1000000000;residues={}")
+    with pytest.raises(BudgetError, match="construction: threshold reached 1048577"):
+        PeriodicSet.from_finite([1 << 20])
+    # coprime periods whose lcm passes the cap, caught before the residues are tiled
+    a = PeriodicSet(0, (), 1021, (0,))
+    b = PeriodicSet(0, (), 1031, (0,))
+    with pytest.raises(BudgetError, match="union: period reached 1052651"):
+        a.union(b)
+    with pytest.raises(BudgetError, match="shift: threshold reached 1048577"):
+        PeriodicSet.from_finite([0]).shift(1 << 20)
+
+
 def test_pset_algebra_dispatch():
     a = PeriodicSet.from_finite([1, 2])
     b = PeriodicSet(0, (), 2, (0,))
@@ -416,10 +433,10 @@ def test_truncation_lazy_passes():
     result = truncate_validate(run, 16)
     assert result["ok"], result["failures"]
     assert not result["materialized"] and result["carrier"] == 2 ** 16
-    names = {c["name"] for c in result["checks"]}
-    assert "sampled compatibility zeta" in names
-    assert "sampled factor pair sigma_zeta/neg_sigma_zeta" in names
-    assert "sampled pairing partition of zeta^c" in names
+    checks = {c["name"]: c for c in result["checks"]}
+    for name in ("compatibility zeta", "factor pair sigma_zeta/neg_sigma_zeta",
+                 "pairing partition of zeta^c"):
+        assert checks[name]["method"] == "coordinate-sets"
 
 
 def test_truncation_flags_corrupted_sigma():
@@ -446,9 +463,43 @@ def test_truncation_lazy_flags_corrupted_sigma_zeta():
     run.sigma_zeta = run.sigma_zeta.union(PeriodicSet.from_finite([2]))
     result = truncate_validate(run, 16)
     assert not result["ok"]
-    names = {c["name"] for c in result["failures"]}
-    assert "zeta = neg_chi meet sigma_zeta" in names
-    assert "sampled factor pair sigma_zeta/neg_sigma_zeta" in names
+    failures = {c["name"]: c for c in result["failures"]}
+    assert "zeta = neg_chi meet sigma_zeta" in failures
+    assert failures["factor pair sigma_zeta/neg_sigma_zeta"]["method"] == "coordinate-sets"
+
+
+@pytest.mark.parametrize("field, check", [
+    ("neg_sigma[1]", "factor pair zeta/neg_sigma[1]"),
+    ("neg_sigma_zeta", "factor pair sigma_zeta/neg_sigma_zeta"),
+])
+def test_truncation_lazy_flags_hole_in_factor_pair(field, check):
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    hole = PeriodicSet.from_finite([10, 12])
+    if field == "neg_sigma[1]":
+        run.neg_odd[1] = run.neg_odd[1].difference(hole)
+    else:
+        run.neg_sigma_zeta = run.neg_sigma_zeta.difference(hole)
+    result = truncate_validate(run, 16)
+    assert not result["ok"] and not result["materialized"]
+    failure = next(c for c in result["failures"] if c["name"] == check)
+    assert failure["method"] == "coordinate-sets"
+    assert failure["witness"] == {"pair": check.split(" ")[-1].split("/"), "coordinate": 10}
+
+
+@pytest.mark.parametrize("remove, add, coordinate", [
+    ([7, 9], [], 7),   # coordinates 7, 9 left free although outside zeta
+    ([], [0], 0),      # the zeta coordinate 0 read through chi
+])
+def test_truncation_lazy_flags_corrupted_pairing_partition(remove, add, coordinate):
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    run.chi = run.chi.difference(PeriodicSet.from_finite(remove)).union(
+        PeriodicSet.from_finite(add))
+    result = truncate_validate(run, 16)
+    assert not result["ok"]
+    failure = next(c for c in result["failures"] if c["name"] == "pairing partition of zeta^c")
+    assert failure["method"] == "coordinate-sets"
+    assert failure["witness"] == {"pair": ["zeta^c", "chi + sigma_zeta^c"],
+                                  "coordinate": coordinate}
 
 
 def test_truncation_preconditions():
@@ -531,6 +582,35 @@ def test_quasicyclic_suite_small():
     assert suite["quotient"]["ok"] and suite["kernel_recomputed_ok"]
     assert all(e["matches_truncation"] for e in suite["pseudo_simple_pattern"])
     assert suite["conclusion"]["every_proper_quotient_isomorphic"]
+    assert suite["conclusion"]["downward_closure_holds"]
+
+
+def test_quasicyclic_conclusion_follows_the_checks(monkeypatch):
+    # the level-2 truncation replaced by the four-group breaks the pattern only
+    real_truncation = QuasiCyclic.truncation
+
+    def four_group_at_level_2(self, m):
+        if m != 2:
+            return real_truncation(self, m)
+        table = tuple(a ^ b for a in range(4) for b in range(4))
+        return FiniteAlgebra("v4", 4, [Operation("+", 2, table)])
+
+    monkeypatch.setattr(QuasiCyclic, "truncation", four_group_at_level_2)
+    suite = quasicyclic_suite(2, 1, 4)
+    assert not suite["ok"]
+    assert [e["matches_truncation"] for e in suite["pseudo_simple_pattern"]] == [
+        True, True, False, True]
+    assert suite["conclusion"]["every_proper_quotient_isomorphic"] is False
+    assert suite["conclusion"]["downward_closure_holds"] is True
+    monkeypatch.undo()
+
+    # a repeated subgroup level breaks the chain only
+    real_subgroup = QuasiCyclic.subgroup_congruence
+    monkeypatch.setattr(QuasiCyclic, "subgroup_congruence",
+                        lambda self, T, m, j: real_subgroup(self, T, m, 1 if j == 2 else j))
+    suite = quasicyclic_suite(2, 1, 4)
+    assert not suite["chain_strictly_increasing"] and suite["chain_ends_ok"]
+    assert suite["conclusion"]["downward_closure_holds"] is False
 
 
 def test_quasicyclic_suite_p3_and_identity_quotient():
