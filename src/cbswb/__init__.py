@@ -46,7 +46,6 @@ from .congruence import (
     congruence_join,
     congruence_meet,
     generated_congruence,
-    is_congruence,
     principal_congruence,
     quotient_lift,
     relative_congruences,

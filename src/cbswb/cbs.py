@@ -28,6 +28,7 @@ from .algebra import (
 )
 from .congruence import (
     Congruence,
+    CongruenceLattice,
     all_congruences,
     congruence_join,
     congruence_meet,
@@ -91,7 +92,7 @@ def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8, budge
         ks = factor_congruences(A, max_size=max_size).fc_congruences()
     elif kind.selector == "zcon":
         lattice = all_congruences(A, max_size=max_size)
-        center = center_of_lattice(lattice.as_finite_lattice())
+        center = center_of_lattice(lattice)
         ks = [lattice.elements[i] for i in center.central]
     else:
         ks = relative_congruences(A, kind.sentences, max_size=max_size, budget=budget)
@@ -511,12 +512,16 @@ def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
 
 
 def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
-    """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure."""
+    """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure.
+
+    Both bounds and closure are checked on the family itself; once they
+    hold, the family is a lattice in its own right and the complement and
+    distributivity checks run on its tables.
+    """
     reps = _rep_set(ks)
-    bot, top = Congruence.diagonal(A), Congruence.total(A)
-    if bot.rep not in reps:
+    if Congruence.diagonal(A).rep not in reps:
         return {"ok": False, "reason": "missing_diagonal", "witness": None}
-    if top.rep not in reps:
+    if Congruence.total(A).rep not in reps:
         return {"ok": False, "reason": "missing_total", "witness": None}
     for a in ks:
         for b in ks:
@@ -526,21 +531,17 @@ def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
             if congruence_join(a, b).rep not in reps:
                 return {"ok": False, "reason": "join_not_closed",
                         "witness": [a.to_blocks_list(), b.to_blocks_list()]}
-    for a in ks:
-        comps = [b for b in ks
-                 if congruence_meet(a, b).rep == bot.rep and congruence_join(a, b).rep == top.rep]
-        if len(comps) != 1:
-            return {"ok": False, "reason": "complement_not_unique",
-                    "witness": [a.to_blocks_list(), [c.to_blocks_list() for c in comps]]}
-    for a in ks:
-        for b in ks:
-            for c in ks:
-                lhs = congruence_meet(a, congruence_join(b, c))
-                rhs = congruence_join(congruence_meet(a, b), congruence_meet(a, c))
-                if lhs.rep != rhs.rep:
-                    return {"ok": False, "reason": "not_distributive",
-                            "witness": [a.to_blocks_list(), b.to_blocks_list(), c.to_blocks_list()]}
-    return {"ok": True, "reason": None, "witness": None}
+    family = CongruenceLattice(A, ks)
+    failure = family.boolean_failure(range(len(family)))
+    if failure is None:
+        return {"ok": True, "reason": None, "witness": None}
+    reason, at = failure
+    E = family.elements
+    if reason == "complement_not_unique":
+        witness = [E[at[0]].to_blocks_list(), [E[j].to_blocks_list() for j in at[1]]]
+    else:
+        witness = [E[i].to_blocks_list() for i in at]
+    return {"ok": False, "reason": reason, "witness": witness}
 
 
 def _infimum_in_k(A: FiniteAlgebra, ks, ds):

@@ -7,6 +7,7 @@ witnesses), 2 usage or resource error (message on stderr).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,7 +212,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--timing", action="store_true",

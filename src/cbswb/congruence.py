@@ -19,6 +19,7 @@ from .algebra import (
     table_args,
 )
 from .errors import BudgetError, ValidationError
+from .lattice import FiniteLattice
 
 DEFAULT_CON_CAP = 8
 
@@ -186,20 +187,6 @@ def compatibility_witness(A: FiniteAlgebra, rep) -> Optional[dict]:
     return None
 
 
-def is_congruence(A: FiniteAlgebra, blocks) -> bool:
-    """Whether the given block list is a congruence of A.
-
-    Raises ValidationError when the blocks do not even form a partition.
-    """
-    try:
-        Congruence.from_blocks(A, blocks, check=True)
-    except ValidationError as exc:
-        if "not a congruence" in str(exc):
-            return False
-        raise
-    return True
-
-
 def _translation_columns(A: FiniteAlgebra):
     """cols[x][i] is the value at x of the i-th basic translation of A.
 
@@ -344,83 +331,28 @@ def _relation_product(first: Congruence, second: Congruence) -> BinaryRelation:
     return BinaryRelation(n, pairs)
 
 
-class CongruenceLattice:
-    """Con(A) with order, meet and join tables and basic lattice flags."""
+class CongruenceLattice(FiniteLattice):
+    """Con(A) as a finite lattice: order, meet and join tables over the
+    congruences in canonical order, with its modularity flags."""
 
     def __init__(self, algebra: FiniteAlgebra, elements):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda c: c.key()))
-        self.index = {c.rep: i for i, c in enumerate(self.elements)}
-        m = len(self.elements)
-        self.leq = tuple(
-            tuple(self.elements[i].refines(self.elements[j]) for j in range(m)) for i in range(m)
+        E = self.elements
+        index = {c.rep: i for i, c in enumerate(E)}
+        super().__init__(
+            tuple(tuple(a.refines(b) for b in E) for a in E),
+            tuple(tuple(index[congruence_meet(a, b).rep] for b in E) for a in E),
+            tuple(tuple(index[congruence_join(a, b).rep] for b in E) for a in E),
         )
-        meet_t, join_t = [], []
-        for i in range(m):
-            mrow, jrow = [], []
-            for j in range(m):
-                mrow.append(self.index[congruence_meet(self.elements[i], self.elements[j]).rep])
-                jrow.append(self.index[congruence_join(self.elements[i], self.elements[j]).rep])
-            meet_t.append(tuple(mrow))
-            join_t.append(tuple(jrow))
-        self.meet_table = tuple(meet_t)
-        self.join_table = tuple(join_t)
-        self.modular = self._check_modular()
-        self.distributive = self._check_distributive()
+        self.modular = self.is_modular()
+        self.distributive = self.is_distributive()
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
-
-    def index_of(self, c: Congruence) -> int:
-        try:
-            return self.index[c.rep]
-        except KeyError:
-            raise ValidationError("congruence is not an element of this lattice")
-
-    def meet(self, i: int, j: int) -> int:
-        return self.meet_table[i][j]
-
-    def join(self, i: int, j: int) -> int:
-        return self.join_table[i][j]
-
-    def bottom(self) -> int:
-        return self.index[Congruence.diagonal(self.algebra).rep]
-
-    def top(self) -> int:
-        return self.index[Congruence.total(self.algebra).rep]
-
-    def interval(self, lo: int, hi: int):
-        return [k for k in range(len(self.elements)) if self.leq[lo][k] and self.leq[k][hi]]
-
-    def _check_modular(self):
-        m = len(self.elements)
-        for x in range(m):
-            for z in range(m):
-                if not self.leq[x][z]:
-                    continue
-                for y in range(m):
-                    if self.join_table[x][self.meet_table[y][z]] != self.meet_table[self.join_table[x][y]][z]:
-                        return False
-        return True
-
-    def _check_distributive(self):
-        m = len(self.elements)
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    lhs = self.meet_table[x][self.join_table[y][z]]
-                    rhs = self.join_table[self.meet_table[x][y]][self.meet_table[x][z]]
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def as_finite_lattice(self):
-        from .lattice import FiniteLattice
-
-        return FiniteLattice(self.leq)
 
     def to_report(self) -> dict:
         return {

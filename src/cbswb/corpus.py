@@ -1,11 +1,4 @@
-"""Built-in corpus of small algebras used by the test suites and the CLI.
-
-Each entry comes with a set of defining laws (as sentence texts over its
-own signature).  The laws serve two purposes: sanity checks that the
-tables are what they claim to be, and a detection battery for the
-mutation tests, where a single corrupted table entry must trip at least
-one law or change the congruence structure.
-"""
+"""Built-in corpus of small algebras used by the test suites and the CLI."""
 
 from __future__ import annotations
 
@@ -103,84 +96,6 @@ _BUILDERS = {
     "semilat2": _semilat2,
     "z4ring": _z4ring,
     "one": _one,
-}
-
-_GROUP_LAWS = (
-    "(+ (+ x y) w) = (+ x (+ y w))",
-    "(+ x y) = (+ y x)",
-    "(+ x y) = (+ x w) => y = w",
-)
-
-_LATTICE_LAWS = (
-    "(meet x y) = (meet y x)",
-    "(join x y) = (join y x)",
-    "(meet (meet x y) w) = (meet x (meet y w))",
-    "(join (join x y) w) = (join x (join y w))",
-    "(meet x (join x y)) = x",
-    "(join x (meet x y)) = x",
-    "(meet x x) = x",
-    "(join x x) = x",
-    "(meet x bot) = bot",
-    "(join x top) = top",
-    "(meet x top) = x",
-    "(join x bot) = x",
-)
-
-AXIOMS = {
-    "z2": _GROUP_LAWS,
-    "z3": _GROUP_LAWS,
-    "z4": _GROUP_LAWS,
-    "v4": _GROUP_LAWS + ("(+ x x) = (+ y y)",),
-    "chain2": _LATTICE_LAWS,
-    "chain3": _LATTICE_LAWS,
-    "lat22": _LATTICE_LAWS,
-    "boole2": (
-        "(and x y) = (and y x)",
-        "(or x y) = (or y x)",
-        "(and (and x y) w) = (and x (and y w))",
-        "(or (or x y) w) = (or x (or y w))",
-        "(and x (or x y)) = x",
-        "(or x (and x y)) = x",
-        "(and x x) = x",
-        "(or x (not x)) = 1",
-        "(and x (not x)) = 0",
-        "(and x 1) = x",
-        "(or x 0) = x",
-    ),
-    "semilat2": (
-        "(* x y) = (* y x)",
-        "(* (* x y) w) = (* x (* y w))",
-        "(* x x) = x",
-        "(* x 0) = 0",
-        "(* x 1) = x",
-    ),
-    "z4ring": (
-        "(add (add x y) w) = (add x (add y w))",
-        "(add x y) = (add y x)",
-        "(add x 0) = x",
-        "(add x (neg x)) = 0",
-        "(mul (mul x y) w) = (mul x (mul y w))",
-        "(mul x y) = (mul y x)",
-        "(mul x 1) = x",
-        "(mul x 0) = 0",
-        "(mul x (add y w)) = (add (mul x y) (mul x w))",
-    ),
-    "one": (),
-}
-
-# one commutativity law per entry, used for the relative operator kind
-RELATIVE_LAW = {
-    "z2": "(+ x y) = (+ y x)",
-    "z3": "(+ x y) = (+ y x)",
-    "z4": "(+ x y) = (+ y x)",
-    "v4": "(+ x y) = (+ y x)",
-    "chain2": "(meet x y) = (meet y x)",
-    "chain3": "(meet x y) = (meet y x)",
-    "lat22": "(meet x y) = (meet y x)",
-    "boole2": "(and x y) = (and y x)",
-    "semilat2": "(* x y) = (* y x)",
-    "z4ring": "(mul x y) = (mul y x)",
-    "one": None,
 }
 
 CORPUS_NAMES = tuple(sorted(_BUILDERS))

@@ -1,54 +1,32 @@
-"""Finite bounded lattices presented by their order matrix.
+"""Finite bounded lattices presented by their order, meet and join tables.
 
-Used for centre analysis of congruence lattices.  An element z is neutral
-when every triple {a, b, z} generates a distributive sublattice, which for
-finite lattices reduces to the six permuted median identities below.  The
-centre is the set of neutral complemented elements.
+The one lattice core of the package: Con(A) is a FiniteLattice, and the
+centre and Boolean-sublattice checks of every congruence operator run here
+on table lookups.  An element z is neutral when every triple {a, b, z}
+generates a distributive sublattice, which for finite lattices reduces to
+the six permuted median identities below.  The centre is the set of neutral
+complemented elements.
 """
 
 from __future__ import annotations
 
-from .errors import ValidationError
+import itertools
 
 
 class FiniteLattice:
-    def __init__(self, leq):
-        leq = tuple(tuple(bool(v) for v in row) for row in leq)
-        m = len(leq)
-        if any(len(row) != m for row in leq):
-            raise ValidationError("order matrix must be square")
-        for i in range(m):
-            if not leq[i][i]:
-                raise ValidationError("order must be reflexive")
-            for j in range(m):
-                if i != j and leq[i][j] and leq[j][i]:
-                    raise ValidationError("order must be antisymmetric")
-                if leq[i][j]:
-                    for k in range(m):
-                        if leq[j][k] and not leq[i][k]:
-                            raise ValidationError("order must be transitive")
-        self.size = m
-        self.leq = leq
-        self.meet_table = tuple(
-            tuple(self._bound(i, j, lower=True) for j in range(m)) for i in range(m)
-        )
-        self.join_table = tuple(
-            tuple(self._bound(i, j, lower=False) for j in range(m)) for i in range(m)
-        )
-        self.bottom = next(i for i in range(m) if all(self.leq[i][j] for j in range(m)))
-        self.top = next(i for i in range(m) if all(self.leq[j][i] for j in range(m)))
+    """Bounded lattice on 0..size-1 given by its order and operation tables.
 
-    def _bound(self, i, j, lower: bool):
-        if lower:
-            cands = [k for k in range(self.size) if self.leq[k][i] and self.leq[k][j]]
-        else:
-            cands = [k for k in range(self.size) if self.leq[i][k] and self.leq[j][k]]
-        for k in cands:
-            if lower and all(self.leq[c][k] for c in cands):
-                return k
-            if not lower and all(self.leq[k][c] for c in cands):
-                return k
-        raise ValidationError(f"not a lattice: elements {i}, {j} lack a {'meet' if lower else 'join'}")
+    The tables are taken as given: every caller builds them from a lattice
+    it has already computed, so nothing here re-derives or re-checks them.
+    """
+
+    def __init__(self, leq, meet_table, join_table):
+        self.size = len(leq)
+        self.leq = leq
+        self.meet_table = meet_table
+        self.join_table = join_table
+        self.bottom = next(i for i, row in enumerate(leq) if all(row))
+        self.top = next(i for i in range(self.size) if all(row[i] for row in leq))
 
     def meet(self, i, j):
         return self.meet_table[i][j]
@@ -57,24 +35,27 @@ class FiniteLattice:
         return self.join_table[i][j]
 
     def is_modular(self) -> bool:
-        m = self.size
+        M, J, m = self.meet_table, self.join_table, self.size
         for x in range(m):
             for z in range(m):
                 if not self.leq[x][z]:
                     continue
                 for y in range(m):
-                    if self.join(x, self.meet(y, z)) != self.meet(self.join(x, y), z):
+                    if J[x][M[y][z]] != M[J[x][y]][z]:
                         return False
         return True
 
     def is_distributive(self) -> bool:
-        m = self.size
-        for x in range(m):
-            for y in range(m):
-                for z in range(m):
-                    if self.meet(x, self.join(y, z)) != self.join(self.meet(x, y), self.meet(x, z)):
-                        return False
-        return True
+        return self._distributivity_failure(range(self.size)) is None
+
+    def _distributivity_failure(self, members):
+        M, J = self.meet_table, self.join_table
+        for x in members:
+            for y in members:
+                for z in members:
+                    if M[x][J[y][z]] != J[M[x][y]][M[x][z]]:
+                        return (x, y, z)
+        return None
 
     def complements(self, x):
         return [
@@ -90,29 +71,38 @@ class FiniteLattice:
         every arrangement of the triple {a, b, z} that places each element
         in each slot.
         """
-        import itertools
-
+        M, J = self.meet_table, self.join_table
         for a in range(self.size):
             for b in range(self.size):
                 for x, y, w in itertools.permutations((a, b, z)):
-                    if self.meet(self.join(x, y), w) != self.join(self.meet(x, w), self.meet(y, w)):
+                    if M[J[x][y]][w] != J[M[x][w]][M[y][w]]:
                         return {"triple": [x, y, w], "identity": "D"}
-                    if self.join(self.meet(x, y), w) != self.meet(self.join(x, w), self.join(y, w)):
+                    if J[M[x][y]][w] != M[J[x][w]][J[y][w]]:
                         return {"triple": [x, y, w], "identity": "D*"}
         return None
 
-    def is_neutral(self, z) -> bool:
-        return self.neutrality_failure(z) is None
+    def boolean_failure(self, members):
+        """None when members form a Boolean sublattice, else (reason, indices).
 
-    def is_boolean(self) -> bool:
-        if not self.is_distributive():
-            return False
-        return all(len(self.complements(x)) == 1 for x in range(self.size))
-
-    def interval(self, lo, hi):
-        """Sublattice [lo, hi]; returns (FiniteLattice, member list)."""
-        if not self.leq[lo][hi]:
-            raise ValidationError("empty interval")
-        members = [k for k in range(self.size) if self.leq[lo][k] and self.leq[k][hi]]
-        sub = FiniteLattice(tuple(tuple(self.leq[i][j] for j in members) for i in members))
-        return sub, members
+        The checks run in a fixed order and the first failure is returned:
+        closure under meet then join per pair, ("meet_not_closed" or
+        "join_not_closed", (i, j)); exactly one complement inside the
+        members, ("complement_not_unique", (i, complements)); and
+        distributivity per triple, ("not_distributive", (i, j, k)).
+        """
+        inside = set(members)
+        for i in members:
+            for j in members:
+                if self.meet(i, j) not in inside:
+                    return "meet_not_closed", (i, j)
+                if self.join(i, j) not in inside:
+                    return "join_not_closed", (i, j)
+        for i in members:
+            comps = [j for j in members
+                     if self.meet(i, j) == self.bottom and self.join(i, j) == self.top]
+            if len(comps) != 1:
+                return "complement_not_unique", (i, comps)
+        triple = self._distributivity_failure(members)
+        if triple is not None:
+            return "not_distributive", triple
+        return None

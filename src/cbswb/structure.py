@@ -175,26 +175,8 @@ def center_of_lattice(L: FiniteLattice) -> CenterReport:
         else:
             central.append(z)
             complements[z] = tuple(comps)
-    boolean = _center_is_boolean(L, central)
+    boolean = L.boolean_failure(central) is None
     return CenterReport(L, tuple(central), complements, failures, boolean)
-
-
-def _center_is_boolean(L: FiniteLattice, central) -> bool:
-    cset = set(central)
-    for a in central:
-        for b in central:
-            if L.meet(a, b) not in cset or L.join(a, b) not in cset:
-                return False
-    for a in central:
-        inside = [c for c in L.complements(a) if c in cset]
-        if len(inside) != 1:
-            return False
-    for a in central:
-        for b in central:
-            for c in central:
-                if L.meet(a, L.join(b, c)) != L.join(L.meet(a, b), L.meet(a, c)):
-                    return False
-    return True
 
 
 def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
@@ -206,8 +188,7 @@ def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
     sits inside FC(A).
     """
     lattice = all_congruences(A, max_size=max_size)
-    L = lattice.as_finite_lattice()
-    centre = center_of_lattice(L)
+    centre = center_of_lattice(lattice)
     analysis = factor_congruences(A, max_size=max_size)
     E = lattice.elements
     pair_checks = []
@@ -248,49 +229,29 @@ def bfc_check(A: FiniteAlgebra, max_size: int = 8) -> dict:
     analysis = factor_congruences(A, max_size=max_size)
     lattice = analysis.lattice
     E = lattice.elements
-    fc = list(analysis.fc)
-    fcset = set(fc)
-    bot, top = lattice.bottom(), lattice.top()
+    fc_blocks = [E[i].to_blocks_list() for i in analysis.fc]
+    failure = lattice.boolean_failure(analysis.fc)
+    if failure is None:
+        return {"ok": True, "reason": None, "fc": fc_blocks}
 
-    def refute(reason, **extra):
-        out = {"ok": False, "reason": reason}
-        out.update(extra)
-        out["fc"] = [E[i].to_blocks_list() for i in fc]
-        return out
+    def blocks(at):
+        return [E[i].to_blocks_list() for i in at]
 
-    for i in fc:
-        for j in fc:
-            if lattice.meet(i, j) not in fcset:
-                return refute(
-                    "meet_not_closed",
-                    pair=[E[i].to_blocks_list(), E[j].to_blocks_list()],
-                    meet=E[lattice.meet(i, j)].to_blocks_list(),
-                )
-            if lattice.join(i, j) not in fcset:
-                return refute(
-                    "join_not_closed",
-                    pair=[E[i].to_blocks_list(), E[j].to_blocks_list()],
-                    join=E[lattice.join(i, j)].to_blocks_list(),
-                )
-    for i in fc:
-        comps = [j for j in fc if lattice.meet(i, j) == bot and lattice.join(i, j) == top]
-        if len(comps) != 1:
-            return refute(
-                "complement_not_unique",
-                element=E[i].to_blocks_list(),
-                complements=[E[j].to_blocks_list() for j in comps],
-            )
-    for i in fc:
-        for j in fc:
-            for k in fc:
-                lhs = lattice.meet(i, lattice.join(j, k))
-                rhs = lattice.join(lattice.meet(i, j), lattice.meet(i, k))
-                if lhs != rhs:
-                    return refute(
-                        "not_distributive",
-                        triple=[E[x].to_blocks_list() for x in (i, j, k)],
-                    )
-    return {"ok": True, "reason": None, "fc": [E[i].to_blocks_list() for i in fc]}
+    reason, at = failure
+    out = {"ok": False, "reason": reason}
+    if reason == "complement_not_unique":
+        out["element"] = E[at[0]].to_blocks_list()
+        out["complements"] = blocks(at[1])
+    elif reason == "not_distributive":
+        out["triple"] = blocks(at)
+    else:
+        out["pair"] = blocks(at)
+        if reason == "meet_not_closed":
+            out["meet"] = E[lattice.meet(*at)].to_blocks_list()
+        else:
+            out["join"] = E[lattice.join(*at)].to_blocks_list()
+    out["fc"] = fc_blocks
+    return out
 
 
 # ---------------------------------------------------------------------------

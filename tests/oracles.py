@@ -114,6 +114,57 @@ def join_closure(rels, n):
     return tuple(find(x) for x in range(n))
 
 
+def meet_rep(r1, r2):
+    """Least-representative array of the intersection of two equivalences."""
+    first = {}
+    return tuple(first.setdefault((r1[x], r2[x]), x) for x in range(len(r1)))
+
+
+def refines(r1, r2):
+    """Every pair related by r1 is related by r2."""
+    n = len(r1)
+    return all(r2[x] == r2[y] for x in range(n) for y in range(n) if r1[x] == r1[y])
+
+
+def order_bound(leq, i, j, lower):
+    """Greatest lower (or least upper) bound of i and j read off an order matrix."""
+    m = len(leq)
+    if lower:
+        cands = [k for k in range(m) if leq[k][i] and leq[k][j]]
+        return next(k for k in cands if all(leq[c][k] for c in cands))
+    cands = [k for k in range(m) if leq[i][k] and leq[j][k]]
+    return next(k for k in cands if all(leq[k][c] for c in cands))
+
+
+def boolean_sublattice_failure(members, n):
+    """First reason a list of equivalences (rep arrays) is not a Boolean
+    sublattice of the equivalences on range(n), with the witness reps, or
+    None: closure under meet then join per pair, exactly one complement
+    among the members, distributivity per triple."""
+    inside = set(members)
+
+    def join(a, b):
+        return join_closure([a, b], n)
+
+    for a in members:
+        for b in members:
+            if meet_rep(a, b) not in inside:
+                return "meet_not_closed", (a, b)
+            if join(a, b) not in inside:
+                return "join_not_closed", (a, b)
+    bottom, top = tuple(range(n)), (0,) * n
+    for a in members:
+        comps = [b for b in members if meet_rep(a, b) == bottom and join(a, b) == top]
+        if len(comps) != 1:
+            return "complement_not_unique", (a, comps)
+    for a in members:
+        for b in members:
+            for c in members:
+                if meet_rep(a, join(b, c)) != join(meet_rep(a, b), meet_rep(a, c)):
+                    return "not_distributive", (a, b, c)
+    return None
+
+
 def all_homs(A, B):
     """Brute-force enumeration of every homomorphism A -> B."""
     from cbswb import Homomorphism

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
-from cbswb.cli import main
+from cbswb.cli import build_parser, main
 
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
@@ -122,6 +122,24 @@ def test_byte_identical_reruns(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second, argv
+
+
+def test_cached_parser_matches_fresh_parsers(capsys):
+    # the append options must not carry values from one parse to the next
+    argvs = [
+        ("omega-demo", "--base", Z2, "--shift", "2", "--zeta", "{0}", "--truncate", "6"),
+        ("omega-demo", "--base", Z2, "--shift", "2", "--zeta", "{0}"),
+        ("presheaf-check", Z4, "--kind", "rel", "--sentence", "(+ x y) = (+ y x)"),
+        ("presheaf-check", Z4),
+    ]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0]
+    assert "m: 6" in fresh[0][1] and "m: 6" not in fresh[1][1]
 
 
 def test_json_format_parses_back(capsys):

@@ -1,9 +1,11 @@
 """Differential tests of the finite kernels on random algebras.
 
 Random algebras of at most 5 elements with operations of arity at most 2
-are checked against the brute-force oracles: generated congruences against
-partition filtering, joins against the transitive closure of the union, and
-homomorphism checks against exhaustive map enumeration.  Hypothesis runs
+are checked against the brute-force oracles: generated congruences and the
+whole of Con(A) against partition filtering, joins against the transitive
+closure of the union, the lattice tables against bounds read off the order,
+the Boolean-sublattice witness against a check on the relations themselves,
+and homomorphism checks against exhaustive map enumeration.  Hypothesis runs
 derandomized with a bounded number of examples, so every run tries the
 same algebras.
 """
@@ -15,10 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbswb.algebra import FiniteAlgebra, Homomorphism, Operation
-from cbswb.congruence import Congruence, congruence_join, generated_congruence
+from cbswb.congruence import Congruence, all_congruences, congruence_join, generated_congruence
 from cbswb.errors import ValidationError
+from cbswb.structure import center_of_lattice
 
-from oracles import all_homs, brute_congruences, join_closure
+from oracles import (
+    all_homs,
+    boolean_sublattice_failure,
+    brute_congruences,
+    join_closure,
+    meet_rep,
+    order_bound,
+    refines,
+)
 
 KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -91,6 +102,67 @@ def test_congruence_join_is_equivalence_join(case):
         joined = congruence_join(Congruence(A, r1), Congruence(A, r2)).rep
         assert joined == join_closure([r1, r2], A.size)
         assert joined in cons
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_congruence_lattice_matches_partition_oracle(case):
+    A, _ = case
+    L = all_congruences(A)
+    reps = [c.rep for c in L.elements]
+    assert set(reps) == brute_congruences(A) and len(reps) == len(set(reps))
+    m = len(reps)
+    assert L.leq == tuple(tuple(refines(a, b) for b in reps) for a in reps)
+    for i in range(m):
+        for j in range(m):
+            assert L.meet(i, j) == order_bound(L.leq, i, j, lower=True)
+            assert L.join(i, j) == order_bound(L.leq, i, j, lower=False)
+    assert reps[L.bottom] == tuple(range(A.size))
+    assert reps[L.top] == (0,) * A.size
+
+
+def closure(reps, ops):
+    out = set(reps)
+    while True:
+        more = {f(a, b) for a in out for b in out for f in ops} - out
+        if not more:
+            return out
+        out |= more
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs(), st.data())
+def test_boolean_failure_matches_relation_oracle(case, data):
+    A, _ = case
+    L = all_congruences(A)
+    reps = [c.rep for c in L.elements]
+    index = {r: i for i, r in enumerate(reps)}
+    bounds = [reps[L.bottom], reps[L.top]]
+
+    def join(a, b):
+        return join_closure([a, b], A.size)
+
+    families = [range(len(reps)), center_of_lattice(L).central]
+    subset = st.lists(st.sampled_from(range(len(reps))), max_size=6, unique=True)
+    for drawn in data.draw(st.lists(subset, min_size=3, max_size=3)):
+        drawn = [reps[i] for i in drawn]
+        # raw draws fail closure; meet-closed ones with the diagonal reach
+        # the join check; closed ones with both bounds reach the complements
+        families += [
+            sorted(index[r] for r in drawn),
+            sorted(index[r] for r in closure(drawn + bounds[:1], [meet_rep])),
+            sorted(index[r] for r in closure(drawn + bounds, [meet_rep, join])),
+        ]
+    for members in families:
+        got = L.boolean_failure(members)
+        if got is not None:
+            reason, at = got
+            if reason == "complement_not_unique":
+                at = (reps[at[0]], [reps[j] for j in at[1]])
+            else:
+                at = tuple(reps[i] for i in at)
+            got = reason, at
+        assert got == boolean_sublattice_failure([reps[i] for i in members], A.size), members
 
 
 def first_failing_cell(A, B, mapping):

@@ -284,6 +284,27 @@ def test_validate_flags_mutations():
     assert any("chi" in v for v in omega_validate(run))
 
 
+def test_validate_lists_every_failing_d_pair():
+    # d[n] = N minus {2n}; removing 0 from d[1] and d[3] leaves 0 outside
+    # d[0], d[1] and d[3], so exactly those three pairs miss it
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    for n in (1, 3):
+        run.ds[n] = run.ds[n].difference(PeriodicSet.from_finite([0]))
+    assert omega_validate(run) == [
+        "d[1] does not match its definition",
+        "d[3] does not match its definition",
+        "d[0] union d[1] misses coordinates",
+        "d[0] union d[3] misses coordinates",
+        "d[1] union d[3] misses coordinates",
+        "f_hat(d[0]) != d[1]",
+        "f_hat(d[1]) != d[2]",
+        "f_hat(d[2]) != d[3]",
+        "f_hat(d[3]) != d[4]",
+        "sigma_zeta is not below d[1]",
+        "sigma_zeta is not below d[3]",
+    ]
+
+
 # -- the countable infimum -----------------------------------------------------
 
 

@@ -95,7 +95,7 @@ def test_decomposition_witness_pairing_map():
 
 def test_center_of_con_v4_is_trivial():
     v4 = corpus_algebra("v4")
-    L = all_congruences(v4).as_finite_lattice()
+    L = all_congruences(v4)
     centre = center_of_lattice(L)
     assert centre.central == (L.bottom, L.top)
     assert centre.center_boolean
