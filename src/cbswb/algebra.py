@@ -474,9 +474,7 @@ class Homomorphism:
 
     def compose(self, inner: "Homomorphism") -> "Homomorphism":
         """self after inner (inner applies first)."""
-        if inner.target.same_tables(self.source):
-            pass
-        else:
+        if not inner.target.same_tables(self.source):
             raise ValidationError("composition domains do not match")
         return Homomorphism(inner.source, self.target, [self.mapping[inner.mapping[x]] for x in range(inner.source.size)])
 
@@ -524,43 +522,32 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = Non
     if A.signature() != B.signature():
         raise ValidationError("product factors must share a signature")
     n = A.size * B.size
+    left = [p // B.size for p in range(n)]
+    right = [p % B.size for p in range(n)]
     ops = []
-    for opa in A.ops:
-        k = opa.arity
-        table = []
-        for args in itertools.product(range(n), repeat=k):
-            xs = [p // B.size for p in args]
-            ys = [p % B.size for p in args]
-            table.append(A.apply(opa.name, *xs) * B.size + B.apply(opa.name, *ys))
-        ops.append(Operation(opa.name, k, tuple(table)))
+    # equal signatures list the same operations in the same order
+    for opa, opb in zip(A.ops, B.ops):
+        ta, tb, k = opa.table, opb.table, opa.arity
+        cells = zip(image_indices(left, k, A.size), image_indices(right, k, B.size))
+        ops.append(Operation(opa.name, k, tuple([ta[i] * B.size + tb[j] for i, j in cells])))
     P = FiniteAlgebra(name or f"{A.name}x{B.name}", n, ops)
-    left = Homomorphism(P, A, [p // B.size for p in range(n)])
-    right = Homomorphism(P, B, [p % B.size for p in range(n)])
-    return Product(P, left, right)
+    return Product(P, Homomorphism(P, A, left), Homomorphism(P, B, right))
 
 
 def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> FiniteAlgebra:
     """Direct power A^m with coordinate 0 most significant in the encoding."""
     if m < 1:
         raise ValidationError("power exponent must be >= 1")
-    n = A.size ** m
-    digits = []
-    for p in range(n):
-        t, rest = [], p
-        for _ in range(m):
-            t.append(rest % A.size)
-            rest //= A.size
-        digits.append(tuple(reversed(t)))
+    s = A.size
+    n = s ** m
+    # coordinate i of an element carries weight s^(m-1-i); digit[p] is its value in p
+    coords = [(w, [(p // w) % s for p in range(n)]) for w in (s ** (m - 1 - i) for i in range(m))]
     ops = []
     for opa in A.ops:
-        k = opa.arity
-        table = []
-        for args in itertools.product(range(n), repeat=k):
-            tup = [digits[p] for p in args]
-            enc = 0
-            for i in range(m):
-                enc = enc * A.size + A.apply(opa.name, *(t[i] for t in tup))
-            table.append(enc)
+        t, k = opa.table, opa.arity
+        table = [0] * n ** k
+        for w, digit in coords:
+            table = [acc + t[j] * w for acc, j in zip(table, image_indices(digit, k, s))]
         ops.append(Operation(opa.name, k, tuple(table)))
     return FiniteAlgebra(name or f"{A.name}^{m}", n, ops)
 
@@ -586,21 +573,19 @@ def quotient_algebra(A: FiniteAlgebra, theta) -> Quotient:
     if theta.algebra != A:
         raise ValidationError("congruence does not belong to this algebra")
     blocks = theta.blocks
-    index = {}
+    index = [0] * A.size
     for i, b in enumerate(blocks):
         for x in b:
             index[x] = i
-    m = len(blocks)
     reps = [b[0] for b in blocks]
-    ops = []
-    for op in A.ops:
-        table = []
-        for args in itertools.product(range(m), repeat=op.arity):
-            table.append(index[A.apply(op.name, *(reps[i] for i in args))])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
-    Q = FiniteAlgebra(f"{A.name}/{_short_partition_name(A, blocks)}", m, ops)
-    proj = Homomorphism(A, Q, [index[x] for x in range(A.size)])
-    return Quotient(Q, proj)
+    ops = [
+        Operation(op.name, op.arity,
+                  tuple([index[op.table[i]] for i in image_indices(reps, op.arity, A.size)]))
+        for op in A.ops
+    ]
+    Q = FiniteAlgebra(f"{A.name}/{_short_partition_name(A, blocks)}", len(blocks), ops)
+    # the projection check is what rejects a partition that is not a congruence
+    return Quotient(Q, Homomorphism(A, Q, index))
 
 
 def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
@@ -611,12 +596,11 @@ def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
     inv = [0] * A.size
     for x, y in enumerate(perm):
         inv[y] = x
-    ops = []
-    for op in A.ops:
-        table = []
-        for args in itertools.product(range(A.size), repeat=op.arity):
-            table.append(perm[A.apply(op.name, *(inv[a] for a in args))])
-        ops.append(Operation(op.name, op.arity, tuple(table)))
+    ops = [
+        Operation(op.name, op.arity,
+                  tuple([perm[op.table[i]] for i in image_indices(inv, op.arity, A.size)]))
+        for op in A.ops
+    ]
     B = FiniteAlgebra(name or f"{A.name}'", A.size, ops)
     return B, Homomorphism(A, B, perm)
 

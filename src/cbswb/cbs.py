@@ -515,8 +515,8 @@ def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure.
 
     Both bounds and closure are checked on the family itself; once they
-    hold, the family is a lattice in its own right and the complement and
-    distributivity checks run on its tables.
+    hold, the family is a lattice in its own right and the complement check
+    runs on its tables.
     """
     reps = _rep_set(ks)
     if Congruence.diagonal(A).rep not in reps:

@@ -27,7 +27,7 @@ from .errors import BudgetError, CbswbError, FormatError, ValidationError
 from .omega import omega_cbs_run, omega_validate, quasicyclic_suite, truncate_validate
 from .pset import PeriodicSet
 from .report import Report, lattice_dot, render_report
-from .structure import bfc_check, church_centers, factor_congruences, z_con_report
+from .structure import bfc_report, church_centers, factor_congruences, z_con_report
 
 DEFAULT_CON_SIZE = 8
 DEFAULT_ISO_SIZE = 10
@@ -84,9 +84,9 @@ def _cmd_con(args):
 
 def _cmd_fc(args):
     A = _load(args.file)
-    ms = _max_size(args, DEFAULT_CON_SIZE)
-    body = factor_congruences(A, max_size=ms).to_report()
-    body["bfc"] = bfc_check(A, max_size=ms)
+    analysis = factor_congruences(A, max_size=_max_size(args, DEFAULT_CON_SIZE))
+    body = analysis.to_report()
+    body["bfc"] = bfc_report(analysis)
     return "pass", body
 
 

@@ -86,9 +86,11 @@ class FiniteLattice:
 
         The checks run in a fixed order and the first failure is returned:
         closure under meet then join per pair, ("meet_not_closed" or
-        "join_not_closed", (i, j)); exactly one complement inside the
-        members, ("complement_not_unique", (i, complements)); and
-        distributivity per triple, ("not_distributive", (i, j, k)).
+        "join_not_closed", (i, j)); then exactly one complement inside the
+        members, ("complement_not_unique", (i, complements)).  Members
+        passing both contain the bounds and form a finite uniquely
+        complemented lattice, which is Boolean (Birkhoff-Ward), so
+        distributivity needs no check of its own.
         """
         inside = set(members)
         for i in members:
@@ -102,7 +104,4 @@ class FiniteLattice:
                      if self.meet(i, j) == self.bottom and self.join(i, j) == self.top]
             if len(comps) != 1:
                 return "complement_not_unique", (i, comps)
-        triple = self._distributivity_failure(members)
-        if triple is not None:
-            return "not_distributive", triple
         return None

@@ -55,13 +55,15 @@ def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
     if not meet.is_diagonal():
         witness = next((x, y) for x, y in sorted(meet.pairs()) if x != y)
         return {"ok": False, "reason": "meet_not_diagonal", "witness": list(witness)}
-    rel, permutable = compose(t1, t2)
-    if rel.is_total():
+    # with a diagonal meet each t1-block meets each t2-block at most once, and
+    # the |A| elements are those meetings: t1 o t2 is total when all happen
+    if t1.nblocks * t2.nblocks == A.size:
         return {"ok": True, "reason": None, "witness": None}
     join = congruence_join(t1, t2)
     if not join.is_total():
         witness = join.blocks[0][0], join.blocks[1][0]
         return {"ok": False, "reason": "join_not_total", "witness": list(witness)}
+    rel, permutable = compose(t1, t2)
     return {
         "ok": False,
         "reason": "not_permutable",
@@ -187,10 +189,9 @@ def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
     relation the centre is a collection of Boolean factor congruences and
     sits inside FC(A).
     """
-    lattice = all_congruences(A, max_size=max_size)
-    centre = center_of_lattice(lattice)
     analysis = factor_congruences(A, max_size=max_size)
-    E = lattice.elements
+    centre = center_of_lattice(analysis.lattice)
+    E = analysis.lattice.elements
     pair_checks = []
     all_compose = True
     for z in centre.central:
@@ -220,13 +221,17 @@ def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
 
 
 def bfc_check(A: FiniteAlgebra, max_size: int = 8) -> dict:
-    """Is FC(A) a Boolean sublattice of Con(A)?
+    """Is FC(A) a Boolean sublattice of Con(A)?  See bfc_report."""
+    return bfc_report(factor_congruences(A, max_size=max_size))
 
-    Checks closure under meet and join, uniqueness of complements inside
-    FC, and distributivity over FC triples, in that order, returning the
-    first counterexample found.
+
+def bfc_report(analysis: FactorAnalysis) -> dict:
+    """Is the FC(A) of an analysis a Boolean sublattice of Con(A)?
+
+    Checks closure under meet and join, then uniqueness of complements
+    inside FC, returning the first counterexample found.  A finite uniquely
+    complemented lattice is Boolean, so no distributivity check follows.
     """
-    analysis = factor_congruences(A, max_size=max_size)
     lattice = analysis.lattice
     E = lattice.elements
     fc_blocks = [E[i].to_blocks_list() for i in analysis.fc]
@@ -242,8 +247,6 @@ def bfc_check(A: FiniteAlgebra, max_size: int = 8) -> dict:
     if reason == "complement_not_unique":
         out["element"] = E[at[0]].to_blocks_list()
         out["complements"] = blocks(at[1])
-    elif reason == "not_distributive":
-        out["triple"] = blocks(at)
     else:
         out["pair"] = blocks(at)
         if reason == "meet_not_closed":

@@ -191,3 +191,29 @@ def all_homs(A, B):
         if ok:
             out.append(Homomorphism(A, B, mapping))
     return out
+
+
+def factor_pair_verdict(r1, r2, n):
+    """Factor-pair verdict on two equivalences (rep arrays) on range(n),
+    with the relational products enumerated over all triples: the first
+    failing stage among a nondiagonal meet, a join that is not total and a
+    product r1 o r2 that is not total, with the least witness pair."""
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    meet = [(a, b) for a, b in pairs if a != b and r1[a] == r1[b] and r2[a] == r2[b]]
+    if meet:
+        return {"ok": False, "reason": "meet_not_diagonal", "witness": list(meet[0])}
+
+    def product(s, t):
+        return {(a, b) for a, w, b in itertools.product(range(n), repeat=3)
+                if s[a] == s[w] and t[w] == t[b]}
+
+    forward = product(r1, r2)
+    if len(forward) == n * n:
+        return {"ok": True, "reason": None, "witness": None}
+    join = join_closure([r1, r2], n)
+    if any(r != 0 for r in join):
+        return {"ok": False, "reason": "join_not_total",
+                "witness": [0, next(x for x in range(n) if join[x] != 0)]}
+    return {"ok": False, "reason": "not_permutable",
+            "witness": list(next(p for p in pairs if p not in forward)),
+            "permutable": forward == product(r2, r1)}

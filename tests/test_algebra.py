@@ -20,9 +20,11 @@ from cbswb.algebra import (
     render_algebra,
     satisfies,
 )
-from cbswb.congruence import Congruence
+from cbswb.congruence import Congruence, all_congruences
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
+from cbswb.omega import omega_cbs_run, quasicyclic_suite, truncate_validate
+from cbswb.pset import PeriodicSet
 
 from oracles import apply_raw, naive_eval
 
@@ -243,3 +245,28 @@ def test_relabel_gives_isomorphic_copy():
         assert B.size == A.size
     with pytest.raises(ValidationError):
         relabel(corpus_algebra("z4"), [0, 0, 1, 2])
+
+
+def test_constructors_and_truncations_do_not_apply_cell_by_cell(monkeypatch):
+    z4, v4, lat = corpus_algebra("z4"), corpus_algebra("v4"), corpus_algebra("lat22")
+    theta = all_congruences(lat).elements[1]
+    run = omega_cbs_run(corpus_algebra("z2"), 2, PeriodicSet.from_finite([0]))
+
+    def build():
+        return (
+            power_algebra(v4, 3),
+            direct_product(z4, v4).algebra,
+            quotient_algebra(lat, theta).algebra,
+            relabel(z4, [2, 0, 3, 1])[0],
+            truncate_validate(run, 8),
+            quasicyclic_suite(2, 2, 6),
+        )
+
+    usual = build()
+    assert usual[4]["ok"] and usual[4]["materialized"] and usual[5]["ok"]
+
+    def refuse(self, name, *args):
+        raise AssertionError(f"per-cell apply({name!r}) in a flat-table kernel")
+
+    monkeypatch.setattr(FiniteAlgebra, "apply", refuse)
+    assert build() == usual

@@ -5,9 +5,11 @@ are checked against the brute-force oracles: generated congruences and the
 whole of Con(A) against partition filtering, joins against the transitive
 closure of the union, the lattice tables against bounds read off the order,
 the Boolean-sublattice witness against a check on the relations themselves,
-and homomorphism checks against exhaustive map enumeration.  Hypothesis runs
-derandomized with a bounded number of examples, so every run tries the
-same algebras.
+homomorphism checks against exhaustive map enumeration, the product, power,
+quotient and relabelling constructors against cell-by-cell construction,
+and factor-pair verdicts against relational products over all triples.
+Hypothesis runs derandomized with a bounded number of examples, so every
+run tries the same algebras.
 """
 
 import itertools
@@ -16,19 +18,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbswb.algebra import FiniteAlgebra, Homomorphism, Operation
+from cbswb.algebra import (
+    FiniteAlgebra,
+    Homomorphism,
+    Operation,
+    direct_product,
+    power_algebra,
+    quotient_algebra,
+    relabel,
+)
 from cbswb.congruence import Congruence, all_congruences, congruence_join, generated_congruence
 from cbswb.errors import ValidationError
-from cbswb.structure import center_of_lattice
+from cbswb.structure import center_of_lattice, check_factor_pair
 
 from oracles import (
     all_homs,
+    all_partitions,
+    apply_raw,
     boolean_sublattice_failure,
     brute_congruences,
+    factor_pair_verdict,
     join_closure,
     meet_rep,
     order_bound,
     refines,
+    rep_of_blocks,
 )
 
 KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -189,3 +203,83 @@ def test_homomorphism_accepts_exactly_all_homs(case):
             with pytest.raises(ValidationError) as err:
                 Homomorphism(A, B, mapping)
             assert str(err.value) == first_failing_cell(A, B, mapping)
+
+
+@st.composite
+def constructor_case(draw):
+    """Two algebras of one signature with arities up to 3, an exponent whose
+    power keeps every table at 4096 cells or fewer, and a permutation."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    n = draw(st.integers(1, 4))
+    A = FiniteAlgebra("a", n, tables(draw, n, arities))
+    nb = draw(st.integers(1, 4))
+    B = FiniteAlgebra("b", nb, tables(draw, nb, arities))
+    m = max(j for j in range(1, draw(st.integers(1, 3)) + 1) if n ** (j * max(arities)) <= 4096)
+    return A, B, m, draw(st.permutations(range(n)))
+
+
+def cellwise(size, ops, cell):
+    """Operations over range(size) whose value at args is cell(op, args)."""
+    return tuple(
+        Operation(op.name, op.arity,
+                  tuple(cell(op, args) for args in itertools.product(range(size), repeat=op.arity)))
+        for op in ops
+    )
+
+
+def digits(p, base, m):
+    return [p // base ** (m - 1 - i) % base for i in range(m)]
+
+
+@KERNEL_SETTINGS
+@given(constructor_case())
+def test_constructors_match_cellwise_construction(case):
+    A, B, m, perm = case
+    n, nb = A.size, B.size
+
+    def product_cell(op, args):
+        opb = B.op(op.name)
+        return apply_raw(A, op, [p // nb for p in args]) * nb + apply_raw(B, opb, [p % nb for p in args])
+
+    P = direct_product(A, B)
+    assert P.algebra.ops == cellwise(n * nb, A.ops, product_cell)
+    assert P.left.mapping == tuple(p // nb for p in range(n * nb))
+    assert P.right.mapping == tuple(p % nb for p in range(n * nb))
+
+    def power_cell(op, args):
+        coords = [digits(p, n, m) for p in args]
+        enc = 0
+        for i in range(m):
+            enc = enc * n + apply_raw(A, op, [c[i] for c in coords])
+        return enc
+
+    assert power_algebra(A, m).ops == cellwise(n ** m, A.ops, power_cell)
+
+    inv = [perm.index(y) for y in range(n)]
+    copy, iso = relabel(A, perm)
+    assert copy.ops == cellwise(n, A.ops, lambda op, args: perm[apply_raw(A, op, [inv[a] for a in args])])
+    assert iso.mapping == tuple(perm)
+
+    cons = brute_congruences(A)
+    for blocks in all_partitions(n):
+        rep = rep_of_blocks(blocks, n)
+        if rep not in cons:
+            with pytest.raises(ValidationError):
+                quotient_algebra(A, Congruence(A, rep))
+            continue
+        reps = sorted(set(rep))
+        Q = quotient_algebra(A, Congruence(A, rep))
+        assert Q.algebra.ops == cellwise(
+            len(reps), A.ops, lambda op, args: reps.index(rep[apply_raw(A, op, [reps[i] for i in args])])
+        )
+        assert Q.projection.mapping == tuple(reps.index(r) for r in rep)
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_check_factor_pair_matches_triple_oracle(case):
+    A, _ = case
+    cons = sorted(brute_congruences(A))
+    for r1, r2 in itertools.product(cons, repeat=2):
+        got = check_factor_pair(A, Congruence(A, r1), Congruence(A, r2))
+        assert got == factor_pair_verdict(r1, r2, A.size), (r1, r2)
