@@ -62,11 +62,14 @@ class FiniteAlgebra:
                 raise ValidationError(
                     f"operation {op.name!r}: table length {len(op.table)}, expected {expected}"
                 )
-            for v in op.table:
-                if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
-                    raise ValidationError(
-                        f"operation {op.name!r}: table entry {v!r} out of range 0..{size - 1}"
-                    )
+            table = op.table
+            if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
+                # the cell loop names the first bad entry and admits int subclasses
+                for v in table:
+                    if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
+                        raise ValidationError(
+                            f"operation {op.name!r}: table entry {v!r} out of range 0..{size - 1}"
+                        )
         self.name = name
         self.size = size
         self.ops = tuple(ops)

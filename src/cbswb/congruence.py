@@ -4,10 +4,17 @@ A congruence is stored as its least-representative array: rep[x] is the
 smallest element of the block of x.  Blocks are kept sorted by least
 element, which fixes a canonical form for every partition and a global
 ordering of Con(A) by (descending block count, lexicographic rep array).
+
+Con(A) is the join closure of the principal congruences, enumerated up to
+CON_COUNT_CAP members.  Its order is read off n^2-bit pair masks, and its
+meet and join tables off the bitsets of down-sets and up-sets, with no
+pairwise congruence arithmetic: the canonical ordering is a linear
+extension of the order.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -22,28 +29,41 @@ from .errors import BudgetError, ValidationError
 from .lattice import FiniteLattice
 
 DEFAULT_CON_CAP = 8
+# most members all_congruences enumerates before it raises BudgetError
+CON_COUNT_CAP = 1024
 
 
-class UnionFind:
+class Partition:
+    """Partition of range(n) that only ever merges classes.
+
+    label[x] names the class of x, so "same class" is one list lookup; a
+    merge relabels the smaller class into the larger, so each element moves
+    O(log n) times.
+    """
+
     def __init__(self, n: int):
-        self.parent = list(range(n))
+        self.label = list(range(n))
+        self.members = [[x] for x in range(n)]
+        self.count = n
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
+    def merge(self, x: int, y: int) -> bool:
+        """Join the classes of x and y; False when they were one already."""
+        label, members = self.label, self.members
+        lx, ly = label[x], label[y]
+        if lx == ly:
             return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
+        if len(members[lx]) < len(members[ly]):
+            lx, ly = ly, lx
+        for z in members[ly]:
+            label[z] = lx
+        members[lx] += members[ly]
+        self.count -= 1
         return True
+
+    def rep(self):
+        # x ascends, so the first element met in a class is its least one
+        least = {}
+        return tuple(least.setdefault(c, x) for x, c in enumerate(self.label))
 
 
 def _blocks_from_rep(rep):
@@ -51,11 +71,6 @@ def _blocks_from_rep(rep):
     for x, r in enumerate(rep):
         groups.setdefault(r, []).append(x)
     return tuple(tuple(groups[r]) for r in sorted(groups))
-
-
-def _rep_from_uf(uf: UnionFind, n: int):
-    # union keeps the smaller root, so every root is the least element of its block
-    return tuple(uf.find(x) for x in range(n))
 
 
 class Congruence:
@@ -71,8 +86,13 @@ class Congruence:
                 raise ValidationError("rep array is not in least-representative form")
         self.algebra = algebra
         self.rep = rep
-        self.blocks = _blocks_from_rep(rep)
-        self.nblocks = len(self.blocks)
+        self.nblocks = len(set(rep))
+
+    @cached_property
+    def blocks(self):
+        # built on first use: most joins of the Con(A) closure only meet a
+        # congruence already found, and never look at its blocks
+        return _blocks_from_rep(self.rep)
 
     @staticmethod
     def from_blocks(algebra: FiniteAlgebra, blocks, check: bool = True) -> "Congruence":
@@ -211,31 +231,36 @@ def _translation_columns(A: FiniteAlgebra):
     return cols
 
 
-def generated_congruence(A: FiniteAlgebra, pairs) -> Congruence:
+def generated_congruence(A: FiniteAlgebra, pairs, cols=None) -> Congruence:
     """Smallest congruence of A containing the given pairs.
 
-    Union-find closure under basic translations: a congruence is an
-    equivalence closed under every unary map x -> f(c1, .., x, .., ck), so
-    whenever a pair (x, y) merges two classes, the translation columns of x
-    and y are zipped and every pair of values merged in turn, until the
-    worklist drains (R. Freese, Computing congruences efficiently, 2008).
+    Closure under basic translations: a congruence is an equivalence closed
+    under every unary map x -> f(c1, .., x, .., ck), so whenever a pair
+    (x, y) merges two classes, the translation columns of x and y are
+    zipped and every pair of values merged in turn, until the worklist
+    drains or one class is left (R. Freese, Computing congruences
+    efficiently, 2008).  cols, when given, is _translation_columns(A),
+    shared between calls.
     """
     n = A.size
-    uf = UnionFind(n)
+    part = Partition(n)
     work = []
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"pair ({a}, {b}) out of range")
-        if uf.union(a, b):
+        if part.merge(a, b):
             work.append((a, b))
     if work:
-        cols = _translation_columns(A)
-        while work:
+        if cols is None:
+            cols = _translation_columns(A)
+        label = part.label
+        while work and part.count > 1:
             x, y = work.pop()
             for u, v in zip(cols[x], cols[y]):
-                if u != v and uf.union(u, v):
+                if label[u] != label[v]:
+                    part.merge(u, v)
                     work.append((u, v))
-    return Congruence(A, _rep_from_uf(uf, n))
+    return Congruence(A, part.rep())
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -260,17 +285,16 @@ def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
     """Join in Con(A); both arguments must be congruences of one algebra.
 
     Con(A) is a sublattice of the equivalence lattice Eq(A), so the join is
-    the transitive closure of the union of the two relations: one
-    union-find pass over both rep arrays, with no operation closure.
+    the transitive closure of the union of the two relations: one merging
+    pass over both rep arrays, with no operation closure.
     """
     t1._same_parent(t2)
-    n = len(t1.rep)
-    uf = UnionFind(n)
+    part = Partition(len(t1.rep))
     for rep in (t1.rep, t2.rep):
         for x, r in enumerate(rep):
             if r != x:
-                uf.union(x, r)
-    return Congruence(t1.algebra, _rep_from_uf(uf, n))
+                part.merge(x, r)
+    return Congruence(t1.algebra, part.rep())
 
 
 class BinaryRelation:
@@ -332,18 +356,38 @@ def _relation_product(first: Congruence, second: Congruence) -> BinaryRelation:
 
 
 class CongruenceLattice(FiniteLattice):
-    """Con(A) as a finite lattice: order, meet and join tables over the
-    congruences in canonical order, with its modularity flags."""
+    """Con(A), or a sublattice of it, as a finite lattice: order, meet and
+    join tables over the congruences in canonical order, with its
+    modularity flags.
+
+    The elements must be closed under meet and join.  The order comes from
+    n^2-bit pair masks (bit x*n + y set when x and y share a block), and
+    the tables from the up-sets and down-sets of the order as bitsets:
+    canonical order lists a congruence after every congruence below it, so
+    a join is the lowest index among the common upper bounds and a meet the
+    highest among the common lower bounds.
+    """
 
     def __init__(self, algebra: FiniteAlgebra, elements):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda c: c.key()))
-        E = self.elements
-        index = {c.rep: i for i, c in enumerate(E)}
+        n = algebra.size
+        masks = []
+        for c in self.elements:
+            mask = 0
+            for block in c.blocks:
+                row = sum(1 << y for y in block)
+                for x in block:
+                    mask |= row << (x * n)
+            masks.append(mask)
+        leq = tuple(tuple((a & b) == a for b in masks) for a in masks)
+        m = len(masks)
+        up = [sum(1 << j for j in range(m) if row[j]) for row in leq]
+        down = [sum(1 << j for j in range(m) if leq[j][i]) for i in range(m)]
         super().__init__(
-            tuple(tuple(a.refines(b) for b in E) for a in E),
-            tuple(tuple(index[congruence_meet(a, b).rep] for b in E) for a in E),
-            tuple(tuple(index[congruence_join(a, b).rep] for b in E) for a in E),
+            leq,
+            tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down),
+            tuple(tuple((u & v & -(u & v)).bit_length() - 1 for v in up) for u in up),
         )
         self.modular = self.is_modular()
         self.distributive = self.is_distributive()
@@ -371,27 +415,43 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     """Con(A) as the join closure of the principal congruences.
 
     Every congruence is the join of the principal congruences it contains,
-    so closing {diagonal} union {theta(a,b)} under binary joins yields the
-    full lattice.  Guarded by a size cap (default 8).
+    so joining each newly found congruence with every distinct principal
+    congruence not already below it, until nothing new appears, yields the
+    full lattice (R. Freese, Computing congruences efficiently, 2008).
+    Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.
     """
     if A.size > max_size:
         raise BudgetError(f"congruence enumeration capped at size {max_size}, got {A.size}")
-    items = {Congruence.diagonal(A).rep: Congruence.diagonal(A)}
-    frontier = []
+    diagonal = Congruence.diagonal(A)
+    items = {diagonal.rep: diagonal}
+    principals = []
+
+    def found(c):
+        items[c.rep] = c
+        if len(items) > CON_COUNT_CAP:
+            raise BudgetError(
+                f"congruence enumeration: |Con(A)| reached {len(items)}, "
+                f"over the {CON_COUNT_CAP}-member budget"
+            )
+
+    cols = _translation_columns(A)
     for a in range(A.size):
         for b in range(a + 1, A.size):
-            c = principal_congruence(A, a, b)
+            c = generated_congruence(A, [(a, b)], cols)
             if c.rep not in items:
-                items[c.rep] = c
-                frontier.append(c)
+                found(c)
+                principals.append((a, b, c))
+    frontier = [c for _, _, c in principals]
     while frontier:
         nxt = []
-        current = list(items.values())
         for c1 in frontier:
-            for c2 in current:
-                j = congruence_join(c1, c2)
+            rep = c1.rep
+            for a, b, p in principals:
+                if rep[a] == rep[b]:
+                    continue  # p is below c1
+                j = congruence_join(c1, p)
                 if j.rep not in items:
-                    items[j.rep] = j
+                    found(j)
                     nxt.append(j)
         frontier = nxt
     return CongruenceLattice(A, items.values())

@@ -406,7 +406,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     if m < 2 * run.k:
         raise ValidationError("truncation must cover at least twice the shift")
     if m > MAX_TRUNCATION:
-        raise BudgetError("truncation too large for budget")
+        raise BudgetError(f"truncation: m reached {m}, over the {MAX_TRUNCATION}-coordinate budget")
     A = run.base
     iso = run.iso()
     carrier = A.size ** m
@@ -605,7 +605,10 @@ class QuasiCyclic:
     def truncation(self, m: int) -> FiniteAlgebra:
         size = self.prime ** m
         if size > QC_SIZE_CAP:
-            raise BudgetError("truncation too large for budget")
+            raise BudgetError(
+                f"quasi-cyclic truncation: carrier reached {size}, "
+                f"over the {QC_SIZE_CAP}-element budget"
+            )
         table = tuple((a + b) % size for a in range(size) for b in range(size))
         return FiniteAlgebra(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
 

@@ -44,6 +44,31 @@ def test_algebra_validation():
         FiniteAlgebra("a", 2, [Operation("f", 0, (0,)), Operation("f", 0, (1,))])
 
 
+class Label(int):
+    """An int subclass: the cell loop admits it, the exact-type check does not."""
+
+
+def test_table_validation_names_the_first_bad_entry():
+    # tables the exact-int fast path passes over, rejected by the cell loop
+    # with the message naming the first bad entry
+    bad = [
+        (3, (0, True, 1), "True"),
+        (3, (0, 1.0, 1), "1.0"),
+        (3, (0, "1", 1), "'1'"),
+        (3, (0, -1, 1), "-1"),
+        (3, (0, 3, 1), "3"),
+        (3, (Label(1), 3, -1), "3"),
+        (5, (1, 2, 0, -2, 5), "-2"),
+    ]
+    for size, table, shown in bad:
+        with pytest.raises(ValidationError) as err:
+            FiniteAlgebra("a", size, [Operation("f", 1, table)])
+        assert str(err.value) == f"operation 'f': table entry {shown} out of range 0..{size - 1}"
+    for table in [(0, 1, 2), (Label(2), 0, 1), (2, Label(0), 1)]:
+        A = FiniteAlgebra("a", 3, [Operation("f", 1, table)])
+        assert A.ops[0].table == table
+
+
 def test_apply_uses_mixed_radix_encoding():
     z4 = corpus_algebra("z4")
     for a in range(4):

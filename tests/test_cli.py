@@ -7,7 +7,9 @@ import time
 import pytest
 
 from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
+from cbswb.algebra import FiniteAlgebra, Operation, power_algebra, render_algebra
 from cbswb.cli import build_parser, main
+from cbswb.corpus import corpus_algebra
 
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
@@ -208,6 +210,27 @@ def test_huge_period_literal_hits_the_budget(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: periodic set construction: period reached 1000000000")
+
+
+def _write_algebra(path, A):
+    path.write_text(json.dumps(render_algebra(A)))
+    return str(path)
+
+
+def test_congruence_count_budget_stops_large_lattices(capsys, tmp_path):
+    # Con(semilat2^4) has 2,480 members and Con of an 8-element set with only
+    # the identity has B_8 = 4,140; both stop at the 1,024-member budget
+    semilat = _write_algebra(tmp_path / "semilat2_4.json",
+                             power_algebra(corpus_algebra("semilat2"), 4))
+    identity = _write_algebra(tmp_path / "id8.json",
+                              FiniteAlgebra("id8", 8, [Operation("id", 1, tuple(range(8)))]))
+    for argv in [("con", semilat, "--max-size", "16"), ("con", identity)]:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 2 and out == "", argv
+        assert err == ("error: congruence enumeration: |Con(A)| reached 1025, "
+                       "over the 1024-member budget\n"), argv
 
 
 def test_argparse_failures_map_to_exit_two(capsys):

@@ -3,11 +3,13 @@
 Random algebras of at most 5 elements with operations of arity at most 2
 are checked against the brute-force oracles: generated congruences and the
 whole of Con(A) against partition filtering, joins against the transitive
-closure of the union, the lattice tables against bounds read off the order,
-the Boolean-sublattice witness against a check on the relations themselves,
-homomorphism checks against exhaustive map enumeration, the product, power,
+closure of the union, the lattice tables against bounds read off the order
+and, on meet- and join-closed sub-families, against pairwise refines, meet
+and join, the Boolean-sublattice witness against a check on the relations
+themselves, homomorphism checks against exhaustive map enumeration, the product, power,
 quotient and relabelling constructors against cell-by-cell construction,
-and factor-pair verdicts against relational products over all triples.
+factor-pair verdicts against relational products over all triples, and
+the table-driven complement lists against check_factor_pair.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -27,9 +29,16 @@ from cbswb.algebra import (
     quotient_algebra,
     relabel,
 )
-from cbswb.congruence import Congruence, all_congruences, congruence_join, generated_congruence
+from cbswb.congruence import (
+    Congruence,
+    CongruenceLattice,
+    all_congruences,
+    congruence_join,
+    congruence_meet,
+    generated_congruence,
+)
 from cbswb.errors import ValidationError
-from cbswb.structure import center_of_lattice, check_factor_pair
+from cbswb.structure import center_of_lattice, check_factor_pair, factor_congruences
 
 from oracles import (
     all_homs,
@@ -179,6 +188,30 @@ def test_boolean_failure_matches_relation_oracle(case, data):
         assert got == boolean_sublattice_failure([reps[i] for i in members], A.size), members
 
 
+@KERNEL_SETTINGS
+@given(algebra_and_pairs(), st.data())
+def test_sublattice_tables_match_pairwise_operations(case, data):
+    A, _ = case
+    E = all_congruences(A).elements
+    reps = [c.rep for c in E]
+    by_rep = dict(zip(reps, E))
+
+    def join(a, b):
+        return join_closure([a, b], A.size)
+
+    # test_congruence_lattice_matches_partition_oracle covers the whole of Con(A)
+    subset = st.lists(st.sampled_from(range(len(E))), min_size=1, max_size=4, unique=True)
+    for drawn in data.draw(st.lists(subset, min_size=3, max_size=3)):
+        family = [by_rep[r] for r in closure([reps[i] for i in drawn], [meet_rep, join])]
+        L = CongruenceLattice(A, family)
+        F = L.elements
+        assert sorted(c.rep for c in F) == sorted(c.rep for c in family)
+        index = {c.rep: i for i, c in enumerate(F)}
+        assert L.leq == tuple(tuple(a.refines(b) for b in F) for a in F)
+        assert L.meet_table == tuple(tuple(index[congruence_meet(a, b).rep] for b in F) for a in F)
+        assert L.join_table == tuple(tuple(index[congruence_join(a, b).rep] for b in F) for a in F)
+
+
 def first_failing_cell(A, B, mapping):
     for op, opb in zip(A.ops, B.ops):
         for idx, args in enumerate(itertools.product(range(A.size), repeat=op.arity)):
@@ -283,3 +316,15 @@ def test_check_factor_pair_matches_triple_oracle(case):
     for r1, r2 in itertools.product(cons, repeat=2):
         got = check_factor_pair(A, Congruence(A, r1), Congruence(A, r2))
         assert got == factor_pair_verdict(r1, r2, A.size), (r1, r2)
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_factor_congruences_match_check_factor_pair(case):
+    A, _ = case
+    analysis = factor_congruences(A)
+    E = analysis.lattice.elements
+    for i, theta in enumerate(E):
+        expected = tuple(j for j, phi in enumerate(E) if check_factor_pair(A, theta, phi)["ok"])
+        assert analysis.complements.get(i, ()) == expected, i
+    assert analysis.fc == tuple(sorted(analysis.complements))

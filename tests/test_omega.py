@@ -531,6 +531,16 @@ def test_truncation_preconditions():
         truncate_validate(run, 65)
 
 
+def test_truncation_budget_messages_name_stage_and_value():
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    with pytest.raises(BudgetError,
+                       match="^truncation: m reached 65, over the 64-coordinate budget$"):
+        truncate_validate(run, 65)
+    with pytest.raises(BudgetError, match=r"^quasi-cyclic truncation: carrier reached 2048, "
+                                          r"over the 1024-element budget$"):
+        QuasiCyclic(2).truncation(11)
+
+
 # -- the quasi-cyclic example ---------------------------------------------------
 
 
