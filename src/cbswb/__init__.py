@@ -7,7 +7,6 @@ from .algebra import (
     Sentence,
     Term,
     automorphisms,
-    default_budget,
     direct_product,
     eval_term,
     iso_search,

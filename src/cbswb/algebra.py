@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,20 +18,6 @@ from .errors import BudgetError, FormatError, ValidationError
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_ISO_CAP = 10
-
-
-def default_budget() -> int:
-    """Evaluation budget, overridable through the CBSWB_BUDGET env var."""
-    raw = os.environ.get("CBSWB_BUDGET")
-    if raw is None:
-        return DEFAULT_EVAL_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(f"CBSWB_BUDGET must be an integer, got {raw!r}")
-    if value <= 0:
-        raise FormatError("CBSWB_BUDGET must be positive")
-    return value
 
 
 @dataclass(frozen=True)
@@ -397,15 +382,13 @@ def parse_sentence(text: str, signature=None) -> Sentence:
     return Sentence((), lhs, rhs)
 
 
-def satisfies(A: FiniteAlgebra, sentences, budget: Optional[int] = None):
+def satisfies(A: FiniteAlgebra, sentences, budget: int = DEFAULT_EVAL_BUDGET):
     """Exhaustively check universal sentences; returns (holds, witness).
 
     The witness names the failing sentence and assignment, or is None.
     Enumeration over n**m assignments is refused once it exceeds the
-    budget (default 10**7, see CBSWB_BUDGET).
+    budget (default 10**7).
     """
-    if budget is None:
-        budget = default_budget()
     for idx, sent in enumerate(sentences):
         for s, t in list(sent.premises) + [(sent.lhs, sent.rhs)]:
             validate_term(A, s)
@@ -482,16 +465,9 @@ class Homomorphism:
         return Homomorphism(inner.source, self.target, [self.mapping[inner.mapping[x]] for x in range(inner.source.size)])
 
     def kernel(self):
-        from .congruence import Congruence
+        from .congruence import Congruence, least_rep
 
-        rep = {}
-        out = []
-        for x in range(self.source.size):
-            key = self.mapping[x]
-            if key not in rep:
-                rep[key] = x
-            out.append(rep[key])
-        return Congruence(self.source, tuple(out))
+        return Congruence(self.source, least_rep(self.mapping))
 
     def __eq__(self, other):
         if not isinstance(other, Homomorphism):
@@ -671,7 +647,10 @@ def iso_search(
     if A.signature() != B.signature() or A.size != B.size:
         return []
     if A.size > max_size:
-        raise BudgetError(f"iso_search capped at size {max_size}, got {A.size}")
+        raise BudgetError(
+            f"isomorphism search: carrier has {A.size} elements, "
+            f"over the {max_size}-element budget"
+        )
 
     n = A.size
     sig_a = _element_signature(A)

@@ -15,6 +15,7 @@ from functools import reduce
 from typing import Optional
 
 from .algebra import (
+    DEFAULT_EVAL_BUDGET,
     DEFAULT_ISO_CAP,
     FiniteAlgebra,
     Homomorphism,
@@ -46,10 +47,12 @@ _SELECTORS = ("con", "fc", "zcon", "rel")
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """Selector for a congruence operator, with sentences for the relative kind."""
+    """Selector for a congruence operator, with sentences for the relative
+    kind and the term-evaluation budget its sentence checks run under."""
 
     selector: str
     sentences: tuple = ()
+    budget: int = DEFAULT_EVAL_BUDGET
 
     def __post_init__(self):
         if self.selector not in _SELECTORS:
@@ -72,11 +75,11 @@ class OperatorKind:
         return OperatorKind("zcon")
 
     @staticmethod
-    def relative(sentences) -> "OperatorKind":
+    def relative(sentences, budget: int = DEFAULT_EVAL_BUDGET) -> "OperatorKind":
         parsed = tuple(
             s if isinstance(s, Sentence) else parse_sentence(s) for s in sentences
         )
-        return OperatorKind("rel", parsed)
+        return OperatorKind("rel", parsed, budget)
 
     def label(self) -> str:
         if self.selector == "rel":
@@ -84,7 +87,7 @@ class OperatorKind:
         return self.selector
 
 
-def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8, budget=None):
+def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8):
     """K(A) for the given selector, in canonical congruence order."""
     if kind.selector == "con":
         ks = list(all_congruences(A, max_size=max_size))
@@ -95,7 +98,7 @@ def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8, budge
         center = center_of_lattice(lattice)
         ks = [lattice.elements[i] for i in center.central]
     else:
-        ks = relative_congruences(A, kind.sentences, max_size=max_size, budget=budget)
+        ks = relative_congruences(A, kind.sentences, max_size=max_size, budget=kind.budget)
         if Congruence.diagonal(A).rep not in {c.rep for c in ks}:
             raise ValidationError(
                 f"{A.name!r} does not satisfy the relative sentences, "
@@ -708,14 +711,14 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     reps = _rep_set(ks)
     violations = []
 
+    quotients = [quotient_algebra(A, s) for s in ks]
     axiom1 = {"ok": True, "violations": []}
     if Congruence.diagonal(A).rep not in reps:
         axiom1["ok"] = False
         axiom1["violations"].append({"reason": "diagonal_missing"})
-    for s in ks:
-        Q = quotient_algebra(A, s).algebra
-        if kind.selector == "rel":
-            holds, _ = satisfies(Q, kind.sentences)
+    if kind.selector == "rel":
+        for s, Q in zip(ks, quotients):
+            holds, _ = satisfies(Q.algebra, kind.sentences, budget=kind.budget)
             if not holds:
                 axiom1["ok"] = False
                 axiom1["violations"].append({
@@ -723,21 +726,22 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                     "sigma": s.to_blocks_list(),
                 })
 
+    kqs = [operator_eval(Q.algebra, kind, max_size=max_size) for Q in quotients]
+    downs = []  # per sigma: t.rep -> t/sigma for every t in K(A) above sigma
     correspondence = {"ok": True, "violations": []}
-    for s in ks:
-        Q = quotient_algebra(A, s)
-        kq = operator_eval(Q.algebra, kind, max_size=max_size)
+    for s, Q, kq in zip(ks, quotients, kqs):
         kq_reps = _rep_set(kq)
         above = [t for t in ks if s.refines(t)]
+        above_reps = _rep_set(above)
         down = {t.rep: quotient_lift("down", A, s, t) for t in above}
+        downs.append(down)
         missing = [t for t in above if down[t.rep].rep not in kq_reps]
-        lifted = {quotient_lift("up", A, s, q).rep for q in kq}
-        extra = [q for q in kq if quotient_lift("up", A, s, q).rep not in {t.rep for t in above}]
+        extra = [q for q in kq if transport(Q.projection, "pullback", q).rep not in above_reps]
         order_ok = all(
             t1.refines(t2) == down[t1.rep].refines(down[t2.rep])
             for t1 in above for t2 in above
         )
-        if missing or extra or not order_ok or lifted - {t.rep for t in above}:
+        if missing or extra or not order_ok:
             correspondence["ok"] = False
             correspondence["violations"].append({
                 "sigma": s.to_blocks_list(),
@@ -748,24 +752,25 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
 
     factor_block = None
     if factor:
-        analysis = factor_congruences(A, max_size=max_size)
-        fc_reps = _rep_set(analysis.fc_congruences())
+        if kind.selector == "fc":
+            fc_reps = reps
+        else:
+            fc_reps = _rep_set(factor_congruences(A, max_size=max_size).fc_congruences())
         subset_bad = [c for c in ks if c.rep not in fc_reps]
         missing_comp = [t for t in ks
                         if not any(check_factor_pair(A, t, c)["ok"] for c in ks)]
         pair_bad = []
-        for s in ks:
-            kq_reps = _rep_set(operator_eval(quotient_algebra(A, s).algebra, kind, max_size=max_size))
-            Qalg = quotient_algebra(A, s).algebra
+        for s, Q, kq, down in zip(ks, quotients, kqs, downs):
+            kq_reps = _rep_set(kq)
             for t in ks:
                 if not s.refines(t):
                     continue
                 for c in ks:
                     if not check_factor_pair(A, t, c)["ok"]:
                         continue
-                    image = quotient_lift("down", A, s, t)
+                    image = down[t.rep]
                     mate = quotient_lift("down", A, s, congruence_join(c, s))
-                    verdict = check_factor_pair(Qalg, image, mate)
+                    verdict = check_factor_pair(Q.algebra, image, mate)
                     in_k = image.rep in kq_reps and mate.rep in kq_reps
                     if not verdict["ok"] or not in_k:
                         pair_bad.append({
@@ -792,7 +797,8 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     copies.append((to_copy, B))
     iso_block = {"ok": True, "sampled": True, "automorphisms": len(auto), "violations": []}
     for g, target in copies:
-        kb = operator_eval(target, kind, max_size=max_size)
+        # an automorphism's target is A itself, whose K is ks
+        kb = ks if target is A else operator_eval(target, kind, max_size=max_size)
         pulled = {transport(g, "pullback", t).rep for t in kb}
         if pulled != reps:
             iso_block["ok"] = False

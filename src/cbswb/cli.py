@@ -9,11 +9,17 @@ witnesses), 2 usage or resource error (message on stderr).
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 
-from .algebra import iso_search, parse_algebra, parse_term, quotient_algebra, render_algebra
+from .algebra import (
+    DEFAULT_EVAL_BUDGET,
+    iso_search,
+    parse_algebra,
+    parse_term,
+    quotient_algebra,
+    render_algebra,
+)
 from .cbs import (
     OperatorKind,
     boolean_sublattice_check,
@@ -57,7 +63,7 @@ def _kind(args) -> OperatorKind:
     if args.kind == "rel":
         if not sentences:
             raise ValidationError("kind rel requires at least one --sentence")
-        return OperatorKind.relative(sentences)
+        return OperatorKind.relative(sentences, args.eval_budget)
     if sentences:
         raise ValidationError("--sentence only applies to kind rel")
     return {"con": OperatorKind.con, "fc": OperatorKind.fc, "zcon": OperatorKind.zcon}[args.kind]()
@@ -221,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="attach wall-clock timing (output stops being byte-stable)")
     common.add_argument("--max-size", type=int, default=None, metavar="N",
                         help="carrier-size budget for enumeration or iso search")
-    common.add_argument("--eval-budget", type=int, default=None, metavar="N",
-                        help="term-evaluation budget (default 10^7 or CBSWB_BUDGET)")
+    common.add_argument("--eval-budget", type=int, default=DEFAULT_EVAL_BUDGET, metavar="N",
+                        help="term-evaluation budget for kind rel (default 10^7)")
 
     p = argparse.ArgumentParser(
         prog="cbswb",
@@ -297,11 +303,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 2
         return 0 if code == 0 else 2
-    if args.eval_budget is not None:
-        if args.eval_budget <= 0:
-            print("error: --eval-budget must be positive", file=sys.stderr)
-            return 2
-        os.environ["CBSWB_BUDGET"] = str(args.eval_budget)
+    if args.eval_budget <= 0:
+        print("error: --eval-budget must be positive", file=sys.stderr)
+        return 2
     if args.max_size is not None and args.max_size <= 0:
         print("error: --max-size must be positive", file=sys.stderr)
         return 2

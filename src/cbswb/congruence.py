@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebra import (
+    DEFAULT_EVAL_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     image_indices,
@@ -60,10 +61,14 @@ class Partition:
         self.count -= 1
         return True
 
-    def rep(self):
-        # x ascends, so the first element met in a class is its least one
-        least = {}
-        return tuple(least.setdefault(c, x) for x, c in enumerate(self.label))
+
+def least_rep(keys) -> tuple:
+    """Least-representative array of x ~ y iff keys[x] == keys[y].
+
+    x ascends, so the first element met with a key is the least of its block.
+    """
+    first = {}
+    return tuple([first.setdefault(k, x) for x, k in enumerate(keys)])
 
 
 def _blocks_from_rep(rep):
@@ -260,7 +265,7 @@ def generated_congruence(A: FiniteAlgebra, pairs, cols=None) -> Congruence:
                 if label[u] != label[v]:
                     part.merge(u, v)
                     work.append((u, v))
-    return Congruence(A, part.rep())
+    return Congruence(A, least_rep(part.label))
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -271,14 +276,7 @@ def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     t1._same_parent(t2)
-    seen = {}
-    rep = []
-    for x in range(len(t1.rep)):
-        key = (t1.rep[x], t2.rep[x])
-        if key not in seen:
-            seen[key] = x
-        rep.append(seen[key])
-    return Congruence(t1.algebra, tuple(rep))
+    return Congruence(t1.algebra, least_rep(zip(t1.rep, t2.rep)))
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
@@ -294,7 +292,7 @@ def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
         for x, r in enumerate(rep):
             if r != x:
                 part.merge(x, r)
-    return Congruence(t1.algebra, part.rep())
+    return Congruence(t1.algebra, least_rep(part.label))
 
 
 class BinaryRelation:
@@ -421,7 +419,10 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.
     """
     if A.size > max_size:
-        raise BudgetError(f"congruence enumeration capped at size {max_size}, got {A.size}")
+        raise BudgetError(
+            f"congruence enumeration: carrier has {A.size} elements, "
+            f"over the {max_size}-element budget"
+        )
     diagonal = Congruence.diagonal(A)
     items = {diagonal.rep: diagonal}
     principals = []
@@ -476,27 +477,11 @@ def quotient_lift(direction: str, A: FiniteAlgebra, sigma: Congruence, arg: Cong
             raise ValidationError("argument congruence does not belong to this algebra")
         if not sigma.refines(arg):
             raise ValidationError("down lift needs sigma <= theta")
-        reps = [b[0] for b in sigma.blocks]
-        seen = {}
-        rep = []
-        for i, r in enumerate(reps):
-            key = arg.rep[r]
-            if key not in seen:
-                seen[key] = i
-            rep.append(seen[key])
-        return Congruence(Q.algebra, tuple(rep))
+        return Congruence(Q.algebra, least_rep([arg.rep[b[0]] for b in sigma.blocks]))
     if direction == "up":
         if arg.algebra != Q.algebra:
             raise ValidationError("argument congruence does not live on the quotient")
-        proj = Q.projection.mapping
-        seen = {}
-        rep = []
-        for x in range(A.size):
-            key = arg.rep[proj[x]]
-            if key not in seen:
-                seen[key] = x
-            rep.append(seen[key])
-        return Congruence(A, tuple(rep))
+        return transport(Q.projection, "pullback", arg)
     raise ValidationError(f"unknown direction {direction!r}")
 
 
@@ -510,14 +495,7 @@ def transport(f: Homomorphism, direction: str, theta: Congruence) -> Congruence:
     if direction == "pullback":
         if theta.algebra != f.target:
             raise ValidationError("pullback argument must live on the target algebra")
-        seen = {}
-        rep = []
-        for x in range(f.source.size):
-            key = theta.rep[f.mapping[x]]
-            if key not in seen:
-                seen[key] = x
-            rep.append(seen[key])
-        return Congruence(f.source, tuple(rep))
+        return Congruence(f.source, least_rep([theta.rep[y] for y in f.mapping]))
     if direction == "pushforward":
         if theta.algebra != f.source:
             raise ValidationError("pushforward argument must live on the source algebra")
@@ -526,18 +504,12 @@ def transport(f: Homomorphism, direction: str, theta: Congruence) -> Congruence:
         inv = [0] * f.target.size
         for x, y in enumerate(f.mapping):
             inv[y] = x
-        seen = {}
-        rep = []
-        for y in range(f.target.size):
-            key = theta.rep[inv[y]]
-            if key not in seen:
-                seen[key] = y
-            rep.append(seen[key])
-        return Congruence(f.target, tuple(rep))
+        return Congruence(f.target, least_rep([theta.rep[x] for x in inv]))
     raise ValidationError(f"unknown direction {direction!r}")
 
 
-def relative_congruences(A: FiniteAlgebra, sentences, max_size: int = DEFAULT_CON_CAP, budget=None):
+def relative_congruences(A: FiniteAlgebra, sentences, max_size: int = DEFAULT_CON_CAP,
+                         budget: int = DEFAULT_EVAL_BUDGET):
     """Congruences whose quotient satisfies every given sentence."""
     lattice = all_congruences(A, max_size=max_size)
     out = []

@@ -126,5 +126,5 @@ def write_corpus(directory: str) -> list:
 
 
 if __name__ == "__main__":
-    for p in write_corpus(os.environ.get("CBSWB_CORPUS_DIR", "corpus")):
+    for p in write_corpus("corpus"):
         print(p)

@@ -233,6 +233,16 @@ def test_congruence_count_budget_stops_large_lattices(capsys, tmp_path):
                        "over the 1024-member budget\n"), argv
 
 
+def test_carrier_budget_messages_name_stage_and_count(capsys, tmp_path):
+    z2_4 = _write_algebra(tmp_path / "z2_4.json", power_algebra(corpus_algebra("z2"), 4))
+    assert run(capsys, "con", z2_4) == (
+        2, "", "error: congruence enumeration: carrier has 16 elements, "
+               "over the 8-element budget\n")
+    assert run(capsys, "iso", z2_4, z2_4) == (
+        2, "", "error: isomorphism search: carrier has 16 elements, "
+               "over the 10-element budget\n")
+
+
 def test_argparse_failures_map_to_exit_two(capsys):
     assert run(capsys, "frobnicate", Z4)[0] == 2
     assert run(capsys, "fc")[0] == 2
@@ -250,13 +260,13 @@ def test_flag_validation(capsys):
 
 def test_eval_budget_reaches_the_engine(capsys, monkeypatch):
     monkeypatch.delenv("CBSWB_BUDGET", raising=False)
-    try:
-        code, _, err = run(capsys, "presheaf-check", Z4, "--kind", "rel",
-                           "--sentence", "(+ x y) = (+ y x)", "--eval-budget", "1")
-        assert code == 2 and "budget 1" in err
-        assert os.environ["CBSWB_BUDGET"] == "1"
-    finally:
-        os.environ.pop("CBSWB_BUDGET", None)  # main() writes the env for real
+    argv = ("presheaf-check", Z4, "--kind", "rel", "--sentence", "(+ x y) = (+ y x)")
+    code, _, err = run(capsys, *argv, "--eval-budget", "1")
+    assert code == 2 and "budget 1" in err
+    # the budget lives on the job's operator kind, not in the process
+    assert "CBSWB_BUDGET" not in os.environ
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and "status: pass" in out
 
 
 # -- report plumbing --------------------------------------------------------------

@@ -6,10 +6,12 @@ whole of Con(A) against partition filtering, joins against the transitive
 closure of the union, the lattice tables against bounds read off the order
 and, on meet- and join-closed sub-families, against pairwise refines, meet
 and join, the Boolean-sublattice witness against a check on the relations
-themselves, homomorphism checks against exhaustive map enumeration, the product, power,
-quotient and relabelling constructors against cell-by-cell construction,
-factor-pair verdicts against relational products over all triples, and
-the table-driven complement lists against check_factor_pair.
+themselves, homomorphism checks against exhaustive map enumeration,
+isomorphism search (arities up to 3) against the bijective maps among
+them, the product, power, quotient and relabelling constructors against
+cell-by-cell construction, factor-pair verdicts against relational
+products over all triples, and the table-driven complement lists against
+check_factor_pair.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -25,6 +27,7 @@ from cbswb.algebra import (
     Homomorphism,
     Operation,
     direct_product,
+    iso_search,
     power_algebra,
     quotient_algebra,
     relabel,
@@ -236,6 +239,41 @@ def test_homomorphism_accepts_exactly_all_homs(case):
             with pytest.raises(ValidationError) as err:
                 Homomorphism(A, B, mapping)
             assert str(err.value) == first_failing_cell(A, B, mapping)
+
+
+@st.composite
+def iso_case(draw):
+    """An algebra of at most 5 elements with arities 0 to 3 and a second one
+    of its size and signature: half the time a relabelled copy, so that
+    isomorphisms exist, otherwise drawn on its own.
+
+    Tables are uniform (one list per operation, no planted congruence), which
+    keeps 125-cell tables within hypothesis's data budget often enough that
+    5-element algebras with ternary operations are drawn."""
+    copy = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+
+    def algebra(name):
+        return FiniteAlgebra(name, n, [
+            Operation(f"f{i}", k, tuple(draw(st.lists(st.integers(0, n - 1),
+                                                      min_size=n ** k, max_size=n ** k))))
+            for i, k in enumerate(arities)
+        ])
+
+    A = algebra("a")
+    if copy:
+        return A, relabel(A, draw(st.permutations(range(n))), name="b")[0]
+    return A, algebra("b")
+
+
+@KERNEL_SETTINGS
+@given(iso_case())
+def test_iso_search_matches_bijective_homs(case):
+    A, B = case
+    isos = [h.mapping for h in all_homs(A, B) if h.is_bijective()]
+    assert [h.mapping for h in iso_search(A, B, mode="all")] == isos
+    assert [h.mapping for h in iso_search(A, B, mode="first")] == isos[:1]
 
 
 @st.composite

@@ -8,6 +8,7 @@ import pytest
 from cbswb import (
     AffineFamily,
     BudgetError,
+    Congruence,
     FiniteAlgebra,
     FormatError,
     Homomorphism,
@@ -642,6 +643,54 @@ def test_quasicyclic_conclusion_follows_the_checks(monkeypatch):
     suite = quasicyclic_suite(2, 1, 4)
     assert not suite["chain_strictly_increasing"] and suite["chain_ends_ok"]
     assert suite["conclusion"]["downward_closure_holds"] is False
+
+
+def test_quasicyclic_suite_above_the_exhaustive_cap():
+    # 512 elements: the chain is checked by subgroup closure; the whole
+    # result as recorded before the level checks were merged
+    def chain(j):
+        return {"level": j, "blocks": 2 ** (9 - j), "method": "subgroup_closure", "ok": True}
+
+    def pattern(j):
+        return {"level": j, "quotient_size": 2 ** (9 - j), "matches_truncation": True}
+
+    assert quasicyclic_suite(2, 1, 9) == {
+        "prime": 2,
+        "n": 1,
+        "m": 9,
+        "size": 512,
+        "ok": True,
+        "chain": [chain(j) for j in range(10)],
+        "chain_strictly_increasing": True,
+        "chain_ends_ok": True,
+        "quotient": {
+            "statement": "z(2^9)/z(2^1) ~ z(2^8)",
+            "map": "t -> t mod p^(m-n), identity on representatives",
+            "ok": True,
+        },
+        "kernel_recomputed_ok": True,
+        "pseudo_simple_pattern": [pattern(j) for j in range(9)],
+        "conclusion": {
+            "every_proper_quotient_isomorphic": True,
+            "downward_closure_holds": True,
+            "note": "each proper collapse of the full group reproduces the group itself; "
+                    "truncations certify the pattern level by level",
+        },
+    }
+
+
+def test_quasicyclic_suite_rejects_a_level_that_is_no_congruence(monkeypatch):
+    # level 2 of z(2^4) replaced by four intervals: right block count, not compatible
+    real_subgroup = QuasiCyclic.subgroup_congruence
+
+    def intervals_at_level_2(self, T, m, j):
+        if j != 2:
+            return real_subgroup(self, T, m, j)
+        return Congruence(T, [x - x % 4 for x in range(T.size)])
+
+    monkeypatch.setattr(QuasiCyclic, "subgroup_congruence", intervals_at_level_2)
+    with pytest.raises(ValidationError, match="does not preserve"):
+        quasicyclic_suite(2, 1, 4)
 
 
 def test_quasicyclic_suite_p3_and_identity_quotient():
