@@ -42,12 +42,12 @@ class FiniteAlgebra:
             seen.add(op.name)
             if op.arity < 0:
                 raise ValidationError(f"operation {op.name!r} has negative arity")
-            expected = size ** op.arity
-            if len(op.table) != expected:
-                raise ValidationError(
-                    f"operation {op.name!r}: table length {len(op.table)}, expected {expected}"
-                )
             table = op.table
+            # size ** arity > 2 ** arity > len(table) past its bit length: no power taken
+            if size > 1 and op.arity > len(table).bit_length() or len(table) != size ** op.arity:
+                raise ValidationError(
+                    f"operation {op.name!r}: table length {len(table)}, expected {size}^{op.arity}"
+                )
             if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
                 # the cell loop names the first bad entry and admits int subclasses
                 for v in table:
@@ -60,6 +60,8 @@ class FiniteAlgebra:
         self.ops = tuple(ops)
         self._by_name = {op.name: op for op in self.ops}
         self._hash = None
+        # Con(A), kept by congruence.all_congruences on first enumeration
+        self._con = None
 
     def signature(self) -> tuple:
         return tuple((op.name, op.arity) for op in self.ops)
@@ -137,7 +139,8 @@ def parse_algebra(doc) -> FiniteAlgebra:
 
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, undecodable bytes and overlong integers
             raise FormatError(f"malformed JSON: {exc}")
     if not isinstance(doc, dict):
         raise FormatError("algebra document must be a JSON object")

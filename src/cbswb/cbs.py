@@ -11,7 +11,6 @@ verdicts, each with explicit witnesses.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 from .algebra import (
@@ -32,7 +31,6 @@ from .congruence import (
     CongruenceLattice,
     all_congruences,
     congruence_join,
-    congruence_meet,
     quotient_lift,
     relative_congruences,
     transport,
@@ -104,11 +102,17 @@ def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8):
                 f"{A.name!r} does not satisfy the relative sentences, "
                 "so the diagonal is missing from K(A)"
             )
-    return sorted(ks, key=lambda c: c.key())
+    return ks
 
 
 def _rep_set(ks):
     return {c.rep for c in ks}
+
+
+def _complements(L: CongruenceLattice, x: Congruence, ks):
+    """Members of ks that form a factor pair with x, all of them in Con(A) = L."""
+    i = L.index[x.rep]
+    return [c for c in ks if L.factor_pair(i, L.index[c.rep])]
 
 
 def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8,
@@ -119,8 +123,6 @@ def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8,
     kernel_in_k = f.kernel().rep in _rep_set(ks)
     for sigma in ks:
         Q = quotient_algebra(A, sigma).algebra
-        if Q.size != B.size:
-            continue
         hit = iso_search(Q, B, mode="first", max_size=iso_cap)
         if hit:
             return {"admissible": True, "sigma": sigma, "iso": hit[0], "kernel_in_k": kernel_in_k}
@@ -220,8 +222,6 @@ def sigma_bracket(A: FiniteAlgebra, f, theta: Congruence, sigma: Congruence,
         if not zeta.refines(theta):
             continue
         Q = quotient_algebra(A, zeta).algebra
-        if Q.size != base.size:
-            continue
         if iso_search(base, Q, mode="first", max_size=iso_cap):
             out.append(zeta)
     return out
@@ -248,15 +248,6 @@ class CbsSequenceState:
     complement_options: list = field(default_factory=list)
     stabilized: bool = False
     stabilized_at: Optional[int] = None
-
-    def sigma(self, n: int) -> Congruence:
-        return self.sigmas[n]
-
-    def d(self, n: int) -> Congruence:
-        return self.ds[n]
-
-    def d_count(self) -> int:
-        return len(self.ds)
 
     def to_report(self) -> dict:
         return {
@@ -315,8 +306,7 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
         if len(sigmas) > limit:
             raise ValidationError(f"sequence did not stabilize within {limit} indices")
 
-    fz = f_hat(A, f, theta, zeta)
-    options = [c for c in ks if check_factor_pair(A, fz, c)["ok"]]
+    options = _complements(all_congruences(A, max_size=max_size), f_hat(A, f, theta, zeta), ks)
     if complement is not None:
         if complement.rep not in _rep_set(options):
             raise ValidationError("supplied complement is not a factor complement of f_hat(zeta) in K(A)")
@@ -427,8 +417,7 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     ks = operator_eval(A, kind, max_size=max_size)
 
     def self_iso(c: Congruence) -> bool:
-        Q = quotient_algebra(A, c).algebra
-        return Q.size == A.size and bool(iso_search(A, Q, mode="first", max_size=iso_cap))
+        return bool(iso_search(A, quotient_algebra(A, c).algebra, mode="first", max_size=iso_cap))
 
     anchors = [c for c in ks if self_iso(c)]
     holds, witnesses, checked = True, [], 0
@@ -469,13 +458,11 @@ def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind]
             continue
         kb = operator_eval(B, kind, max_size=max_size)
         down_b = [tb for tb in kb
-                  if quotient_algebra(B, tb).algebra.size == A.size
-                  and iso_search(A, quotient_algebra(B, tb).algebra, mode="first", max_size=iso_cap)]
+                  if iso_search(A, quotient_algebra(B, tb).algebra, mode="first", max_size=iso_cap)]
         if not down_b:
             continue
         down_a = [ta for ta in ka
-                  if quotient_algebra(A, ta).algebra.size == B.size
-                  and iso_search(B, quotient_algebra(A, ta).algebra, mode="first", max_size=iso_cap)]
+                  if iso_search(B, quotient_algebra(A, ta).algebra, mode="first", max_size=iso_cap)]
         for tb in down_b:
             for ta in down_a:
                 instances += 1
@@ -505,7 +492,7 @@ def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
     theta_prime = quotient_lift("down", A, sigma, theta)
     in_k = theta_prime.rep in _rep_set(operator_eval(Q.algebra, kind, max_size=max_size))
     QQ = quotient_algebra(Q.algebra, theta_prime).algebra
-    hit = iso_search(A, QQ, mode="first", max_size=iso_cap) if QQ.size == A.size else []
+    hit = iso_search(A, QQ, mode="first", max_size=iso_cap)
     return {
         "theta_prime": theta_prime,
         "in_operator": in_k,
@@ -517,29 +504,24 @@ def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
 def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure.
 
-    Both bounds and closure are checked on the family itself; once they
-    hold, the family is a lattice in its own right and the complement check
-    runs on its tables.
+    Both bounds are checked on the family itself; closure and complements
+    are read off the tables of Con(A), on the family's positions in
+    canonical order.  The family comes out of Con(A), whose carrier cap its
+    caller has applied, so none is applied here.
     """
     reps = _rep_set(ks)
     if Congruence.diagonal(A).rep not in reps:
         return {"ok": False, "reason": "missing_diagonal", "witness": None}
     if Congruence.total(A).rep not in reps:
         return {"ok": False, "reason": "missing_total", "witness": None}
-    for a in ks:
-        for b in ks:
-            if congruence_meet(a, b).rep not in reps:
-                return {"ok": False, "reason": "meet_not_closed",
-                        "witness": [a.to_blocks_list(), b.to_blocks_list()]}
-            if congruence_join(a, b).rep not in reps:
-                return {"ok": False, "reason": "join_not_closed",
-                        "witness": [a.to_blocks_list(), b.to_blocks_list()]}
-    family = CongruenceLattice(A, ks)
-    failure = family.boolean_failure(range(len(family)))
+    L = all_congruences(A, max_size=A.size)
+    if any(c.algebra != A or c.rep not in L.index for c in ks):
+        raise ValidationError(f"the family holds a partition outside Con({A.name!r})")
+    failure = L.boolean_failure(sorted(L.index[r] for r in reps))
     if failure is None:
         return {"ok": True, "reason": None, "witness": None}
     reason, at = failure
-    E = family.elements
+    E = L.elements
     if reason == "complement_not_unique":
         witness = [E[at[0]].to_blocks_list(), [E[j].to_blocks_list() for j in at[1]]]
     else:
@@ -547,20 +529,24 @@ def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     return {"ok": False, "reason": reason, "witness": witness}
 
 
-def _infimum_in_k(A: FiniteAlgebra, ks, ds):
+def _infimum_in_k(L: CongruenceLattice, at, ds):
     """Infimum of the d-terms inside K(A) per the two-stage rule.
 
-    First the plain congruence meet; if that leaves K(A), the greatest
-    K(A)-element below all d-terms, when one exists.
+    K(A) is given by its positions at in Con(A) = L.  First the plain
+    congruence meet; if that leaves K(A), the greatest K(A)-element below
+    all d-terms, when one exists.
     """
-    reps = _rep_set(ks)
-    meet = reduce(congruence_meet, ds, Congruence.total(A))
-    if meet.rep in reps:
-        return meet, "meet"
-    below = [c for c in ks if all(c.refines(d) for d in ds)]
+    leq, M = L.leq, L.meet_table
+    ds = [L.index[d.rep] for d in ds]
+    meet = L.top
+    for d in ds:
+        meet = M[meet][d]
+    if meet in at:
+        return L.elements[meet], "meet"
+    below = [i for i in at if all(leq[i][d] for d in ds)]
     for cand in below:
-        if all(other.refines(cand) for other in below):
-            return cand, "greatest_in_k"
+        if all(leq[other][cand] for other in below):
+            return L.elements[cand], "greatest_in_k"
     return None, "does not exist"
 
 
@@ -584,6 +570,9 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
         f = _default_iso(A, theta)
     _check_iso_onto_quotient(A, f, theta)
     ks = operator_eval(A, kind, max_size=max_size)
+    L = all_congruences(A, max_size=max_size)
+    E, M, J, index = L.elements, L.meet_table, L.join_table, L.index
+    at = [index[c.rep] for c in ks]
     boolean = boolean_sublattice_check(A, ks)["ok"]
 
     report = {
@@ -605,8 +594,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
         return entry
 
     for zeta in sigma_bracket(A, f, theta, sigma, kind, max_size=max_size, iso_cap=iso_cap):
-        fz = f_hat(A, f, theta, zeta)
-        options = [c for c in ks if check_factor_pair(A, fz, c)["ok"]]
+        options = _complements(L, f_hat(A, f, theta, zeta), ks)
         if not options:
             report["skipped"].append({
                 "zeta": zeta.to_blocks_list(),
@@ -617,8 +605,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             attempt = {"zeta": zeta.to_blocks_list(), "complement": comp.to_blocks_list()}
             state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp,
                                  limit=limit, max_size=max_size)
-            dterms = [state.d(n) for n in range(1, state.d_count())]
-            sz, how = _infimum_in_k(A, ks, dterms)
+            sz, how = _infimum_in_k(L, at, state.ds[1:])
             if sz is None:
                 attempt["failure"] = "d-term infimum does not exist in K(A)"
                 report["tried"].append(attempt)
@@ -626,11 +613,10 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             attempt["sigma_zeta"] = sz.to_blocks_list()
             attempt["infimum_via"] = how
 
-            neg_zeta = state.neg_odd[1]
-            chi = congruence_meet(neg_zeta, sz)
-            nsz_options = [c for c in ks if check_factor_pair(A, sz, c)["ok"]]
-            paired = [c for c in nsz_options
-                      if check_factor_pair(A, chi, congruence_join(zeta, c))["ok"]]
+            z = index[zeta.rep]
+            i_chi = M[index[state.neg_odd[1].rep]][index[sz.rep]]
+            chi = E[i_chi]
+            paired = [c for c in _complements(L, sz, ks) if L.factor_pair(i_chi, J[z][index[c.rep]])]
             if not paired and not boolean:
                 attempt["failure"] = "no complement of sigma_zeta closes both factor pairs"
                 report["tried"].append(attempt)
@@ -640,7 +626,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
                 report["tried"].append(attempt)
                 continue
             nsz = paired[0]
-            neg_chi = congruence_join(zeta, nsz)
+            neg_chi = E[J[z][index[nsz.rep]]]
             attempt["neg_sigma_zeta"] = nsz.to_blocks_list()
             attempt["chi"] = chi.to_blocks_list()
             attempt["neg_chi"] = neg_chi.to_blocks_list()
@@ -658,21 +644,21 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             Qnc = quotient_algebra(A, neg_chi).algebra
             Qsz = quotient_algebra(A, sz).algebra
             P = direct_product(Qnc, Qsz).algebra
-            hit2 = iso_search(Qz, P, mode="first", max_size=iso_cap) if Qz.size == P.size else []
+            hit2 = iso_search(Qz, P, mode="first", max_size=iso_cap)
             equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", bool(hit2),
                                       hit2[0] if hit2 else None))
 
             fchi = f_hat(A, f, theta, chi)
             Qchi = quotient_algebra(A, chi).algebra
             Qfchi = quotient_algebra(A, fchi).algebra
-            hit3 = iso_search(Qchi, Qfchi, mode="first", max_size=iso_cap) if Qchi.size == Qfchi.size else []
+            hit3 = iso_search(Qchi, Qfchi, mode="first", max_size=iso_cap)
             equations.append(equation("A/chi ~ A/f_hat(chi)", bool(hit3),
                                       hit3[0] if hit3 else None))
 
             equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
 
             Qs = quotient_algebra(A, sigma).algebra
-            conc = iso_search(A, Qs, mode="first", max_size=iso_cap) if Qs.size == A.size else []
+            conc = iso_search(A, Qs, mode="first", max_size=iso_cap)
             conclusion = equation("A ~ A/sigma", bool(conc), conc[0] if conc else None)
 
             if all(e["ok"] for e in equations) and conclusion["ok"]:
@@ -709,6 +695,8 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         factor = kind.selector in ("fc", "zcon")
     ks = operator_eval(A, kind, max_size=max_size)
     reps = _rep_set(ks)
+    L = all_congruences(A, max_size=max_size)
+    at = [L.index[c.rep] for c in ks]
     violations = []
 
     quotients = [quotient_algebra(A, s) for s in ks]
@@ -729,9 +717,9 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     kqs = [operator_eval(Q.algebra, kind, max_size=max_size) for Q in quotients]
     downs = []  # per sigma: t.rep -> t/sigma for every t in K(A) above sigma
     correspondence = {"ok": True, "violations": []}
-    for s, Q, kq in zip(ks, quotients, kqs):
+    for i, s, Q, kq in zip(at, ks, quotients, kqs):
         kq_reps = _rep_set(kq)
-        above = [t for t in ks if s.refines(t)]
+        above = [t for j, t in zip(at, ks) if L.leq[i][j]]
         above_reps = _rep_set(above)
         down = {t.rep: quotient_lift("down", A, s, t) for t in above}
         downs.append(down)
@@ -752,24 +740,17 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
 
     factor_block = None
     if factor:
-        if kind.selector == "fc":
-            fc_reps = reps
-        else:
-            fc_reps = _rep_set(factor_congruences(A, max_size=max_size).fc_congruences())
-        subset_bad = [c for c in ks if c.rep not in fc_reps]
-        missing_comp = [t for t in ks
-                        if not any(check_factor_pair(A, t, c)["ok"] for c in ks)]
+        subset_bad = [c for c in ks if not _complements(L, c, L.elements)]
+        missing_comp = [t for t in ks if not _complements(L, t, ks)]
         pair_bad = []
-        for s, Q, kq, down in zip(ks, quotients, kqs, downs):
+        for i, s, Q, kq, down in zip(at, ks, quotients, kqs, downs):
             kq_reps = _rep_set(kq)
-            for t in ks:
-                if not s.refines(t):
+            for j, t in zip(at, ks):
+                if not L.leq[i][j]:
                     continue
-                for c in ks:
-                    if not check_factor_pair(A, t, c)["ok"]:
-                        continue
+                for c in _complements(L, t, ks):
                     image = down[t.rep]
-                    mate = quotient_lift("down", A, s, congruence_join(c, s))
+                    mate = quotient_lift("down", A, s, L.elements[L.join_table[L.index[c.rep]][i]])
                     verdict = check_factor_pair(Q.algebra, image, mate)
                     in_k = image.rep in kq_reps and mate.rep in kq_reps
                     if not verdict["ok"] or not in_k:

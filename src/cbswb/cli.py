@@ -43,7 +43,7 @@ def _load(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"{path}: not valid JSON ({e})")
     return parse_algebra(doc)
 

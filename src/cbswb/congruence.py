@@ -131,9 +131,6 @@ class Congruence:
     def total(algebra: FiniteAlgebra) -> "Congruence":
         return Congruence(algebra, (0,) * algebra.size)
 
-    def contains(self, a: int, b: int) -> bool:
-        return self.rep[a] == self.rep[b]
-
     def block_index(self):
         """Map element -> index of its block in the sorted block list."""
         idx = {}
@@ -363,12 +360,14 @@ class CongruenceLattice(FiniteLattice):
     the tables from the up-sets and down-sets of the order as bitsets:
     canonical order lists a congruence after every congruence below it, so
     a join is the lowest index among the common upper bounds and a meet the
-    highest among the common lower bounds.
+    highest among the common lower bounds.  index maps each rep array to its
+    position.
     """
 
     def __init__(self, algebra: FiniteAlgebra, elements):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda c: c.key()))
+        self.index = {c.rep: i for i, c in enumerate(self.elements)}
         n = algebra.size
         masks = []
         for c in self.elements:
@@ -389,6 +388,12 @@ class CongruenceLattice(FiniteLattice):
         )
         self.modular = self.is_modular()
         self.distributive = self.is_distributive()
+
+    def factor_pair(self, i, j) -> bool:
+        """check_factor_pair's verdict on elements i and j: their meet is the
+        diagonal and their block counts multiply to |A|."""
+        E, n = self.elements, self.algebra.size
+        return E[i].nblocks * E[j].nblocks == n and E[self.meet_table[i][j]].nblocks == n
 
     def __len__(self):
         return len(self.elements)
@@ -417,12 +422,16 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     congruence not already below it, until nothing new appears, yields the
     full lattice (R. Freese, Computing congruences efficiently, 2008).
     Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.
+    The lattice is kept on A and returned by later calls that pass the
+    carrier cap.
     """
     if A.size > max_size:
         raise BudgetError(
             f"congruence enumeration: carrier has {A.size} elements, "
             f"over the {max_size}-element budget"
         )
+    if A._con is not None:
+        return A._con
     diagonal = Congruence.diagonal(A)
     items = {diagonal.rep: diagonal}
     principals = []
@@ -455,7 +464,8 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
                     found(j)
                     nxt.append(j)
         frontier = nxt
-    return CongruenceLattice(A, items.values())
+    A._con = CongruenceLattice(A, items.values())
+    return A._con
 
 
 # ---------------------------------------------------------------------------

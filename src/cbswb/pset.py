@@ -242,18 +242,14 @@ class PeriodicSet:
         text = text.strip()
         finite = re.fullmatch(r"\{([0-9,\s]*)\}", text)
         if finite:
-            body = finite.group(1).strip()
-            items = [int(t) for t in body.split(",") if t.strip()] if body else []
-            return PeriodicSet.from_finite(items)
+            return PeriodicSet.from_finite(_naturals(finite.group(1)))
         m = re.fullmatch(
             r"prefix=([01]*);period=([0-9]+);residues=\{([0-9,\s]*)\}", text
         )
         if not m:
             raise FormatError(f"not a periodic set literal: {text!r}")
         bits = [c == "1" for c in m.group(1)]
-        period = int(m.group(2))
-        body = m.group(3).strip()
-        residues = [int(t) for t in body.split(",") if t.strip()] if body else []
+        period, residues = _naturals(m.group(2))[0], _naturals(m.group(3))
         if period < 1:
             raise FormatError("period must be positive")
         if any(not (0 <= r < period) for r in residues):
@@ -262,6 +258,14 @@ class PeriodicSet:
 
     def __repr__(self):
         return f"PeriodicSet({self.render()!r})"
+
+
+def _naturals(text: str) -> list:
+    """The comma-separated naturals of a set literal, blank entries skipped."""
+    try:
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:  # digits split by blanks, or too many digits
+        raise FormatError(f"not a list of naturals: {text!r}")
 
 
 def pset_algebra(op: str, *args):

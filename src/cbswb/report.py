@@ -112,7 +112,7 @@ def parse_report(text: str) -> Report:
     """Inverse of the JSON rendering."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise FormatError(f"report is not valid JSON: {e}")
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise FormatError(f"expected a {SCHEMA} document")

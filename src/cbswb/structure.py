@@ -107,15 +107,13 @@ class FactorAnalysis:
 def factor_congruences(A: FiniteAlgebra, max_size: int = 8) -> FactorAnalysis:
     """All factor congruences of A with their full complement lists.
 
-    Decided off the lattice tables by check_factor_pair's own test: the
-    meet is the diagonal and the block counts multiply to |A|.
+    Decided off the lattice tables by CongruenceLattice.factor_pair.
     """
     lattice = all_congruences(A, max_size=max_size)
-    nb = [c.nblocks for c in lattice.elements]
-    bottom = lattice.bottom
+    m = len(lattice)
     complements = {}
-    for i, row in enumerate(lattice.meet_table):
-        found = tuple(j for j, k in enumerate(row) if k == bottom and nb[i] * nb[j] == A.size)
+    for i in range(m):
+        found = tuple(j for j in range(m) if lattice.factor_pair(i, j))
         if found:
             complements[i] = found
     fc = tuple(sorted(complements))

@@ -2,7 +2,14 @@ import copy
 
 import pytest
 
-from cbswb.algebra import Homomorphism, automorphisms, quotient_algebra
+from cbswb.algebra import (
+    FiniteAlgebra,
+    Homomorphism,
+    Operation,
+    automorphisms,
+    power_algebra,
+    quotient_algebra,
+)
 from cbswb.cbs import (
     OperatorKind,
     boolean_sublattice_check,
@@ -20,9 +27,9 @@ from cbswb.cbs import (
     sigma_bracket,
     validate_sequence,
 )
-from cbswb.congruence import Congruence, all_congruences, principal_congruence
+from cbswb.congruence import Congruence, CongruenceLattice, all_congruences, principal_congruence
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
-from cbswb.errors import FormatError, ValidationError
+from cbswb.errors import BudgetError, FormatError, ValidationError
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -235,6 +242,35 @@ def test_boolean_sublattice_check():
     v4 = corpus_algebra("v4")
     bad = boolean_sublattice_check(v4, operator_eval(v4, OperatorKind.con()))
     assert not bad["ok"] and bad["reason"] == "complement_not_unique"
+
+
+def test_con_is_enumerated_once_per_algebra(monkeypatch):
+    z4 = corpus_algebra("z4")
+    assert all_congruences(z4) is all_congruences(z4)
+    # the carrier cap is checked before the kept lattice is returned
+    with pytest.raises(BudgetError):
+        all_congruences(z4, max_size=3)
+    # a lattice over the member budget is not kept, so every call refuses it
+    id8 = FiniteAlgebra("id8", 8, [Operation("id", 1, tuple(range(8)))])
+    for _ in range(2):
+        with pytest.raises(BudgetError):
+            all_congruences(id8)
+
+    built = []
+    init = CongruenceLattice.__init__
+
+    def counted(self, algebra, elements):
+        built.append(algebra)
+        init(self, algebra, elements)
+
+    monkeypatch.setattr(CongruenceLattice, "__init__", counted)
+    z2_3 = power_algebra(corpus_algebra("z2"), 3)
+    assert cbs_complete_check(z2_3)["verdict"] == "certified"
+    v4 = corpus_algebra("v4")
+    assert not presheaf_check(v4, OperatorKind.fc(), boolean=True)["ok"]
+    # the built list keeps every algebra alive, so ids are not reused
+    assert any(A is z2_3 for A in built) and any(A is v4 for A in built)
+    assert len({id(A) for A in built}) == len(built)
 
 
 def test_cbs_complete_certifies_corpus_algebras():

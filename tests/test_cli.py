@@ -181,9 +181,18 @@ def test_emit_dot(capsys, tmp_path):
 def test_usage_and_resource_errors(capsys, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("not json")
+    huge_int = tmp_path / "huge.json"
+    huge_int.write_text("1" * 5000)  # over the integer-literal digit limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    not_text = tmp_path / "bytes.json"
+    not_text.write_bytes(b"\xff\xfe{")
     cases = [
         ("con", "no-such-file.json"),
         ("con", str(bad_json)),
+        ("con", str(huge_int)),
+        ("con", str(deep)),
+        ("con", str(not_text)),
         ("quotient", Z4, "--by", "[[0,1]]"),       # misses elements 2, 3
         ("quotient", Z4, "--by", "nonsense"),
         ("quasicyclic", "4", "1", "3"),            # composite modulus

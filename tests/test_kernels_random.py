@@ -5,8 +5,9 @@ are checked against the brute-force oracles: generated congruences and the
 whole of Con(A) against partition filtering, joins against the transitive
 closure of the union, the lattice tables against bounds read off the order
 and, on meet- and join-closed sub-families, against pairwise refines, meet
-and join, the Boolean-sublattice witness against a check on the relations
-themselves, homomorphism checks against exhaustive map enumeration,
+and join, the Boolean-sublattice witness (of the lattice tables and of
+boolean_sublattice_check) against a check on the relations themselves,
+homomorphism checks against exhaustive map enumeration,
 isomorphism search (arities up to 3) against the bijective maps among
 them, the product, power, quotient and relabelling constructors against
 cell-by-cell construction, factor-pair verdicts against relational
@@ -32,6 +33,7 @@ from cbswb.algebra import (
     quotient_algebra,
     relabel,
 )
+from cbswb.cbs import boolean_sublattice_check
 from cbswb.congruence import (
     Congruence,
     CongruenceLattice,
@@ -168,16 +170,22 @@ def test_boolean_failure_matches_relation_oracle(case, data):
     def join(a, b):
         return join_closure([a, b], A.size)
 
-    families = [range(len(reps)), center_of_lattice(L).central]
+    # Con(A) without one bound; the diagonal is the total on one element
+    families = [range(len(reps)), center_of_lattice(L).central,
+                [i for i in range(len(reps)) if i != L.bottom],
+                [i for i in range(len(reps)) if i != L.top]]
     subset = st.lists(st.sampled_from(range(len(reps))), max_size=6, unique=True)
     for drawn in data.draw(st.lists(subset, min_size=3, max_size=3)):
         drawn = [reps[i] for i in drawn]
         # raw draws fail closure; meet-closed ones with the diagonal reach
-        # the join check; closed ones with both bounds reach the complements
+        # the join check; closed ones with both bounds reach the complements.
+        # boolean_sublattice_check asks for both bounds before closure.
         families += [
             sorted(index[r] for r in drawn),
             sorted(index[r] for r in closure(drawn + bounds[:1], [meet_rep])),
             sorted(index[r] for r in closure(drawn + bounds, [meet_rep, join])),
+            sorted(index[r] for r in set(drawn + bounds)),
+            sorted(index[r] for r in closure(drawn + bounds, [meet_rep])),
         ]
     for members in families:
         got = L.boolean_failure(members)
@@ -188,7 +196,33 @@ def test_boolean_failure_matches_relation_oracle(case, data):
             else:
                 at = tuple(reps[i] for i in at)
             got = reason, at
-        assert got == boolean_sublattice_failure([reps[i] for i in members], A.size), members
+        want = boolean_sublattice_failure([reps[i] for i in members], A.size)
+        assert got == want, members
+        verdict = boolean_sublattice_check(A, [L.elements[i] for i in sorted(members)])
+        if L.bottom not in members:
+            want = "missing_diagonal", None
+        elif L.top not in members:
+            want = "missing_total", None
+        elif want is None:
+            want = None, None
+        elif want[0] == "complement_not_unique":
+            at = want[1]
+            want = want[0], [blocks(at[0]), [blocks(r) for r in at[1]]]
+        else:
+            want = want[0], [blocks(r) for r in want[1]]
+        assert verdict == {"ok": want[0] is None, "reason": want[0], "witness": want[1]}, members
+
+    # a member outside Con(A) is refused with a ValidationError, not a KeyError
+    partitions = [rep_of_blocks(b, A.size) for b in all_partitions(A.size)]
+    outside = [rep for rep in partitions if rep not in index]
+    if outside:
+        family = [L.elements[L.bottom], L.elements[L.top], Congruence(A, outside[0])]
+        with pytest.raises(ValidationError):
+            boolean_sublattice_check(A, family)
+
+
+def blocks(rep):
+    return [[x for x, r in enumerate(rep) if r == b] for b in sorted(set(rep))]
 
 
 @KERNEL_SETTINGS
