@@ -18,6 +18,8 @@ from .errors import BudgetError, FormatError, ValidationError
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_ISO_CAP = 10
+# parse_term's nesting limit: the term walkers recurse once per level
+MAX_TERM_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,8 @@ def parse_term(text: str, signature=None) -> Term:
     """Parse a prefix s-expression like ``(+ x (+ y y))``.
 
     With a signature, atoms naming arity-0 operations become constants;
-    every other atom is a variable and must be an identifier.
+    every other atom is a variable and must be an identifier.  Nesting
+    deeper than MAX_TERM_DEPTH parentheses is a FormatError.
     """
     tokens = _tokenize_sexpr(text)
     if not tokens:
@@ -277,7 +280,7 @@ def parse_term(text: str, signature=None) -> Term:
             raise FormatError(f"bad variable name {tok!r}")
         return Term.var(tok)
 
-    def read():
+    def read(depth):
         nonlocal pos
         if pos >= len(tokens):
             raise FormatError("unexpected end of term")
@@ -287,6 +290,8 @@ def parse_term(text: str, signature=None) -> Term:
             raise FormatError("unexpected ')'")
         if tok != "(":
             return atom(tok)
+        if depth == MAX_TERM_DEPTH:
+            raise FormatError(f"term nested deeper than {MAX_TERM_DEPTH} levels")
         if pos >= len(tokens):
             raise FormatError("unexpected end of term")
         head = tokens[pos]
@@ -295,7 +300,7 @@ def parse_term(text: str, signature=None) -> Term:
             raise FormatError("operation name expected after '('")
         args = []
         while pos < len(tokens) and tokens[pos] != ")":
-            args.append(read())
+            args.append(read(depth + 1))
         if pos >= len(tokens):
             raise FormatError("missing ')'")
         pos += 1
@@ -308,7 +313,7 @@ def parse_term(text: str, signature=None) -> Term:
                 )
         return Term.app(head, args)
 
-    term = read()
+    term = read(0)
     if pos != len(tokens):
         raise FormatError("trailing tokens after term")
     return term
@@ -591,33 +596,22 @@ def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
 # isomorphism search
 
 
-def _unary_orbit(table, x):
-    # (tail length, cycle length) of the forward orbit of x
-    seen = {}
-    cur, step = x, 0
-    while cur not in seen:
-        seen[cur] = step
-        cur = table[cur]
-        step += 1
-    return seen[cur], step - seen[cur]
-
-
-def _element_signature(A: FiniteAlgebra):
-    counts = {op.name: [0] * A.size for op in A.ops}
+def _element_labels(A: FiniteAlgebra):
+    """Isomorphism-invariant label of every element: per operation, how often
+    it occurs as a value and the (tail, cycle) shape of its orbit under the
+    diagonal x -> f(x, .., x), stored at flat index x * (1 + n + .. + n^(k-1))."""
+    n = A.size
+    labels = [[] for _ in range(n)]
     for op in A.ops:
-        for v in op.table:
-            counts[op.name][v] += 1
-    sigs = []
-    for x in range(A.size):
-        parts = [tuple(counts[op.name][x] for op in A.ops)]
-        for op in A.ops:
-            if op.arity == 1:
-                parts.append(_unary_orbit(op.table, x))
-            if op.arity == 2:
-                # diagonal behaviour is cheap and isomorphism invariant
-                parts.append(int(op.table[x * A.size + x] == x))
-        sigs.append(tuple(parts))
-    return sigs
+        s = sum(n ** i for i in range(op.arity))
+        diag = [op.table[x * s] for x in range(n)]
+        for x in range(n):
+            seen, cur = {}, x
+            while cur not in seen:
+                seen[cur] = len(seen)
+                cur = diag[cur]
+            labels[x].append((op.table.count(x), seen[cur], len(seen) - seen[cur]))
+    return [tuple(label) for label in labels]
 
 
 def iso_search(
@@ -656,69 +650,73 @@ def iso_search(
         )
 
     n = A.size
-    sig_a = _element_signature(A)
-    sig_b = _element_signature(B)
-    pools = []
-    for x in range(n):
-        pool = frozenset(y for y in range(n) if sig_b[y] == sig_a[x])
-        if not pool:
-            return []
-        pools.append(pool)
+    label_a = _element_labels(A)
+    label_b = _element_labels(B)
+    if sorted(label_a) != sorted(label_b):
+        return []
+    pools = [[y for y in range(n) if label_b[y] == label] for label in label_a]
 
-    ops = [op for op in A.ops if op.arity >= 1]
+    # equal signatures list the same operations in the same order
+    tables = [(op.table, op_b.table, op.arity) for op, op_b in zip(A.ops, B.ops)]
+    fwd, rev = [-1] * n, [-1] * n
+    trail = []  # assigned elements of A, in assignment order
 
-    def try_assign(fwd, rev, a, b):
+    def assign(a, b):
+        """Assign a -> b and all it forces, onto the trail; False on a conflict."""
         queue = [(a, b)]
         while queue:
             x, y = queue.pop()
-            if x in fwd:
-                if fwd[x] != y:
-                    return False
+            if fwd[x] == y:
                 continue
-            if y in rev or y not in pools[x]:
+            if fwd[x] >= 0 or rev[y] >= 0 or label_a[x] != label_b[y]:
                 return False
-            fwd[x] = y
-            rev[y] = x
-            assigned = list(fwd)
-            for op in ops:
-                for args in itertools.product(assigned, repeat=op.arity):
-                    if x not in args:
-                        continue
-                    r = A.apply(op.name, *args)
-                    rb = B.apply(op.name, *(fwd[t] for t in args))
-                    if r in fwd:
-                        if fwd[r] != rb:
+            fwd[x], rev[y] = y, x
+            trail.append(x)
+            # every argument tuple over the assigned elements with its first x
+            # at position p (other elements before p, any assigned one after),
+            # as flat indices into both tables
+            assigned = [(u, fwd[u]) for u in trail]
+            for ta, tb, k in tables:
+                head = [(0, 0)]
+                for p in range(k):
+                    if p:
+                        head = [(i * n + u, j * n + v) for i, j in head for u, v in assigned[:-1]]
+                    cells = [(i * n + x, j * n + y) for i, j in head]
+                    for _ in range(k - 1 - p):
+                        cells = [(i * n + u, j * n + v) for i, j in cells for u, v in assigned]
+                    for i, j in cells:
+                        r, rb = ta[i], tb[j]
+                        if fwd[r] < 0:
+                            queue.append((r, rb))
+                        elif fwd[r] != rb:
                             return False
-                    else:
-                        queue.append((r, rb))
         return True
 
-    fwd0, rev0 = {}, {}
-    for op in A.ops:
-        if op.arity == 0:
-            if not try_assign(fwd0, rev0, op.table[0], B.op(op.name).table[0]):
-                return []
+    for ta, tb, k in tables:
+        if k == 0 and not assign(ta[0], tb[0]):
+            return []
 
+    # branching on the least unassigned element with candidates in ascending
+    # order finds the maps in lexicographic order
     found = []
 
-    def extend(fwd, rev):
-        if len(fwd) == n:
-            found.append(tuple(fwd[x] for x in range(n)))
+    def extend():
+        if len(trail) == n:
+            found.append(tuple(fwd))
             return
-        a = min(x for x in range(n) if x not in fwd)
-        for b in sorted(pools[a]):
-            if b in rev:
-                continue
-            f2, r2 = dict(fwd), dict(rev)
-            if try_assign(f2, r2, a, b):
-                extend(f2, r2)
-                if mode == "first" and found:
-                    return
+        a = fwd.index(-1)
+        mark = len(trail)
+        for b in pools[a]:
+            if rev[b] < 0 and assign(a, b):
+                extend()
+            for x in trail[mark:]:
+                rev[fwd[x]] = -1
+                fwd[x] = -1
+            del trail[mark:]
+            if mode == "first" and found:
+                return
 
-    extend(fwd0, rev0)
-    found.sort()
-    if mode == "first":
-        found = found[:1]
+    extend()
     return [Homomorphism(A, B, m) for m in found]
 
 

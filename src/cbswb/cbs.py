@@ -771,7 +771,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
 
     boolean_block = boolean_sublattice_check(A, ks) if boolean else None
 
-    auto = iso_search(A, A, mode="all", max_size=max(max_size, A.size))
+    auto = iso_search(A, A, mode="all", max_size=max_size)
     copies = [(g, A) for g in auto[:iso_cap]]
     perm = tuple((i + 1) % A.size for i in range(A.size))
     B, to_copy = relabel(A, perm, name=f"{A.name}~")

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cbswb.algebra import (
+    MAX_TERM_DEPTH,
     FiniteAlgebra,
     Homomorphism,
     Operation,
@@ -19,7 +20,9 @@ from cbswb.algebra import (
     relabel,
     render_algebra,
     satisfies,
+    validate_term,
 )
+from cbswb.cbs import OperatorKind, presheaf_check
 from cbswb.congruence import Congruence, all_congruences
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
@@ -117,6 +120,21 @@ def test_parse_term_errors():
         parse_term("(+ x y) z", z4.signature())
     with pytest.raises(FormatError):
         parse_term("+", z4.signature())  # binary op used as atom
+
+
+def test_term_depth_limit():
+    ring = corpus_algebra("z4ring")
+    text = "(neg " * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
+    t = parse_term(text, ring.signature())
+    validate_term(ring, t)
+    for x in range(4):
+        assert eval_term(ring, t, {"x": x}) == naive_eval(ring, t, {"x": x})
+    assert t.render() == text
+    assert satisfies(ring, [parse_sentence(f"{text} = x", ring.signature())]) == (True, None)
+    deeper = "(neg " + text + ")"
+    for signature in (ring.signature(), None):
+        with pytest.raises(FormatError, match=f"deeper than {MAX_TERM_DEPTH} levels"):
+            parse_term(deeper, signature)
 
 
 def test_satisfies_and_budget():
@@ -249,6 +267,36 @@ def test_iso_search_modes():
     with pytest.raises(BudgetError):
         iso_search(big, big, mode="first")
     assert iso_search(big, big, mode="first", max_size=16)
+    # the benchmark's refutations: same size and same element counts per operation
+    z2, z4 = corpus_algebra("z2"), corpus_algebra("z4")
+    v4_z4 = direct_product(v4, z4).algebra
+    z2_z4 = direct_product(z2, z4).algebra
+    assert iso_search(big, v4_z4, mode="first", max_size=16) == []
+    assert iso_search(power_algebra(z2, 3), z2_z4, mode="first", max_size=16) == []
+
+
+def test_iso_search_checks_every_argument_position():
+    # two-valued tables give many elements the same label, so a search that
+    # skipped argument tuples with the new element in some position would
+    # return maps that are not isomorphisms
+    local = random.Random(7)
+    # on the first table, whose only automorphism is the identity, a search
+    # that skips the tuple (0, 2) returns a map that is not one
+    drawn = [(4, 2, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0))]
+    for _ in range(150):
+        n, k = local.randint(3, 5), local.choice([2, 3])
+        drawn.append((n, k, tuple(local.randrange(2) for _ in range(n ** k))))
+    for n, k, table in drawn:
+        A = FiniteAlgebra("a", n, [Operation("f", k, table)])
+        for B in (A, relabel(A, local.sample(range(n), n))[0]):
+            expected = []
+            for perm in itertools.permutations(range(n)):
+                try:
+                    expected.append(Homomorphism(A, B, perm).mapping)
+                except ValidationError:
+                    pass
+            assert [h.mapping for h in iso_search(A, B, mode="all")] == expected
+            assert [h.mapping for h in iso_search(A, B, mode="first")] == expected[:1]
 
 
 def test_automorphism_counts():
@@ -257,6 +305,10 @@ def test_automorphism_counts():
     assert len(automorphisms(corpus_algebra("v4"))) == 6
     assert len(automorphisms(corpus_algebra("z3"))) == 2
     assert len(automorphisms(corpus_algebra("chain3"))) == 1
+    # GL(3,2), GL(2,3), and the coordinate swap of the 3-chain squared
+    assert len(automorphisms(power_algebra(corpus_algebra("z2"), 3))) == 168
+    assert len(automorphisms(power_algebra(corpus_algebra("z3"), 2))) == 48
+    assert len(automorphisms(power_algebra(corpus_algebra("chain3"), 2))) == 2
 
 
 def test_relabel_gives_isomorphic_copy():
@@ -295,3 +347,33 @@ def test_constructors_and_truncations_do_not_apply_cell_by_cell(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "apply", refuse)
     assert build() == usual
+
+
+def test_iso_search_does_not_apply_cell_by_cell(monkeypatch):
+    z4, v4, ring = corpus_algebra("z4"), corpus_algebra("v4"), corpus_algebra("z4ring")
+    z4_copy = relabel(z4, [2, 0, 3, 1])[0]
+    ring_copy = relabel(ring, [1, 3, 0, 2])[0]
+    median = FiniteAlgebra("median3", 3, [Operation(
+        "m", 3, tuple(sorted(args)[1] for args in itertools.product(range(3), repeat=3)))])
+
+    def search():
+        return (
+            iso_search(z4, z4_copy, mode="first"),
+            iso_search(z4, z4_copy, mode="all"),
+            iso_search(z4, z4_copy, mode="verify", candidate=[2, 0, 3, 1]),
+            iso_search(ring, ring_copy, mode="all"),
+            iso_search(z4, v4, mode="first"),
+            automorphisms(v4),
+            automorphisms(corpus_algebra("lat22")),
+            automorphisms(median),
+            presheaf_check(v4, OperatorKind.fc()),
+        )
+
+    usual = search()
+    assert [len(r) for r in usual[:8]] == [1, 2, 1, 1, 0, 6, 2, 2]
+
+    def refuse(self, name, *args):
+        raise AssertionError(f"per-cell apply({name!r}) in the isomorphism search")
+
+    monkeypatch.setattr(FiniteAlgebra, "apply", refuse)
+    assert search() == usual

@@ -14,6 +14,9 @@ from cbswb.corpus import corpus_algebra
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
 Z4 = "corpus/z4.json"
+# 2,000 nested applications: past the parser's depth limit, and deep enough
+# that a recursive walk would exceed the interpreter's recursion limit
+DEEP_TERM = "(not " * 2000 + "x" + ")" * 2000
 
 
 def run(capsys, *argv):
@@ -201,6 +204,8 @@ def test_usage_and_resource_errors(capsys, tmp_path):
         ("omega-demo", "--base", Z2, "--shift", "2", "--zeta", "{3}"),
         ("omega-demo", "--base", V4, "--shift", "2", "--zeta", "{0}"),
         ("church", "corpus/boole2.json", "--term", "(or x", "--zero", "0", "--one", "1"),
+        ("church", "corpus/boole2.json", "--term", DEEP_TERM, "--zero", "0", "--one", "1"),
+        ("cbs-check", "corpus/boole2.json", "--kind", "rel", "--sentence", f"{DEEP_TERM} = x"),
         ("presheaf-check", Z4, "--kind", "rel"),   # rel needs a sentence
         ("cbs-check", Z4, "--sentence", "(+ x y) = (+ y x)"),  # sentence needs rel
         ("iso", Z4, V4, "--max-size", "2"),
