@@ -63,7 +63,6 @@ from .omega import (
     omega_cbs_run,
     omega_validate,
     quasicyclic_suite,
-    shift_fhat,
     truncate_validate,
 )
 from .pset import PeriodicSet, pset_algebra

@@ -13,6 +13,7 @@ of the power, and works the pseudo-simple quasi-cyclic group example.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .algebra import (
@@ -72,7 +73,8 @@ class OmegaCongruence:
         """Least-representative array of the restriction to the first m coordinates."""
         n = self.base.size
         weights = [n ** (m - 1 - i) for i in range(m)]
-        collapse = [i for i in range(m) if i in self.coords]
+        bits = self.coords.bits_below(m)
+        collapse = [i for i in range(m) if bits >> i & 1]
         rep = []
         for x in range(n ** m):
             r = x
@@ -99,14 +101,11 @@ class ShiftIso:
         return PeriodicSet.block(0, self.k)
 
     def fhat(self, S: PeriodicSet) -> PeriodicSet:
-        return S.shift(self.k).union(self.theta())
+        """S shifted by k, with the k coordinates of theta collapsed as well."""
+        return S.shift_fill(self.k)
 
     def fhat_inv(self, S: PeriodicSet) -> PeriodicSet:
         return S.backshift(self.k)
-
-
-def shift_fhat(iso: ShiftIso, S: PeriodicSet) -> PeriodicSet:
-    return iso.fhat(S)
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +163,31 @@ def countable_infimum(family: AffineFamily, certificate: bool = False):
     n_max = 2 * _stabilization_bound(window - 1, k)
     terms = family.terms(n_max)
 
-    bits = []
-    for x in range(window):
-        bound = _stabilization_bound(x, k)
-        upto = min(2 * bound, n_max)
-        values = [x in terms[n - 1] for n in range(1, upto + 1)]
-        tail = values[bound - 1:]
-        if any(v != tail[0] for v in tail):
-            raise ValidationError("infimum not representable")
-        bits.append(all(values))
+    # coordinate x reads the terms V_1 .. V_min(2b, n_max), b its stabilization
+    # bound, and they must agree from V_b on; b is n exactly for the k
+    # coordinates in [(n-2)k, (n-1)k), so term n is read by the x at or
+    # above (ceil(n/2)-2)k and is in the stable tail of the x below (n-1)k
+    def span(lo, hi):
+        """Mask of the coordinates in [lo, hi) that lie in the window."""
+        lo, hi = max(lo, 0), min(hi, window)
+        return (1 << hi) - (1 << lo) if lo < hi else 0
 
-    residues = {x % pattern for x in range(settle, settle + pattern) if bits[x]}
-    candidate = PeriodicSet(settle, bits[:settle], pattern, residues)
-    for x in range(window):
-        if (x in candidate) != bits[x]:
-            raise ValidationError("infimum not representable")
+    full = span(0, window)
+    bits = full  # coordinates in every term they read
+    at_bound = unstable = 0  # bits of V_b, where b is known; tail disagreements
+    for n, term in enumerate(terms, 1):
+        w = term.bits_below(window)
+        read = span(((n + 1) // 2 - 2) * k, window)
+        bits &= w | full ^ read
+        at_bound |= w & span((n - 2) * k, (n - 1) * k)
+        unstable |= (w ^ at_bound) & read & span(0, (n - 1) * k)
+    if unstable:
+        raise ValidationError("infimum not representable")
+
+    residues = {x % pattern for x in range(settle, settle + pattern) if bits >> x & 1}
+    candidate = PeriodicSet(settle, [bits >> x & 1 for x in range(settle)], pattern, residues)
+    if candidate.bits_below(window) != bits:
+        raise ValidationError("infimum not representable")
     for term in terms:
         if not candidate.subset(term):
             raise ValidationError("infimum not representable")
@@ -389,11 +398,14 @@ def omega_validate(run: OmegaRun):
 # truncation-based validation
 
 
+def _lowest(bits: int):
+    """Position of the lowest set bit of a nonnegative mask, None if there is none."""
+    return (bits & -bits).bit_length() - 1 if bits else None
+
+
 def _window_mismatch(S: PeriodicSet, T: PeriodicSet, m: int):
-    for x in range(m):
-        if (x in S) != (x in T):
-            return x
-    return None
+    """Least coordinate below m in exactly one of S and T, or None."""
+    return _lowest(S.bits_below(m) ^ T.bits_below(m))
 
 
 def truncate_validate(run: OmegaRun, m: int) -> dict:
@@ -430,14 +442,15 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     record("zeta = neg_chi meet sigma_zeta",
            run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
            {"pair": [run.neg_chi.render(), run.sigma_zeta.render()]})
-    record("f_hat(chi) = sigma_zeta", iso.fhat(run.chi) == run.sigma_zeta,
-           {"pair": [iso.fhat(run.chi).render(), run.sigma_zeta.render()]})
-    record("chi^c shifted onto sigma_zeta^c",
-           run.chi.complement().shift(run.k) == run.sigma_zeta.complement(),
-           {"pair": [run.chi.complement().shift(run.k).render(),
-                     run.sigma_zeta.complement().render()]})
+    image = iso.fhat(run.chi)
+    record("f_hat(chi) = sigma_zeta", image == run.sigma_zeta,
+           {"pair": [image.render(), run.sigma_zeta.render()]})
+    shifted, neg_sz = run.chi.complement().shift(run.k), run.sigma_zeta.complement()
+    record("chi^c shifted onto sigma_zeta^c", shifted == neg_sz,
+           {"pair": [shifted.render(), neg_sz.render()]})
 
-    # sequence laws compared on the coordinate window
+    # sequence laws compared on the coordinate window, as masks of m bits
+    full = (1 << m) - 1
     for n in range(len(run.sigmas) - 2):
         x = _window_mismatch(iso.fhat(run.sigmas[n]), run.sigmas[n + 2], m)
         record(f"recursion sigma[{n + 2}]", x is None,
@@ -448,8 +461,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
             record(f"complement rule neg_sigma[{i + 2}]", x is None,
                    {"pair": [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"], "coordinate": x})
         if i < len(run.sigmas):
-            u = run.sigmas[i].union(run.neg_odd[i])
-            miss = next((x for x in range(m) if x not in u), None)
+            miss = _lowest(full ^ (run.sigmas[i].bits_below(m) | run.neg_odd[i].bits_below(m)))
             record(f"totality sigma[{i}] u neg_sigma[{i}]", miss is None,
                    {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": miss})
     for n in range(len(run.ds)):
@@ -519,14 +531,15 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         # theta_S1, theta_S2 are a factor pair of A^m exactly when S1, S2
         # partition the window
         for name1, s1, name2, s2 in pairs:
-            shared, covered = s1.intersect(s2), s1.union(s2)
-            bad = next((x for x in range(m) if x in shared or x not in covered), None)
-            record(f"factor pair {name1}/{name2}", shared.is_empty() and bad is None,
+            # a coordinate in both sets or in neither leaves its XOR bit clear
+            bad = _lowest(full ^ s1.bits_below(m) ^ s2.bits_below(m))
+            record(f"factor pair {name1}/{name2}",
+                   s1.intersect(s2).is_empty() and bad is None,
                    {"pair": [name1, name2], "coordinate": bad}, exact)
         # B/zeta ~ B/neg_chi x B/sigma_zeta reads the coordinates of chi and of
         # sigma_zeta^c, so the ones left free must be exactly those of zeta
-        bad = next((x for x in range(m)
-                    if (x not in run.chi and x in run.sigma_zeta) != (x in run.zeta)), None)
+        chi, sz, zeta = (S.bits_below(m) for S in (run.chi, run.sigma_zeta, run.zeta))
+        bad = _lowest((full ^ chi) & sz ^ zeta)
         record("pairing partition of zeta^c", bad is None,
                {"pair": ["zeta^c", "chi + sigma_zeta^c"], "coordinate": bad}, exact)
 
@@ -609,7 +622,9 @@ class QuasiCyclic:
                 f"quasi-cyclic truncation: carrier reached {size}, "
                 f"over the {QC_SIZE_CAP}-element budget"
             )
-        table = tuple((a + b) % size for a in range(size) for b in range(size))
+        # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
+        doubled = list(range(size)) * 2
+        table = tuple(chain.from_iterable(doubled[a:a + size] for a in range(size)))
         return FiniteAlgebra(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
 
     def subgroup_congruence(self, T: FiniteAlgebra, m: int, j: int) -> Congruence:

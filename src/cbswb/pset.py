@@ -40,6 +40,8 @@ def _mask(n: int) -> int:
 
 def _tile(bits: int, p: int, n: int) -> int:
     """The residue mask `bits` of period p repeated over positions 0..n-1."""
+    if not bits:
+        return 0
     # doubling the tiled width keeps this linear in n; bits < 2^p, so no overlaps
     while p < n:
         bits |= bits << p
@@ -152,23 +154,24 @@ class PeriodicSet:
         return not self.rbits
 
     def members_below(self, n: int):
-        return [x for x in range(n) if x in self]
+        bits = self.bits_below(n)
+        return [x for x in range(n) if bits >> x & 1]
+
+    def bits_below(self, n: int) -> int:
+        """Membership of 0..n-1 as one mask: bit x is set when x is a member."""
+        t = self.threshold
+        if n <= t:
+            return self.pbits & _mask(n)
+        return self.pbits | _tile(self.rbits, self.period, n) >> t << t
 
     # -- Boolean calculus ----------------------------------------------------
-
-    def _window(self, n: int) -> int:
-        """Membership bits of 0..n-1, for n at least the threshold."""
-        t = self.threshold
-        if n == t:
-            return self.pbits
-        return self.pbits | _tile(self.rbits, self.period, n) >> t << t
 
     def _aligned(self, other: "PeriodicSet", stage: str):
         """Both sets as windows below the larger threshold and masks mod the lcm."""
         n = max(self.threshold, other.threshold)
         p = math.lcm(self.period, other.period)
         _budget(stage, n, p)
-        return (n, p, self._window(n), other._window(n),
+        return (n, p, self.bits_below(n), other.bits_below(n),
                 _tile(self.rbits, self.period, p), _tile(other.rbits, other.period, p))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
@@ -193,6 +196,14 @@ class PeriodicSet:
             raise ValidationError("shift amount must be nonnegative")
         _budget("shift", self.threshold + k, self.period)
         return _of(self.threshold + k, self.pbits << k, self.period,
+                   _rotate(self.rbits, self.period, k))
+
+    def shift_fill(self, k: int) -> "PeriodicSet":
+        """{x + k : x in self} with 0..k-1 added: shift(k) | block(0, k) in one step."""
+        if k < 0:
+            raise ValidationError("shift amount must be nonnegative")
+        _budget("shift", self.threshold + k, self.period)
+        return _of(self.threshold + k, self.pbits << k | _mask(k), self.period,
                    _rotate(self.rbits, self.period, k))
 
     def backshift(self, k: int) -> "PeriodicSet":

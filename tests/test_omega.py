@@ -28,7 +28,6 @@ from cbswb import (
     pset_algebra,
     quasicyclic_suite,
     quotient_algebra,
-    shift_fhat,
     truncate_validate,
 )
 from cbswb.congruence import compatibility_witness
@@ -192,7 +191,6 @@ def test_shift_iso_action():
     assert iso.theta() == PeriodicSet.block(0, 2)
     assert iso.fhat(PeriodicSet.from_finite([0])) == PeriodicSet.block(0, 3)
     assert iso.fhat(E) == PeriodicSet.block(0, 2)
-    assert shift_fhat(iso, E) == iso.fhat(E)
     rng = random.Random(16)
     for _ in range(100):
         s, _ = rand_set(rng)
@@ -203,6 +201,9 @@ def test_shift_iso_action():
         assert iso.fhat(iso.fhat_inv(s)) == s.union(iso.theta())
     with pytest.raises(ValidationError):
         ShiftIso(0)
+    # the shift is checked against the budget before any mask is built
+    with pytest.raises(BudgetError, match="shift: threshold reached 1048577"):
+        ShiftIso(1 << 20).fhat(PeriodicSet.from_finite([0]))
 
 
 # -- the worked symbolic runs -------------------------------------------------
@@ -383,6 +384,32 @@ def test_infimum_rejects_nonstabilizing_terms():
         countable_infimum(fam)
 
 
+class FixedTerms(AffineFamily):
+    """Reports the given terms, the last one repeated, whatever its recurrence says."""
+
+    def __init__(self, v1, k, fixed, given):
+        super().__init__(v1, k, "union", fixed)
+        object.__setattr__(self, "given", given)
+
+    def terms(self, count):
+        return (self.given + [self.given[-1]] * count)[:count]
+
+
+def test_infimum_reads_each_coordinate_within_its_certification_range():
+    # with k = 2 coordinate 0 has stabilization bound 2 and reads V_1 .. V_4
+    no0 = N.difference(PeriodicSet.from_finite([0]))
+    # V_5 on adding 0 back is past that range, and no term misses the result
+    assert countable_infimum(FixedTerms(no0, 2, N, [no0] * 4 + [N])) == no0
+    # V_5 dropping 0 is past that range too, but the result must lie below it
+    with pytest.raises(ValidationError, match="not representable"):
+        countable_infimum(FixedTerms(N, 2, no0, [N] * 4 + [no0]))
+    # a closed form read off coordinates up to settle + pattern = 4 that
+    # disagrees with coordinate 4 of the window is refused
+    no3 = N.difference(PeriodicSet.from_finite([3]))
+    with pytest.raises(ValidationError, match="not representable"):
+        countable_infimum(FixedTerms(N, 1, N, [no3]))
+
+
 def test_affine_family_validation():
     with pytest.raises(ValidationError):
         AffineFamily(N, 0, "union", E)
@@ -469,6 +496,68 @@ def test_truncation_flags_corrupted_sigma():
     failure = next(c for c in result["failures"] if c["name"] == "recursion sigma[3]")
     assert failure["witness"]["coordinate"] == 3
     assert failure["witness"]["pair"] == ["f_hat(sigma[1])", "sigma[3]"]
+
+
+# holes at 6, 13, 20, ...: past the threshold 5 of neg_sigma[5] and of d[2],
+# so the first mismatch lies in the periodic part of both sets
+PERIODIC_HOLES = PeriodicSet(0, (), 7, (6,))
+# holes at and past the window of m = 16 coordinates
+LATE_HOLES = PeriodicSet.from_finite([16, 21])
+
+
+def _holed_run(field, holes):
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    if field == "neg_sigma[5]":
+        run.neg_odd[5] = run.neg_odd[5].difference(holes)
+    else:
+        run.ds[2] = run.ds[2].difference(holes)
+    return run
+
+
+@pytest.mark.parametrize("field, check, pair, coordinate", [
+    ("neg_sigma[5]", "complement rule neg_sigma[5]", ["f_hat(neg_sigma[3])", "neg_sigma[5]"], 6),
+    ("neg_sigma[5]", "complement rule neg_sigma[7]", ["f_hat(neg_sigma[5])", "neg_sigma[7]"], 8),
+    ("neg_sigma[5]", "totality sigma[5] u neg_sigma[5]", ["sigma[5]", "neg_sigma[5]"], 6),
+    ("neg_sigma[5]", "definition d[2]", ["d[2]", "sigma[4] u neg_sigma[5]"], 6),
+    ("d[2]", "definition d[2]", ["d[2]", "sigma[4] u neg_sigma[5]"], 6),
+])
+def test_truncation_window_checks_name_the_least_coordinate(field, check, pair, coordinate):
+    result = truncate_validate(_holed_run(field, PERIODIC_HOLES), 16)
+    assert not result["ok"] and not result["materialized"]
+    failure = next(c for c in result["failures"] if c["name"] == check)
+    assert failure["witness"] == {"pair": pair, "coordinate": coordinate}
+
+
+@pytest.mark.parametrize("field", ["neg_sigma[5]", "d[2]"])
+def test_truncation_window_checks_ignore_coordinates_past_m(field):
+    result = truncate_validate(_holed_run(field, LATE_HOLES), 16)
+    assert result["ok"] and result["failures"] == []
+    checks = {c["name"]: c for c in result["checks"]}
+    for name in ("complement rule neg_sigma[5]", "totality sigma[5] u neg_sigma[5]",
+                 "definition d[2]"):
+        assert checks[name] == {"name": name, "ok": True}
+    # the same holes inside a larger window are seen
+    wide = truncate_validate(_holed_run(field, LATE_HOLES), 24)
+    assert {c["witness"]["coordinate"] for c in wide["failures"]} >= {16}
+
+
+def test_symbolic_layer_does_not_test_membership_coordinate_by_coordinate(monkeypatch):
+    zeta = PeriodicSet.from_finite([0, 2])
+
+    def runs():
+        run = omega_cbs_run(z(2), 3, zeta, indices=20)
+        lazy, small = truncate_validate(run, 16), truncate_validate(run, 6)
+        assert not lazy["materialized"] and small["materialized"]
+        return run.to_report(), omega_validate(run), lazy, small
+
+    usual = runs()
+    assert usual[1] == [] and usual[2]["ok"] and usual[3]["ok"]
+
+    def refuse(self, x):
+        raise AssertionError(f"membership test of coordinate {x} in the symbolic layer")
+
+    monkeypatch.setattr(PeriodicSet, "__contains__", refuse)
+    assert runs() == usual
 
 
 def test_truncation_flags_corrupted_chi():
@@ -589,6 +678,10 @@ def test_quasicyclic_truncation_and_subgroups():
     T = qc.truncation(3)
     assert T.name == "z(2^3)" and T.size == 8
     assert T.same_tables(z(8))
+    for p, m in ((2, 1), (2, 5), (3, 4), (5, 2), (31, 2)):
+        size = p ** m
+        (op,) = QuasiCyclic(p).truncation(m).ops
+        assert op.table == tuple((a + b) % size for a in range(size) for b in range(size))
     with pytest.raises(BudgetError):
         qc.truncation(11)
 

@@ -94,6 +94,16 @@ def test_shifts_match_window_model(case, k):
 
 
 @PSET_SETTINGS
+@given(raw_sets(), st.integers(0, MAX_SHIFT))
+def test_shift_fill_matches_shift_and_block(case, k):
+    s, members = case
+    got = s.shift_fill(k)
+    assert got == s.shift(k).union(PeriodicSet.block(0, k))
+    assert window(got) == set(range(k)) | {x + k for x in members if x + k < WINDOW}
+    assert_canonical(got)
+
+
+@PSET_SETTINGS
 @given(raw_sets())
 def test_render_parse_round_trip(case):
     s, members = case
