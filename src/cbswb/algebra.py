@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetError, FormatError, ValidationError
@@ -119,9 +120,37 @@ def image_indices(mapping: Sequence[int], arity: int, size: int) -> list:
     return row
 
 
+def _getter(indices: Sequence[int]):
+    """itemgetter over indices that returns a tuple even for a single index."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+def gather(table: Sequence[int], mapping: Sequence[int], arity: int, size: int) -> list:
+    """table[i] at every i of image_indices(mapping, arity, size), in table order.
+
+    Works one first-argument block at a time: each distinct block
+    table[v*w:(v+1)*w] with v = mapping[a1] is gathered once at the
+    arity-1 image indices and reused by every a1 that maps to v.
+    """
+    if arity == 0:
+        return [table[0]]
+    w = size ** (arity - 1)
+    pick = _getter(image_indices(mapping, arity - 1, size))
+    rows = {}
+    out = []
+    for v in mapping:
+        if v not in rows:
+            rows[v] = pick(table[v * w:(v + 1) * w])
+        out += rows[v]
+    return out
+
+
 def table_args(arity: int, size: int, idx: int) -> tuple:
     """Argument tuple stored at flat index idx of an arity-k table."""
-    return next(itertools.islice(itertools.product(range(size), repeat=arity), idx, None))
+    return tuple(idx // size ** (arity - 1 - pos) % size for pos in range(arity))
 
 
 def parse_algebra(doc) -> FiniteAlgebra:
@@ -436,9 +465,9 @@ class Homomorphism:
                 raise ValidationError(f"mapping value {v!r} out of range")
         # equal signatures list the same operations in the same order
         for op, op_t in zip(source.ops, target.ops):
-            # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), cell by cell in table order
-            rhs_row = [op_t.table[i] for i in image_indices(mapping, op.arity, target.size)]
-            lhs_row = [mapping[v] for v in op.table]
+            # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), both rows in table order
+            lhs_row = list(_getter(op.table)(mapping))
+            rhs_row = gather(op_t.table, mapping, op.arity, target.size)
             if lhs_row != rhs_row:
                 i = next(i for i, (lhs, rhs) in enumerate(zip(lhs_row, rhs_row)) if lhs != rhs)
                 raise ValidationError(
@@ -504,20 +533,30 @@ class Product:
     right: Homomorphism
 
 
+def _product_ops(opsa, na: int, opsb, nb: int) -> list:
+    """Operations of the product of two carriers of sizes na and nb whose
+    operations have one signature, (a, b) encoded as a*nb + b."""
+    n = na * nb
+    left = [p // nb for p in range(n)]
+    right = list(range(nb)) * na
+    return [
+        # a gather only reorders cells, so A's table is scaled by nb before it
+        Operation(opa.name, opa.arity, tuple(map(
+            add,
+            gather([v * nb for v in opa.table], left, opa.arity, na),
+            gather(opb.table, right, opa.arity, nb))))
+        for opa, opb in zip(opsa, opsb)
+    ]
+
+
 def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = None) -> Product:
     """Componentwise product; element (a, b) is encoded as a*|B| + b."""
     if A.signature() != B.signature():
         raise ValidationError("product factors must share a signature")
     n = A.size * B.size
+    P = FiniteAlgebra(name or f"{A.name}x{B.name}", n, _product_ops(A.ops, A.size, B.ops, B.size))
     left = [p // B.size for p in range(n)]
-    right = [p % B.size for p in range(n)]
-    ops = []
-    # equal signatures list the same operations in the same order
-    for opa, opb in zip(A.ops, B.ops):
-        ta, tb, k = opa.table, opb.table, opa.arity
-        cells = zip(image_indices(left, k, A.size), image_indices(right, k, B.size))
-        ops.append(Operation(opa.name, k, tuple([ta[i] * B.size + tb[j] for i, j in cells])))
-    P = FiniteAlgebra(name or f"{A.name}x{B.name}", n, ops)
+    right = list(range(B.size)) * A.size
     return Product(P, Homomorphism(P, A, left), Homomorphism(P, B, right))
 
 
@@ -525,17 +564,10 @@ def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> Finit
     """Direct power A^m with coordinate 0 most significant in the encoding."""
     if m < 1:
         raise ValidationError("power exponent must be >= 1")
-    s = A.size
-    n = s ** m
-    # coordinate i of an element carries weight s^(m-1-i); digit[p] is its value in p
-    coords = [(w, [(p // w) % s for p in range(n)]) for w in (s ** (m - 1 - i) for i in range(m))]
-    ops = []
-    for opa in A.ops:
-        t, k = opa.table, opa.arity
-        table = [0] * n ** k
-        for w, digit in coords:
-            table = [acc + t[j] * w for acc, j in zip(table, image_indices(digit, k, s))]
-        ops.append(Operation(opa.name, k, tuple(table)))
+    # A^(j+1) = A^j x A: the new coordinate is the least significant one
+    ops, n = A.ops, A.size
+    for _ in range(m - 1):
+        ops, n = _product_ops(ops, n, A.ops, A.size), n * A.size
     return FiniteAlgebra(name or f"{A.name}^{m}", n, ops)
 
 
@@ -566,8 +598,7 @@ def quotient_algebra(A: FiniteAlgebra, theta) -> Quotient:
             index[x] = i
     reps = [b[0] for b in blocks]
     ops = [
-        Operation(op.name, op.arity,
-                  tuple([index[op.table[i]] for i in image_indices(reps, op.arity, A.size)]))
+        Operation(op.name, op.arity, _getter(gather(op.table, reps, op.arity, A.size))(index))
         for op in A.ops
     ]
     Q = FiniteAlgebra(f"{A.name}/{_short_partition_name(A, blocks)}", len(blocks), ops)
@@ -584,8 +615,7 @@ def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
     for x, y in enumerate(perm):
         inv[y] = x
     ops = [
-        Operation(op.name, op.arity,
-                  tuple([perm[op.table[i]] for i in image_indices(inv, op.arity, A.size)]))
+        Operation(op.name, op.arity, _getter(gather(op.table, inv, op.arity, A.size))(perm))
         for op in A.ops
     ]
     B = FiniteAlgebra(name or f"{A.name}'", A.size, ops)

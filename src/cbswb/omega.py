@@ -504,19 +504,24 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         Qz = quotient_algebra(Bm, cong("zeta", run.zeta))
         Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
         Qsz = quotient_algebra(Bm, cong("sigma_zeta", run.sigma_zeta))
-        prod = direct_product(Qnc.algebra, Qsz.algebra)
-        mapping = [
-            Qnc.projection.mapping[r] * Qsz.algebra.size + Qsz.projection.mapping[r]
-            for r in (block[0] for block in cong("zeta", run.zeta).blocks)
-        ]
-        try:
-            pairing = Homomorphism(Qz.algebra, prod.algebra, mapping)
-            ok = pairing.is_bijective()
-            record("pairing B/zeta ~ B/neg_chi x B/sigma_zeta", ok,
-                   {"pair": ["zeta", "neg_chi x sigma_zeta"], "reason": "not bijective"})
-        except ValidationError as e:
-            record("pairing B/zeta ~ B/neg_chi x B/sigma_zeta", False,
-                   {"pair": ["zeta", "neg_chi x sigma_zeta"], "reason": str(e)})
+        pairing = "pairing B/zeta ~ B/neg_chi x B/sigma_zeta"
+        pair = ["zeta", "neg_chi x sigma_zeta"]
+        sizes = {"zeta": Qz.algebra.size, "neg_chi": Qnc.algebra.size,
+                 "sigma_zeta": Qsz.algebra.size}
+        if sizes["zeta"] != sizes["neg_chi"] * sizes["sigma_zeta"]:
+            # no bijection exists, and the product may be far larger than B
+            record(pairing, False, {"pair": pair, "reason": "size mismatch", "sizes": sizes})
+        else:
+            prod = direct_product(Qnc.algebra, Qsz.algebra)
+            mapping = [
+                Qnc.projection.mapping[r] * Qsz.algebra.size + Qsz.projection.mapping[r]
+                for r in (block[0] for block in cong("zeta", run.zeta).blocks)
+            ]
+            try:
+                ok = Homomorphism(Qz.algebra, prod.algebra, mapping).is_bijective()
+                record(pairing, ok, {"pair": pair, "reason": "not bijective"})
+            except ValidationError as e:
+                record(pairing, False, {"pair": pair, "reason": str(e)})
     else:
         # too large to materialize: every check is exact on coordinate sets
         exact = "coordinate-sets"

@@ -7,7 +7,8 @@ closure of the union, the lattice tables against bounds read off the order
 and, on meet- and join-closed sub-families, against pairwise refines, meet
 and join, the Boolean-sublattice witness (of the lattice tables and of
 boolean_sublattice_check) against a check on the relations themselves,
-homomorphism checks against exhaustive map enumeration,
+homomorphism checks and their messages (arities up to 3) against
+exhaustive map enumeration, the block gather against per-cell indexing,
 isomorphism search (arities up to 3) against the bijective maps among
 them, the product, power, quotient and relabelling constructors against
 cell-by-cell construction, factor-pair verdicts against relational
@@ -20,7 +21,7 @@ run tries the same algebras.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbswb.algebra import (
@@ -28,10 +29,13 @@ from cbswb.algebra import (
     Homomorphism,
     Operation,
     direct_product,
+    gather,
+    image_indices,
     iso_search,
     power_algebra,
     quotient_algebra,
     relabel,
+    table_args,
 )
 from cbswb.cbs import boolean_sublattice_check
 from cbswb.congruence import (
@@ -261,10 +265,7 @@ def first_failing_cell(A, B, mapping):
     return None
 
 
-@KERNEL_SETTINGS
-@given(algebra_pair())
-def test_homomorphism_accepts_exactly_all_homs(case):
-    A, B = case
+def check_homomorphism_verdicts(A, B):
     homs = {h.mapping for h in all_homs(A, B)}
     for mapping in itertools.product(range(B.size), repeat=A.size):
         if mapping in homs:
@@ -273,6 +274,53 @@ def test_homomorphism_accepts_exactly_all_homs(case):
             with pytest.raises(ValidationError) as err:
                 Homomorphism(A, B, mapping)
             assert str(err.value) == first_failing_cell(A, B, mapping)
+
+
+@KERNEL_SETTINGS
+@given(algebra_pair())
+def test_homomorphism_accepts_exactly_all_homs(case):
+    check_homomorphism_verdicts(*case)
+
+
+@st.composite
+def ternary_algebra_pair(draw):
+    """Two algebras of one signature with arities up to 3 on 1 to 3 elements:
+    at arity 3 each first-argument block of a table splits twice more."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return (FiniteAlgebra("a", n, tables(draw, n, arities)),
+            FiniteAlgebra("b", m, tables(draw, m, arities)))
+
+
+@KERNEL_SETTINGS
+@given(ternary_algebra_pair())
+def test_homomorphism_messages_up_to_arity_3(case):
+    check_homomorphism_verdicts(*case)
+
+
+@st.composite
+def gather_case(draw):
+    """A table of arity 0 to 3 over 1 to 4 elements and a map into that carrier
+    from a domain of 1 to 5 elements, neither injective nor surjective in general."""
+    k, n, size = draw(st.integers(0, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    mapping = draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    table = draw(st.lists(st.integers(0, 9), min_size=size ** k, max_size=size ** k))
+    return tuple(table), mapping, k, size
+
+
+@KERNEL_SETTINGS
+@given(gather_case())
+# a one-cell inner block: one domain element, or arity 1
+@example(((0, 1, 2, 3, 4, 5, 6, 7), [1], 3, 2))
+@example(((4, 5, 6), [2, 2, 0, 2], 1, 3))
+# one block reused by every first argument of a constant map
+@example((tuple(range(27)), [1, 1, 1, 1, 1], 3, 3))
+def test_gather_and_table_args_match_per_cell_reference(case):
+    table, mapping, k, size = case
+    assert gather(table, mapping, k, size) == [table[i] for i in image_indices(mapping, k, size)]
+    n = len(mapping)
+    cells = list(itertools.product(range(n), repeat=k))
+    assert [table_args(k, n, i) for i in range(n ** k)] == cells
 
 
 @st.composite

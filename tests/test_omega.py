@@ -1,5 +1,6 @@
 """Eventually periodic coordinate sets and the symbolic power machinery."""
 
+import dataclasses
 import json
 import random
 
@@ -30,6 +31,7 @@ from cbswb import (
     quotient_algebra,
     truncate_validate,
 )
+from cbswb import omega
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
@@ -611,6 +613,29 @@ def test_truncation_lazy_flags_corrupted_pairing_partition(remove, add, coordina
     assert failure["method"] == "coordinate-sets"
     assert failure["witness"] == {"pair": ["zeta^c", "chi + sigma_zeta^c"],
                                   "coordinate": coordinate}
+
+
+def test_truncation_pairing_size_mismatch_builds_no_product(monkeypatch):
+    # with neg_chi and sigma_zeta both empty, B/neg_chi x B/sigma_zeta would
+    # have 243^2 elements against the 9 of B/zeta
+    run = omega_cbs_run(z(3), 2, PeriodicSet.from_finite([0]))
+    assert truncate_validate(run, 5)["ok"]
+    bad = dataclasses.replace(run, neg_chi=PeriodicSet.empty(), sigma_zeta=PeriodicSet.empty())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct_product built for a size mismatch")
+
+    monkeypatch.setattr(omega, "direct_product", refuse)
+    result = truncate_validate(bad, 5)
+    assert result["materialized"] and result["carrier"] == 243 and not result["ok"]
+    failure = next(c for c in result["failures"]
+                   if c["name"] == "pairing B/zeta ~ B/neg_chi x B/sigma_zeta")
+    assert failure == {
+        "name": "pairing B/zeta ~ B/neg_chi x B/sigma_zeta",
+        "ok": False,
+        "witness": {"pair": ["zeta", "neg_chi x sigma_zeta"], "reason": "size mismatch",
+                    "sizes": {"zeta": 81, "neg_chi": 243, "sigma_zeta": 243}},
+    }
 
 
 def test_truncation_preconditions():
