@@ -11,7 +11,7 @@ verdicts, each with explicit witnesses.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
@@ -133,32 +133,42 @@ def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8,
 # the interval map f-hat
 
 
-def _check_iso_onto_quotient(A: FiniteAlgebra, f: Homomorphism, theta: Congruence):
-    if theta.algebra != A:
-        raise ValidationError("theta does not belong to this algebra")
-    Q = quotient_algebra(A, theta)
-    if f.source != A or not f.is_isomorphism() or not f.target.same_tables(Q.algebra):
-        raise ValidationError("f is not an isomorphism onto A/theta")
-    return Q
+class _QuotientIso:
+    """An isomorphism f: A -> A/theta, checked once, with f_hat and its loose
+    inverse over the one A/theta: the finite twin of omega.ShiftIso.  With
+    f = None the natural projection is taken, and it must be bijective."""
 
+    def __init__(self, A: FiniteAlgebra, f, theta: Congruence):
+        if theta.algebra != A:
+            raise ValidationError("theta does not belong to this algebra")
+        Q = quotient_algebra(A, theta)
+        if f is None:
+            f = Q.projection
+            if not f.is_isomorphism():
+                raise ValidationError("no default isomorphism: theta collapses elements")
+        elif f.source != A or not f.is_isomorphism() or not f.target.same_tables(Q.algebra):
+            raise ValidationError("f is not an isomorphism onto A/theta")
+        self.A, self.f, self.theta, self.Q = A, f, theta, Q
 
-def _default_iso(A: FiniteAlgebra, theta: Congruence) -> Homomorphism:
-    """Natural projection as an isomorphism; only valid when it is bijective."""
-    Q = quotient_algebra(A, theta)
-    f = Homomorphism(A, Q.algebra, Q.projection.mapping)
-    if not f.is_isomorphism():
-        raise ValidationError("no default isomorphism: theta collapses elements")
-    return f
+    def push(self, c: Congruence) -> Congruence:
+        """c carried along f onto A/theta."""
+        return Congruence(self.Q.algebra, transport(self.f, "pushforward", c).rep)
+
+    def fhat(self, sigma: Congruence) -> Congruence:
+        if sigma.algebra != self.A:
+            raise ValidationError("sigma does not belong to this algebra")
+        return quotient_lift("up", self.Q, self.theta, self.push(sigma))
+
+    def fhat_inv(self, psi: Congruence) -> Congruence:
+        if psi.algebra != self.A:
+            raise ValidationError("psi does not belong to this algebra")
+        dropped = quotient_lift("down", self.Q, self.theta, congruence_join(psi, self.theta))
+        return transport(self.f, "pullback", Congruence(self.f.target, dropped.rep))
 
 
 def f_hat(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, sigma: Congruence) -> Congruence:
     """u_theta^-1 of the pushforward of sigma along f; lands in [theta, total]."""
-    Q = _check_iso_onto_quotient(A, f, theta)
-    if sigma.algebra != A:
-        raise ValidationError("sigma does not belong to this algebra")
-    pushed = transport(f, "pushforward", sigma)
-    on_quotient = Congruence(Q.algebra, pushed.rep)
-    return quotient_lift("up", A, theta, on_quotient)
+    return _QuotientIso(A, f, theta).fhat(sigma)
 
 
 def f_hat_inverse(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, psi: Congruence) -> Congruence:
@@ -167,21 +177,16 @@ def f_hat_inverse(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, psi: Con
     Joining first makes the map total on Con(A); on the interval
     [theta, total] it is the exact inverse of f_hat.
     """
-    Q = _check_iso_onto_quotient(A, f, theta)
-    if psi.algebra != A:
-        raise ValidationError("psi does not belong to this algebra")
-    above = congruence_join(psi, theta)
-    dropped = quotient_lift("down", A, theta, above)
-    on_target = Congruence(f.target, dropped.rep)
-    return transport(f, "pullback", on_target)
+    return _QuotientIso(A, f, theta).fhat_inv(psi)
 
 
 def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
                          kind: OperatorKind, max_size: int = 8) -> dict:
     """Re-check that f_hat maps K(A) order-isomorphically onto K(A) above theta."""
+    iso = _QuotientIso(A, f, theta)
     ks = operator_eval(A, kind, max_size=max_size)
     interval = [c for c in ks if theta.refines(c)]
-    images = [f_hat(A, f, theta, s) for s in ks]
+    images = [iso.fhat(s) for s in ks]
     onto = sorted(_rep_set(images)) == sorted(_rep_set(interval))
     injective = len(_rep_set(images)) == len(ks)
     order = all(
@@ -190,7 +195,7 @@ def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
         for j, b in enumerate(ks)
     )
     roundtrip = all(
-        f_hat_inverse(A, f, theta, images[i]).rep == ks[i].rep for i in range(len(ks))
+        iso.fhat_inv(images[i]).rep == ks[i].rep for i in range(len(ks))
     )
     return {
         "ok": onto and injective and order and roundtrip,
@@ -209,7 +214,7 @@ def sigma_bracket(A: FiniteAlgebra, f, theta: Congruence, sigma: Congruence,
     depends on theta, sigma and the operator.
     """
     if f is not None:
-        _check_iso_onto_quotient(A, f, theta)
+        _QuotientIso(A, f, theta)  # checks f
     ks = operator_eval(A, kind, max_size=max_size)
     reps = _rep_set(ks)
     if theta.rep not in reps or sigma.rep not in reps:
@@ -225,6 +230,92 @@ def sigma_bracket(A: FiniteAlgebra, f, theta: Congruence, sigma: Congruence,
         if iso_search(base, Q, mode="first", max_size=iso_cap):
             out.append(zeta)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the CBS-sequence core, shared by the finite and the symbolic engine
+
+
+@dataclass(frozen=True)
+class SequenceLattice:
+    """What the law list needs of an engine's K(A), and the engine's three
+    words: its join, a failed totality and the rule that gives neg sigma[1].
+    The d-term pairs are checked one by one only when pairs_may_fail holds."""
+
+    fhat: Callable
+    join: Callable
+    leq: Callable
+    is_diagonal: Callable
+    is_total: Callable
+    words: tuple
+    pairs_may_fail: Callable = lambda ds: True
+
+
+def sequence_tail(sigmas, neg1, fhat, join):
+    """neg sigma[i + 2] = f_hat(neg sigma[i]) for the odd i below len(sigmas),
+    and d[n] = sigma[2n] join neg sigma[2n + 1], one d-term per odd index."""
+    neg_odd = {1: neg1}
+    for i in range(3, len(sigmas), 2):
+        neg_odd[i] = fhat(neg_odd[i - 2])
+    return neg_odd, [join(sigmas[i - 1], neg) for i, neg in neg_odd.items()]
+
+
+def sequence_shape(sigmas, thetas, neg_odd, ds):
+    """Violations of tables that do not fit the sigmas.  The law lists read
+    every term by index, so they run only when this returns nothing."""
+    odd = list(range(1, len(sigmas), 2))
+    out = []
+    if len(sigmas) < 2:
+        out.append(f"{len(sigmas)} sigmas, fewer than sigma[0] and sigma[1]")
+    if len(thetas) != len(sigmas):
+        out.append(f"{len(thetas)} thetas for {len(sigmas)} sigmas")
+    if sorted(neg_odd) != odd:
+        out.append(f"neg sigma is not indexed by the odd indices below {len(sigmas)}")
+    if len(ds) != len(odd):
+        out.append(f"{len(ds)} d-terms for {len(odd)} odd indices")
+    return out
+
+
+def sequence_violations(lattice: SequenceLattice, sigmas, zeta, neg_odd, neg1, ds):
+    """Every law of a CBS-sequence whose tables pass sequence_shape, in one
+    order for both engines; neg1 is neg sigma[1] as the caller recomputes it."""
+    L = lattice
+    join_word, not_total, neg1_rule = L.words
+    out = []
+    if not L.is_diagonal(sigmas[0]):
+        out.append("sigma[0] is not the diagonal")
+    if sigmas[1] != zeta:
+        out.append("sigma[1] differs from zeta")
+    for n in range(len(sigmas) - 2):
+        if L.fhat(sigmas[n]) != sigmas[n + 2]:
+            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
+    for n in range(len(sigmas) - 1):
+        if not L.leq(sigmas[n], sigmas[n + 1]):
+            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
+    if neg_odd[1] != neg1:
+        out.append(f"neg sigma[1] differs from {neg1_rule}")
+    for i, neg in sorted(neg_odd.items()):
+        if i + 2 in neg_odd and neg_odd[i + 2] != L.fhat(neg):
+            out.append(f"neg sigma[{i + 2}] != f_hat(neg sigma[{i}])")
+        if not L.is_total(L.join(sigmas[i], neg)):
+            out.append(f"sigma[{i}] {join_word} its complement {not_total}")
+    for n, d in enumerate(ds):
+        if d != L.join(sigmas[2 * n], neg_odd[2 * n + 1]):
+            out.append(f"d[{n}] does not match its definition")
+    if L.pairs_may_fail(ds):
+        for a in range(len(ds)):
+            for b in range(a + 1, len(ds)):
+                if not L.is_total(L.join(ds[a], ds[b])):
+                    out.append(f"d[{a}] {join_word} d[{b}] {not_total}")
+    for n in range(len(ds) - 1):
+        if L.fhat(ds[n]) != ds[n + 1]:
+            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
+    return out
+
+
+def chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta, meet, join):
+    """chi = neg sigma[1] meet sigma_zeta and neg_chi = zeta join neg sigma_zeta."""
+    return meet(neg1, sigma_zeta), join(zeta, neg_sigma_zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +368,7 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
     complements, which then propagate through f_hat.
     """
     kind = kind or OperatorKind.fc()
-    if f is None:
-        f = _default_iso(A, theta)
-    Q = _check_iso_onto_quotient(A, f, theta)
+    iso = _QuotientIso(A, f, theta)
     ks = operator_eval(A, kind, max_size=max_size)
     reps = _rep_set(ks)
     if theta.rep not in reps or zeta.rep not in reps:
@@ -287,16 +376,13 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
     if not zeta.refines(theta):
         raise ValidationError("zeta must lie below theta")
 
-    def push(c: Congruence) -> Congruence:
-        return Congruence(Q.algebra, transport(f, "pushforward", c).rep)
-
     sigmas = [Congruence.diagonal(A), zeta]
-    thetas = [None, push(sigmas[0])]
+    thetas = [None, iso.push(sigmas[0])]
     stabilized_at = None
     while True:
         n = len(sigmas) - 1
-        nxt_sigma = quotient_lift("up", A, theta, thetas[n])
-        nxt_theta = push(sigmas[n])
+        nxt_sigma = quotient_lift("up", iso.Q, theta, thetas[n])
+        nxt_theta = iso.push(sigmas[n])
         sigmas.append(nxt_sigma)
         thetas.append(nxt_theta)
         if stabilized_at is None and nxt_sigma.rep == sigmas[n].rep and nxt_theta.rep == thetas[n].rep:
@@ -306,7 +392,7 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
         if len(sigmas) > limit:
             raise ValidationError(f"sequence did not stabilize within {limit} indices")
 
-    options = _complements(all_congruences(A, max_size=max_size), f_hat(A, f, theta, zeta), ks)
+    options = _complements(all_congruences(A, max_size=max_size), iso.fhat(zeta), ks)
     if complement is not None:
         if complement.rep not in _rep_set(options):
             raise ValidationError("supplied complement is not a factor complement of f_hat(zeta) in K(A)")
@@ -316,20 +402,9 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
     else:
         raise ValidationError("no complement available for f_hat(zeta) in K(A)")
 
-    neg_odd = {1: f_hat_inverse(A, f, theta, chosen)}
-    idx = 1
-    while idx + 2 < len(sigmas):
-        neg_odd[idx + 2] = f_hat(A, f, theta, neg_odd[idx])
-        idx += 2
-
-    ds = []
-    n = 0
-    while 2 * n < len(sigmas) and (2 * n + 1) in neg_odd:
-        ds.append(congruence_join(sigmas[2 * n], neg_odd[2 * n + 1]))
-        n += 1
-
+    neg_odd, ds = sequence_tail(sigmas, iso.fhat_inv(chosen), iso.fhat, congruence_join)
     return CbsSequenceState(
-        algebra=A, f=f, theta=theta, zeta=zeta, kind=kind,
+        algebra=A, f=iso.f, theta=theta, zeta=zeta, kind=kind,
         sigmas=sigmas, thetas=thetas, neg_odd=neg_odd, ds=ds,
         complement_used=chosen, complement_options=options,
         stabilized=stabilized_at is not None, stabilized_at=stabilized_at,
@@ -337,67 +412,29 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
 
 
 def validate_sequence(state: CbsSequenceState):
-    """Recompute every law of the sequence; returns the list of violations."""
-    A, f, theta = state.algebra, state.f, state.theta
-    Q = _check_iso_onto_quotient(A, f, theta)
-    out = []
-    sigmas, thetas = state.sigmas, state.thetas
-
-    if not sigmas[0].is_diagonal():
-        out.append("sigma[0] is not the diagonal")
-    if sigmas[1].rep != state.zeta.rep:
-        out.append("sigma[1] differs from zeta")
-    if thetas[1].rep != Congruence.diagonal(Q.algebra).rep:
+    """Recompute every law of the sequence; returns the list of violations.
+    After the shared list: the theta recursion and the chosen complement."""
+    A, theta, sigmas, thetas = state.algebra, state.theta, state.sigmas, state.thetas
+    iso = _QuotientIso(A, state.f, theta)
+    out = sequence_shape(sigmas, thetas, state.neg_odd, state.ds)
+    if out:
+        return out
+    lattice = SequenceLattice(
+        iso.fhat, congruence_join, Congruence.refines,
+        Congruence.is_diagonal, Congruence.is_total,
+        ("join", "is not total", "the pulled-back complement"),
+    )
+    out = sequence_violations(lattice, sigmas, state.zeta, state.neg_odd,
+                              iso.fhat_inv(state.complement_used), state.ds)
+    if thetas[1].rep != Congruence.diagonal(iso.Q.algebra).rep:
         out.append("theta[1] is not the diagonal of the quotient")
-
-    def push(c):
-        return Congruence(Q.algebra, transport(f, "pushforward", c).rep)
-
     for n in range(1, len(sigmas) - 1):
-        if sigmas[n + 1].rep != quotient_lift("up", A, theta, thetas[n]).rep:
+        if sigmas[n + 1].rep != quotient_lift("up", iso.Q, theta, thetas[n]).rep:
             out.append(f"sigma[{n + 1}] breaks the recursion")
-        if thetas[n + 1].rep != push(sigmas[n]).rep:
+        if thetas[n + 1].rep != iso.push(sigmas[n]).rep:
             out.append(f"theta[{n + 1}] breaks the recursion")
-
-    for n in range(len(sigmas) - 2):
-        if f_hat(A, f, theta, sigmas[n]).rep != sigmas[n + 2].rep:
-            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
-
-    for n in range(len(sigmas) - 1):
-        if not sigmas[n].refines(sigmas[n + 1]):
-            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
-
-    fz = f_hat(A, f, theta, state.zeta)
-    expected = f_hat_inverse(A, f, theta, state.complement_used)
-    if check_factor_pair(A, fz, state.complement_used)["ok"] is False:
+    if check_factor_pair(A, iso.fhat(state.zeta), state.complement_used)["ok"] is False:
         out.append("chosen complement does not form a factor pair with f_hat(zeta)")
-    if state.neg_odd.get(1) is None or state.neg_odd[1].rep != expected.rep:
-        out.append("neg sigma[1] differs from the pulled-back complement")
-
-    for idx in sorted(state.neg_odd):
-        if idx + 2 in state.neg_odd:
-            if state.neg_odd[idx + 2].rep != f_hat(A, f, theta, state.neg_odd[idx]).rep:
-                out.append(f"neg sigma[{idx + 2}] != f_hat(neg sigma[{idx}])")
-
-    total = Congruence.total(A)
-    for idx, neg in sorted(state.neg_odd.items()):
-        if idx < len(sigmas) and congruence_join(sigmas[idx], neg).rep != total.rep:
-            out.append(f"sigma[{idx}] join its complement is not total")
-
-    for n in range(len(state.ds)):
-        want = congruence_join(sigmas[2 * n], state.neg_odd[2 * n + 1])
-        if state.ds[n].rep != want.rep:
-            out.append(f"d[{n}] does not match its definition")
-
-    for m in range(len(state.ds)):
-        for n in range(m + 1, len(state.ds)):
-            if congruence_join(state.ds[m], state.ds[n]).rep != total.rep:
-                out.append(f"d[{m}] join d[{n}] is not total")
-
-    for n in range(len(state.ds) - 1):
-        if f_hat(A, f, theta, state.ds[n]).rep != state.ds[n + 1].rep:
-            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
-
     return out
 
 
@@ -489,7 +526,7 @@ def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
     if not sigma.refines(theta):
         raise ValidationError("sigma must lie below theta")
     Q = quotient_algebra(A, sigma)
-    theta_prime = quotient_lift("down", A, sigma, theta)
+    theta_prime = quotient_lift("down", Q, sigma, theta)
     in_k = theta_prime.rep in _rep_set(operator_eval(Q.algebra, kind, max_size=max_size))
     QQ = quotient_algebra(Q.algebra, theta_prime).algebra
     hit = iso_search(A, QQ, mode="first", max_size=iso_cap)
@@ -566,12 +603,11 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
     kind = kind or OperatorKind.fc()
     theta = theta if theta is not None else Congruence.diagonal(A)
     sigma = sigma if sigma is not None else Congruence.diagonal(A)
-    if f is None:
-        f = _default_iso(A, theta)
-    _check_iso_onto_quotient(A, f, theta)
+    iso = _QuotientIso(A, f, theta)
+    f = iso.f
     ks = operator_eval(A, kind, max_size=max_size)
     L = all_congruences(A, max_size=max_size)
-    E, M, J, index = L.elements, L.meet_table, L.join_table, L.index
+    E, index = L.elements, L.index
     at = [index[c.rep] for c in ks]
     boolean = boolean_sublattice_check(A, ks)["ok"]
 
@@ -594,7 +630,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
         return entry
 
     for zeta in sigma_bracket(A, f, theta, sigma, kind, max_size=max_size, iso_cap=iso_cap):
-        options = _complements(L, f_hat(A, f, theta, zeta), ks)
+        options = _complements(L, iso.fhat(zeta), ks)
         if not options:
             report["skipped"].append({
                 "zeta": zeta.to_blocks_list(),
@@ -613,10 +649,10 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             attempt["sigma_zeta"] = sz.to_blocks_list()
             attempt["infimum_via"] = how
 
-            z = index[zeta.rep]
-            i_chi = M[index[state.neg_odd[1].rep]][index[sz.rep]]
-            chi = E[i_chi]
-            paired = [c for c in _complements(L, sz, ks) if L.factor_pair(i_chi, J[z][index[c.rep]])]
+            z, n1, i_sz = index[zeta.rep], index[state.neg_odd[1].rep], index[sz.rep]
+            chis = [(c, *chi_pair(z, n1, i_sz, index[c.rep], L.meet, L.join))
+                    for c in _complements(L, sz, ks)]
+            paired = [p for p in chis if L.factor_pair(p[1], p[2])]
             if not paired and not boolean:
                 attempt["failure"] = "no complement of sigma_zeta closes both factor pairs"
                 report["tried"].append(attempt)
@@ -625,8 +661,8 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
                 attempt["failure"] = "Boolean operator but complement of sigma_zeta is missing"
                 report["tried"].append(attempt)
                 continue
-            nsz = paired[0]
-            neg_chi = E[J[z][index[nsz.rep]]]
+            nsz, i_chi, i_neg_chi = paired[0]
+            chi, neg_chi = E[i_chi], E[i_neg_chi]
             attempt["neg_sigma_zeta"] = nsz.to_blocks_list()
             attempt["chi"] = chi.to_blocks_list()
             attempt["neg_chi"] = neg_chi.to_blocks_list()
@@ -648,7 +684,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", bool(hit2),
                                       hit2[0] if hit2 else None))
 
-            fchi = f_hat(A, f, theta, chi)
+            fchi = iso.fhat(chi)
             Qchi = quotient_algebra(A, chi).algebra
             Qfchi = quotient_algebra(A, fchi).algebra
             hit3 = iso_search(Qchi, Qfchi, mode="first", max_size=iso_cap)
@@ -721,7 +757,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         kq_reps = _rep_set(kq)
         above = [t for j, t in zip(at, ks) if L.leq[i][j]]
         above_reps = _rep_set(above)
-        down = {t.rep: quotient_lift("down", A, s, t) for t in above}
+        down = {t.rep: quotient_lift("down", Q, s, t) for t in above}
         downs.append(down)
         missing = [t for t in above if down[t.rep].rep not in kq_reps]
         extra = [q for q in kq if transport(Q.projection, "pullback", q).rep not in above_reps]
@@ -750,7 +786,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                     continue
                 for c in _complements(L, t, ks):
                     image = down[t.rep]
-                    mate = quotient_lift("down", A, s, L.elements[L.join_table[L.index[c.rep]][i]])
+                    mate = quotient_lift("down", Q, s, L.elements[L.join_table[L.index[c.rep]][i]])
                     verdict = check_factor_pair(Q.algebra, image, mate)
                     in_k = image.rep in kq_reps and mate.rep in kq_reps
                     if not verdict["ok"] or not in_k:

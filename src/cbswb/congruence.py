@@ -21,6 +21,7 @@ from .algebra import (
     DEFAULT_EVAL_BUDGET,
     FiniteAlgebra,
     Homomorphism,
+    Quotient,
     image_indices,
     quotient_algebra,
     satisfies,
@@ -472,16 +473,19 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
 # lifting along quotients and transport along homomorphisms
 
 
-def quotient_lift(direction: str, A: FiniteAlgebra, sigma: Congruence, arg: Congruence) -> Congruence:
-    """Move congruences across the natural projection A -> A/sigma.
+def quotient_lift(direction: str, Q: Quotient, sigma: Congruence, arg: Congruence) -> Congruence:
+    """Move congruences across the natural projection of the quotient Q = A/sigma.
 
     "down" sends theta >= sigma to theta/sigma on the quotient; "up" sends
     a congruence of A/sigma to its preimage in Con(A).  The two directions
     are mutually inverse bijections between [sigma, total] and Con(A/sigma).
+    Q is the caller's quotient_algebra(A, sigma), so none is built here.
     """
+    A = Q.projection.source
     if sigma.algebra != A:
         raise ValidationError("sigma does not belong to this algebra")
-    Q = quotient_algebra(A, sigma)
+    if least_rep(Q.projection.mapping) != sigma.rep:
+        raise ValidationError("Q is not the quotient of A by sigma")
     if direction == "down":
         if arg.algebra != A:
             raise ValidationError("argument congruence does not belong to this algebra")

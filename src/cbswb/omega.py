@@ -24,6 +24,7 @@ from .algebra import (
     power_algebra,
     quotient_algebra,
 )
+from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, sequence_violations
 from .congruence import Congruence, compatibility_witness, congruence_join
 from .errors import BudgetError, ValidationError
 from .pset import PeriodicSet
@@ -44,30 +45,6 @@ class OmegaCongruence:
 
     base: FiniteAlgebra
     coords: PeriodicSet
-
-    def is_diagonal(self) -> bool:
-        return self.coords.is_empty()
-
-    def is_total(self) -> bool:
-        return self.coords.is_naturals()
-
-    def meet(self, other: "OmegaCongruence") -> "OmegaCongruence":
-        return OmegaCongruence(self.base, self.coords.intersect(other.coords))
-
-    def join(self, other: "OmegaCongruence") -> "OmegaCongruence":
-        return OmegaCongruence(self.base, self.coords.union(other.coords))
-
-    def complement(self) -> "OmegaCongruence":
-        return OmegaCongruence(self.base, self.coords.complement())
-
-    def refines(self, other: "OmegaCongruence") -> bool:
-        return self.coords.subset(other.coords)
-
-    def factor_pair_with(self, other: "OmegaCongruence") -> bool:
-        return (
-            self.coords.intersect(other.coords).is_empty()
-            and self.coords.union(other.coords).is_naturals()
-        )
 
     def restrict_rep(self, m: int):
         """Least-representative array of the restriction to the first m coordinates."""
@@ -276,26 +253,17 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
         sigmas.append(iso.fhat(sigmas[-2]))
     thetas = [None] + [sigmas[n - 1] for n in range(1, len(sigmas))]
 
-    neg_odd = {1: iso.fhat_inv(iso.fhat(zeta).complement())}
-    i = 1
-    while i + 2 < len(sigmas):
-        neg_odd[i + 2] = iso.fhat(neg_odd[i])
-        i += 2
-
-    ds = []
-    n = 0
-    while 2 * n < len(sigmas) and (2 * n + 1) in neg_odd:
-        ds.append(sigmas[2 * n].union(neg_odd[2 * n + 1]))
-        n += 1
+    neg1 = iso.fhat_inv(iso.fhat(zeta).complement())
+    neg_odd, ds = sequence_tail(sigmas, neg1, iso.fhat, PeriodicSet.union)
     if len(ds) < 2:
         raise ValidationError("need at least two d-terms; raise the index count")
 
     family = AffineFamily(ds[1], k, "union", theta)
     sigma_zeta, cert = countable_infimum(family, certificate=True)
 
-    chi = zeta.complement().intersect(sigma_zeta)
     neg_sigma_zeta = sigma_zeta.complement()
-    neg_chi = zeta.union(neg_sigma_zeta)
+    chi, neg_chi = chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta,
+                            PeriodicSet.intersect, PeriodicSet.union)
 
     naturals = PeriodicSet.naturals()
     equations = [
@@ -340,56 +308,42 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
     )
 
 
+def _d_pairs_may_fail(ds) -> bool:
+    # a pair of d-terms misses a coordinate only if two complements share
+    # it, so one linear pass decides whether the pairs need checking
+    seen = twice = PeriodicSet.empty()
+    for d in ds:
+        gap = d.complement()
+        twice = twice.union(seen.intersect(gap))
+        seen = seen.union(gap)
+    return not twice.is_empty()
+
+
 def omega_validate(run: OmegaRun):
-    """Symbolic law re-check mirroring the finite sequence validator."""
+    """Symbolic law re-check: the law list shared with the finite validator,
+    then theta, sigma_zeta and chi, which only the symbolic run has."""
     iso = run.iso()
-    out = []
-    naturals = PeriodicSet.naturals()
-    if not run.sigmas[0].is_empty():
-        out.append("sigma[0] is not the diagonal")
-    if run.sigmas[1] != run.zeta:
-        out.append("sigma[1] differs from zeta")
-    for n in range(len(run.sigmas) - 2):
-        if iso.fhat(run.sigmas[n]) != run.sigmas[n + 2]:
-            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
+    out = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
+    if out:
+        return out
+    lattice = SequenceLattice(
+        iso.fhat, PeriodicSet.union, PeriodicSet.subset,
+        PeriodicSet.is_empty, PeriodicSet.is_naturals,
+        ("union", "misses coordinates", "the complement rule"), _d_pairs_may_fail,
+    )
+    neg1 = iso.fhat_inv(iso.fhat(run.zeta).complement())
+    out += sequence_violations(lattice, run.sigmas, run.zeta, run.neg_odd, neg1, run.ds)
     for n in range(1, len(run.thetas)):
         if run.thetas[n] != run.sigmas[n - 1]:
             out.append(f"theta[{n}] is not the image of sigma[{n - 1}]")
-    for n in range(len(run.sigmas) - 1):
-        if not run.sigmas[n].subset(run.sigmas[n + 1]):
-            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
-    expected = iso.fhat_inv(iso.fhat(run.zeta).complement())
-    if run.neg_odd.get(1) != expected:
-        out.append("neg sigma[1] differs from the complement rule")
-    for i in sorted(run.neg_odd):
-        if i + 2 in run.neg_odd and run.neg_odd[i + 2] != iso.fhat(run.neg_odd[i]):
-            out.append(f"neg sigma[{i + 2}] != f_hat(neg sigma[{i}])")
-        if i < len(run.sigmas) and run.sigmas[i].union(run.neg_odd[i]) != naturals:
-            out.append(f"sigma[{i}] union its complement misses coordinates")
-    for n in range(len(run.ds)):
-        if run.ds[n] != run.sigmas[2 * n].union(run.neg_odd[2 * n + 1]):
-            out.append(f"d[{n}] does not match its definition")
-    # a pair of d-terms misses a coordinate only if two complements share
-    # it, so one linear pass decides whether the pairs need checking
-    gaps = [d.complement() for d in run.ds]
-    seen = twice = PeriodicSet.empty()
-    for gap in gaps:
-        twice = twice.union(seen.intersect(gap))
-        seen = seen.union(gap)
-    if not twice.is_empty():
-        for a in range(len(run.ds)):
-            for b in range(a + 1, len(run.ds)):
-                if not gaps[a].subset(run.ds[b]):
-                    out.append(f"d[{a}] union d[{b}] misses coordinates")
-    for n in range(len(run.ds) - 1):
-        if iso.fhat(run.ds[n]) != run.ds[n + 1]:
-            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
     for n in range(1, len(run.ds)):
         if not run.sigma_zeta.subset(run.ds[n]):
             out.append(f"sigma_zeta is not below d[{n}]")
-    if run.chi != run.zeta.complement().intersect(run.sigma_zeta):
+    chi, neg_chi = chi_pair(run.zeta, neg1, run.sigma_zeta, run.sigma_zeta.complement(),
+                            PeriodicSet.intersect, PeriodicSet.union)
+    if run.chi != chi:
         out.append("chi does not match its definition")
-    if run.neg_chi != run.zeta.union(run.sigma_zeta.complement()):
+    if run.neg_chi != neg_chi:
         out.append("neg_chi does not match its definition")
     return out
 
@@ -433,6 +387,11 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
             entry["witness"] = witness
         checks.append(entry)
 
+    def summary():
+        return {"ok": all(c["ok"] for c in checks), "m": m, "carrier": carrier,
+                "materialized": materialized, "checks": checks,
+                "failures": [c for c in checks if not c["ok"]]}
+
     # set equations are global and exact, recomputed from the run fields
     naturals = PeriodicSet.naturals()
     record("chi meets neg_chi in the diagonal", run.chi.intersect(run.neg_chi).is_empty(),
@@ -449,7 +408,14 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     record("chi^c shifted onto sigma_zeta^c", shifted == neg_sz,
            {"pair": [shifted.render(), neg_sz.render()]})
 
-    # sequence laws compared on the coordinate window, as masks of m bits
+    # sequence laws compared on the coordinate window, as masks of m bits;
+    # they read every term by index, so tables that do not fit the sigmas
+    # end the check here
+    shape = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
+    for reason in shape:
+        record("sequence shape", False, {"reason": reason})
+    if shape:
+        return summary()
     full = (1 << m) - 1
     for n in range(len(run.sigmas) - 2):
         x = _window_mismatch(iso.fhat(run.sigmas[n]), run.sigmas[n + 2], m)
@@ -460,13 +426,12 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
             x = _window_mismatch(iso.fhat(run.neg_odd[i]), run.neg_odd[i + 2], m)
             record(f"complement rule neg_sigma[{i + 2}]", x is None,
                    {"pair": [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"], "coordinate": x})
-        if i < len(run.sigmas):
-            miss = _lowest(full ^ (run.sigmas[i].bits_below(m) | run.neg_odd[i].bits_below(m)))
-            record(f"totality sigma[{i}] u neg_sigma[{i}]", miss is None,
-                   {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": miss})
-    for n in range(len(run.ds)):
+        miss = _lowest(full ^ (run.sigmas[i].bits_below(m) | run.neg_odd[i].bits_below(m)))
+        record(f"totality sigma[{i}] u neg_sigma[{i}]", miss is None,
+               {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": miss})
+    for n, d in enumerate(run.ds):
         want = run.sigmas[2 * n].union(run.neg_odd[2 * n + 1])
-        x = _window_mismatch(run.ds[n], want, m)
+        x = _window_mismatch(d, want, m)
         record(f"definition d[{n}]", x is None,
                {"pair": [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"], "coordinate": x})
 
@@ -548,15 +513,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         record("pairing partition of zeta^c", bad is None,
                {"pair": ["zeta^c", "chi + sigma_zeta^c"], "coordinate": bad}, exact)
 
-    ok = all(c["ok"] for c in checks)
-    return {
-        "ok": ok,
-        "m": m,
-        "carrier": carrier,
-        "materialized": materialized,
-        "checks": checks,
-        "failures": [c for c in checks if not c["ok"]],
-    }
+    return summary()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from cbswb.algebra import (
 )
 from cbswb.cbs import (
     OperatorKind,
+    _infimum_in_k,
     boolean_sublattice_check,
     cbs_complete_check,
     cbs_property_check,
@@ -190,6 +191,44 @@ def test_validate_sequence_flags_mutations():
     bad3.neg_odd[3] = Congruence.diagonal(A)
     msgs3 = validate_sequence(bad3)
     assert msgs3
+
+
+def test_validate_sequence_reports_malformed_tables():
+    A, theta, f = _diag_setup("v4")
+    state = cbs_sequence(A, f, theta, Congruence.diagonal(A))
+    odd = len(state.ds)
+
+    extra = copy.copy(state)
+    extra.ds = state.ds + [state.ds[-1]]
+    assert validate_sequence(extra) == [f"{odd + 1} d-terms for {odd} odd indices"]
+
+    gap = copy.copy(state)
+    gap.neg_odd = {i: c for i, c in state.neg_odd.items() if i != 3}
+    assert validate_sequence(gap) == [
+        f"neg sigma is not indexed by the odd indices below {len(state.sigmas)}"
+    ]
+
+    short = copy.copy(state)
+    short.thetas = state.thetas[:-2]
+    assert validate_sequence(short) == [
+        f"{len(state.sigmas) - 2} thetas for {len(state.sigmas)} sigmas"
+    ]
+
+
+def test_infimum_in_k_takes_the_greatest_member_below_the_d_terms():
+    # Con(boole2^3) is the Boolean lattice 2^3; with K(A) = {diagonal, a,
+    # total} the meet a v b of the d-terms lies outside K(A), and a is the
+    # greatest member of K(A) below it
+    A = power_algebra(corpus_algebra("boole2"), 3)
+    L = all_congruences(A)
+    E = L.elements
+    atoms = [i for i in range(L.size) if sum(row[i] for row in L.leq) == 2]
+    assert len(E) == 8 and len(atoms) == 3
+    a, b = atoms[:2]
+    ds = [E[L.join(a, b)]]
+    assert _infimum_in_k(L, [L.bottom, a, L.top], ds) == (E[a], "greatest_in_k")
+    # with both atoms in K(A) both lie below a v b and neither is the greatest
+    assert _infimum_in_k(L, [L.bottom, a, b, L.top], ds) == (None, "does not exist")
 
 
 def test_cbs_property_finite_triviality():

@@ -188,12 +188,12 @@ def test_quotient_lift_round_trip_and_order_iso():
         for sigma in E:
             Q = quotient_algebra(A, sigma)
             above = [t for t in E if sigma.refines(t)]
-            down = [quotient_lift("down", A, sigma, t) for t in above]
+            down = [quotient_lift("down", Q, sigma, t) for t in above]
             qE = {c.rep for c in all_congruences(Q.algebra)}
             # the correspondence is a bijection [sigma, total] -> Con(A/sigma)
             assert {d.rep for d in down} == qE, name
             for t, d in zip(above, down):
-                back = quotient_lift("up", A, sigma, d)
+                back = quotient_lift("up", Q, sigma, d)
                 assert back.rep == t.rep
             # and it preserves order both ways
             for i, t1 in enumerate(above):
@@ -204,15 +204,22 @@ def test_quotient_lift_round_trip_and_order_iso():
 def test_quotient_lift_rejects_bad_arguments():
     z4 = corpus_algebra("z4")
     sigma = principal_congruence(z4, 0, 2)
+    Q = quotient_algebra(z4, sigma)
     other = Congruence.diagonal(corpus_algebra("v4"))
     with pytest.raises(ValidationError):
-        quotient_lift("down", z4, sigma, other)
+        quotient_lift("down", Q, sigma, other)
+    total = Congruence.total(z4)
     with pytest.raises(ValidationError):
-        quotient_lift("down", z4, Congruence.total(z4), sigma)  # sigma not above total
+        quotient_lift("down", quotient_algebra(z4, total), total, sigma)  # sigma not above total
     with pytest.raises(ValidationError):
-        quotient_lift("sideways", z4, sigma, sigma)
+        quotient_lift("sideways", Q, sigma, sigma)
     with pytest.raises(ValidationError):
-        quotient_lift("up", z4, sigma, sigma)  # arg lives on A, not A/sigma
+        quotient_lift("up", Q, sigma, sigma)  # arg lives on A, not A/sigma
+    # Q must be the quotient by sigma, in both directions
+    diagonal = Congruence.diagonal(z4)
+    for direction, arg in (("down", sigma), ("up", Congruence.diagonal(Q.algebra))):
+        with pytest.raises(ValidationError, match="not the quotient"):
+            quotient_lift(direction, Q, diagonal, arg)
 
 
 def test_transport_functor_laws_on_200_triples():

@@ -3,8 +3,11 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbswb import (
     AffineFamily,
@@ -309,6 +312,72 @@ def test_validate_lists_every_failing_d_pair():
     ]
 
 
+def _malformed(kind):
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    if kind == "extra d-term":
+        run.ds.append(run.ds[-1])
+    elif kind == "missing neg sigma[3]":
+        del run.neg_odd[3]
+    elif kind == "two extra thetas":
+        run.thetas += run.thetas[-2:]
+    else:
+        run.sigmas, run.thetas, run.neg_odd, run.ds = run.sigmas[:1], run.thetas[:1], {}, []
+    return run
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("extra d-term", "6 d-terms for 5 odd indices"),
+    ("missing neg sigma[3]", "neg sigma is not indexed by the odd indices below 11"),
+    ("two extra thetas", "13 thetas for 11 sigmas"),
+    ("one sigma", "1 sigmas, fewer than sigma[0] and sigma[1]"),
+])
+def test_malformed_runs_are_reported_not_raised(kind, reason):
+    assert omega_validate(_malformed(kind)) == [reason]
+    # m = 4 is materialized, m = 12 is checked on coordinate sets
+    for m in (4, 12):
+        result = truncate_validate(_malformed(kind), m)
+        assert result["failures"] == [
+            {"name": "sequence shape", "ok": False, "witness": {"reason": reason}}
+        ]
+
+
+@st.composite
+def symbolic_runs(draw):
+    base = corpus_algebra(draw(st.sampled_from(("z2", "z3", "semilat2"))))
+    k = draw(st.integers(1, 6))
+    zeta = PeriodicSet.from_finite(sorted(draw(st.frozensets(st.integers(0, k - 1)))))
+    return omega_cbs_run(base, k, zeta, indices=draw(st.integers(3, 40)))
+
+
+# how a violation names sigma[n], neg sigma[n] and d[n]
+NAMES = {"sigma": r"(?<!neg )sigma\[{}\]", "neg": r"neg sigma\[{}\]", "d": r"\bd\[{}\]"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(symbolic_runs(), st.data())
+def test_shared_law_list_on_random_runs(run, data):
+    assert omega_validate(run) == []
+    assert truncate_validate(run, 2 * run.k)["ok"]
+    # add one coordinate to one term that is not already every coordinate
+    terms = [("sigma", n, S) for n, S in enumerate(run.sigmas)]
+    terms += [("neg", i, S) for i, S in run.neg_odd.items()]
+    terms += [("d", n, S) for n, S in enumerate(run.ds)]
+    field, n, S = data.draw(st.sampled_from([t for t in terms if not t[2].is_naturals()]))
+    # an eventually periodic set that misses a coordinate misses one
+    # below its threshold plus its period
+    gaps = S.complement().bits_below(S.threshold + S.period)
+    x = data.draw(st.sampled_from([i for i in range(gaps.bit_length()) if gaps >> i & 1]))
+    grown = S.union(PeriodicSet.from_finite([x]))
+    if field == "sigma":
+        run.sigmas[n] = grown
+    elif field == "neg":
+        run.neg_odd[n] = grown
+    else:
+        run.ds[n] = grown
+    violations = omega_validate(run)
+    assert any(re.search(NAMES[field].format(n), v) for v in violations), (field, n, violations)
+
+
 # -- the countable infimum -----------------------------------------------------
 
 
@@ -444,22 +513,20 @@ def test_coordinate_lattice_matches_congruence_lattice():
     m = 3
     Bm = power_algebra(base, m)
     sets = [PeriodicSet.from_finite(s) for s in ([], [0], [1], [2], [0, 2], [0, 1], [1, 2], [0, 1, 2])]
+
+    def theta(S):
+        return OmegaCongruence(base, S).restrict(Bm, m)
+
     for S in sets:
-        a = OmegaCongruence(base, S)
-        assert a.is_diagonal() == S.is_empty()
-        comp = a.complement()
-        assert a.factor_pair_with(comp)
-        verdict = check_factor_pair(Bm, a.restrict(Bm, m), comp.restrict(Bm, m))
+        assert theta(S).is_diagonal() == S.is_empty()
+        comp = S.complement()
+        assert S.intersect(comp).is_empty() and S.union(comp).is_naturals()
+        verdict = check_factor_pair(Bm, theta(S), theta(comp))
         assert verdict["ok"], verdict
         for T in sets:
-            b = OmegaCongruence(base, T)
-            assert a.refines(b) == S.subset(T)
-            got = a.meet(b).restrict(Bm, m)
-            want = congruence_meet(a.restrict(Bm, m), b.restrict(Bm, m))
-            assert got.rep == want.rep
-            got = a.join(b).restrict(Bm, m)
-            want = congruence_join(a.restrict(Bm, m), b.restrict(Bm, m))
-            assert got.rep == want.rep
+            assert theta(S).refines(theta(T)) == S.subset(T)
+            assert theta(S.intersect(T)).rep == congruence_meet(theta(S), theta(T)).rep
+            assert theta(S.union(T)).rep == congruence_join(theta(S), theta(T)).rep
 
 
 # -- truncation checks ---------------------------------------------------------
