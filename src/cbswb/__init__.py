@@ -65,7 +65,7 @@ from .omega import (
     quasicyclic_suite,
     truncate_validate,
 )
-from .pset import PeriodicSet, pset_algebra
+from .pset import PeriodicSet
 from .report import Report, lattice_dot, parse_report, render_report
 from .structure import (
     bfc_check,

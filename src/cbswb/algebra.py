@@ -484,9 +484,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return self.source.size == self.target.size and len(set(self.mapping)) == self.source.size
 
-    def is_isomorphism(self) -> bool:
-        return self.is_bijective()
-
     def inverse(self) -> "Homomorphism":
         if not self.is_bijective():
             raise ValidationError("map is not bijective")
@@ -526,13 +523,6 @@ class Homomorphism:
 # products, quotients, relabelings
 
 
-@dataclass(frozen=True)
-class Product:
-    algebra: FiniteAlgebra
-    left: Homomorphism
-    right: Homomorphism
-
-
 def _product_ops(opsa, na: int, opsb, nb: int) -> list:
     """Operations of the product of two carriers of sizes na and nb whose
     operations have one signature, (a, b) encoded as a*nb + b."""
@@ -549,15 +539,12 @@ def _product_ops(opsa, na: int, opsb, nb: int) -> list:
     ]
 
 
-def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = None) -> Product:
+def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = None) -> FiniteAlgebra:
     """Componentwise product; element (a, b) is encoded as a*|B| + b."""
     if A.signature() != B.signature():
         raise ValidationError("product factors must share a signature")
-    n = A.size * B.size
-    P = FiniteAlgebra(name or f"{A.name}x{B.name}", n, _product_ops(A.ops, A.size, B.ops, B.size))
-    left = [p // B.size for p in range(n)]
-    right = list(range(B.size)) * A.size
-    return Product(P, Homomorphism(P, A, left), Homomorphism(P, B, right))
+    return FiniteAlgebra(name or f"{A.name}x{B.name}", A.size * B.size,
+                         _product_ops(A.ops, A.size, B.ops, B.size))
 
 
 def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> FiniteAlgebra:
@@ -644,31 +631,14 @@ def _element_labels(A: FiniteAlgebra):
     return [tuple(label) for label in labels]
 
 
-def iso_search(
-    A: FiniteAlgebra,
-    B: FiniteAlgebra,
-    mode: str = "first",
-    candidate: Optional[Sequence[int]] = None,
-    max_size: int = DEFAULT_ISO_CAP,
-):
+def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, mode: str = "first",
+               max_size: int = DEFAULT_ISO_CAP):
     """Search for isomorphisms A -> B.
 
     mode "first" returns at most one witness (the lexicographically least
-    map), "all" returns every isomorphism, "verify" checks the supplied
-    candidate mapping.  Always returns a list of Homomorphisms.
+    map), "all" returns every isomorphism.  Always returns a list of
+    Homomorphisms.
     """
-    if mode == "verify":
-        if candidate is None:
-            raise ValidationError("verify mode needs a candidate mapping")
-        if A.signature() != B.signature() or A.size != B.size:
-            return []
-        mapping = tuple(candidate)
-        if len(mapping) != A.size or sorted(mapping) != list(range(B.size)):
-            return []
-        try:
-            return [Homomorphism(A, B, mapping)]
-        except ValidationError:
-            return []
     if mode not in ("first", "all"):
         raise ValidationError(f"unknown mode {mode!r}")
     if A.signature() != B.signature() or A.size != B.size:

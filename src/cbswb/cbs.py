@@ -115,15 +115,14 @@ def _complements(L: CongruenceLattice, x: Congruence, ks):
     return [c for c in ks if L.factor_pair(i, L.index[c.rep])]
 
 
-def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8,
-                  iso_cap: int = DEFAULT_ISO_CAP) -> dict:
+def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8) -> dict:
     """K-morphism test: some sigma in K(source) has quotient isomorphic to the target."""
     A, B = f.source, f.target
     ks = operator_eval(A, kind, max_size=max_size)
     kernel_in_k = f.kernel().rep in _rep_set(ks)
     for sigma in ks:
         Q = quotient_algebra(A, sigma).algebra
-        hit = iso_search(Q, B, mode="first", max_size=iso_cap)
+        hit = iso_search(Q, B, mode="first")
         if hit:
             return {"admissible": True, "sigma": sigma, "iso": hit[0], "kernel_in_k": kernel_in_k}
     return {"admissible": False, "sigma": None, "iso": None, "kernel_in_k": kernel_in_k}
@@ -144,9 +143,9 @@ class _QuotientIso:
         Q = quotient_algebra(A, theta)
         if f is None:
             f = Q.projection
-            if not f.is_isomorphism():
+            if not f.is_bijective():
                 raise ValidationError("no default isomorphism: theta collapses elements")
-        elif f.source != A or not f.is_isomorphism() or not f.target.same_tables(Q.algebra):
+        elif f.source != A or not f.is_bijective() or not f.target.same_tables(Q.algebra):
             raise ValidationError("f is not an isomorphism onto A/theta")
         self.A, self.f, self.theta, self.Q = A, f, theta, Q
 
@@ -157,12 +156,12 @@ class _QuotientIso:
     def fhat(self, sigma: Congruence) -> Congruence:
         if sigma.algebra != self.A:
             raise ValidationError("sigma does not belong to this algebra")
-        return quotient_lift("up", self.Q, self.theta, self.push(sigma))
+        return quotient_lift("up", self.Q, self.push(sigma))
 
     def fhat_inv(self, psi: Congruence) -> Congruence:
         if psi.algebra != self.A:
             raise ValidationError("psi does not belong to this algebra")
-        dropped = quotient_lift("down", self.Q, self.theta, congruence_join(psi, self.theta))
+        dropped = quotient_lift("down", self.Q, congruence_join(psi, self.theta))
         return transport(self.f, "pullback", Congruence(self.f.target, dropped.rep))
 
 
@@ -206,15 +205,9 @@ def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
     }
 
 
-def sigma_bracket(A: FiniteAlgebra, f, theta: Congruence, sigma: Congruence,
-                  kind: OperatorKind, max_size: int = 8, iso_cap: int = DEFAULT_ISO_CAP):
-    """<sigma>_theta: congruences below theta in K(A) whose quotient matches A/sigma.
-
-    f is part of the ambient data and may be None; the bracket itself only
-    depends on theta, sigma and the operator.
-    """
-    if f is not None:
-        _QuotientIso(A, f, theta)  # checks f
+def sigma_bracket(A: FiniteAlgebra, theta: Congruence, sigma: Congruence,
+                  kind: OperatorKind, max_size: int = 8):
+    """<sigma>_theta: congruences below theta in K(A) whose quotient matches A/sigma."""
     ks = operator_eval(A, kind, max_size=max_size)
     reps = _rep_set(ks)
     if theta.rep not in reps or sigma.rep not in reps:
@@ -227,7 +220,7 @@ def sigma_bracket(A: FiniteAlgebra, f, theta: Congruence, sigma: Congruence,
         if not zeta.refines(theta):
             continue
         Q = quotient_algebra(A, zeta).algebra
-        if iso_search(base, Q, mode="first", max_size=iso_cap):
+        if iso_search(base, Q, mode="first"):
             out.append(zeta)
     return out
 
@@ -359,7 +352,7 @@ class CbsSequenceState:
 
 def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
                  kind: Optional[OperatorKind] = None, complement: Optional[Congruence] = None,
-                 limit: int = DEFAULT_SEQUENCE_LIMIT, max_size: int = 8) -> CbsSequenceState:
+                 max_size: int = 8) -> CbsSequenceState:
     """Run the sigma/theta recursion from zeta and attach the complement data.
 
     sigma_0 is the diagonal, sigma_1 = zeta, theta_{n+1} is the pushforward
@@ -381,7 +374,7 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
     stabilized_at = None
     while True:
         n = len(sigmas) - 1
-        nxt_sigma = quotient_lift("up", iso.Q, theta, thetas[n])
+        nxt_sigma = quotient_lift("up", iso.Q, thetas[n])
         nxt_theta = iso.push(sigmas[n])
         sigmas.append(nxt_sigma)
         thetas.append(nxt_theta)
@@ -389,8 +382,9 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
             stabilized_at = n + 1
         if stabilized_at is not None and len(sigmas) >= 8:
             break
-        if len(sigmas) > limit:
-            raise ValidationError(f"sequence did not stabilize within {limit} indices")
+        if len(sigmas) > DEFAULT_SEQUENCE_LIMIT:
+            raise ValidationError(
+                f"sequence did not stabilize within {DEFAULT_SEQUENCE_LIMIT} indices")
 
     options = _complements(all_congruences(A, max_size=max_size), iso.fhat(zeta), ks)
     if complement is not None:
@@ -429,7 +423,7 @@ def validate_sequence(state: CbsSequenceState):
     if thetas[1].rep != Congruence.diagonal(iso.Q.algebra).rep:
         out.append("theta[1] is not the diagonal of the quotient")
     for n in range(1, len(sigmas) - 1):
-        if sigmas[n + 1].rep != quotient_lift("up", iso.Q, theta, thetas[n]).rep:
+        if sigmas[n + 1].rep != quotient_lift("up", iso.Q, thetas[n]).rep:
             out.append(f"sigma[{n + 1}] breaks the recursion")
         if thetas[n + 1].rep != iso.push(sigmas[n]).rep:
             out.append(f"theta[{n + 1}] breaks the recursion")
@@ -443,7 +437,7 @@ def validate_sequence(state: CbsSequenceState):
 
 
 def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
-                       max_size: int = 8, iso_cap: int = DEFAULT_ISO_CAP) -> dict:
+                       max_size: int = 8) -> dict:
     """Downward-closure form of the CBS property over K(A).
 
     For every theta in K(A) with A isomorphic to A/theta, every sigma in
@@ -454,7 +448,7 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     ks = operator_eval(A, kind, max_size=max_size)
 
     def self_iso(c: Congruence) -> bool:
-        return bool(iso_search(A, quotient_algebra(A, c).algebra, mode="first", max_size=iso_cap))
+        return bool(iso_search(A, quotient_algebra(A, c).algebra, mode="first"))
 
     anchors = [c for c in ks if self_iso(c)]
     holds, witnesses, checked = True, [], 0
@@ -481,7 +475,7 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
 
 
 def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind] = None,
-                        max_size: int = 8, iso_cap: int = DEFAULT_ISO_CAP) -> dict:
+                        max_size: int = 8) -> dict:
     """Definition form of the CBS property against a list of partner algebras.
 
     Whenever A matches B/theta_B and B matches A/theta_A for operator
@@ -495,15 +489,15 @@ def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind]
             continue
         kb = operator_eval(B, kind, max_size=max_size)
         down_b = [tb for tb in kb
-                  if iso_search(A, quotient_algebra(B, tb).algebra, mode="first", max_size=iso_cap)]
+                  if iso_search(A, quotient_algebra(B, tb).algebra, mode="first")]
         if not down_b:
             continue
         down_a = [ta for ta in ka
-                  if iso_search(B, quotient_algebra(A, ta).algebra, mode="first", max_size=iso_cap)]
+                  if iso_search(B, quotient_algebra(A, ta).algebra, mode="first")]
         for tb in down_b:
             for ta in down_a:
                 instances += 1
-                if not iso_search(A, B, mode="first", max_size=iso_cap):
+                if not iso_search(A, B, mode="first"):
                     failures.append({
                         "partner": B.name,
                         "theta_b": tb.to_blocks_list(),
@@ -519,17 +513,16 @@ def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind]
 
 
 def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
-                     kind: Optional[OperatorKind] = None, max_size: int = 8,
-                     iso_cap: int = DEFAULT_ISO_CAP) -> dict:
+                     kind: Optional[OperatorKind] = None, max_size: int = 8) -> dict:
     """Exhibit theta' = theta/sigma with A isomorphic to (A/sigma)/theta'."""
     kind = kind or OperatorKind.con()
     if not sigma.refines(theta):
         raise ValidationError("sigma must lie below theta")
     Q = quotient_algebra(A, sigma)
-    theta_prime = quotient_lift("down", Q, sigma, theta)
+    theta_prime = quotient_lift("down", Q, theta)
     in_k = theta_prime.rep in _rep_set(operator_eval(Q.algebra, kind, max_size=max_size))
     QQ = quotient_algebra(Q.algebra, theta_prime).algebra
-    hit = iso_search(A, QQ, mode="first", max_size=iso_cap)
+    hit = iso_search(A, QQ, mode="first")
     return {
         "theta_prime": theta_prime,
         "in_operator": in_k,
@@ -589,8 +582,7 @@ def _infimum_in_k(L: CongruenceLattice, at, ds):
 
 def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = None,
                        sigma: Optional[Congruence] = None, kind: Optional[OperatorKind] = None,
-                       max_size: int = 8, iso_cap: int = DEFAULT_ISO_CAP,
-                       limit: int = DEFAULT_SEQUENCE_LIMIT) -> dict:
+                       max_size: int = 8) -> dict:
     """Search for a certified CBS-completeness witness below theta.
 
     Tries each zeta in <sigma>_theta and each complement choice, computes
@@ -629,7 +621,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             entry["iso"] = list(iso.mapping)
         return entry
 
-    for zeta in sigma_bracket(A, f, theta, sigma, kind, max_size=max_size, iso_cap=iso_cap):
+    for zeta in sigma_bracket(A, theta, sigma, kind, max_size=max_size):
         options = _complements(L, iso.fhat(zeta), ks)
         if not options:
             report["skipped"].append({
@@ -639,8 +631,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             continue
         for comp in options:
             attempt = {"zeta": zeta.to_blocks_list(), "complement": comp.to_blocks_list()}
-            state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp,
-                                 limit=limit, max_size=max_size)
+            state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp, max_size=max_size)
             sz, how = _infimum_in_k(L, at, state.ds[1:])
             if sz is None:
                 attempt["failure"] = "d-term infimum does not exist in K(A)"
@@ -679,22 +670,21 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             Qz = quotient_algebra(A, zeta).algebra
             Qnc = quotient_algebra(A, neg_chi).algebra
             Qsz = quotient_algebra(A, sz).algebra
-            P = direct_product(Qnc, Qsz).algebra
-            hit2 = iso_search(Qz, P, mode="first", max_size=iso_cap)
+            hit2 = iso_search(Qz, direct_product(Qnc, Qsz), mode="first")
             equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", bool(hit2),
                                       hit2[0] if hit2 else None))
 
             fchi = iso.fhat(chi)
             Qchi = quotient_algebra(A, chi).algebra
             Qfchi = quotient_algebra(A, fchi).algebra
-            hit3 = iso_search(Qchi, Qfchi, mode="first", max_size=iso_cap)
+            hit3 = iso_search(Qchi, Qfchi, mode="first")
             equations.append(equation("A/chi ~ A/f_hat(chi)", bool(hit3),
                                       hit3[0] if hit3 else None))
 
             equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
 
             Qs = quotient_algebra(A, sigma).algebra
-            conc = iso_search(A, Qs, mode="first", max_size=iso_cap)
+            conc = iso_search(A, Qs, mode="first")
             conclusion = equation("A ~ A/sigma", bool(conc), conc[0] if conc else None)
 
             if all(e["ok"] for e in equations) and conclusion["ok"]:
@@ -718,8 +708,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
 
 
 def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] = None,
-                   boolean: bool = False, max_size: int = 8,
-                   iso_cap: int = DEFAULT_ISO_CAP) -> dict:
+                   boolean: bool = False, max_size: int = 8) -> dict:
     """Verify the operator axioms on A and all of its operator quotients.
 
     Checks the diagonal axiom, the two-sided correspondence between
@@ -757,7 +746,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         kq_reps = _rep_set(kq)
         above = [t for j, t in zip(at, ks) if L.leq[i][j]]
         above_reps = _rep_set(above)
-        down = {t.rep: quotient_lift("down", Q, s, t) for t in above}
+        down = {t.rep: quotient_lift("down", Q, t) for t in above}
         downs.append(down)
         missing = [t for t in above if down[t.rep].rep not in kq_reps]
         extra = [q for q in kq if transport(Q.projection, "pullback", q).rep not in above_reps]
@@ -786,7 +775,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                     continue
                 for c in _complements(L, t, ks):
                     image = down[t.rep]
-                    mate = quotient_lift("down", Q, s, L.elements[L.join_table[L.index[c.rep]][i]])
+                    mate = quotient_lift("down", Q, L.elements[L.join_table[L.index[c.rep]][i]])
                     verdict = check_factor_pair(Q.algebra, image, mate)
                     in_k = image.rep in kq_reps and mate.rep in kq_reps
                     if not verdict["ok"] or not in_k:
@@ -808,7 +797,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     boolean_block = boolean_sublattice_check(A, ks) if boolean else None
 
     auto = iso_search(A, A, mode="all", max_size=max_size)
-    copies = [(g, A) for g in auto[:iso_cap]]
+    copies = [(g, A) for g in auto[:DEFAULT_ISO_CAP]]
     perm = tuple((i + 1) % A.size for i in range(A.size))
     B, to_copy = relabel(A, perm, name=f"{A.name}~")
     copies.append((to_copy, B))

@@ -29,7 +29,7 @@ from .cbs import (
     presheaf_check,
 )
 from .congruence import Congruence, all_congruences
-from .errors import BudgetError, CbswbError, FormatError, ValidationError
+from .errors import CbswbError, FormatError, ValidationError
 from .omega import omega_cbs_run, omega_validate, quasicyclic_suite, truncate_validate
 from .pset import PeriodicSet
 from .report import Report, lattice_dot, render_report
@@ -55,7 +55,7 @@ def _blocks_literal(A, text: str) -> Congruence:
         raise FormatError(f"congruence literal is not valid JSON ({e})")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise FormatError("congruence literal must look like [[0,2],[1,3]]")
-    return Congruence.from_blocks(A, blocks, check=True)
+    return Congruence.from_blocks(A, blocks)
 
 
 def _kind(args) -> OperatorKind:
@@ -165,12 +165,7 @@ def _cmd_cbs_check(args):
 
 def _cmd_cbs_complete(args):
     A = _load(args.file)
-    theta = _blocks_literal(A, args.theta) if args.theta else None
-    sigma = _blocks_literal(A, args.sigma) if args.sigma else None
-    body = cbs_complete_check(
-        A, theta=theta, sigma=sigma, kind=_kind(args),
-        max_size=_max_size(args, DEFAULT_CON_SIZE),
-    )
+    body = cbs_complete_check(A, kind=_kind(args), max_size=_max_size(args, DEFAULT_CON_SIZE))
     # absence of a certificate is not a refutation
     return "pass", body
 
@@ -276,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="skip the factor-pair axiom")
             sp.add_argument("--boolean", action="store_true",
                             help="also require a Boolean operator")
-        if verb == "cbs-complete":
-            sp.add_argument("--theta", metavar="BLOCKS")
-            sp.add_argument("--sigma", metavar="BLOCKS")
 
     sp = add("omega-demo", "symbolic CBS run over a countable power")
     sp.add_argument("--base", required=True, metavar="FILE")

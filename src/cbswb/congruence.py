@@ -101,9 +101,9 @@ class Congruence:
         return _blocks_from_rep(self.rep)
 
     @staticmethod
-    def from_blocks(algebra: FiniteAlgebra, blocks, check: bool = True) -> "Congruence":
-        """Build from a block list, validating the partition and, when
-        check is set, compatibility with every operation."""
+    def from_blocks(algebra: FiniteAlgebra, blocks) -> "Congruence":
+        """Build from a block list, validating the partition and its
+        compatibility with every operation."""
         seen = {}
         for b in blocks:
             if not b:
@@ -118,10 +118,9 @@ class Congruence:
             missing = [x for x in range(algebra.size) if x not in seen]
             raise ValidationError(f"partition misses elements {missing}")
         rep = tuple(seen[x] for x in range(algebra.size))
-        if check:
-            witness = compatibility_witness(algebra, rep)
-            if witness is not None:
-                raise ValidationError(f"partition is not a congruence: {witness}")
+        witness = compatibility_witness(algebra, rep)
+        if witness is not None:
+            raise ValidationError(f"partition is not a congruence: {witness}")
         return Congruence(algebra, rep)
 
     @staticmethod
@@ -293,52 +292,19 @@ def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
     return Congruence(t1.algebra, least_rep(part.label))
 
 
-class BinaryRelation:
-    """Plain relation on the carrier, used for relational products."""
-
-    def __init__(self, size: int, pairs):
-        self.size = size
-        self.pairs = frozenset(pairs)
-
-    def contains(self, a: int, b: int) -> bool:
-        return (a, b) in self.pairs
-
-    def is_total(self) -> bool:
-        return len(self.pairs) == self.size * self.size
-
-    def missing_pair(self):
-        for a in range(self.size):
-            for b in range(self.size):
-                if (a, b) not in self.pairs:
-                    return (a, b)
-        return None
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryRelation):
-            return NotImplemented
-        return self.size == other.size and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.size, self.pairs))
-
-    def __repr__(self):
-        return f"BinaryRelation(size={self.size}, {len(self.pairs)} pairs)"
-
-
 def compose(t1: Congruence, t2: Congruence):
-    """Relational product t1 o t2 and the permutability flag.
+    """Relational product t1 o t2 as a frozenset of pairs, and the
+    permutability flag.
 
     (a, b) is in t1 o t2 when some w has a t1 w and w t2 b.  The flag is
     true exactly when the two composition orders agree as relations.
     """
     t1._same_parent(t2)
     forward = _relation_product(t1, t2)
-    backward = _relation_product(t2, t1)
-    return forward, forward.pairs == backward.pairs
+    return forward, forward == _relation_product(t2, t1)
 
 
-def _relation_product(first: Congruence, second: Congruence) -> BinaryRelation:
-    n = len(first.rep)
+def _relation_product(first: Congruence, second: Congruence) -> frozenset:
     second_idx = second.block_index()
     pairs = set()
     for block in first.blocks:
@@ -348,7 +314,7 @@ def _relation_product(first: Congruence, second: Congruence) -> BinaryRelation:
         for a in block:
             for b in reachable:
                 pairs.add((a, b))
-    return BinaryRelation(n, pairs)
+    return frozenset(pairs)
 
 
 class CongruenceLattice(FiniteLattice):
@@ -473,29 +439,28 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
 # lifting along quotients and transport along homomorphisms
 
 
-def quotient_lift(direction: str, Q: Quotient, sigma: Congruence, arg: Congruence) -> Congruence:
-    """Move congruences across the natural projection of the quotient Q = A/sigma.
+def quotient_lift(direction: str, Q: Quotient, arg: Congruence) -> Congruence:
+    """Move congruences across the natural projection of a quotient Q = A/sigma.
 
-    "down" sends theta >= sigma to theta/sigma on the quotient; "up" sends
-    a congruence of A/sigma to its preimage in Con(A).  The two directions
-    are mutually inverse bijections between [sigma, total] and Con(A/sigma).
-    Q is the caller's quotient_algebra(A, sigma), so none is built here.
+    sigma is the kernel of Q.projection.  "down" sends theta >= sigma to
+    theta/sigma on the quotient; "up" sends a congruence of A/sigma to its
+    preimage in Con(A).  The two directions are mutually inverse bijections
+    between [sigma, total] and Con(A/sigma).  Q is the caller's
+    quotient_algebra(A, sigma), so none is built here.
     """
-    A = Q.projection.source
-    if sigma.algebra != A:
-        raise ValidationError("sigma does not belong to this algebra")
-    if least_rep(Q.projection.mapping) != sigma.rep:
-        raise ValidationError("Q is not the quotient of A by sigma")
+    proj = Q.projection
     if direction == "down":
-        if arg.algebra != A:
+        if arg.algebra != proj.source:
             raise ValidationError("argument congruence does not belong to this algebra")
-        if not sigma.refines(arg):
+        sigma, rep = least_rep(proj.mapping), arg.rep
+        if any(rep[x] != rep[r] for x, r in enumerate(sigma)):
             raise ValidationError("down lift needs sigma <= theta")
-        return Congruence(Q.algebra, least_rep([arg.rep[b[0]] for b in sigma.blocks]))
+        # the quotient lists the sigma-blocks by least element, as x ascends
+        return Congruence(Q.algebra, least_rep([rep[x] for x, r in enumerate(sigma) if r == x]))
     if direction == "up":
         if arg.algebra != Q.algebra:
             raise ValidationError("argument congruence does not live on the quotient")
-        return transport(Q.projection, "pullback", arg)
+        return transport(proj, "pullback", arg)
     raise ValidationError(f"unknown direction {direction!r}")
 
 
@@ -513,7 +478,7 @@ def transport(f: Homomorphism, direction: str, theta: Congruence) -> Congruence:
     if direction == "pushforward":
         if theta.algebra != f.source:
             raise ValidationError("pushforward argument must live on the source algebra")
-        if not f.is_isomorphism():
+        if not f.is_bijective():
             raise ValidationError("pushforward requires an isomorphism")
         inv = [0] * f.target.size
         for x, y in enumerate(f.mapping):

@@ -87,7 +87,9 @@ class FiniteLattice:
         The checks run in a fixed order and the first failure is returned:
         closure under meet then join per pair, ("meet_not_closed" or
         "join_not_closed", (i, j)); then exactly one complement inside the
-        members, ("complement_not_unique", (i, complements)).  Members
+        members, ("complement_not_unique", (i, complements)), the
+        complements in ascending order, as every caller lists the members
+        in ascending order.  Members
         passing both contain the bounds and form a finite uniquely
         complemented lattice, which is Boolean (Birkhoff-Ward), so
         distributivity needs no check of its own.
@@ -100,8 +102,7 @@ class FiniteLattice:
                 if self.join(i, j) not in inside:
                     return "join_not_closed", (i, j)
         for i in members:
-            comps = [j for j in members
-                     if self.meet(i, j) == self.bottom and self.join(i, j) == self.top]
+            comps = [j for j in self.complements(i) if j in inside]
             if len(comps) != 1:
                 return "complement_not_unique", (i, comps)
         return None

@@ -483,7 +483,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 for r in (block[0] for block in cong("zeta", run.zeta).blocks)
             ]
             try:
-                ok = Homomorphism(Qz.algebra, prod.algebra, mapping).is_bijective()
+                ok = Homomorphism(Qz.algebra, prod, mapping).is_bijective()
                 record(pairing, ok, {"pair": pair, "reason": "not bijective"})
             except ValidationError as e:
                 record(pairing, False, {"pair": pair, "reason": str(e)})

@@ -217,15 +217,6 @@ class PeriodicSet:
         _, _, a, b, ra, rb = self._aligned(other, "subset test")
         return not (a & ~b or ra & ~rb)
 
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersect(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
             return NotImplemented
@@ -278,33 +269,3 @@ def _naturals(text: str) -> list:
     except ValueError:  # digits split by blanks, or too many digits
         raise FormatError(f"not a list of naturals: {text!r}")
 
-
-def pset_algebra(op: str, *args):
-    """Dispatch set operations by name; variadic union and intersection."""
-    if op == "union":
-        if not args:
-            return PeriodicSet.empty()
-        out = args[0]
-        for s in args[1:]:
-            out = out.union(s)
-        return out
-    if op == "intersect":
-        if not args:
-            return PeriodicSet.naturals()
-        out = args[0]
-        for s in args[1:]:
-            out = out.intersect(s)
-        return out
-    if op == "complement":
-        (s,) = args
-        return s.complement()
-    if op == "shift":
-        s, k = args
-        return s.shift(k)
-    if op == "subset":
-        a, b = args
-        return a.subset(b)
-    if op == "equal":
-        a, b = args
-        return a == b
-    raise ValidationError(f"unknown set operation {op!r}")

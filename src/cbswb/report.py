@@ -1,9 +1,9 @@
 """Report container with stable text and schema-versioned JSON forms.
 
-Reports are built from JSON-native data only, so the machine-readable
-form round-trips exactly and the text form is byte-identical across
-runs for identical inputs.  Timing is attached only on request to keep
-the default output diffable.
+Report bodies are JSON-native data (lists, never tuples; string keys)
+and are kept as given, so the machine-readable form round-trips exactly
+and the text form is byte-identical across runs for identical inputs.
+Timing is attached only on request to keep the default output diffable.
 """
 
 import json
@@ -14,18 +14,14 @@ from .errors import FormatError
 SCHEMA = "cbswb-report/1"
 
 
-def _jsonable(value):
-    return json.loads(json.dumps(value))
-
-
 class Report:
     def __init__(self, verb: str, status: str, body: dict, timing: Optional[dict] = None):
         if status not in ("pass", "refuted"):
             raise FormatError(f"unknown report status {status!r}")
         self.verb = verb
         self.status = status
-        self.body = _jsonable(body)
-        self.timing = _jsonable(timing) if timing is not None else None
+        self.body = body
+        self.timing = timing
 
     def __eq__(self, other):
         if not isinstance(other, Report):

@@ -36,12 +36,6 @@ from .errors import ValidationError
 from .lattice import FiniteLattice
 
 
-@dataclass(frozen=True)
-class FactorPair:
-    theta: Congruence
-    complement: Congruence
-
-
 def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
     """Certify or refute that (t1, t2) is a factor pair of A.
 
@@ -64,10 +58,12 @@ def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
         witness = join.blocks[0][0], join.blocks[1][0]
         return {"ok": False, "reason": "join_not_total", "witness": list(witness)}
     rel, permutable = compose(t1, t2)
+    n = A.size
+    missing = next((a, b) for a in range(n) for b in range(n) if (a, b) not in rel)
     return {
         "ok": False,
         "reason": "not_permutable",
-        "witness": list(rel.missing_pair()),
+        "witness": list(missing),
         "permutable": permutable,
     }
 
@@ -80,13 +76,6 @@ class FactorAnalysis:
 
     def fc_congruences(self):
         return [self.lattice.elements[i] for i in self.fc]
-
-    def pairs(self):
-        out = []
-        for i in self.fc:
-            for j in self.complements[i]:
-                out.append(FactorPair(self.lattice.elements[i], self.lattice.elements[j]))
-        return out
 
     def sub_poset(self):
         """Order matrix of FC(A) inside Con(A)."""
@@ -136,7 +125,7 @@ def decomposition_witness(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> d
         Q1.projection.mapping[x] * Q2.algebra.size + Q2.projection.mapping[x]
         for x in range(A.size)
     ]
-    iso = Homomorphism(A, prod.algebra, mapping)
+    iso = Homomorphism(A, prod, mapping)
     if not iso.is_bijective():
         raise ValidationError("pairing map is not bijective")
     return {"product": prod, "iso": iso, "left": Q1, "right": Q2}

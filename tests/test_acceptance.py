@@ -150,7 +150,7 @@ def compose_is_total(A, t1, t2):
     from cbswb import compose
 
     rel, permutable = compose(t1, t2)
-    return rel.is_total() and permutable
+    return len(rel) == A.size ** 2 and permutable
 
 
 # -- 4: presheaf axioms over the corpus -----------------------------------------

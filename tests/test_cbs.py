@@ -127,17 +127,17 @@ def test_sigma_bracket_on_v4():
     v4 = corpus_algebra("v4")
     total = Congruence.total(v4)
     theta_a = principal_congruence(v4, 0, 1)
-    got = sigma_bracket(v4, None, total, theta_a, OperatorKind.con())
+    got = sigma_bracket(v4, total, theta_a, OperatorKind.con())
     assert reps(got) == {
         principal_congruence(v4, 0, 1).rep,
         principal_congruence(v4, 0, 2).rep,
         principal_congruence(v4, 0, 3).rep,
     }
-    only_diag = sigma_bracket(v4, None, Congruence.diagonal(v4),
+    only_diag = sigma_bracket(v4, Congruence.diagonal(v4),
                               Congruence.diagonal(v4), OperatorKind.fc())
     assert reps(only_diag) == {Congruence.diagonal(v4).rep}
     with pytest.raises(ValidationError):
-        sigma_bracket(v4, None, theta_a, total, OperatorKind.con())  # sigma above theta
+        sigma_bracket(v4, theta_a, total, OperatorKind.con())  # sigma above theta
 
 
 def test_cbs_sequence_collapses_at_diagonal():

@@ -8,8 +8,9 @@ import pytest
 
 from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
 from cbswb.algebra import FiniteAlgebra, Operation, power_algebra, render_algebra
+from cbswb import cli
 from cbswb.cli import build_parser, main
-from cbswb.corpus import corpus_algebra
+from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
@@ -286,11 +287,68 @@ def test_eval_budget_reaches_the_engine(capsys, monkeypatch):
 # -- report plumbing --------------------------------------------------------------
 
 
+def _same_json(value, back):
+    """value equals its JSON round trip back, with one type at every node."""
+    if type(value) is not type(back):
+        return False
+    if isinstance(value, dict):
+        # a key that is not a string comes back as one and fails here
+        return list(value) == list(back) and all(_same_json(value[k], back[k]) for k in value)
+    if isinstance(value, list):
+        return len(value) == len(back) and all(map(_same_json, value, back))
+    return value == back
+
+
+def test_report_bodies_are_json_native(capsys, monkeypatch):
+    # Report keeps a body as given, and the text renderer inlines lists but
+    # not tuples, so every verb must build its body from JSON-native values
+    bodies = []
+
+    def keep(verb, status, body, timing=None):
+        bodies.append((verb, body))
+        return Report(verb, status, body, timing)
+
+    monkeypatch.setattr(cli, "Report", keep)
+    argvs = [
+        ("church", "corpus/boole2.json", "--term", "(or (and z x) (and (not z) y))",
+         "--zero", "0", "--one", "1"),
+        ("quasicyclic", "2", "1", "4"),
+        ("quasicyclic", "3", "2", "3"),
+    ]
+    for name in CORPUS_NAMES:
+        path = f"corpus/{name}.json"
+        argvs += [(verb, path) for verb in ("con", "fc", "center", "zcon")]
+        argvs += [("quotient", path, "--by", json.dumps([list(range(corpus_algebra(name).size))])),
+                  ("iso", path, path), ("iso", path, Z4)]
+        for kind in ("con", "fc", "zcon"):
+            argvs += [("presheaf-check", path, "--kind", kind, "--boolean"),
+                      ("cbs-check", path, "--kind", kind),
+                      ("cbs-complete", path, "--kind", kind)]
+        argvs += [("omega-demo", "--base", path, "--shift", "1", "--zeta", "{0}")]
+    for argv in argvs:
+        main(list(argv))
+    capsys.readouterr()
+    assert {verb for verb, _ in bodies} == set(cli._HANDLERS)
+    assert len(bodies) > len(argvs) * 9 // 10
+    for verb, body in bodies:
+        assert _same_json(body, json.loads(json.dumps(body))), verb
+
+
+def test_cbs_complete_takes_no_theta_or_sigma(capsys):
+    # the command line has no isomorphism f, and without one theta must be
+    # the diagonal, which is the default
+    for option in ("--theta", "--sigma"):
+        code, out, err = run(capsys, "cbs-complete", Z4, option, "[[0],[1],[2],[3]]")
+        assert code == 2 and out == "" and option in err
+    code, out, _ = run(capsys, "cbs-complete", Z4, "--format", "json")
+    body = json.loads(out)["body"]
+    assert code == 0 and body["theta"] == body["sigma"] == [[0], [1], [2], [3]]
+
+
 def test_report_container():
     with pytest.raises(FormatError):
         Report("con", "maybe", {})
-    r = Report("x", "pass", {"a": None, "b": True, "c": (1, 2), "d": {}})
-    assert r.body["c"] == [1, 2]  # normalized to JSON-native data
+    r = Report("x", "pass", {"a": None, "b": True, "c": [1, 2], "d": {}})
     text = render_report(r)
     assert "a: none\n" in text and "b: true\n" in text
     assert "c: [1, 2]\n" in text and "d: {}\n" in text

@@ -395,9 +395,10 @@ def test_constructors_match_cellwise_construction(case):
         return apply_raw(A, op, [p // nb for p in args]) * nb + apply_raw(B, opb, [p % nb for p in args])
 
     P = direct_product(A, B)
-    assert P.algebra.ops == cellwise(n * nb, A.ops, product_cell)
-    assert P.left.mapping == tuple(p // nb for p in range(n * nb))
-    assert P.right.mapping == tuple(p % nb for p in range(n * nb))
+    assert P.ops == cellwise(n * nb, A.ops, product_cell)
+    # both coordinate projections are homomorphisms
+    Homomorphism(P, A, [p // nb for p in range(n * nb)])
+    Homomorphism(P, B, [p % nb for p in range(n * nb)])
 
     def power_cell(op, args):
         coords = [digits(p, n, m) for p in args]

@@ -75,10 +75,12 @@ def test_lat22_has_boolean_fc_with_verified_decompositions():
     assert len(analysis.fc) == 4
     verdict = bfc_check(lat)
     assert verdict["ok"] is True
-    for pair in analysis.pairs():
-        wit = decomposition_witness(lat, pair.theta, pair.complement)
-        assert wit["iso"].is_bijective()
-        assert wit["product"].algebra.size == lat.size
+    E = analysis.lattice.elements
+    for i in analysis.fc:
+        for j in analysis.complements[i]:
+            wit = decomposition_witness(lat, E[i], E[j])
+            assert wit["iso"].is_bijective()
+            assert wit["product"].size == lat.size
 
 
 def test_decomposition_witness_pairing_map():
@@ -123,7 +125,7 @@ def test_church_centers_on_boolean_algebras():
     rep = church_centers(b2, term, 0, 1)
     assert rep["centers"] == [0, 1]
     assert rep["factor_cross_check_ok"] is True
-    b4 = direct_product(b2, b2, name="boole4").algebra
+    b4 = direct_product(b2, b2, name="boole4")
     term4 = parse_term("(or (and z x) (and (not z) y))", b4.signature())
     rep4 = church_centers(b4, term4, 0, 3)
     assert rep4["centers"] == [0, 1, 2, 3]
