@@ -4,6 +4,10 @@ A congruence is stored as its least-representative array: rep[x] is the
 smallest element of the block of x.  Blocks are kept sorted by least
 element, which fixes a canonical form for every partition and a global
 ordering of Con(A) by (descending block count, lexicographic rep array).
+Read as links x -> rep[x], the array is a forest whose roots are the least
+elements of the blocks: generated congruences, joins and the Con(A)
+closure all merge blocks by linking roots in such a forest (_merge) and
+flatten it back into an array in one ascending pass (_flatten).
 
 Con(A) is the join closure of the principal congruences, enumerated up to
 CON_COUNT_CAP members.  Its order is read off n^2-bit pair masks, and its
@@ -35,32 +39,50 @@ DEFAULT_CON_CAP = 8
 CON_COUNT_CAP = 1024
 
 
-class Partition:
-    """Partition of range(n) that only ever merges classes.
+def _merge(lab: list, pairs, merged=None) -> int:
+    """Merge the blocks of each pair (x, y) in the least-element forest lab.
 
-    label[x] names the class of x, so "same class" is one list lookup; a
-    merge relabels the smaller class into the larger, so each element moves
-    O(log n) times.
+    lab[x] <= x, with lab[x] == x exactly at the least element of a block,
+    which is its root.  A merge links the larger root under the smaller, so
+    every link points down and each root stays the least element of its
+    block; finds halve their paths (R. E. Tarjan, Efficiency of a good but
+    not linear set union algorithm, 1975).  Returns the number of merges
+    and appends the two roots of each one to merged when it is given.
     """
+    count = 0
+    for x, y in pairs:
+        if lab[x] == lab[y]:
+            continue  # one parent, one block: the common case late in a closure
+        while lab[x] != x:
+            # path halving: x's link skips to its grandparent, then x moves there
+            lab[x] = x = lab[lab[x]]
+        while lab[y] != y:
+            lab[y] = y = lab[lab[y]]
+        if x != y:
+            if x < y:
+                lab[y] = x
+            else:
+                lab[x] = y
+            count += 1
+            if merged is not None:
+                merged.append((x, y))
+    return count
 
-    def __init__(self, n: int):
-        self.label = list(range(n))
-        self.members = [[x] for x in range(n)]
-        self.count = n
 
-    def merge(self, x: int, y: int) -> bool:
-        """Join the classes of x and y; False when they were one already."""
-        label, members = self.label, self.members
-        lx, ly = label[x], label[y]
-        if lx == ly:
-            return False
-        if len(members[lx]) < len(members[ly]):
-            lx, ly = ly, lx
-        for z in members[ly]:
-            label[z] = lx
-        members[lx] += members[ly]
-        self.count -= 1
-        return True
+def _flatten(lab: list) -> tuple:
+    """Least-representative array of a least-element forest.
+
+    Every link points down, so in one ascending pass lab[lab[x]] is already
+    the root of x.
+    """
+    for x, r in enumerate(lab):
+        lab[x] = lab[r]
+    return tuple(lab)
+
+
+def _links(rep) -> list:
+    """The non-trivial (x, rep[x]) links of a least-representative array."""
+    return [(x, r) for x, r in enumerate(rep) if r != x]
 
 
 def least_rep(keys) -> tuple:
@@ -212,57 +234,56 @@ def compatibility_witness(A: FiniteAlgebra, rep) -> Optional[dict]:
 def _translation_columns(A: FiniteAlgebra):
     """cols[x][i] is the value at x of the i-th basic translation of A.
 
-    A basic translation fixes every argument of one operation but one; the
-    translations are listed operation by operation, position by position,
-    contexts in table order.  The position of stride s (n**(k-1-pos) in the
-    mixed-radix encoding) holds x in the runs of s cells starting at
-    x*s + j*s*n.
+    A basic translation fixes every argument of one operation but one.  The
+    position of stride s (n**(k-1-pos) in the mixed-radix encoding) and the
+    context starting at cell b read x at cell b + x*s.  Each distinct
+    translation other than the identity is kept once, in order of first
+    appearance (operation by operation, position by position, contexts in
+    table order): the closure under translations does not depend on
+    repeats or on the identity.
     """
     n = A.size
-    cols = [[] for _ in range(n)]
+    identity = tuple(range(n))
+    seen = {identity: None}
     for op in A.ops:
         table = op.table
         for pos in range(op.arity):
             stride = n ** (op.arity - 1 - pos)
-            for x, col in enumerate(cols):
-                if stride == 1:
-                    col.extend(table[x::n])
-                else:
-                    for start in range(x * stride, len(table), stride * n):
-                        col.extend(table[start : start + stride])
-    return cols
+            for hi in range(0, len(table), stride * n):
+                for b in range(hi, hi + stride):
+                    seen.setdefault(table[b : b + stride * n : stride])
+    del seen[identity]
+    return list(zip(*seen)) if seen else [()] * n
 
 
-def generated_congruence(A: FiniteAlgebra, pairs, cols=None) -> Congruence:
+def _generated_rep(n: int, pairs, cols) -> tuple:
+    """Least-representative array of the congruence generated by pairs,
+    which must lie in range(n); see generated_congruence."""
+    lab = list(range(n))
+    work = []
+    blocks = n - _merge(lab, pairs, work)
+    while work and blocks > 1:
+        x, y = work.pop()
+        blocks -= _merge(lab, zip(cols[x], cols[y]), work)
+    return _flatten(lab)
+
+
+def generated_congruence(A: FiniteAlgebra, pairs) -> Congruence:
     """Smallest congruence of A containing the given pairs.
 
     Closure under basic translations: a congruence is an equivalence closed
-    under every unary map x -> f(c1, .., x, .., ck), so whenever a pair
-    (x, y) merges two classes, the translation columns of x and y are
-    zipped and every pair of values merged in turn, until the worklist
-    drains or one class is left (R. Freese, Computing congruences
-    efficiently, 2008).  cols, when given, is _translation_columns(A),
-    shared between calls.
+    under every unary map x -> f(c1, .., x, .., ck), so whenever a merge
+    joins two blocks, the translation columns of their roots are zipped and
+    every pair of values merged in turn, until the worklist drains or one
+    block is left (R. Freese, Computing congruences efficiently, 2008).
     """
     n = A.size
-    part = Partition(n)
-    work = []
+    pairs = list(pairs)
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"pair ({a}, {b}) out of range")
-        if part.merge(a, b):
-            work.append((a, b))
-    if work:
-        if cols is None:
-            cols = _translation_columns(A)
-        label = part.label
-        while work and part.count > 1:
-            x, y = work.pop()
-            for u, v in zip(cols[x], cols[y]):
-                if label[u] != label[v]:
-                    part.merge(u, v)
-                    work.append((u, v))
-    return Congruence(A, least_rep(part.label))
+    cols = _translation_columns(A) if pairs else None
+    return Congruence(A, _generated_rep(n, pairs, cols))
 
 
 def principal_congruence(A: FiniteAlgebra, a: int, b: int) -> Congruence:
@@ -280,16 +301,13 @@ def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
     """Join in Con(A); both arguments must be congruences of one algebra.
 
     Con(A) is a sublattice of the equivalence lattice Eq(A), so the join is
-    the transitive closure of the union of the two relations: one merging
-    pass over both rep arrays, with no operation closure.
+    the transitive closure of the union of the two relations: the links of
+    t2 merged into the forest of t1, with no operation closure.
     """
     t1._same_parent(t2)
-    part = Partition(len(t1.rep))
-    for rep in (t1.rep, t2.rep):
-        for x, r in enumerate(rep):
-            if r != x:
-                part.merge(x, r)
-    return Congruence(t1.algebra, least_rep(part.label))
+    lab = list(t1.rep)
+    _merge(lab, _links(t2.rep))
+    return Congruence(t1.algebra, _flatten(lab))
 
 
 def compose(t1: Congruence, t2: Congruence):
@@ -387,7 +405,10 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     Every congruence is the join of the principal congruences it contains,
     so joining each newly found congruence with every distinct principal
     congruence not already below it, until nothing new appears, yields the
-    full lattice (R. Freese, Computing congruences efficiently, 2008).
+    full lattice (R. Freese, Computing congruences efficiently, 2008).  The
+    joins run on bare rep arrays, merging a principal congruence's links
+    into a copy of the other array, and a Congruence is built only for a
+    member that is new.
     Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.
     The lattice is kept on A and returned by later calls that pass the
     carrier cap.
@@ -399,37 +420,39 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
         )
     if A._con is not None:
         return A._con
-    diagonal = Congruence.diagonal(A)
-    items = {diagonal.rep: diagonal}
-    principals = []
+    n = A.size
+    items = {tuple(range(n)): Congruence.diagonal(A)}
 
-    def found(c):
-        items[c.rep] = c
+    def found(rep):
+        items[rep] = Congruence(A, rep)
         if len(items) > CON_COUNT_CAP:
             raise BudgetError(
                 f"congruence enumeration: |Con(A)| reached {len(items)}, "
                 f"over the {CON_COUNT_CAP}-member budget"
             )
 
+    # (a, b, links of the principal congruence of (a, b)), one per distinct one
+    principals = []
     cols = _translation_columns(A)
-    for a in range(A.size):
-        for b in range(a + 1, A.size):
-            c = generated_congruence(A, [(a, b)], cols)
-            if c.rep not in items:
-                found(c)
-                principals.append((a, b, c))
-    frontier = [c for _, _, c in principals]
+    for a in range(n):
+        for b in range(a + 1, n):
+            rep = _generated_rep(n, [(a, b)], cols)
+            if rep not in items:
+                found(rep)
+                principals.append((a, b, _links(rep)))
+    frontier = list(items)[1:]
     while frontier:
         nxt = []
-        for c1 in frontier:
-            rep = c1.rep
-            for a, b, p in principals:
+        for rep in frontier:
+            for a, b, links in principals:
                 if rep[a] == rep[b]:
-                    continue  # p is below c1
-                j = congruence_join(c1, p)
-                if j.rep not in items:
-                    found(j)
-                    nxt.append(j)
+                    continue  # the principal congruence is below rep
+                lab = list(rep)
+                _merge(lab, links)
+                joined = _flatten(lab)
+                if joined not in items:
+                    found(joined)
+                    nxt.append(joined)
         frontier = nxt
     A._con = CongruenceLattice(A, items.values())
     return A._con

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-import json
 import os
 
 from .algebra import FiniteAlgebra, Operation
+from .report import json_text
 
 
 def _op(name, arity, size, fn):
@@ -119,8 +119,7 @@ def write_corpus(directory: str) -> list:
         doc = render_algebra(corpus_algebra(name))
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(doc) + "\n")
         paths.append(path)
     return paths
 

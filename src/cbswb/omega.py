@@ -460,14 +460,16 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 record(f"orthogonality d[{a}]/d[{b}]", joined.is_total(),
                        {"pair": [f"d[{a}]", f"d[{b}]"]})
         try:
-            decomposition_witness(Bm, cong("neg_chi", run.neg_chi), cong("chi", run.chi))
+            # the witness's left factor is B/neg_chi, reused below
+            witness = decomposition_witness(Bm, cong("neg_chi", run.neg_chi), cong("chi", run.chi))
+            Qnc = witness["left"]
             record("pairing B ~ B/neg_chi x B/chi", True)
         except ValidationError as e:
             record("pairing B ~ B/neg_chi x B/chi", False,
                    {"pair": ["neg_chi", "chi"], "reason": str(e)})
+            Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
 
         Qz = quotient_algebra(Bm, cong("zeta", run.zeta))
-        Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
         Qsz = quotient_algebra(Bm, cong("sigma_zeta", run.sigma_zeta))
         pairing = "pairing B/zeta ~ B/neg_chi x B/sigma_zeta"
         pair = ["zeta", "neg_chi x sigma_zeta"]

@@ -7,6 +7,8 @@ Timing is attached only on request to keep the default output diffable.
 """
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from .errors import FormatError
@@ -91,9 +93,64 @@ def _lines(label, value, depth):
         yield f"{pad}{label}: {_scalar(value)}"
 
 
+_BOOLS = {True: "true", False: "false"}
+
+
+def _json(value, pad: str) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        return "{\n" + inner + sep.join(
+            [_string(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        ) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {bool}:
+            body = sep.join(map(_BOOLS.__getitem__, value))
+        elif kinds == {str}:
+            body = sep.join(map(_string, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _BOOLS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        # as the stdlib writes them, with allow_nan
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(doc) -> str:
+    """The stdlib's JSON for doc with keys sorted and a two-space indent,
+    byte for byte, for JSON-native documents (string keys).  The stdlib's C
+    encoder cannot indent, so there each cell is one step of a Python
+    generator; here a list of ints, bools or strings is one join."""
+    return _json(doc, "")
+
+
 def render_report(r: Report, format: str = "text") -> str:
     if format == "json":
-        return json.dumps(r.to_document(), indent=2, sort_keys=True) + "\n"
+        return json_text(r.to_document()) + "\n"
     if format != "text":
         raise FormatError(f"unknown report format {format!r}")
     out = [SCHEMA, f"verb: {r.verb}", f"status: {r.status}"]

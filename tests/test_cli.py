@@ -5,12 +5,15 @@ import os
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
 from cbswb.algebra import FiniteAlgebra, Operation, power_algebra, render_algebra
 from cbswb import cli
 from cbswb.cli import build_parser, main
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
+from cbswb.report import json_text
 
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
@@ -332,6 +335,28 @@ def test_report_bodies_are_json_native(capsys, monkeypatch):
     assert len(bodies) > len(argvs) * 9 // 10
     for verb, body in bodies:
         assert _same_json(body, json.loads(json.dumps(body))), verb
+        assert json_text(body) == json.dumps(body, indent=2, sort_keys=True), verb
+
+
+WRITER_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+_text = st.text() | st.sampled_from(["", "\u00e9t\u00e9", "\"q\" \\ \n\t\x00\x1f", "\u2028\ud7ff", "\U0001f600"])
+_float = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+_scalar = st.none() | st.booleans() | st.integers() | _float | _text
+_rows = (st.lists(st.integers()) | st.lists(st.booleans()) | st.lists(_text)
+         | st.lists(st.integers() | st.booleans()) | st.lists(_scalar))
+_documents = st.recursive(
+    _scalar | _rows,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@WRITER_SETTINGS
+@given(_documents)
+@example({"a": [], "b": {}, "c": [[True, 1, False], [0, None], [float("nan"), "\u00ff"]]})
+@example([[], {}, [[]], [{}]])
+def test_json_text_matches_the_stdlib_indented_writer(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_cbs_complete_takes_no_theta_or_sigma(capsys):

@@ -5,12 +5,14 @@ import pytest
 
 from cbswb.algebra import (
     Homomorphism,
+    direct_product,
     parse_sentence,
     power_algebra,
     quotient_algebra,
 )
 from cbswb.congruence import (
     Congruence,
+    _translation_columns,
     all_congruences,
     compatibility_witness,
     compose,
@@ -25,7 +27,7 @@ from cbswb.congruence import (
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, ValidationError
 
-from oracles import all_homs, brute_congruences, brute_principal, join_closure
+from oracles import all_homs, apply_raw, brute_congruences, brute_principal, join_closure
 
 rng = random.Random(73)
 
@@ -137,6 +139,61 @@ def test_generated_congruence_is_join_of_principals():
             assert got.rep == expect
     with pytest.raises(ValidationError):
         generated_congruence(corpus_algebra("z4"), [(0, 9)])
+
+
+def _coordinates(m, S):
+    """Coordinate congruence of z2^m that forgets the coordinates in S:
+    coordinate i has weight 2^(m-1-i), and x's least block member zeroes them."""
+    mask = sum(1 << (m - 1 - i) for i in S)
+    return tuple(x & ~mask for x in range(2 ** m))
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+def test_join_on_large_carriers_against_oracle(m):
+    # 32 to 512 elements: the forests of the joins grow paths longer than one
+    # link, which the random algebras of at most 5 elements never reach
+    A = power_algebra(corpus_algebra("z2"), m)
+    local = random.Random(m)
+    for _ in range(6):
+        S = local.sample(range(m), local.randrange(m + 1))
+        T = local.sample(range(m), local.randrange(m + 1))
+        t1, t2 = Congruence(A, _coordinates(m, S)), Congruence(A, _coordinates(m, T))
+        joined = congruence_join(t1, t2).rep
+        assert joined == join_closure([t1.rep, t2.rep], A.size)
+        assert joined == _coordinates(m, set(S) | set(T))
+        # the pairs (0, e_i) generate the subgroup of the coordinates in S
+        units = [(0, 1 << (m - 1 - i)) for i in S]
+        assert generated_congruence(A, units).rep == t1.rep
+
+
+def test_translation_columns_are_distinct_and_not_the_identity():
+    c = {name: corpus_algebra(name) for name in CORPUS_NAMES}
+    algebras = list(c.values()) + [power_algebra(c["z2"], 4), direct_product(c["v4"], c["z4"]),
+                                   power_algebra(c["chain3"], 2)]
+    for A in algebras:
+        n = A.size
+        cols = _translation_columns(A)
+        assert len(cols) == n
+        translations = list(zip(*cols))
+        # every basic translation x -> f(c1, .., x, .., ck), read cell by cell
+        expect = set()
+        for op in A.ops:
+            for args in itertools.product(range(n), repeat=op.arity):
+                for pos in range(op.arity):
+                    expect.add(tuple(apply_raw(A, op, args[:pos] + (x,) + args[pos + 1:])
+                                     for x in range(n)))
+        expect.discard(tuple(range(n)))
+        assert len(translations) == len(set(translations)), A.name
+        assert set(translations) == expect, A.name
+    assert len(_translation_columns(power_algebra(c["z2"], 4))[0]) == 15
+
+
+def test_con_sizes_of_products_and_powers():
+    c = {name: corpus_algebra(name) for name in CORPUS_NAMES}
+    for A, size in ((power_algebra(c["z2"], 4), 67), (direct_product(c["v4"], c["z4"]), 27),
+                    (power_algebra(c["z4ring"], 2), 9), (power_algebra(c["chain3"], 2), 16),
+                    (power_algebra(c["semilat2"], 3), 61)):
+        assert len(all_congruences(A, max_size=16)) == size, A.name
 
 
 def test_meet_join_lattice_laws():

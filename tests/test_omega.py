@@ -686,6 +686,36 @@ def test_truncation_pairing_size_mismatch_builds_no_product(monkeypatch):
     }
 
 
+def test_truncation_builds_each_quotient_once(monkeypatch):
+    # the pairing witness builds B/neg_chi and B/chi, and its B/neg_chi is
+    # reused for the second pairing, which adds B/zeta and B/sigma_zeta
+    from cbswb import structure
+
+    built = []
+    real = omega.quotient_algebra
+
+    def counted(A, theta):
+        built.append(theta.rep)
+        return real(A, theta)
+
+    monkeypatch.setattr(omega, "quotient_algebra", counted)
+    monkeypatch.setattr(structure, "quotient_algebra", counted)
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    for m in (4, 5):
+        built.clear()
+        result = truncate_validate(run, m)
+        assert result["ok"] and result["materialized"]
+        assert len(built) == 4 == len(set(built))
+    # a pair that is no factor pair fails before the witness builds anything,
+    # and B/neg_chi is built for the second pairing all the same
+    run.chi = run.chi.union(PeriodicSet.from_finite([0]))
+    built.clear()
+    result = truncate_validate(run, 4)
+    assert "pairing B ~ B/neg_chi x B/chi" in {c["name"] for c in result["failures"]}
+    assert "pairing B/zeta ~ B/neg_chi x B/sigma_zeta" in {c["name"] for c in result["checks"]}
+    assert len(built) == 3
+
+
 def test_truncation_preconditions():
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     with pytest.raises(ValidationError, match="twice the shift"):
