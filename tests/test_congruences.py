@@ -150,8 +150,8 @@ def _coordinates(m, S):
 
 @pytest.mark.parametrize("m", [5, 7, 9])
 def test_join_on_large_carriers_against_oracle(m):
-    # 32 to 512 elements: the forests of the joins grow paths longer than one
-    # link, which the random algebras of at most 5 elements never reach
+    # 32 to 512 elements, far above the random algebras' five: the forests of
+    # these joins and closures grow find paths of two links
     A = power_algebra(corpus_algebra("z2"), m)
     local = random.Random(m)
     for _ in range(6):
