@@ -32,6 +32,7 @@ from .structure import check_factor_pair, decomposition_witness, factor_congruen
 
 MATERIALIZE_CAP = 512
 MAX_TRUNCATION = 64
+MAX_INDICES = 1024
 QC_SIZE_CAP = 1024
 
 
@@ -207,21 +208,29 @@ class OmegaRun:
         return ShiftIso(self.k)
 
     def to_report(self) -> dict:
+        texts = {}  # thetas[n] is sigmas[n-1], so many sets recur
+
+        def render(s: PeriodicSet) -> str:
+            text = texts.get(s)
+            if text is None:
+                text = texts[s] = s.render()
+            return text
+
         return {
             "base": self.base.name,
             "k": self.k,
             "representation": "eventually periodic coordinate sets (the representable fragment)",
-            "theta": self.theta.render(),
-            "zeta": self.zeta.render(),
-            "sigmas": [s.render() for s in self.sigmas],
-            "thetas": [None if t is None else t.render() for t in self.thetas],
-            "neg_odd": {str(i): s.render() for i, s in sorted(self.neg_odd.items())},
-            "ds": [d.render() for d in self.ds],
-            "sigma_zeta": self.sigma_zeta.render(),
+            "theta": render(self.theta),
+            "zeta": render(self.zeta),
+            "sigmas": [render(s) for s in self.sigmas],
+            "thetas": [None if t is None else render(t) for t in self.thetas],
+            "neg_odd": {str(i): render(s) for i, s in sorted(self.neg_odd.items())},
+            "ds": [render(d) for d in self.ds],
+            "sigma_zeta": render(self.sigma_zeta),
             "infimum_certificate": dict(self.infimum_certificate),
-            "chi": self.chi.render(),
-            "neg_chi": self.neg_chi.render(),
-            "neg_sigma_zeta": self.neg_sigma_zeta.render(),
+            "chi": render(self.chi),
+            "neg_chi": render(self.neg_chi),
+            "neg_sigma_zeta": render(self.neg_sigma_zeta),
             "equations": [dict(e) for e in self.equations],
             "conclusion": dict(self.conclusion),
         }
@@ -242,6 +251,8 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
     the complement pair chi / neg_chi and the isomorphism-chain
     certificate expressed as coordinate maps.
     """
+    if indices > MAX_INDICES:
+        raise BudgetError(f"omega run: indices reached {indices}, over the {MAX_INDICES}-index budget")
     _require_indecomposable(A)
     iso = ShiftIso(k)
     theta = iso.theta()

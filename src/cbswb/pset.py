@@ -8,6 +8,16 @@ is closed under union, intersection, complement and coordinate shifts,
 which is everything the symbolic factor-congruence layer needs; each of
 them is a few big-integer bit operations.  Thresholds and periods are
 capped at SIZE_CAP bits, checked before any mask of that size is built.
+
+Canonicalising is two steps: `_least_period` finds the smallest period of
+the residue mask, and `_trim` then cuts the prefix to the shortest one
+that still disagrees with the periodic tail.  The unary operations,
+complement and the shifts, run `_trim` alone: complementing or rotating a
+residue mask maps its translates to the translates of the result, so a
+mask whose least period is p keeps p.  Union, intersection and difference
+can shorten the period (the odd and the even numbers make every number),
+so they run both steps.  A period-1 tail holds every position or none,
+so it is tiled as one mask.
 """
 
 import math
@@ -20,11 +30,11 @@ SIZE_CAP = 1 << 20
 
 
 def _budget(stage: str, threshold: int, period: int):
-    for what, value in (("threshold", threshold), ("period", period)):
-        if value > SIZE_CAP:
-            raise BudgetError(
-                f"periodic set {stage}: {what} reached {value}, over the {SIZE_CAP}-bit budget"
-            )
+    if threshold > SIZE_CAP or period > SIZE_CAP:
+        what, value = ("threshold", threshold) if threshold > SIZE_CAP else ("period", period)
+        raise BudgetError(
+            f"periodic set {stage}: {what} reached {value}, over the {SIZE_CAP}-bit budget"
+        )
 
 
 @lru_cache(maxsize=256)
@@ -42,6 +52,8 @@ def _tile(bits: int, p: int, n: int) -> int:
     """The residue mask `bits` of period p repeated over positions 0..n-1."""
     if not bits:
         return 0
+    if p == 1:  # a period-1 tail holds every position
+        return (1 << n) - 1
     # doubling the tiled width keeps this linear in n; bits < 2^p, so no overlaps
     while p < n:
         bits |= bits << p
@@ -63,17 +75,31 @@ def _bits(positions, n: int) -> int:
     return int(digits, 2) if n else 0
 
 
-def _of(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
-    """Canonical set from pbits < 2^t below threshold t and rbits < 2^p mod p."""
+def _least_period(p: int, rbits: int):
+    """The least period of the residue mask rbits < 2^p, with its mask."""
+    if p == 1:
+        return 1, rbits
     for d in _divisors(p):
         low = rbits & (1 << d) - 1
         if _tile(low, d, p) == rbits:
-            p, rbits = d, low
-            break
+            return d, low
+
+
+def _trim(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
+    """Set from pbits < 2^t below t and rbits of least period p, its prefix cut short.
+
+    The threshold drops to just past the last position where the prefix
+    disagrees with the periodic tail.
+    """
     t = (pbits ^ _tile(rbits, p, t)).bit_length()
     s = object.__new__(PeriodicSet)
     s.threshold, s.pbits, s.period, s.rbits = t, pbits & (1 << t) - 1, p, rbits
     return s
+
+
+def _of(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
+    """Canonical set from pbits < 2^t below threshold t and rbits < 2^p mod p."""
+    return _trim(t, pbits, *_least_period(p, rbits))
 
 
 class PeriodicSet:
@@ -161,7 +187,7 @@ class PeriodicSet:
         """Membership of 0..n-1 as one mask: bit x is set when x is a member."""
         t = self.threshold
         if n <= t:
-            return self.pbits & _mask(n)
+            return self.pbits & (1 << n) - 1
         return self.pbits | _tile(self.rbits, self.period, n) >> t << t
 
     # -- Boolean calculus ----------------------------------------------------
@@ -169,10 +195,13 @@ class PeriodicSet:
     def _aligned(self, other: "PeriodicSet", stage: str):
         """Both sets as windows below the larger threshold and masks mod the lcm."""
         n = max(self.threshold, other.threshold)
-        p = math.lcm(self.period, other.period)
-        _budget(stage, n, p)
-        return (n, p, self.bits_below(n), other.bits_below(n),
-                _tile(self.rbits, self.period, p), _tile(other.rbits, other.period, p))
+        p, q = self.period, other.period
+        if p == q:  # both sets are within budget, so the pair is too
+            return n, p, self.bits_below(n), other.bits_below(n), self.rbits, other.rbits
+        m = math.lcm(p, q)
+        _budget(stage, n, m)
+        return (n, m, self.bits_below(n), other.bits_below(n),
+                _tile(self.rbits, p, m), _tile(other.rbits, q, m))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
         n, p, a, b, ra, rb = self._aligned(other, "union")
@@ -188,30 +217,30 @@ class PeriodicSet:
 
     def complement(self) -> "PeriodicSet":
         t, p = self.threshold, self.period
-        return _of(t, self.pbits ^ _mask(t), p, self.rbits ^ _mask(p))
+        return _trim(t, self.pbits ^ _mask(t), p, self.rbits ^ _mask(p))
 
     def shift(self, k: int) -> "PeriodicSet":
         """{x + k : x in self}."""
         if k < 0:
             raise ValidationError("shift amount must be nonnegative")
         _budget("shift", self.threshold + k, self.period)
-        return _of(self.threshold + k, self.pbits << k, self.period,
-                   _rotate(self.rbits, self.period, k))
+        return _trim(self.threshold + k, self.pbits << k, self.period,
+                     _rotate(self.rbits, self.period, k))
 
     def shift_fill(self, k: int) -> "PeriodicSet":
         """{x + k : x in self} with 0..k-1 added: shift(k) | block(0, k) in one step."""
         if k < 0:
             raise ValidationError("shift amount must be nonnegative")
         _budget("shift", self.threshold + k, self.period)
-        return _of(self.threshold + k, self.pbits << k | _mask(k), self.period,
-                   _rotate(self.rbits, self.period, k))
+        return _trim(self.threshold + k, self.pbits << k | _mask(k), self.period,
+                     _rotate(self.rbits, self.period, k))
 
     def backshift(self, k: int) -> "PeriodicSet":
         """{x - k : x in self, x >= k}; the loose inverse of shift."""
         if k < 0:
             raise ValidationError("shift amount must be nonnegative")
-        return _of(max(self.threshold - k, 0), self.pbits >> k, self.period,
-                   _rotate(self.rbits, self.period, -k))
+        return _trim(max(self.threshold - k, 0), self.pbits >> k, self.period,
+                     _rotate(self.rbits, self.period, -k))
 
     def subset(self, other: "PeriodicSet") -> bool:
         _, _, a, b, ra, rb = self._aligned(other, "subset test")

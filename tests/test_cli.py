@@ -230,6 +230,15 @@ def test_huge_period_literal_hits_the_budget(capsys):
     assert err.startswith("error: periodic set construction: period reached 1000000000")
 
 
+def test_index_count_hits_the_budget(capsys):
+    t0 = time.perf_counter()
+    result = run(capsys, "omega-demo", "--base", Z2, "--shift", "1", "--zeta", "{0}",
+                 "--indices", "1025")
+    assert time.perf_counter() - t0 < 1.0
+    assert result == (2, "", "error: omega run: indices reached 1025, "
+                             "over the 1024-index budget\n")
+
+
 def _write_algebra(path, A):
     path.write_text(json.dumps(render_algebra(A)))
     return str(path)

@@ -32,7 +32,7 @@ from cbswb import (
     quasicyclic_suite,
     truncate_validate,
 )
-from cbswb import omega
+from cbswb import omega, pset
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
@@ -169,6 +169,36 @@ def test_size_budget():
         PeriodicSet.from_finite([0]).shift(1 << 20)
 
 
+def test_budgets_fire_past_the_fast_paths(monkeypatch):
+    # a period-1 set shifted past the cap, and two sets whose periods differ and
+    # have an lcm past it, stop with the exact message before any mask that wide
+    cap, tile, mask = pset.SIZE_CAP, pset._tile, pset._mask
+
+    def guarded_tile(bits, p, n):
+        assert n <= cap, n
+        return tile(bits, p, n)
+
+    def guarded_mask(n):
+        assert n <= cap, n
+        return mask(n)
+
+    monkeypatch.setattr(pset, "_tile", guarded_tile)
+    monkeypatch.setattr(pset, "_mask", guarded_mask)
+    with pytest.raises(BudgetError) as err:
+        N.shift(cap + 1)
+    assert str(err.value) == (
+        f"periodic set shift: threshold reached {cap + 1}, over the {cap}-bit budget")
+    a = PeriodicSet(3, (True, False, True), 1031, (0, 5))
+    b = PeriodicSet(0, (), 1033, (1,))
+    assert 1031 * 1033 == 1065023
+    for stage, op in (("union", a.union), ("intersection", a.intersect),
+                      ("difference", a.difference), ("subset test", a.subset)):
+        with pytest.raises(BudgetError) as err:
+            op(b)
+        assert str(err.value) == (
+            f"periodic set {stage}: period reached 1065023, over the {cap}-bit budget")
+
+
 # -- the shift isomorphism on coordinate sets --------------------------------
 
 
@@ -216,6 +246,19 @@ def test_run_shift_two_zeta_zero():
     report = run.to_report()
     assert report["sigma_zeta"] == "prefix=1;period=2;residues={1}"
     json.dumps(report)  # report payload is plain data
+
+
+@pytest.mark.parametrize("base, k, zeta", [(2, 2, "{0}"), (3, 3, "{1}"), (2, 16, "{0,3,9}")])
+def test_report_renders_every_field_like_render(base, k, zeta):
+    run = omega_cbs_run(z(base), k, PeriodicSet.parse(zeta), indices=12)
+    report = run.to_report()
+    assert report["theta"] == run.theta.render() and report["zeta"] == run.zeta.render()
+    assert report["sigmas"] == [s.render() for s in run.sigmas]
+    assert report["thetas"] == [None] + [t.render() for t in run.thetas[1:]]
+    assert report["neg_odd"] == {str(i): s.render() for i, s in sorted(run.neg_odd.items())}
+    assert report["ds"] == [d.render() for d in run.ds]
+    for name in ("sigma_zeta", "chi", "neg_chi", "neg_sigma_zeta"):
+        assert report[name] == getattr(run, name).render(), name
 
 
 def test_run_pure_shift():

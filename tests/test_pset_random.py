@@ -4,17 +4,20 @@ Random eventually periodic sets, given by an uncanonicalized threshold,
 prefix, period and residue set, are combined with every operation and
 compared bit by bit with the same operation on their membership over a
 window long enough to decide equality: past the largest threshold
-involved, one full common period repeats forever.  Hypothesis runs
-derandomized with a bounded number of examples, so every run tries the
-same sets.
+involved, one full common period repeats forever.  Pairs that share a
+period take the path that skips the lcm, and the results of complement
+and the shifts, which keep the least period and skip its search, are
+compared with the full canonicalisation of raw fields spelled out from
+the readable ones.  Hypothesis runs derandomized with a bounded number of
+examples, so every run tries the same sets.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cbswb.pset import PeriodicSet
+from cbswb.pset import PeriodicSet, _of
 
 from oracles import raw_members
 
@@ -37,6 +40,22 @@ def raw_sets(draw):
     residues = draw(st.frozensets(st.integers(0, period - 1)))
     s = PeriodicSet(threshold, prefix, period, residues)
     return s, raw_members(threshold, prefix, period, residues, WINDOW)
+
+
+@st.composite
+def same_period_pairs(draw):
+    """Two sets of one drawn canonical period, each with its membership over the window."""
+    period = draw(st.integers(1, MAX_PERIOD))
+    cases = []
+    for _ in range(2):
+        threshold = draw(st.integers(0, MAX_THRESHOLD))
+        prefix = draw(st.lists(st.booleans(), min_size=threshold, max_size=threshold))
+        bits = draw(st.integers(0, (1 << period) - 1))
+        residues = {r for r in range(period) if bits >> r & 1}
+        s = PeriodicSet(threshold, prefix, period, residues)
+        assume(s.period == period)
+        cases.append((s, raw_members(threshold, prefix, period, residues, WINDOW)))
+    return cases
 
 
 def window(s):
@@ -112,3 +131,48 @@ def test_render_parse_round_trip(case):
     back = PeriodicSet.parse(text)
     assert back == s and window(back) == members
     assert {x for x in range(WINDOW) if x in s} == members
+
+
+def mask(positions):
+    """Bitmask with the given positions set."""
+    return sum(1 << x for x in positions)
+
+
+@PSET_SETTINGS
+@given(raw_sets(), st.integers(0, MAX_SHIFT))
+def test_unary_operations_keep_the_least_period(case, k):
+    # each result must equal the full canonicalisation, period search included,
+    # of raw fields spelled out here from the readable ones
+    s, _ = case
+    t, p, residues = s.threshold, s.period, s.residues
+    prefix = {x for x in range(t) if s.prefix[x]}
+    raw = {
+        "complement": (t, set(range(t)) - prefix, set(range(p)) - residues),
+        "shift": (t + k, {x + k for x in prefix}, {(r + k) % p for r in residues}),
+        "shift_fill": (t + k, set(range(k)) | {x + k for x in prefix},
+                       {(r + k) % p for r in residues}),
+        "backshift": (max(t - k, 0), {x - k for x in prefix if x >= k},
+                      {(r - k) % p for r in residues}),
+    }
+    got = {
+        "complement": s.complement(),
+        "shift": s.shift(k),
+        "shift_fill": s.shift_fill(k),
+        "backshift": s.backshift(k),
+    }
+    for name, (threshold, members, rs) in raw.items():
+        want = _of(threshold, mask(members), p, mask(rs))
+        assert got[name] == want, name
+        assert got[name].period == p, name
+
+
+@PSET_SETTINGS
+@given(same_period_pairs())
+def test_equal_period_operations_match_window_model(pair):
+    (a, ma), (b, mb) = pair
+    for s, want in ((a.union(b), ma | mb), (a.intersect(b), ma & mb),
+                    (a.difference(b), ma - mb), (b.difference(a), mb - ma)):
+        assert window(s) == want
+        assert_canonical(s)
+    assert a.subset(b) == (ma <= mb)
+    assert b.subset(a) == (mb <= ma)
