@@ -31,7 +31,12 @@ class Operation:
 
 
 class FiniteAlgebra:
-    """Immutable finite algebra over carrier 0..size-1."""
+    """Immutable finite algebra over carrier 0..size-1.
+
+    This constructor, and so parse_algebra, checks every cell.  The library's
+    product, power, quotient, relabel and quasi-cyclic truncation map checked
+    tables into range and build through _built, which checks nothing.
+    """
 
     def __init__(self, name: str, size: int, ops: Sequence[Operation]):
         if not isinstance(name, str) or not name:
@@ -58,6 +63,16 @@ class FiniteAlgebra:
                         raise ValidationError(
                             f"operation {op.name!r}: table entry {v!r} out of range 0..{size - 1}"
                         )
+        self._fields(name, size, ops)
+
+    @classmethod
+    def _built(cls, name: str, size: int, ops: Sequence[Operation]) -> "FiniteAlgebra":
+        """An algebra on tables built from checked tables by maps into range."""
+        A = cls.__new__(cls)
+        A._fields(name, size, ops)
+        return A
+
+    def _fields(self, name, size, ops):
         self.name = name
         self.size = size
         self.ops = tuple(ops)
@@ -543,8 +558,8 @@ def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = Non
     """Componentwise product; element (a, b) is encoded as a*|B| + b."""
     if A.signature() != B.signature():
         raise ValidationError("product factors must share a signature")
-    return FiniteAlgebra(name or f"{A.name}x{B.name}", A.size * B.size,
-                         _product_ops(A.ops, A.size, B.ops, B.size))
+    return FiniteAlgebra._built(name or f"{A.name}x{B.name}", A.size * B.size,
+                                _product_ops(A.ops, A.size, B.ops, B.size))
 
 
 def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> FiniteAlgebra:
@@ -555,7 +570,7 @@ def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> Finit
     ops, n = A.ops, A.size
     for _ in range(m - 1):
         ops, n = _product_ops(ops, n, A.ops, A.size), n * A.size
-    return FiniteAlgebra(name or f"{A.name}^{m}", n, ops)
+    return FiniteAlgebra._built(name or f"{A.name}^{m}", n, ops)
 
 
 def _short_partition_name(A: FiniteAlgebra, blocks) -> str:
@@ -571,6 +586,17 @@ class Quotient:
     projection: Homomorphism
 
 
+def _image(A: FiniteAlgebra, name: str, section: Sequence[int], projection: Sequence[int]):
+    """The algebra on range(len(section)) whose f(i1, .., ik) is projection applied to
+    A's f(section[i1], .., section[ik]), and the projection checked as a map onto it.
+    Its tables are not cell-checked: projection must take values in that range."""
+    B = FiniteAlgebra._built(name, len(section), [
+        Operation(op.name, op.arity, _getter(gather(op.table, section, op.arity, A.size))(projection))
+        for op in A.ops
+    ])
+    return B, Homomorphism(A, B, projection)
+
+
 def quotient_algebra(A: FiniteAlgebra, theta) -> Quotient:
     """Quotient modulo a congruence, blocks ordered by least element.
 
@@ -579,18 +605,9 @@ def quotient_algebra(A: FiniteAlgebra, theta) -> Quotient:
     if theta.algebra != A:
         raise ValidationError("congruence does not belong to this algebra")
     blocks = theta.blocks
-    index = [0] * A.size
-    for i, b in enumerate(blocks):
-        for x in b:
-            index[x] = i
-    reps = [b[0] for b in blocks]
-    ops = [
-        Operation(op.name, op.arity, _getter(gather(op.table, reps, op.arity, A.size))(index))
-        for op in A.ops
-    ]
-    Q = FiniteAlgebra(f"{A.name}/{_short_partition_name(A, blocks)}", len(blocks), ops)
     # the projection check is what rejects a partition that is not a congruence
-    return Quotient(Q, Homomorphism(A, Q, index))
+    return Quotient(*_image(A, f"{A.name}/{_short_partition_name(A, blocks)}",
+                            [b[0] for b in blocks], theta.block_index()))
 
 
 def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
@@ -601,12 +618,7 @@ def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):
     inv = [0] * A.size
     for x, y in enumerate(perm):
         inv[y] = x
-    ops = [
-        Operation(op.name, op.arity, _getter(gather(op.table, inv, op.arity, A.size))(perm))
-        for op in A.ops
-    ]
-    B = FiniteAlgebra(name or f"{A.name}'", A.size, ops)
-    return B, Homomorphism(A, B, perm)
+    return _image(A, name or f"{A.name}'", inv, perm)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from .cbs import (
 )
 from .congruence import Congruence, all_congruences
 from .errors import CbswbError, FormatError, ValidationError
-from .omega import omega_cbs_run, omega_validate, quasicyclic_suite, truncate_validate
+from .omega import (check_truncation, omega_cbs_run, omega_validate, quasicyclic_suite,
+                    truncate_validate)
 from .pset import PeriodicSet
 from .report import Report, lattice_dot, render_report
 from .structure import bfc_report, church_centers, factor_congruences, z_con_report
@@ -173,13 +174,16 @@ def _cmd_cbs_complete(args):
 def _cmd_omega(args):
     A = _load(args.base)
     zeta = PeriodicSet.parse(args.zeta)
+    truncations = args.truncate or [2 * args.shift]
+    for m in truncations:
+        check_truncation(args.shift, m)
     run = omega_cbs_run(A, args.shift, zeta, indices=args.indices)
     violations = omega_validate(run)
     body = run.to_report()
     body["validation_violations"] = violations
     body["truncations"] = []
     ok = not violations
-    for m in args.truncate or [2 * args.shift]:
+    for m in truncations:
         v = truncate_validate(run, m)
         ok = ok and v["ok"]
         body["truncations"].append({

@@ -154,8 +154,8 @@ class Congruence:
         return Congruence(algebra, (0,) * algebra.size)
 
     def block_index(self):
-        """Map element -> index of its block in the sorted block list."""
-        idx = {}
+        """Index of each element's block in the sorted block list, as a list."""
+        idx = [0] * len(self.rep)
         for i, b in enumerate(self.blocks):
             for x in b:
                 idx[x] = i

@@ -373,6 +373,14 @@ def _window_mismatch(S: PeriodicSet, T: PeriodicSet, m: int):
     return _lowest(S.bits_below(m) ^ T.bits_below(m))
 
 
+def check_truncation(k: int, m: int) -> None:
+    """Refuse a truncation to m coordinates of a run shifting by k."""
+    if m < 2 * k:
+        raise ValidationError("truncation must cover at least twice the shift")
+    if m > MAX_TRUNCATION:
+        raise BudgetError(f"truncation: m reached {m}, over the {MAX_TRUNCATION}-coordinate budget")
+
+
 def truncate_validate(run: OmegaRun, m: int) -> dict:
     """Check the symbolic run against the finite power on m coordinates.
 
@@ -380,10 +388,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     congruence arithmetic; larger ones are checked exactly on the coordinate
     sets that define the congruences.  Failures carry named witnesses.
     """
-    if m < 2 * run.k:
-        raise ValidationError("truncation must cover at least twice the shift")
-    if m > MAX_TRUNCATION:
-        raise BudgetError(f"truncation: m reached {m}, over the {MAX_TRUNCATION}-coordinate budget")
+    check_truncation(run.k, m)
     A = run.base
     iso = run.iso()
     carrier = A.size ** m
@@ -403,21 +408,21 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 "materialized": materialized, "checks": checks,
                 "failures": [c for c in checks if not c["ok"]]}
 
+    def record_sets(name, ok, S, T):
+        # the two sets are rendered only into a failure's witness
+        record(name, ok, None if ok else {"pair": [S.render(), T.render()]})
+
     # set equations are global and exact, recomputed from the run fields
-    naturals = PeriodicSet.naturals()
-    record("chi meets neg_chi in the diagonal", run.chi.intersect(run.neg_chi).is_empty(),
-           {"pair": [run.chi.render(), run.neg_chi.render()]})
-    record("chi joins neg_chi to the total", run.chi.union(run.neg_chi) == naturals,
-           {"pair": [run.chi.render(), run.neg_chi.render()]})
-    record("zeta = neg_chi meet sigma_zeta",
-           run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
-           {"pair": [run.neg_chi.render(), run.sigma_zeta.render()]})
+    record_sets("chi meets neg_chi in the diagonal", run.chi.intersect(run.neg_chi).is_empty(),
+                run.chi, run.neg_chi)
+    record_sets("chi joins neg_chi to the total", run.chi.union(run.neg_chi) == PeriodicSet.naturals(),
+                run.chi, run.neg_chi)
+    record_sets("zeta = neg_chi meet sigma_zeta", run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
+                run.neg_chi, run.sigma_zeta)
     image = iso.fhat(run.chi)
-    record("f_hat(chi) = sigma_zeta", image == run.sigma_zeta,
-           {"pair": [image.render(), run.sigma_zeta.render()]})
+    record_sets("f_hat(chi) = sigma_zeta", image == run.sigma_zeta, image, run.sigma_zeta)
     shifted, neg_sz = run.chi.complement().shift(run.k), run.sigma_zeta.complement()
-    record("chi^c shifted onto sigma_zeta^c", shifted == neg_sz,
-           {"pair": [shifted.render(), neg_sz.render()]})
+    record_sets("chi^c shifted onto sigma_zeta^c", shifted == neg_sz, shifted, neg_sz)
 
     # sequence laws compared on the coordinate window, as masks of m bits;
     # they read every term by index, so tables that do not fit the sigmas
@@ -600,7 +605,7 @@ class QuasiCyclic:
         # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
         doubled = list(range(size)) * 2
         table = tuple(chain.from_iterable(doubled[a:a + size] for a in range(size)))
-        return FiniteAlgebra(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
+        return FiniteAlgebra._built(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
 
     def subgroup_congruence(self, T: FiniteAlgebra, m: int, j: int) -> Congruence:
         """Collapse by the level-j subgroup inside the level-m truncation."""

@@ -198,6 +198,9 @@ def test_direct_product_and_projections():
     Homomorphism(P, z2, [0, 1, 0, 1])
     with pytest.raises(ValidationError):
         direct_product(z2, corpus_algebra("chain2"))
+    # a built algebra keeps its signature test
+    with pytest.raises(ValidationError, match="share a signature"):
+        direct_product(P, power_algebra(corpus_algebra("chain2"), 2))
 
 
 def test_power_matches_iterated_product():
@@ -224,6 +227,11 @@ def test_quotient_blocks_in_canonical_order():
     assert Q.algebra.same_tables(corpus_algebra("z2"))
     with pytest.raises(ValidationError):
         quotient_algebra(corpus_algebra("v4"), theta)
+    # on a built algebra the projection check still rejects a partition that
+    # is not a congruence: in z2^2, 0 ~ 1 forces 2 = 0 + 2 ~ 1 + 2 = 3
+    z2_2 = power_algebra(corpus_algebra("z2"), 2)
+    with pytest.raises(ValidationError, match="does not preserve"):
+        quotient_algebra(z2_2, Congruence(z2_2, (0, 0, 2, 3)))
 
 
 def brute_isos(A, B):
@@ -324,6 +332,13 @@ def test_relabel_gives_isomorphic_copy():
         assert B.size == A.size
     with pytest.raises(ValidationError):
         relabel(corpus_algebra("z4"), [0, 0, 1, 2])
+    # a built algebra keeps the permutation test, and the iso check rejects
+    # the bools that pass it
+    z2_2 = power_algebra(corpus_algebra("z2"), 2)
+    with pytest.raises(ValidationError, match="permutation"):
+        relabel(z2_2, [0, 0, 1, 2])
+    with pytest.raises(ValidationError, match="mapping value"):
+        relabel(power_algebra(corpus_algebra("z2"), 1), [True, False])
 
 
 def test_constructors_and_truncations_do_not_apply_cell_by_cell(monkeypatch):

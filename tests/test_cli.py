@@ -239,6 +239,20 @@ def test_index_count_hits_the_budget(capsys):
                              "over the 1024-index budget\n")
 
 
+def test_truncations_are_checked_before_the_run(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega run built for a truncation that is refused")
+
+    monkeypatch.setattr(cli, "omega_cbs_run", refuse)
+    budget = "error: truncation: m reached 200, over the 64-coordinate budget\n"
+    assert run(capsys, "omega-demo", "--base", Z2, "--shift", "100", "--zeta", "{0,7,50}",
+               "--indices", "512") == (2, "", budget)
+    # every --truncate value is checked, not only the first
+    assert run(capsys, "omega-demo", "--base", Z2, "--shift", "2", "--zeta", "{0}",
+               "--truncate", "6", "--truncate", "3") == (
+        2, "", "error: truncation must cover at least twice the shift\n")
+
+
 def _write_algebra(path, A):
     path.write_text(json.dumps(render_algebra(A)))
     return str(path)

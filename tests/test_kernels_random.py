@@ -47,6 +47,7 @@ from cbswb.congruence import (
     generated_congruence,
 )
 from cbswb.errors import ValidationError
+from cbswb.omega import QuasiCyclic
 from cbswb.structure import center_of_lattice, check_factor_pair, factor_congruences
 
 from oracles import (
@@ -384,10 +385,51 @@ def digits(p, base, m):
     return [p // base ** (m - 1 - i) % base for i in range(m)]
 
 
+def assert_passes_cell_check(R):
+    """R equals, and hashes like, its tables passed through the public
+    constructor, which checks every cell: the library's own constructors
+    skip that check, and this is its oracle."""
+    oracle = FiniteAlgebra(R.name, R.size, R.ops)
+    # every field, so the checked and the unchecked constructor cannot drift apart
+    assert vars(R) == vars(oracle)
+    assert R == oracle and hash(R) == hash(oracle)
+
+
 @KERNEL_SETTINGS
 @given(constructor_case())
 def test_constructors_match_cellwise_construction(case):
     A, B, m, perm = case
+    n, nb = A.size, B.size
+    built = []
+    real_built = FiniteAlgebra.__dict__["_built"]
+
+    def keep(name, size, ops):
+        built.append(real_built.__func__(FiniteAlgebra, name, size, ops))
+        return built[-1]
+
+    FiniteAlgebra._built = keep
+    try:
+        check_constructors(A, B, m, perm)
+    finally:
+        FiniteAlgebra._built = real_built
+    # a product, a power, a relabelling and a quotient per partition, which
+    # is built before its projection check rejects a non-congruence
+    assert len(built) == 3 + sum(1 for _ in all_partitions(A.size))
+    for R in built:
+        assert_passes_cell_check(R)
+
+
+def test_quasicyclic_truncations_pass_the_cell_check():
+    for p, top in ((2, 4), (3, 3), (5, 2), (7, 1)):
+        qc = QuasiCyclic(p)
+        for m in range(top + 1):
+            T = qc.truncation(m)
+            assert T.ops[0].table == tuple((a + b) % p ** m
+                                           for a in range(p ** m) for b in range(p ** m))
+            assert_passes_cell_check(T)
+
+
+def check_constructors(A, B, m, perm):
     n, nb = A.size, B.size
 
     def product_cell(op, args):

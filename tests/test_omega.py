@@ -662,6 +662,42 @@ def test_truncation_flags_corrupted_chi():
     assert "f_hat(chi) = sigma_zeta" in names
 
 
+SET_EQUATIONS = (
+    "chi meets neg_chi in the diagonal",
+    "chi joins neg_chi to the total",
+    "zeta = neg_chi meet sigma_zeta",
+    "f_hat(chi) = sigma_zeta",
+    "chi^c shifted onto sigma_zeta^c",
+)
+
+
+def test_truncation_renders_sets_only_into_failures(monkeypatch):
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    run.neg_chi = run.neg_chi.union(run.chi)
+    chi_text, neg_chi_text = run.chi.render(), run.neg_chi.render()
+    rendered = []
+    real = PeriodicSet.render
+
+    def counted(S):
+        rendered.append(S)
+        return real(S)
+
+    monkeypatch.setattr(PeriodicSet, "render", counted)
+    for m in (4, 16):
+        rendered.clear()
+        failures = {c["name"]: c for c in truncate_validate(run, m)["failures"]}
+        assert failures["chi meets neg_chi in the diagonal"] == {
+            "name": "chi meets neg_chi in the diagonal", "ok": False,
+            "witness": {"pair": [chi_text, neg_chi_text]},
+        }
+        # the union is still the total, so that check rendered nothing
+        assert "chi joins neg_chi to the total" not in failures
+        assert len(rendered) == 2 * sum(name in failures for name in SET_EQUATIONS)
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    rendered.clear()
+    assert truncate_validate(run, 16)["ok"] and rendered == []
+
+
 def test_truncation_lazy_flags_corrupted_sigma_zeta():
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     run.sigma_zeta = run.sigma_zeta.union(PeriodicSet.from_finite([2]))
