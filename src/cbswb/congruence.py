@@ -10,10 +10,8 @@ closure all merge blocks by linking roots in such a forest (_merge) and
 flatten it back into an array in one ascending pass (_flatten).
 
 Con(A) is the join closure of the principal congruences, enumerated up to
-CON_COUNT_CAP members.  Its order is read off n^2-bit pair masks, and its
-meet and join tables off the bitsets of down-sets and up-sets, with no
-pairwise congruence arithmetic: the canonical ordering is a linear
-extension of the order.
+CON_COUNT_CAP members, and its order is read off n^2-bit pair masks with no
+pairwise congruence arithmetic.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .algebra import (
     table_args,
 )
 from .errors import BudgetError, ValidationError
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, bitsets
 
 DEFAULT_CON_CAP = 8
 # most members all_congruences enumerates before it raises BudgetError
@@ -336,43 +334,18 @@ def _relation_product(first: Congruence, second: Congruence) -> frozenset:
 
 
 class CongruenceLattice(FiniteLattice):
-    """Con(A), or a sublattice of it, as a finite lattice: order, meet and
-    join tables over the congruences in canonical order, with its
-    modularity flags.
-
-    The elements must be closed under meet and join.  The order comes from
-    n^2-bit pair masks (bit x*n + y set when x and y share a block), and
-    the tables from the up-sets and down-sets of the order as bitsets:
-    canonical order lists a congruence after every congruence below it, so
-    a join is the lowest index among the common upper bounds and a meet the
-    highest among the common lower bounds.  index maps each rep array to its
-    position.
+    """Con(A), or a sublattice of it closed under meet and join, as a
+    finite lattice over the congruences in canonical order.  The order
+    comes from n^2-bit pair masks, bit x*n + y set when x and y share a
+    block.  index maps each rep array to its position.
     """
 
     def __init__(self, algebra: FiniteAlgebra, elements):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda c: c.key()))
         self.index = {c.rep: i for i, c in enumerate(self.elements)}
-        n = algebra.size
-        masks = []
-        for c in self.elements:
-            mask = 0
-            for block in c.blocks:
-                row = sum(1 << y for y in block)
-                for x in block:
-                    mask |= row << (x * n)
-            masks.append(mask)
-        leq = tuple(tuple((a & b) == a for b in masks) for a in masks)
-        m = len(masks)
-        up = [sum(1 << j for j in range(m) if row[j]) for row in leq]
-        down = [sum(1 << j for j in range(m) if leq[j][i]) for i in range(m)]
-        super().__init__(
-            leq,
-            tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down),
-            tuple(tuple((u & v & -(u & v)).bit_length() - 1 for v in up) for u in up),
-        )
-        self.modular = self.is_modular()
-        self.distributive = self.is_distributive()
+        masks = bitsets([r == s for r in c.rep for s in c.rep] for c in self.elements)
+        super().__init__(tuple(tuple((a & b) == a for b in masks) for a in masks))
 
     def factor_pair(self, i, j) -> bool:
         """check_factor_pair's verdict on elements i and j: their meet is the
@@ -391,7 +364,7 @@ class CongruenceLattice(FiniteLattice):
             "algebra": self.algebra.name,
             "size": len(self.elements),
             "elements": [c.to_blocks_list() for c in self.elements],
-            "order": [[bool(v) for v in row] for row in self.leq],
+            "order": [list(row) for row in self.leq],
             "meet": [list(row) for row in self.meet_table],
             "join": [list(row) for row in self.join_table],
             "modular": self.modular,

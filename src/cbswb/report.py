@@ -12,6 +12,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from .errors import FormatError
+from .lattice import bitsets, upper_covers
 
 SCHEMA = "cbswb-report/1"
 
@@ -178,26 +179,13 @@ def parse_report(text: str) -> Report:
 
 
 def lattice_dot(report_body: dict, name: str = "con") -> str:
-    """DOT rendering of a congruence-lattice report (covering edges only)."""
-    blocks = report_body["elements"]
-    leq = report_body["order"]
-    m = len(blocks)
-
-    def label(i):
-        return "|".join("".join(str(x) for x in b) for b in blocks[i])
-
-    covers = []
-    for i in range(m):
-        for j in range(m):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m)):
-                continue
-            covers.append((i, j))
+    """DOT rendering of a congruence-lattice report (covering edges only,
+    read by upper_covers off the report's canonical order)."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i in range(m):
-        lines.append(f'  n{i} [label="{label(i)}"];')
-    for i, j in covers:
-        lines.append(f"  n{i} -> n{j};")
+    for i, blocks in enumerate(report_body["elements"]):
+        label = "|".join("".join(str(x) for x in b) for b in blocks)
+        lines.append(f'  n{i} [label="{label}"];')
+    for i, covers in enumerate(upper_covers(bitsets(report_body["order"]))):
+        lines += [f"  n{i} -> n{j};" for j in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -94,19 +94,16 @@ class FactorAnalysis:
 
 
 def factor_congruences(A: FiniteAlgebra, max_size: int = 8) -> FactorAnalysis:
-    """All factor congruences of A with their full complement lists.
-
-    Decided off the lattice tables by CongruenceLattice.factor_pair.
-    """
+    """All factor congruences of A with their full complement lists.  A
+    factor pair is a pair of complements in Con(A), so only complements are
+    tried with CongruenceLattice.factor_pair."""
     lattice = all_congruences(A, max_size=max_size)
-    m = len(lattice)
     complements = {}
-    for i in range(m):
-        found = tuple(j for j in range(m) if lattice.factor_pair(i, j))
+    for i in range(len(lattice)):
+        found = tuple(j for j in lattice.complements(i) if lattice.factor_pair(i, j))
         if found:
             complements[i] = found
-    fc = tuple(sorted(complements))
-    return FactorAnalysis(lattice, complements, fc)
+    return FactorAnalysis(lattice, complements, tuple(complements))
 
 
 def decomposition_witness(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
@@ -137,7 +134,6 @@ def decomposition_witness(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> d
 
 @dataclass
 class CenterReport:
-    lattice: FiniteLattice
     central: tuple
     complements: dict  # central element -> tuple of complements
     failures: dict  # non-central element -> failure description
@@ -154,21 +150,18 @@ class CenterReport:
 
 def center_of_lattice(L: FiniteLattice) -> CenterReport:
     """Central (= neutral and complemented) elements of a bounded lattice."""
-    central = []
-    complements = {}
-    failures = {}
+    central, complements, failures = [], {}, {}
     for z in range(L.size):
         failure = L.neutrality_failure(z)
-        comps = L.complements(z)
         if failure is not None:
             failures[z] = {"reason": "not_neutral", **failure}
-        elif not comps:
+        elif not (comps := L.complements(z)):
             failures[z] = {"reason": "no_complement"}
         else:
             central.append(z)
             complements[z] = tuple(comps)
     boolean = L.boolean_failure(central) is None
-    return CenterReport(L, tuple(central), complements, failures, boolean)
+    return CenterReport(tuple(central), complements, failures, boolean)
 
 
 def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:

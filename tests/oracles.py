@@ -217,3 +217,41 @@ def factor_pair_verdict(r1, r2, n):
     return {"ok": False, "reason": "not_permutable",
             "witness": list(next(p for p in pairs if p not in forward)),
             "permutable": forward == product(r2, r1)}
+
+
+def lattice_covers(leq):
+    """Pairs (i, j) with i < j in the order and nothing strictly between,
+    i then j ascending."""
+    m = len(leq)
+    return [(i, j) for i in range(m) for j in range(m)
+            if i != j and leq[i][j]
+            and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(m))]
+
+
+def lattice_is_modular(leq, M, J):
+    """x <= z implies x v (y ^ z) = (x v y) ^ z, over every triple."""
+    m = len(leq)
+    return all(J[x][M[y][z]] == M[J[x][y]][z]
+               for x in range(m) for z in range(m) if leq[x][z] for y in range(m))
+
+
+def lattice_is_distributive(M, J):
+    """x ^ (y v z) = (x ^ y) v (x ^ z), over every triple."""
+    m = len(M)
+    return all(M[x][J[y][z]] == J[M[x][y]][M[x][z]]
+               for x in range(m) for y in range(m) for z in range(m))
+
+
+def neutrality_failure(M, J, z):
+    """First failing median identity (x v y) ^ w = (x ^ w) v (y ^ w) ("D")
+    or its dual ("D*") over every arrangement (x, y, w) of {a, b, z}, with a
+    then b ascending, or None when z is neutral."""
+    m = len(M)
+    for a in range(m):
+        for b in range(m):
+            for x, y, w in itertools.permutations((a, b, z)):
+                if M[J[x][y]][w] != J[M[x][w]][M[y][w]]:
+                    return {"triple": [x, y, w], "identity": "D"}
+                if J[M[x][y]][w] != M[J[x][w]][J[y][w]]:
+                    return {"triple": [x, y, w], "identity": "D*"}
+    return None

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report stability, error handling."""
 
 import json
+import math
 import os
 import time
 
@@ -272,6 +273,34 @@ def test_congruence_count_budget_stops_large_lattices(capsys, tmp_path):
         assert code == 2 and out == "", argv
         assert err == ("error: congruence enumeration: |Con(A)| reached 1025, "
                        "over the 1024-member budget\n"), argv
+
+
+def test_emit_dot_draws_the_hasse_diagram_of_the_partition_lattice(tmp_path):
+    # Con of a 7-element set with only the identity is the partition lattice
+    # (B_7 = 877 members), where a partition with k blocks is covered exactly
+    # by the C(k, 2) merges of two of its blocks
+    identity = _write_algebra(tmp_path / "id7.json",
+                              FiniteAlgebra("id7", 7, [Operation("id", 1, tuple(range(7)))]))
+    dot = tmp_path / "con.dot"
+    # the verb's handler, without rendering the 877^2-cell report
+    args = build_parser().parse_args(["con", identity, "--emit-dot", str(dot)])
+    status, body = cli._HANDLERS["con"](args)
+    assert status == "pass" and body["size"] == 877 and body["dot"] == str(dot)
+    stirling = [1]  # S(n, k) for k = 0..n, here n = 0
+    for n in range(7):
+        stirling = [k * s + r for k, (s, r) in enumerate(zip(stirling + [0], [0] + stirling))]
+    labels, edges = {}, []
+    for line in dot.read_text().splitlines()[2:-1]:
+        node, rest = line.split(maxsplit=1)
+        if rest.startswith("->"):
+            edges.append((node, rest[3:-1]))
+        else:
+            labels[node] = frozenset(rest[8:-3].split("|"))
+    assert len(labels) == 877
+    assert len(edges) == sum(s * math.comb(k, 2) for k, s in enumerate(stirling)) == 4802
+    for low, high in edges:
+        merged = labels[low] - labels[high]
+        assert len(merged) == 2 and labels[high] - labels[low] == {"".join(sorted("".join(merged)))}
 
 
 def test_carrier_budget_messages_name_stage_and_count(capsys, tmp_path):

@@ -13,7 +13,10 @@ isomorphism search (arities up to 3) against the bijective maps among
 them, the product, power, quotient and relabelling constructors against
 cell-by-cell construction, factor-pair verdicts against relational
 products over all triples, and the table-driven complement lists against
-check_factor_pair.
+check_factor_pair.  The cover relation, the modular and distributive flags
+and every neutrality witness are checked against the triple loops of the
+definitions, on Con(A) and on random lattices given as the closed sets of
+random Moore families.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -47,6 +50,7 @@ from cbswb.congruence import (
     generated_congruence,
 )
 from cbswb.errors import ValidationError
+from cbswb.lattice import FiniteLattice
 from cbswb.omega import QuasiCyclic
 from cbswb.structure import center_of_lattice, check_factor_pair, factor_congruences
 
@@ -58,7 +62,11 @@ from oracles import (
     brute_congruences,
     factor_pair_verdict,
     join_closure,
+    lattice_covers,
+    lattice_is_distributive,
+    lattice_is_modular,
     meet_rep,
+    neutrality_failure,
     order_bound,
     refines,
     rep_of_blocks,
@@ -491,3 +499,56 @@ def test_factor_congruences_match_check_factor_pair(case):
         expected = tuple(j for j, phi in enumerate(E) if check_factor_pair(A, theta, phi)["ok"])
         assert analysis.complements.get(i, ()) == expected, i
     assert analysis.fc == tuple(sorted(analysis.complements))
+
+
+def moore_case(points, gens):
+    """The closed sets of the Moore family on range(points) generated by
+    gens (bitmasks), listed by size (a linear extension of inclusion), with
+    the lattice they form."""
+    full = (1 << points) - 1
+    closed = {full}
+    for g in gens:
+        closed |= {g & c for c in closed}
+    sets = sorted(closed, key=lambda s: (bin(s).count("1"), s))
+    return sets, FiniteLattice(tuple(tuple(a & b == a for b in sets) for a in sets))
+
+
+@st.composite
+def moore_lattice(draw):
+    """A random Moore family on at most 5 points.  Every finite lattice is
+    the lattice of closed sets of some Moore family, so these include
+    non-modular ones; M3, N5 and M3 x 2 are added as examples."""
+    points = draw(st.integers(0, 5))
+    return moore_case(points, draw(st.lists(st.integers(0, (1 << points) - 1), max_size=8)))
+
+
+def check_lattice_laws(L):
+    M, J = L.meet_table, L.join_table
+    assert [(i, j) for i, js in enumerate(L.covers) for j in js] == lattice_covers(L.leq)
+    assert L.modular == lattice_is_modular(L.leq, M, J)
+    assert L.distributive == lattice_is_distributive(M, J)
+    for z in range(L.size):
+        assert L.neutrality_failure(z) == neutrality_failure(M, J, z), z
+
+
+@KERNEL_SETTINGS
+@given(algebra_and_pairs())
+def test_lattice_laws_of_con_match_triple_loops(case):
+    check_lattice_laws(all_congruences(case[0]))
+
+
+@KERNEL_SETTINGS
+@given(moore_lattice())
+@example(moore_case(3, [0b001, 0b010, 0b100]))  # M3
+@example(moore_case(3, [0b001, 0b011, 0b100]))  # N5
+@example(moore_case(4, [0b0001, 0b0010, 0b0100, 0b1000, 0b1001, 0b1010, 0b1100, 0b0111]))  # M3 x 2
+def test_lattice_laws_of_moore_families_match_triple_loops(case):
+    sets, L = case
+    m = len(sets)
+    assert (sets[L.bottom], sets[L.top]) == (sets[0], sets[-1])
+    for i in range(m):
+        for j in range(m):
+            assert sets[L.meet(i, j)] == sets[i] & sets[j]
+            uppers = [s for s in sets if s & (sets[i] | sets[j]) == sets[i] | sets[j]]
+            assert sets[L.join(i, j)] == min(uppers, key=lambda s: bin(s).count("1"))
+    check_lattice_laws(L)
