@@ -9,9 +9,10 @@ elements of the blocks: generated congruences, joins and the Con(A)
 closure all merge blocks by linking roots in such a forest (_merge) and
 flatten it back into an array in one ascending pass (_flatten).
 
-Con(A) is the join closure of the principal congruences, enumerated up to
-CON_COUNT_CAP members, and its order is read off n^2-bit pair masks with no
-pairwise congruence arithmetic.
+Con(A) is the join closure of the principal congruences, up to
+CON_COUNT_CAP members.  Each is closed once, reusing those closed before it
+and stopping at one that relates its pair, and joins the closure once; the
+order is read off n^2-bit pair masks with no pairwise congruence arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .algebra import (
     table_args,
 )
 from .errors import BudgetError, ValidationError
-from .lattice import FiniteLattice, bitsets
+from .lattice import FiniteLattice
 
 DEFAULT_CON_CAP = 8
 # most members all_congruences enumerates before it raises BudgetError
@@ -254,15 +255,33 @@ def _translation_columns(A: FiniteAlgebra):
     return list(zip(*seen)) if seen else [()] * n
 
 
-def _generated_rep(n: int, pairs, cols) -> tuple:
+def _generated_rep(n: int, pairs, cols, known=None) -> tuple:
     """Least-representative array of the congruence generated by pairs,
-    which must lie in range(n); see generated_congruence."""
+    which must lie in range(n); see generated_congruence.  known maps pairs
+    (u, v) to the rep arrays of Cg(u, v), for pairs [(a, b)] only: an image
+    with a known Cg(u, v) merges its links whole and pushes none, as it is
+    closed, and one relating a and b is Cg(a, b), each holding the other's
+    generator."""
     lab = list(range(n))
     work = []
     blocks = n - _merge(lab, pairs, work)
     while work and blocks > 1:
         x, y = work.pop()
-        blocks -= _merge(lab, zip(cols[x], cols[y]), work)
+        images = zip(cols[x], cols[y])
+        if known:
+            (a, b), fresh = pairs[0], []
+            for u, v in images:
+                if lab[u] == lab[v]:
+                    continue
+                hit = known.get((u, v))
+                if hit is None:
+                    fresh.append((u, v))
+                elif hit[a] == hit[b]:
+                    return hit
+                else:
+                    blocks -= _merge(lab, enumerate(hit))
+            images = fresh
+        blocks -= _merge(lab, images, work)
     return _flatten(lab)
 
 
@@ -344,7 +363,13 @@ class CongruenceLattice(FiniteLattice):
         self.algebra = algebra
         self.elements = tuple(sorted(elements, key=lambda c: c.key()))
         self.index = {c.rep: i for i, c in enumerate(self.elements)}
-        masks = bitsets([r == s for r in c.rep for s in c.rep] for c in self.elements)
+        n, masks = algebra.size, []
+        for c in self.elements:
+            block = dict.fromkeys(c.rep, 0)  # bitset of each block, by least element
+            for x, r in enumerate(c.rep):
+                block[r] |= 1 << x
+            # row x of the mask, bits x*n..x*n+n-1, is the block of x
+            masks.append(sum([block[r] << x * n for x, r in enumerate(c.rep)]))
         super().__init__(tuple(tuple((a & b) == a for b in masks) for a in masks))
 
     def factor_pair(self, i, j) -> bool:
@@ -375,16 +400,16 @@ class CongruenceLattice(FiniteLattice):
 def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> CongruenceLattice:
     """Con(A) as the join closure of the principal congruences.
 
-    Every congruence is the join of the principal congruences it contains,
-    so joining each newly found congruence with every distinct principal
-    congruence not already below it, until nothing new appears, yields the
-    full lattice (R. Freese, Computing congruences efficiently, 2008).  The
-    joins run on bare rep arrays, merging a principal congruence's links
-    into a copy of the other array, and a Congruence is built only for a
-    member that is new.
-    Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.
-    The lattice is kept on A and returned by later calls that pass the
-    carrier cap.
+    Every congruence is the join of the principal congruences it contains
+    (R. Freese, Computing congruences efficiently, 2008).  Cg(a, b) is
+    closed pair by pair in lexicographic order, reusing those of the pairs
+    before it and stopping at one that relates a and b (_generated_rep).
+    The distinct ones join the closure S one at a time, in canonical order:
+    one already in S is skipped, and otherwise S becomes S u (S v g),
+    join-closed whenever S is.  Joins merge a principal's links into a copy
+    of a bare rep array, and build a Congruence only for a new member.
+    Guarded by a carrier cap (default 8) and by CON_COUNT_CAP members.  The
+    lattice is kept on A and returned by later calls that pass the cap.
     """
     if A.size > max_size:
         raise BudgetError(
@@ -394,39 +419,31 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     if A._con is not None:
         return A._con
     n = A.size
-    items = {tuple(range(n)): Congruence.diagonal(A)}
-
-    def found(rep):
-        items[rep] = Congruence(A, rep)
-        if len(items) > CON_COUNT_CAP:
-            raise BudgetError(
-                f"congruence enumeration: |Con(A)| reached {len(items)}, "
-                f"over the {CON_COUNT_CAP}-member budget"
-            )
-
-    # (a, b, links of the principal congruence of (a, b)), one per distinct one
-    principals = []
+    # Cg(u, v) under (u, v) and (v, u), and the first pair (a, b) of each
+    known, principals = {}, {}
     cols = _translation_columns(A)
     for a in range(n):
         for b in range(a + 1, n):
-            rep = _generated_rep(n, [(a, b)], cols)
-            if rep not in items:
-                found(rep)
-                principals.append((a, b, _links(rep)))
-    frontier = list(items)[1:]
-    while frontier:
-        nxt = []
-        for rep in frontier:
-            for a, b, links in principals:
-                if rep[a] == rep[b]:
-                    continue  # the principal congruence is below rep
-                lab = list(rep)
+            known[a, b] = known[b, a] = rep = _generated_rep(n, [(a, b)], cols, known)
+            principals.setdefault(rep, (a, b))
+    # one pass over the generators closes S; s >= g when s relates (a, b)
+    items = {tuple(range(n)): Congruence.diagonal(A)}
+    for rep in sorted(principals, key=lambda rep: (-len(set(rep)), rep)):
+        if rep in items:
+            continue
+        (a, b), links = principals[rep], _links(rep)
+        for s in list(items):
+            if s[a] != s[b]:
+                lab = list(s)
                 _merge(lab, links)
                 joined = _flatten(lab)
                 if joined not in items:
-                    found(joined)
-                    nxt.append(joined)
-        frontier = nxt
+                    items[joined] = Congruence(A, joined)
+                    if len(items) > CON_COUNT_CAP:
+                        raise BudgetError(
+                            f"congruence enumeration: |Con(A)| reached {len(items)}, "
+                            f"over the {CON_COUNT_CAP}-member budget"
+                        )
     A._con = CongruenceLattice(A, items.values())
     return A._con
 

@@ -54,9 +54,9 @@ class FiniteLattice:
         self.size = m = len(leq)
         self.leq = leq
         self.up, self.down = up, down = bitsets(leq), bitsets(zip(*leq))
-        self.meet_table = tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down)
+        self.meet_table = tuple([tuple([(d & e).bit_length() - 1 for e in down]) for d in down])
         high = bitsets(row[::-1] for row in leq)  # up-sets, the lowest index as the top bit
-        self.join_table = tuple(tuple(m - (h & k).bit_length() for k in high) for h in high)
+        self.join_table = tuple([tuple([m - (h & k).bit_length() for k in high]) for h in high])
         self.bottom, self.top = 0, m - 1
 
     def meet(self, i, j):

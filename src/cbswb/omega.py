@@ -634,7 +634,7 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     congs = [qc.subgroup_congruence(T, m, j) for j in range(m + 1)]
     # the projection check of each quotient rejects a level that is not a
     # congruence with ValidationError, so a quotient that exists certifies it
-    quotients = [quotient_algebra(T, c).algebra for c in congs]
+    quotients = [quotient_algebra(T, c) for c in congs]
     chain = []
     chain_ok = True
     for j, c in enumerate(congs):
@@ -655,15 +655,17 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     ends_ok = congs[0].is_diagonal() and congs[m].is_total()
 
     target = truncs[n]
-    iso_ok = quotients[n].same_tables(target)
-    h = Homomorphism(T, target, [x % p ** (m - n) for x in range(size)])
+    iso_ok = quotients[n].algebra.same_tables(target)
+    # that projection is x -> x mod p^(m-n) onto equal tables, already checked
+    h = quotients[n].projection if iso_ok else Homomorphism(
+        T, target, [x % p ** (m - n) for x in range(size)])
     kernel_ok = h.kernel().rep == congs[n].rep
 
     pattern = [
         {
             "level": j,
-            "quotient_size": quotients[j].size,
-            "matches_truncation": quotients[j].same_tables(truncs[j]),
+            "quotient_size": quotients[j].algebra.size,
+            "matches_truncation": quotients[j].algebra.same_tables(truncs[j]),
         }
         for j in range(m)
     ]

@@ -4,9 +4,12 @@ Everything here recomputes results from first principles: set partitions by
 restricted growth strings, compatibility by comparing all blockwise-equal
 argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window.  None of it shares code with the
-package beyond the public data shapes.
+package beyond the public data shapes.  The partitions of each n are kept
+as rep arrays after their first enumeration, for the congruence oracles
+filter them again and again.
 """
 
+import functools
 import itertools
 
 
@@ -24,6 +27,13 @@ def all_partitions(n):
             yield from grow(prefix + [c], max(top, c))
 
     yield from grow([], -1)
+
+
+@functools.lru_cache(maxsize=None)
+def partition_reps(n):
+    """Least-representative arrays of every set partition of range(n), in
+    all_partitions order, enumerated once per n."""
+    return tuple(rep_of_blocks(blocks, n) for blocks in all_partitions(n))
 
 
 def rep_of_blocks(blocks, n):
@@ -55,12 +65,7 @@ def respects(A, rep):
 
 def brute_congruences(A):
     """Set of canonical rep arrays of all congruences, by partition filtering."""
-    out = set()
-    for blocks in all_partitions(A.size):
-        rep = rep_of_blocks(blocks, A.size)
-        if respects(A, rep):
-            out.add(rep)
-    return out
+    return {rep for rep in partition_reps(A.size) if respects(A, rep)}
 
 
 def brute_principal(A, a, b):
