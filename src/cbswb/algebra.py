@@ -643,18 +643,10 @@ def _element_labels(A: FiniteAlgebra):
     return [tuple(label) for label in labels]
 
 
-def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, mode: str = "first",
-               max_size: int = DEFAULT_ISO_CAP):
-    """Search for isomorphisms A -> B.
-
-    mode "first" returns at most one witness (the lexicographically least
-    map), "all" returns every isomorphism.  Always returns a list of
-    Homomorphisms.
-    """
-    if mode not in ("first", "all"):
-        raise ValidationError(f"unknown mode {mode!r}")
+def _isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int):
+    """Every isomorphism A -> B as a mapping tuple, in lexicographic order."""
     if A.signature() != B.signature() or A.size != B.size:
-        return []
+        return
     if A.size > max_size:
         raise BudgetError(
             f"isomorphism search: carrier has {A.size} elements, "
@@ -665,7 +657,7 @@ def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, mode: str = "first",
     label_a = _element_labels(A)
     label_b = _element_labels(B)
     if sorted(label_a) != sorted(label_b):
-        return []
+        return
     pools = [[y for y in range(n) if label_b[y] == label] for label in label_a]
 
     # equal signatures list the same operations in the same order
@@ -706,31 +698,33 @@ def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, mode: str = "first",
 
     for ta, tb, k in tables:
         if k == 0 and not assign(ta[0], tb[0]):
-            return []
+            return
 
     # branching on the least unassigned element with candidates in ascending
     # order finds the maps in lexicographic order
-    found = []
-
     def extend():
         if len(trail) == n:
-            found.append(tuple(fwd))
+            yield tuple(fwd)
             return
         a = fwd.index(-1)
         mark = len(trail)
         for b in pools[a]:
             if rev[b] < 0 and assign(a, b):
-                extend()
+                yield from extend()
             for x in trail[mark:]:
                 rev[fwd[x]] = -1
                 fwd[x] = -1
             del trail[mark:]
-            if mode == "first" and found:
-                return
 
-    extend()
-    return [Homomorphism(A, B, m) for m in found]
+    yield from extend()
+
+
+def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int = DEFAULT_ISO_CAP):
+    """The lexicographically least isomorphism A -> B, or None."""
+    mapping = next(_isomorphisms(A, B, max_size), None)
+    return None if mapping is None else Homomorphism(A, B, mapping)
 
 
 def automorphisms(A: FiniteAlgebra, max_size: int = DEFAULT_ISO_CAP):
-    return iso_search(A, A, mode="all", max_size=max_size)
+    """Every automorphism of A, in lexicographic order."""
+    return [Homomorphism(A, A, m) for m in _isomorphisms(A, A, max_size)]

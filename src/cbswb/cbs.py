@@ -19,6 +19,7 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Sentence,
+    automorphisms,
     direct_product,
     iso_search,
     parse_sentence,
@@ -27,6 +28,7 @@ from .algebra import (
     satisfies,
 )
 from .congruence import (
+    DEFAULT_CON_CAP,
     Congruence,
     CongruenceLattice,
     all_congruences,
@@ -85,7 +87,7 @@ class OperatorKind:
         return self.selector
 
 
-def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = 8):
+def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
     """K(A) for the given selector, in canonical congruence order."""
     if kind.selector == "con":
         ks = list(all_congruences(A, max_size=max_size))
@@ -115,16 +117,15 @@ def _complements(L: CongruenceLattice, x: Congruence, ks):
     return [c for c in ks if L.factor_pair(i, L.index[c.rep])]
 
 
-def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8) -> dict:
+def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP) -> dict:
     """K-morphism test: some sigma in K(source) has quotient isomorphic to the target."""
     A, B = f.source, f.target
     ks = operator_eval(A, kind, max_size=max_size)
     kernel_in_k = f.kernel().rep in _rep_set(ks)
     for sigma in ks:
-        Q = quotient_algebra(A, sigma).algebra
-        hit = iso_search(Q, B, mode="first")
+        hit = iso_search(quotient_algebra(A, sigma).algebra, B, max_size=max_size)
         if hit:
-            return {"admissible": True, "sigma": sigma, "iso": hit[0], "kernel_in_k": kernel_in_k}
+            return {"admissible": True, "sigma": sigma, "iso": hit, "kernel_in_k": kernel_in_k}
     return {"admissible": False, "sigma": None, "iso": None, "kernel_in_k": kernel_in_k}
 
 
@@ -135,7 +136,12 @@ def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = 8) -> dic
 class _QuotientIso:
     """An isomorphism f: A -> A/theta, checked once, with f_hat and its loose
     inverse over the one A/theta: the finite twin of omega.ShiftIso.  With
-    f = None the natural projection is taken, and it must be bijective."""
+    f = None the natural projection is taken, and it must be bijective.
+
+    f is kept as a map onto Q.algebra, with its inverse and the self-map
+    inverse o projection of A; f_hat is the pullback along that self-map,
+    since (a, b) is in pi^-1(f(sigma)) iff (f^-1(pi a), f^-1(pi b)) is in sigma.
+    """
 
     def __init__(self, A: FiniteAlgebra, f, theta: Congruence):
         if theta.algebra != A:
@@ -147,22 +153,17 @@ class _QuotientIso:
                 raise ValidationError("no default isomorphism: theta collapses elements")
         elif f.source != A or not f.is_bijective() or not f.target.same_tables(Q.algebra):
             raise ValidationError("f is not an isomorphism onto A/theta")
+        elif f.target != Q.algebra:
+            f = Homomorphism(A, Q.algebra, f.mapping)
         self.A, self.f, self.theta, self.Q = A, f, theta, Q
-
-    def push(self, c: Congruence) -> Congruence:
-        """c carried along f onto A/theta."""
-        return Congruence(self.Q.algebra, transport(self.f, "pushforward", c).rep)
+        self.f_inv = f.inverse()
+        self.self_map = self.f_inv.compose(Q.projection)
 
     def fhat(self, sigma: Congruence) -> Congruence:
-        if sigma.algebra != self.A:
-            raise ValidationError("sigma does not belong to this algebra")
-        return quotient_lift("up", self.Q, self.push(sigma))
+        return transport(self.self_map, sigma)
 
     def fhat_inv(self, psi: Congruence) -> Congruence:
-        if psi.algebra != self.A:
-            raise ValidationError("psi does not belong to this algebra")
-        dropped = quotient_lift("down", self.Q, congruence_join(psi, self.theta))
-        return transport(self.f, "pullback", Congruence(self.f.target, dropped.rep))
+        return transport(self.f, quotient_lift(self.Q, congruence_join(psi, self.theta)))
 
 
 def f_hat(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, sigma: Congruence) -> Congruence:
@@ -180,7 +181,7 @@ def f_hat_inverse(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, psi: Con
 
 
 def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
-                         kind: OperatorKind, max_size: int = 8) -> dict:
+                         kind: OperatorKind, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Re-check that f_hat maps K(A) order-isomorphically onto K(A) above theta."""
     iso = _QuotientIso(A, f, theta)
     ks = operator_eval(A, kind, max_size=max_size)
@@ -206,7 +207,7 @@ def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
 
 
 def sigma_bracket(A: FiniteAlgebra, theta: Congruence, sigma: Congruence,
-                  kind: OperatorKind, max_size: int = 8):
+                  kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
     """<sigma>_theta: congruences below theta in K(A) whose quotient matches A/sigma."""
     ks = operator_eval(A, kind, max_size=max_size)
     reps = _rep_set(ks)
@@ -219,8 +220,7 @@ def sigma_bracket(A: FiniteAlgebra, theta: Congruence, sigma: Congruence,
     for zeta in ks:
         if not zeta.refines(theta):
             continue
-        Q = quotient_algebra(A, zeta).algebra
-        if iso_search(base, Q, mode="first"):
+        if iso_search(base, quotient_algebra(A, zeta).algebra, max_size=max_size):
             out.append(zeta)
     return out
 
@@ -352,7 +352,7 @@ class CbsSequenceState:
 
 def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
                  kind: Optional[OperatorKind] = None, complement: Optional[Congruence] = None,
-                 max_size: int = 8) -> CbsSequenceState:
+                 max_size: int = DEFAULT_CON_CAP) -> CbsSequenceState:
     """Run the sigma/theta recursion from zeta and attach the complement data.
 
     sigma_0 is the diagonal, sigma_1 = zeta, theta_{n+1} is the pushforward
@@ -370,12 +370,12 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
         raise ValidationError("zeta must lie below theta")
 
     sigmas = [Congruence.diagonal(A), zeta]
-    thetas = [None, iso.push(sigmas[0])]
+    thetas = [None, transport(iso.f_inv, sigmas[0])]
     stabilized_at = None
     while True:
         n = len(sigmas) - 1
-        nxt_sigma = quotient_lift("up", iso.Q, thetas[n])
-        nxt_theta = iso.push(sigmas[n])
+        nxt_sigma = transport(iso.Q.projection, thetas[n])
+        nxt_theta = transport(iso.f_inv, sigmas[n])
         sigmas.append(nxt_sigma)
         thetas.append(nxt_theta)
         if stabilized_at is None and nxt_sigma.rep == sigmas[n].rep and nxt_theta.rep == thetas[n].rep:
@@ -423,9 +423,9 @@ def validate_sequence(state: CbsSequenceState):
     if thetas[1].rep != Congruence.diagonal(iso.Q.algebra).rep:
         out.append("theta[1] is not the diagonal of the quotient")
     for n in range(1, len(sigmas) - 1):
-        if sigmas[n + 1].rep != quotient_lift("up", iso.Q, thetas[n]).rep:
+        if sigmas[n + 1].rep != transport(iso.Q.projection, thetas[n]).rep:
             out.append(f"sigma[{n + 1}] breaks the recursion")
-        if thetas[n + 1].rep != iso.push(sigmas[n]).rep:
+        if thetas[n + 1].rep != transport(iso.f_inv, sigmas[n]).rep:
             out.append(f"theta[{n + 1}] breaks the recursion")
     if check_factor_pair(A, iso.fhat(state.zeta), state.complement_used)["ok"] is False:
         out.append("chosen complement does not form a factor pair with f_hat(zeta)")
@@ -437,7 +437,7 @@ def validate_sequence(state: CbsSequenceState):
 
 
 def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
-                       max_size: int = 8) -> dict:
+                       max_size: int = DEFAULT_CON_CAP) -> dict:
     """Downward-closure form of the CBS property over K(A).
 
     For every theta in K(A) with A isomorphic to A/theta, every sigma in
@@ -447,17 +447,15 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     kind = kind or OperatorKind.con()
     ks = operator_eval(A, kind, max_size=max_size)
 
-    def self_iso(c: Congruence) -> bool:
-        return bool(iso_search(A, quotient_algebra(A, c).algebra, mode="first"))
-
-    anchors = [c for c in ks if self_iso(c)]
+    anchors = [c for c in ks if iso_search(A, quotient_algebra(A, c).algebra, max_size=max_size)]
+    anchor_reps = _rep_set(anchors)
     holds, witnesses, checked = True, [], 0
     for theta in anchors:
         for sigma in ks:
             if not sigma.refines(theta):
                 continue
             checked += 1
-            if not self_iso(sigma):
+            if sigma.rep not in anchor_reps:
                 holds = False
                 witnesses.append({
                     "theta": theta.to_blocks_list(),
@@ -475,7 +473,7 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
 
 
 def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind] = None,
-                        max_size: int = 8) -> dict:
+                        max_size: int = DEFAULT_CON_CAP) -> dict:
     """Definition form of the CBS property against a list of partner algebras.
 
     Whenever A matches B/theta_B and B matches A/theta_A for operator
@@ -489,15 +487,16 @@ def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind]
             continue
         kb = operator_eval(B, kind, max_size=max_size)
         down_b = [tb for tb in kb
-                  if iso_search(A, quotient_algebra(B, tb).algebra, mode="first")]
+                  if iso_search(A, quotient_algebra(B, tb).algebra, max_size=max_size)]
         if not down_b:
             continue
         down_a = [ta for ta in ka
-                  if iso_search(B, quotient_algebra(A, ta).algebra, mode="first")]
+                  if iso_search(B, quotient_algebra(A, ta).algebra, max_size=max_size)]
+        isomorphic = iso_search(A, B, max_size=max_size) is not None
         for tb in down_b:
             for ta in down_a:
                 instances += 1
-                if not iso_search(A, B, mode="first"):
+                if not isomorphic:
                     failures.append({
                         "partner": B.name,
                         "theta_b": tb.to_blocks_list(),
@@ -513,21 +512,20 @@ def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind]
 
 
 def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
-                     kind: Optional[OperatorKind] = None, max_size: int = 8) -> dict:
+                     kind: Optional[OperatorKind] = None, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Exhibit theta' = theta/sigma with A isomorphic to (A/sigma)/theta'."""
     kind = kind or OperatorKind.con()
     if not sigma.refines(theta):
         raise ValidationError("sigma must lie below theta")
     Q = quotient_algebra(A, sigma)
-    theta_prime = quotient_lift("down", Q, theta)
+    theta_prime = quotient_lift(Q, theta)
     in_k = theta_prime.rep in _rep_set(operator_eval(Q.algebra, kind, max_size=max_size))
-    QQ = quotient_algebra(Q.algebra, theta_prime).algebra
-    hit = iso_search(A, QQ, mode="first")
+    hit = iso_search(A, quotient_algebra(Q.algebra, theta_prime).algebra, max_size=max_size)
     return {
         "theta_prime": theta_prime,
         "in_operator": in_k,
-        "iso": hit[0] if hit else None,
-        "ok": in_k and bool(hit),
+        "iso": hit,
+        "ok": in_k and hit is not None,
     }
 
 
@@ -582,7 +580,7 @@ def _infimum_in_k(L: CongruenceLattice, at, ds):
 
 def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = None,
                        sigma: Optional[Congruence] = None, kind: Optional[OperatorKind] = None,
-                       max_size: int = 8) -> dict:
+                       max_size: int = DEFAULT_CON_CAP) -> dict:
     """Search for a certified CBS-completeness witness below theta.
 
     Tries each zeta in <sigma>_theta and each complement choice, computes
@@ -621,7 +619,9 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             entry["iso"] = list(iso.mapping)
         return entry
 
-    for zeta in sigma_bracket(A, theta, sigma, kind, max_size=max_size):
+    bracket = sigma_bracket(A, theta, sigma, kind, max_size=max_size)
+    conc = iso_search(A, quotient_algebra(A, sigma).algebra, max_size=max_size)
+    for zeta in bracket:
         options = _complements(L, iso.fhat(zeta), ks)
         if not options:
             report["skipped"].append({
@@ -670,22 +670,17 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
             Qz = quotient_algebra(A, zeta).algebra
             Qnc = quotient_algebra(A, neg_chi).algebra
             Qsz = quotient_algebra(A, sz).algebra
-            hit2 = iso_search(Qz, direct_product(Qnc, Qsz), mode="first")
-            equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", bool(hit2),
-                                      hit2[0] if hit2 else None))
+            hit2 = iso_search(Qz, direct_product(Qnc, Qsz), max_size=max_size)
+            equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
 
             fchi = iso.fhat(chi)
             Qchi = quotient_algebra(A, chi).algebra
             Qfchi = quotient_algebra(A, fchi).algebra
-            hit3 = iso_search(Qchi, Qfchi, mode="first")
-            equations.append(equation("A/chi ~ A/f_hat(chi)", bool(hit3),
-                                      hit3[0] if hit3 else None))
+            hit3 = iso_search(Qchi, Qfchi, max_size=max_size)
+            equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))
 
             equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
-
-            Qs = quotient_algebra(A, sigma).algebra
-            conc = iso_search(A, Qs, mode="first")
-            conclusion = equation("A ~ A/sigma", bool(conc), conc[0] if conc else None)
+            conclusion = equation("A ~ A/sigma", conc, conc)
 
             if all(e["ok"] for e in equations) and conclusion["ok"]:
                 report["verdict"] = "certified"
@@ -708,7 +703,7 @@ def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = N
 
 
 def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] = None,
-                   boolean: bool = False, max_size: int = 8) -> dict:
+                   boolean: bool = False, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Verify the operator axioms on A and all of its operator quotients.
 
     Checks the diagonal axiom, the two-sided correspondence between
@@ -746,10 +741,10 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         kq_reps = _rep_set(kq)
         above = [t for j, t in zip(at, ks) if L.leq[i][j]]
         above_reps = _rep_set(above)
-        down = {t.rep: quotient_lift("down", Q, t) for t in above}
+        down = {t.rep: quotient_lift(Q, t) for t in above}
         downs.append(down)
         missing = [t for t in above if down[t.rep].rep not in kq_reps]
-        extra = [q for q in kq if transport(Q.projection, "pullback", q).rep not in above_reps]
+        extra = [q for q in kq if transport(Q.projection, q).rep not in above_reps]
         order_ok = all(
             t1.refines(t2) == down[t1.rep].refines(down[t2.rep])
             for t1 in above for t2 in above
@@ -775,7 +770,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                     continue
                 for c in _complements(L, t, ks):
                     image = down[t.rep]
-                    mate = quotient_lift("down", Q, L.elements[L.join_table[L.index[c.rep]][i]])
+                    mate = quotient_lift(Q, L.elements[L.join_table[L.index[c.rep]][i]])
                     verdict = check_factor_pair(Q.algebra, image, mate)
                     in_k = image.rep in kq_reps and mate.rep in kq_reps
                     if not verdict["ok"] or not in_k:
@@ -796,7 +791,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
 
     boolean_block = boolean_sublattice_check(A, ks) if boolean else None
 
-    auto = iso_search(A, A, mode="all", max_size=max_size)
+    auto = automorphisms(A, max_size=max_size)
     copies = [(g, A) for g in auto[:DEFAULT_ISO_CAP]]
     perm = tuple((i + 1) % A.size for i in range(A.size))
     B, to_copy = relabel(A, perm, name=f"{A.name}~")
@@ -805,7 +800,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     for g, target in copies:
         # an automorphism's target is A itself, whose K is ks
         kb = ks if target is A else operator_eval(target, kind, max_size=max_size)
-        pulled = {transport(g, "pullback", t).rep for t in kb}
+        pulled = {transport(g, t).rep for t in kb}
         if pulled != reps:
             iso_block["ok"] = False
             iso_block["violations"].append({

@@ -14,6 +14,7 @@ import time
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
+    DEFAULT_ISO_CAP,
     iso_search,
     parse_algebra,
     parse_term,
@@ -28,16 +29,13 @@ from .cbs import (
     operator_eval,
     presheaf_check,
 )
-from .congruence import Congruence, all_congruences
+from .congruence import DEFAULT_CON_CAP, Congruence, all_congruences
 from .errors import CbswbError, FormatError, ValidationError
 from .omega import (check_truncation, omega_cbs_run, omega_validate, quasicyclic_suite,
                     truncate_validate)
 from .pset import PeriodicSet
 from .report import Report, lattice_dot, render_report
 from .structure import bfc_report, church_centers, factor_congruences, z_con_report
-
-DEFAULT_CON_SIZE = 8
-DEFAULT_ISO_SIZE = 10
 
 
 def _load(path: str):
@@ -80,18 +78,18 @@ def _max_size(args, default):
 
 def _cmd_con(args):
     A = _load(args.file)
-    L = all_congruences(A, max_size=_max_size(args, DEFAULT_CON_SIZE))
+    L = all_congruences(A, max_size=_max_size(args, DEFAULT_CON_CAP))
     body = L.to_report()
     if args.emit_dot:
         with open(args.emit_dot, "w") as fh:
-            fh.write(lattice_dot(body, name="con"))
+            fh.write(lattice_dot(L))
         body["dot"] = args.emit_dot
     return "pass", body
 
 
 def _cmd_fc(args):
     A = _load(args.file)
-    analysis = factor_congruences(A, max_size=_max_size(args, DEFAULT_CON_SIZE))
+    analysis = factor_congruences(A, max_size=_max_size(args, DEFAULT_CON_CAP))
     body = analysis.to_report()
     body["bfc"] = bfc_report(analysis)
     return "pass", body
@@ -99,12 +97,12 @@ def _cmd_fc(args):
 
 def _cmd_center(args):
     A = _load(args.file)
-    return "pass", z_con_report(A, max_size=_max_size(args, DEFAULT_CON_SIZE))
+    return "pass", z_con_report(A, max_size=_max_size(args, DEFAULT_CON_CAP))
 
 
 def _cmd_zcon(args):
     A = _load(args.file)
-    ks = operator_eval(A, OperatorKind.zcon(), max_size=_max_size(args, DEFAULT_CON_SIZE))
+    ks = operator_eval(A, OperatorKind.zcon(), max_size=_max_size(args, DEFAULT_CON_CAP))
     return "pass", {
         "algebra": A.name,
         "elements": [c.to_blocks_list() for c in ks],
@@ -126,13 +124,13 @@ def _cmd_quotient(args):
 def _cmd_iso(args):
     A = _load(args.file)
     B = _load(args.file2)
-    found = iso_search(A, B, mode="first", max_size=_max_size(args, DEFAULT_ISO_SIZE))
+    found = iso_search(A, B, max_size=_max_size(args, DEFAULT_ISO_CAP))
     if found:
         return "pass", {
             "source": A.name,
             "target": B.name,
             "found": True,
-            "mapping": list(found[0].mapping),
+            "mapping": list(found.mapping),
         }
     return "refuted", {
         "source": A.name,
@@ -153,20 +151,20 @@ def _cmd_presheaf(args):
     factor = False if args.no_factor else None
     body = presheaf_check(
         A, _kind(args), factor=factor, boolean=args.boolean,
-        max_size=_max_size(args, DEFAULT_CON_SIZE),
+        max_size=_max_size(args, DEFAULT_CON_CAP),
     )
     return ("pass" if body["ok"] else "refuted"), body
 
 
 def _cmd_cbs_check(args):
     A = _load(args.file)
-    body = cbs_property_check(A, _kind(args), max_size=_max_size(args, DEFAULT_CON_SIZE))
+    body = cbs_property_check(A, _kind(args), max_size=_max_size(args, DEFAULT_CON_CAP))
     return ("pass" if body["holds"] else "refuted"), body
 
 
 def _cmd_cbs_complete(args):
     A = _load(args.file)
-    body = cbs_complete_check(A, kind=_kind(args), max_size=_max_size(args, DEFAULT_CON_SIZE))
+    body = cbs_complete_check(A, kind=_kind(args), max_size=_max_size(args, DEFAULT_CON_CAP))
     # absence of a certificate is not a refutation
     return "pass", body
 

@@ -452,52 +452,32 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
 # lifting along quotients and transport along homomorphisms
 
 
-def quotient_lift(direction: str, Q: Quotient, arg: Congruence) -> Congruence:
-    """Move congruences across the natural projection of a quotient Q = A/sigma.
-
-    sigma is the kernel of Q.projection.  "down" sends theta >= sigma to
-    theta/sigma on the quotient; "up" sends a congruence of A/sigma to its
-    preimage in Con(A).  The two directions are mutually inverse bijections
-    between [sigma, total] and Con(A/sigma).  Q is the caller's
-    quotient_algebra(A, sigma), so none is built here.
+def quotient_lift(Q: Quotient, theta: Congruence) -> Congruence:
+    """theta/sigma on Q = A/sigma, for theta >= sigma, sigma the kernel of
+    Q.projection.  Its inverse is the pullback transport(Q.projection, .):
+    the two are mutually inverse bijections between [sigma, total] and
+    Con(A/sigma).  Q is the caller's quotient_algebra(A, sigma), so none is
+    built here.
     """
     proj = Q.projection
-    if direction == "down":
-        if arg.algebra != proj.source:
-            raise ValidationError("argument congruence does not belong to this algebra")
-        sigma, rep = least_rep(proj.mapping), arg.rep
-        if any(rep[x] != rep[r] for x, r in enumerate(sigma)):
-            raise ValidationError("down lift needs sigma <= theta")
-        # the quotient lists the sigma-blocks by least element, as x ascends
-        return Congruence(Q.algebra, least_rep([rep[x] for x, r in enumerate(sigma) if r == x]))
-    if direction == "up":
-        if arg.algebra != Q.algebra:
-            raise ValidationError("argument congruence does not live on the quotient")
-        return transport(proj, "pullback", arg)
-    raise ValidationError(f"unknown direction {direction!r}")
+    if theta.algebra != proj.source:
+        raise ValidationError("argument congruence does not belong to this algebra")
+    sigma, rep = least_rep(proj.mapping), theta.rep
+    if any(rep[x] != rep[r] for x, r in enumerate(sigma)):
+        raise ValidationError("down lift needs sigma <= theta")
+    # the quotient lists the sigma-blocks by least element, as x ascends
+    return Congruence(Q.algebra, least_rep([rep[x] for x, r in enumerate(sigma) if r == x]))
 
 
-def transport(f: Homomorphism, direction: str, theta: Congruence) -> Congruence:
-    """Pullback along any homomorphism, pushforward along isomorphisms only.
+def transport(f: Homomorphism, theta: Congruence) -> Congruence:
+    """The pullback {(a, b) : (f(a), f(b)) in theta} along any homomorphism.
 
-    The pullback of theta is {(a, b) : (f(a), f(b)) in theta}.  Pushforward
-    of a congruence along a non-isomorphism need not be transitive or
-    compatible, so it is rejected rather than silently repaired.
+    Pushforward along an isomorphism g is the pullback along g.inverse();
+    along any other map the image of a congruence need not be one.
     """
-    if direction == "pullback":
-        if theta.algebra != f.target:
-            raise ValidationError("pullback argument must live on the target algebra")
-        return Congruence(f.source, least_rep([theta.rep[y] for y in f.mapping]))
-    if direction == "pushforward":
-        if theta.algebra != f.source:
-            raise ValidationError("pushforward argument must live on the source algebra")
-        if not f.is_bijective():
-            raise ValidationError("pushforward requires an isomorphism")
-        inv = [0] * f.target.size
-        for x, y in enumerate(f.mapping):
-            inv[y] = x
-        return Congruence(f.target, least_rep([theta.rep[x] for x in inv]))
-    raise ValidationError(f"unknown direction {direction!r}")
+    if theta.algebra != f.target:
+        raise ValidationError("pullback argument must live on the target algebra")
+    return Congruence(f.source, least_rep([theta.rep[y] for y in f.mapping]))
 
 
 def relative_congruences(A: FiniteAlgebra, sentences, max_size: int = DEFAULT_CON_CAP,

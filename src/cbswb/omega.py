@@ -92,22 +92,18 @@ class ShiftIso:
 
 @dataclass(frozen=True)
 class AffineFamily:
-    """V_1 given; V_{n+1} = shift(V_n, k) combined with a fixed set."""
+    """V_1 given; V_{n+1} = shift(V_n, k) union a fixed set."""
 
     v1: PeriodicSet
     k: int
-    mode: str  # union | intersect
     fixed: PeriodicSet
 
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("shift amount must be at least 1")
-        if self.mode not in ("union", "intersect"):
-            raise ValidationError(f"unknown recurrence mode {self.mode!r}")
 
     def step(self, v: PeriodicSet) -> PeriodicSet:
-        shifted = v.shift(self.k)
-        return shifted.union(self.fixed) if self.mode == "union" else shifted.intersect(self.fixed)
+        return v.shift(self.k).union(self.fixed)
 
     def terms(self, count: int):
         """V_1 .. V_count."""
@@ -121,8 +117,9 @@ def _stabilization_bound(x: int, k: int) -> int:
     return (x + 1 + k - 1) // k + 1
 
 
-def countable_infimum(family: AffineFamily, certificate: bool = False):
-    """Intersection of the whole family, decided coordinatewise.
+def countable_infimum(family: AffineFamily):
+    """Intersection of the whole family, decided coordinatewise, and its
+    certificate.
 
     Membership of x only depends on terms up to the stabilization bound;
     the bound is certified by re-evaluating up to twice its value, and the
@@ -170,14 +167,12 @@ def countable_infimum(family: AffineFamily, certificate: bool = False):
         if not candidate.subset(term):
             raise ValidationError("infimum not representable")
 
-    if certificate:
-        return candidate, {
-            "window": window,
-            "terms_checked": n_max,
-            "stabilization_bound": "ceil((x+1)/k)+1",
-            "pattern_period": pattern,
-        }
-    return candidate
+    return candidate, {
+        "window": window,
+        "terms_checked": n_max,
+        "stabilization_bound": "ceil((x+1)/k)+1",
+        "pattern_period": pattern,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +264,7 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
     if len(ds) < 2:
         raise ValidationError("need at least two d-terms; raise the index count")
 
-    family = AffineFamily(ds[1], k, "union", theta)
-    sigma_zeta, cert = countable_infimum(family, certificate=True)
+    sigma_zeta, cert = countable_infimum(AffineFamily(ds[1], k, theta))
 
     neg_sigma_zeta = sigma_zeta.complement()
     chi, neg_chi = chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta,

@@ -12,7 +12,6 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Optional
 
 from .errors import FormatError
-from .lattice import bitsets, upper_covers
 
 SCHEMA = "cbswb-report/1"
 
@@ -178,14 +177,14 @@ def parse_report(text: str) -> Report:
     return Report(doc["verb"], doc["status"], doc["body"], doc.get("timing"))
 
 
-def lattice_dot(report_body: dict, name: str = "con") -> str:
-    """DOT rendering of a congruence-lattice report (covering edges only,
-    read by upper_covers off the report's canonical order)."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, blocks in enumerate(report_body["elements"]):
-        label = "|".join("".join(str(x) for x in b) for b in blocks)
+def lattice_dot(L) -> str:
+    """DOT rendering of a congruence lattice L: its members in canonical
+    order, labelled by their blocks, and its covering edges only."""
+    lines = ["digraph con {", "  rankdir=BT;"]
+    for i, c in enumerate(L.elements):
+        label = "|".join("".join(str(x) for x in b) for b in c.blocks)
         lines.append(f'  n{i} [label="{label}"];')
-    for i, covers in enumerate(upper_covers(bitsets(report_body["order"]))):
+    for i, covers in enumerate(L.covers):
         lines += [f"  n{i} -> n{j};" for j in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from .algebra import (
     validate_term,
 )
 from .congruence import (
+    DEFAULT_CON_CAP,
     CongruenceLattice,
     Congruence,
     all_congruences,
@@ -93,7 +94,7 @@ class FactorAnalysis:
         }
 
 
-def factor_congruences(A: FiniteAlgebra, max_size: int = 8) -> FactorAnalysis:
+def factor_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> FactorAnalysis:
     """All factor congruences of A with their full complement lists.  A
     factor pair is a pair of complements in Con(A), so only complements are
     tried with CongruenceLattice.factor_pair."""
@@ -164,7 +165,7 @@ def center_of_lattice(L: FiniteLattice) -> CenterReport:
     return CenterReport(tuple(central), complements, failures, boolean)
 
 
-def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
+def z_con_report(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Centre of Con(A) plus the relational-product check on central pairs.
 
     A centre pair (theta, complement) whose relational product is total is
@@ -203,7 +204,7 @@ def z_con_report(A: FiniteAlgebra, max_size: int = 8) -> dict:
     }
 
 
-def bfc_check(A: FiniteAlgebra, max_size: int = 8) -> dict:
+def bfc_check(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Is FC(A) a Boolean sublattice of Con(A)?  See bfc_report."""
     return bfc_report(factor_congruences(A, max_size=max_size))
 

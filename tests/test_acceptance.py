@@ -19,6 +19,7 @@ from cbswb import (
     OperatorKind,
     PeriodicSet,
     all_congruences,
+    automorphisms,
     bfc_check,
     cbs_property_check,
     cbs_sequence,
@@ -121,26 +122,27 @@ def test_criterion_03_transport_functoriality():
             for g in gs[:3]:
                 gf = g.compose(f)
                 for theta in cons[nc]:
-                    lhs = transport(gf, "pullback", theta)
-                    rhs = transport(f, "pullback", transport(g, "pullback", theta))
+                    lhs = transport(gf, theta)
+                    rhs = transport(f, transport(g, theta))
                     assert lhs.rep == rhs.rep
                     triples += 1
 
     for n in pool:
         A = CORPUS[n]
-        ident = iso_search(A, A, mode="first", max_size=8)[0]
+        ident = iso_search(A, A, max_size=8)
         for theta in cons[n]:
-            assert transport(ident, "pullback", theta).rep == theta.rep
-        for g in iso_search(A, A, mode="all", max_size=8):
+            assert transport(ident, theta).rep == theta.rep
+        for g in automorphisms(A, max_size=8):
             inv = g.inverse()
             for theta in cons[n]:
-                push = transport(g, "pushforward", theta)
-                assert push.rep == transport(inv, "pullback", theta).rep
+                # pushforward along g, the image of theta, is the pullback along g^-1
+                image = Congruence.from_blocks(A, [[g(x) for x in b] for b in theta.blocks])
+                assert image.rep == transport(inv, theta).rep
         for t1, t2 in itertools.combinations(cons[n], 2):
             if compose_is_total(A, t1, t2):
-                g = iso_search(A, A, mode="all", max_size=8)[-1]
-                p1 = transport(g, "pushforward", t1)
-                p2 = transport(g, "pushforward", t2)
+                inv = automorphisms(A, max_size=8)[-1].inverse()
+                p1 = transport(inv, t1)
+                p2 = transport(inv, t2)
                 assert compose_is_total(A, p1, p2)
 
     verdict(3, triples >= 200, f"composition, identity and iso laws on {triples} triples")
@@ -262,7 +264,7 @@ def test_criterion_07_symbolic_run_exact():
     assert omega_validate(run) == []
 
     # independent per-coordinate infimum oracle on 0..256
-    family = AffineFamily(run.ds[1], run.k, "union", run.theta)
+    family = AffineFamily(run.ds[1], run.k, run.theta)
     window = 600
     fixed = set(family.fixed.members_below(window))
     term = set(family.v1.members_below(window))
@@ -270,7 +272,7 @@ def test_criterion_07_symbolic_run_exact():
     for _ in range(2 * (257 // family.k + 2)):
         alive &= term
         term = {x + family.k for x in term if x + family.k < window} | fixed
-    assert set(countable_infimum(family).members_below(257)) == alive
+    assert set(countable_infimum(family)[0].members_below(257)) == alive
     assert set(run.sigma_zeta.members_below(257)) == alive
 
     for m in (8, 16):

@@ -258,31 +258,37 @@ def test_iso_search_matches_permutation_oracle():
     for na in names:
         for nb in names:
             A, B = corpus_algebra(na), corpus_algebra(nb)
-            got = sorted(h.mapping for h in iso_search(A, B, mode="all"))
-            assert got == brute_isos(A, B), (na, nb)
+            expected = brute_isos(A, B)
+            first = iso_search(A, B)
+            if first is None:
+                assert expected == [], (na, nb)
+                continue
+            assert first.mapping == expected[0], (na, nb)
+            # every isomorphism A -> B is the least one after an automorphism of A
+            got = sorted(first.compose(g).mapping for g in automorphisms(A))
+            assert got == expected, (na, nb)
 
 
-def test_iso_search_modes():
+def test_iso_search_least_map_and_budget():
     z4 = corpus_algebra("z4")
     v4 = corpus_algebra("v4")
-    assert iso_search(z4, v4, mode="first") == []
-    first = iso_search(z4, z4, mode="first")
-    assert len(first) == 1
+    assert iso_search(z4, v4) is None
+    assert iso_search(z4, z4).mapping == (0, 1, 2, 3)
     assert Homomorphism(z4, z4, [0, 3, 2, 1]).is_bijective()
     with pytest.raises(ValidationError):
         Homomorphism(z4, z4, [0, 2, 1, 3])
-    with pytest.raises(ValidationError):
-        iso_search(z4, z4, mode="everything")
     big = power_algebra(corpus_algebra("z2"), 4)
     with pytest.raises(BudgetError):
-        iso_search(big, big, mode="first")
-    assert iso_search(big, big, mode="first", max_size=16)
+        iso_search(big, big)
+    with pytest.raises(BudgetError):
+        automorphisms(big)
+    assert iso_search(big, big, max_size=16)
     # the benchmark's refutations: same size and same element counts per operation
     z2, z4 = corpus_algebra("z2"), corpus_algebra("z4")
     v4_z4 = direct_product(v4, z4)
     z2_z4 = direct_product(z2, z4)
-    assert iso_search(big, v4_z4, mode="first", max_size=16) == []
-    assert iso_search(power_algebra(z2, 3), z2_z4, mode="first", max_size=16) == []
+    assert iso_search(big, v4_z4, max_size=16) is None
+    assert iso_search(power_algebra(z2, 3), z2_z4, max_size=16) is None
 
 
 def test_iso_search_checks_every_argument_position():
@@ -305,8 +311,13 @@ def test_iso_search_checks_every_argument_position():
                     expected.append(Homomorphism(A, B, perm).mapping)
                 except ValidationError:
                     pass
-            assert [h.mapping for h in iso_search(A, B, mode="all")] == expected
-            assert [h.mapping for h in iso_search(A, B, mode="first")] == expected[:1]
+            # B is A or a copy of it, so an isomorphism exists
+            first = iso_search(A, B)
+            assert first.mapping == expected[0]
+            if B is A:
+                assert [h.mapping for h in automorphisms(A)] == expected
+            else:
+                assert sorted(first.compose(g).mapping for g in automorphisms(A)) == expected
 
 
 def test_automorphism_counts():
@@ -375,11 +386,12 @@ def test_iso_search_does_not_apply_cell_by_cell(monkeypatch):
 
     def search():
         return (
-            iso_search(z4, z4_copy, mode="first"),
-            iso_search(z4, z4_copy, mode="all"),
+            iso_search(z4, z4_copy),
+            iso_search(ring, ring_copy),
+            iso_search(z4, v4),
+            automorphisms(z4),
             [Homomorphism(z4, z4_copy, [2, 0, 3, 1])],
-            iso_search(ring, ring_copy, mode="all"),
-            iso_search(z4, v4, mode="first"),
+            automorphisms(ring),
             automorphisms(v4),
             automorphisms(corpus_algebra("lat22")),
             automorphisms(median),
@@ -387,7 +399,8 @@ def test_iso_search_does_not_apply_cell_by_cell(monkeypatch):
         )
 
     usual = search()
-    assert [len(r) for r in usual[:8]] == [1, 2, 1, 1, 0, 6, 2, 2]
+    assert [h is not None for h in usual[:3]] == [True, True, False]
+    assert [len(r) for r in usual[3:9]] == [2, 1, 1, 6, 2, 2]
 
     def refuse(self, name, *args):
         raise AssertionError(f"per-cell apply({name!r}) in the isomorphism search")

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
-from cbswb.algebra import FiniteAlgebra, Operation, power_algebra, render_algebra
+from cbswb.algebra import FiniteAlgebra, Operation, direct_product, power_algebra, render_algebra
 from cbswb import cli
 from cbswb.cli import build_parser, main
+from cbswb.congruence import all_congruences
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.report import json_text
 
@@ -275,6 +276,22 @@ def test_congruence_count_budget_stops_large_lattices(capsys, tmp_path):
                        "over the 1024-member budget\n"), argv
 
 
+def test_max_size_reaches_the_isomorphism_searches_of_the_cbs_verbs(capsys, tmp_path):
+    # z3 x z4 has 12 elements: --max-size 16 admits its Con(A), and must
+    # admit the searches for A ~ A/theta past the 10-element default as well
+    z12 = _write_algebra(tmp_path / "z3xz4.json",
+                         direct_product(corpus_algebra("z3"), corpus_algebra("z4")))
+    code, out, err = run(capsys, "cbs-check", z12, "--kind", "con", "--max-size", "16")
+    assert (code, err) == (0, "")
+    assert "holds: true" in out and "checked: 1" in out
+    code, out, err = run(capsys, "cbs-complete", z12, "--max-size", "16")
+    assert (code, err) == (0, "")
+    assert "verdict: certified" in out
+    # the default cap still refuses the carrier, at the Con(A) enumeration
+    code, out, err = run(capsys, "cbs-complete", z12)
+    assert code == 2 and out == "" and err.startswith("error: congruence enumeration")
+
+
 def test_emit_dot_draws_the_hasse_diagram_of_the_partition_lattice(tmp_path):
     # Con of a 7-element set with only the identity is the partition lattice
     # (B_7 = 877 members), where a partition with k blocks is covered exactly
@@ -448,11 +465,8 @@ def test_parse_report_rejections():
 
 
 def test_lattice_dot_unit():
-    body = {
-        "elements": [[[0], [1]], [[0, 1]]],
-        "order": [[True, True], [False, True]],
-    }
-    dot = lattice_dot(body)
+    dot = lattice_dot(all_congruences(corpus_algebra("z2")))
+    assert dot.startswith("digraph con {\n  rankdir=BT;\n") and dot.endswith("}\n")
     assert 'n0 [label="0|1"]' in dot
     assert 'n1 [label="01"]' in dot
     assert dot.count("->") == 1 and "n0 -> n1;" in dot

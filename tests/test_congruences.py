@@ -244,12 +244,12 @@ def test_quotient_lift_round_trip_and_order_iso():
         for sigma in E:
             Q = quotient_algebra(A, sigma)
             above = [t for t in E if sigma.refines(t)]
-            down = [quotient_lift("down", Q, t) for t in above]
+            down = [quotient_lift(Q, t) for t in above]
             qE = {c.rep for c in all_congruences(Q.algebra)}
             # the correspondence is a bijection [sigma, total] -> Con(A/sigma)
             assert {d.rep for d in down} == qE, name
             for t, d in zip(above, down):
-                back = quotient_lift("up", Q, d)
+                back = transport(Q.projection, d)
                 assert back.rep == t.rep
             # and it preserves order both ways
             for i, t1 in enumerate(above):
@@ -263,14 +263,12 @@ def test_quotient_lift_rejects_bad_arguments():
     Q = quotient_algebra(z4, sigma)
     other = Congruence.diagonal(corpus_algebra("v4"))
     with pytest.raises(ValidationError):
-        quotient_lift("down", Q, other)
+        quotient_lift(Q, other)
     total = Congruence.total(z4)
     with pytest.raises(ValidationError, match="down lift needs sigma <= theta"):
-        quotient_lift("down", quotient_algebra(z4, total), sigma)  # sigma not above total
+        quotient_lift(quotient_algebra(z4, total), sigma)  # sigma not above total
     with pytest.raises(ValidationError):
-        quotient_lift("sideways", Q, sigma)
-    with pytest.raises(ValidationError):
-        quotient_lift("up", Q, sigma)  # arg lives on A, not A/sigma
+        transport(Q.projection, sigma)  # the up-lift's arg lives on A, not A/sigma
 
 
 def test_transport_functor_laws_on_200_triples():
@@ -286,8 +284,8 @@ def test_transport_functor_laws_on_200_triples():
             for g in gs[:3]:
                 gf = g.compose(f)
                 for theta in cons[nc]:
-                    lhs = transport(gf, "pullback", theta)
-                    rhs = transport(f, "pullback", transport(g, "pullback", theta))
+                    lhs = transport(gf, theta)
+                    rhs = transport(f, transport(g, theta))
                     assert lhs.rep == rhs.rep
                     triples += 1
     assert triples >= 200
@@ -299,21 +297,22 @@ def test_transport_identity_and_iso_laws():
         E = all_congruences(A).elements
         ident = Homomorphism(A, A, list(range(A.size)))
         for theta in E:
-            assert transport(ident, "pullback", theta).rep == theta.rep
+            assert transport(ident, theta).rep == theta.rep
         from cbswb.algebra import automorphisms
         for f in automorphisms(A):
+            inv = f.inverse()
             for theta in E:
-                push = transport(f, "pushforward", theta)
-                # pushforward inverts pullback, and equals pullback along the inverse
-                assert transport(f, "pullback", push).rep == theta.rep
-                assert push.rep == transport(f.inverse(), "pullback", theta).rep
+                push = transport(inv, theta)
+                # pullback along the inverse is the image of theta, block by
+                # block, and pullback along f inverts it
+                image = Congruence.from_blocks(A, [[f(x) for x in b] for b in theta.blocks])
+                assert push.rep == image.rep
+                assert transport(f, push).rep == theta.rep
             # permutability of pairs survives transport along an isomorphism
             for t1 in E:
                 for t2 in E:
                     _, before = compose(t1, t2)
-                    _, after = compose(
-                        transport(f, "pushforward", t1), transport(f, "pushforward", t2)
-                    )
+                    _, after = compose(transport(inv, t1), transport(inv, t2))
                     assert before == after
 
 
@@ -321,10 +320,13 @@ def test_pushforward_requires_isomorphism():
     z4 = corpus_algebra("z4")
     z2 = corpus_algebra("z2")
     h = Homomorphism(z4, z2, [0, 1, 0, 1])
-    with pytest.raises(ValidationError):
-        transport(h, "pushforward", Congruence.diagonal(z4))
+    # pushforward is the pullback along the inverse, which a collapsing map lacks
+    with pytest.raises(ValidationError, match="not bijective"):
+        transport(h.inverse(), Congruence.diagonal(z4))
     theta = Congruence.diagonal(z2)
-    assert transport(h, "pullback", theta).to_blocks_list() == [[0, 2], [1, 3]]
+    assert transport(h, theta).to_blocks_list() == [[0, 2], [1, 3]]
+    with pytest.raises(ValidationError, match="target algebra"):
+        transport(h, Congruence.diagonal(z4))
 
 
 def test_relative_congruences_filters_by_quotient():

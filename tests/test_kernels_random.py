@@ -34,6 +34,7 @@ from cbswb.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
+    automorphisms,
     direct_product,
     gather,
     image_indices,
@@ -424,8 +425,17 @@ def iso_case(draw):
 def test_iso_search_matches_bijective_homs(case):
     A, B = case
     isos = [h.mapping for h in all_homs(A, B) if h.is_bijective()]
-    assert [h.mapping for h in iso_search(A, B, mode="all")] == isos
-    assert [h.mapping for h in iso_search(A, B, mode="first")] == isos[:1]
+    auts = automorphisms(A)
+    assert [g.mapping for g in auts] == [h.mapping for h in all_homs(A, A) if h.is_bijective()]
+    # the least isomorphism is the first map of the lexicographic list
+    assert iso_search(A, A).mapping == auts[0].mapping
+    first = iso_search(A, B)
+    if isos:
+        assert first.mapping == isos[0]
+        # every isomorphism A -> B is the least one after an automorphism of A
+        assert sorted(first.compose(g).mapping for g in auts) == isos
+    else:
+        assert first is None
 
 
 @st.composite

@@ -405,22 +405,30 @@ def test_shared_law_list_on_random_runs(run, data):
 # -- the countable infimum -----------------------------------------------------
 
 
+class IntersectFamily(AffineFamily):
+    """V_{n+1} = shift(V_n, k) intersected with the fixed set, a recurrence
+    the symbolic run does not build but the infimum must decide as well."""
+
+    def step(self, v):
+        return v.shift(self.k).intersect(self.fixed)
+
+
 def test_infimum_basic_families():
     theta = PeriodicSet.block(0, 2)
-    constant = AffineFamily(N, 2, "union", theta)
-    assert countable_infimum(constant) == N
+    constant = AffineFamily(N, 2, theta)
+    assert countable_infimum(constant)[0] == N
 
     # V_n = N minus {n}: the hole walks right, only 0 survives every term
-    hole = AffineFamily(N.difference(PeriodicSet.from_finite([1])), 1, "union",
+    hole = AffineFamily(N.difference(PeriodicSet.from_finite([1])), 1,
                         PeriodicSet.from_finite([0]))
-    assert countable_infimum(hole) == PeriodicSet.from_finite([0])
+    assert countable_infimum(hole)[0] == PeriodicSet.from_finite([0])
 
-    # shrinking intersection mode: evens pushed right forever dies out
+    # shrinking intersection recurrence: evens pushed right forever dies out
     evens = PeriodicSet(0, (), 2, (0,))
-    shrink = AffineFamily(N, 2, "intersect", evens)
-    assert countable_infimum(shrink) == E
+    shrink = IntersectFamily(N, 2, evens)
+    assert countable_infimum(shrink)[0] == E
 
-    result, cert = countable_infimum(hole, certificate=True)
+    result, cert = countable_infimum(hole)
     assert result == PeriodicSet.from_finite([0])
     assert set(cert) == {"window", "terms_checked", "stabilization_bound", "pattern_period"}
     assert cert["pattern_period"] == 1
@@ -429,7 +437,7 @@ def test_infimum_basic_families():
 def test_infimum_matches_per_coordinate_oracle():
     # independent model: plain integer sets driven by the recurrence
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
-    fam = AffineFamily(run.ds[1], run.k, "union", run.theta)
+    fam = AffineFamily(run.ds[1], run.k, run.theta)
     window = 600
     fixed = set(fam.fixed.members_below(window))
     term = set(fam.v1.members_below(window))
@@ -438,7 +446,7 @@ def test_infimum_matches_per_coordinate_oracle():
     for _ in range(stabilized_after):
         alive &= term
         term = {x + fam.k for x in term if x + fam.k < window} | fixed
-    got = countable_infimum(fam)
+    got, _ = countable_infimum(fam)
     assert set(got.members_below(257)) == alive
     assert got == run.sigma_zeta
 
@@ -451,8 +459,8 @@ def test_infimum_random_families_against_model():
         fixed, _ = rand_set(rng)
         k = rng.randrange(1, 4)
         mode = rng.choice(["union", "intersect"])
-        fam = AffineFamily(v1, k, mode, fixed)
-        got = countable_infimum(fam)
+        fam = (AffineFamily if mode == "union" else IntersectFamily)(v1, k, fixed)
+        got, _ = countable_infimum(fam)
 
         fset = set(fixed.members_below(window))
         term = set(v1.members_below(window))
@@ -473,8 +481,7 @@ def test_infimum_rejects_nonstabilizing_terms():
         def terms(self, count):
             return [N.difference(PeriodicSet.from_finite([n])) for n in range(1, count + 1)]
 
-    fam = MovingHole(N.difference(PeriodicSet.from_finite([1])), 2, "union",
-                     PeriodicSet.block(0, 2))
+    fam = MovingHole(N.difference(PeriodicSet.from_finite([1])), 2, PeriodicSet.block(0, 2))
     with pytest.raises(ValidationError, match="not representable"):
         countable_infimum(fam)
 
@@ -483,7 +490,7 @@ class FixedTerms(AffineFamily):
     """Reports the given terms, the last one repeated, whatever its recurrence says."""
 
     def __init__(self, v1, k, fixed, given):
-        super().__init__(v1, k, "union", fixed)
+        super().__init__(v1, k, fixed)
         object.__setattr__(self, "given", given)
 
     def terms(self, count):
@@ -494,7 +501,7 @@ def test_infimum_reads_each_coordinate_within_its_certification_range():
     # with k = 2 coordinate 0 has stabilization bound 2 and reads V_1 .. V_4
     no0 = N.difference(PeriodicSet.from_finite([0]))
     # V_5 on adding 0 back is past that range, and no term misses the result
-    assert countable_infimum(FixedTerms(no0, 2, N, [no0] * 4 + [N])) == no0
+    assert countable_infimum(FixedTerms(no0, 2, N, [no0] * 4 + [N]))[0] == no0
     # V_5 dropping 0 is past that range too, but the result must lie below it
     with pytest.raises(ValidationError, match="not representable"):
         countable_infimum(FixedTerms(N, 2, no0, [N] * 4 + [no0]))
@@ -507,9 +514,7 @@ def test_infimum_reads_each_coordinate_within_its_certification_range():
 
 def test_affine_family_validation():
     with pytest.raises(ValidationError):
-        AffineFamily(N, 0, "union", E)
-    with pytest.raises(ValidationError):
-        AffineFamily(N, 1, "xor", E)
+        AffineFamily(N, 0, E)
 
 
 # -- coordinate-set congruences on materialized powers -------------------------
