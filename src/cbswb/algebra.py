@@ -465,7 +465,12 @@ def satisfies(A: FiniteAlgebra, sentences, budget: int = DEFAULT_EVAL_BUDGET):
 
 
 class Homomorphism:
-    """Total map between algebras of the same signature, checked on creation."""
+    """Total map between algebras of the same signature.
+
+    This constructor checks the map on every cell.  Inverses and composites
+    of homomorphisms are homomorphisms, so inverse and compose build through
+    _built, which checks nothing.
+    """
 
     def __init__(self, source: FiniteAlgebra, target: FiniteAlgebra, mapping: Sequence[int]):
         if source.signature() != target.signature():
@@ -493,6 +498,14 @@ class Homomorphism:
         self.target = target
         self.mapping = mapping
 
+    @classmethod
+    def _built(cls, source: FiniteAlgebra, target: FiniteAlgebra,
+               mapping: Sequence[int]) -> "Homomorphism":
+        """A map derived from checked homomorphisms, onto tables known to match."""
+        h = cls.__new__(cls)
+        h.source, h.target, h.mapping = source, target, tuple(mapping)
+        return h
+
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
@@ -505,13 +518,13 @@ class Homomorphism:
         inv = [0] * self.target.size
         for x, y in enumerate(self.mapping):
             inv[y] = x
-        return Homomorphism(self.target, self.source, inv)
+        return Homomorphism._built(self.target, self.source, inv)
 
     def compose(self, inner: "Homomorphism") -> "Homomorphism":
         """self after inner (inner applies first)."""
         if not inner.target.same_tables(self.source):
             raise ValidationError("composition domains do not match")
-        return Homomorphism(inner.source, self.target, [self.mapping[inner.mapping[x]] for x in range(inner.source.size)])
+        return Homomorphism._built(inner.source, self.target, [self.mapping[y] for y in inner.mapping])
 
     def kernel(self):
         from .congruence import Congruence, least_rep
@@ -573,11 +586,11 @@ def power_algebra(A: FiniteAlgebra, m: int, name: Optional[str] = None) -> Finit
     return FiniteAlgebra._built(name or f"{A.name}^{m}", n, ops)
 
 
-def _short_partition_name(A: FiniteAlgebra, blocks) -> str:
+def _quotient_name(A: FiniteAlgebra, blocks) -> str:
     if A.size <= 10:
-        return "|".join("".join(str(x) for x in b) for b in blocks)
+        return f"{A.name}/" + "|".join("".join(str(x) for x in b) for b in blocks)
     digest = hashlib.md5(repr(blocks).encode()).hexdigest()[:8]
-    return f"{len(blocks)}b.{digest}"
+    return f"{A.name}/{len(blocks)}b.{digest}"
 
 
 @dataclass(frozen=True)
@@ -600,14 +613,19 @@ def _image(A: FiniteAlgebra, name: str, section: Sequence[int], projection: Sequ
 def quotient_algebra(A: FiniteAlgebra, theta) -> Quotient:
     """Quotient modulo a congruence, blocks ordered by least element.
 
-    Returns the quotient algebra together with the natural projection.
+    Returns the quotient algebra together with the natural projection.  The
+    quotient by the diagonal has A's tables and the identity projection,
+    which no check can reject.
     """
     if theta.algebra != A:
         raise ValidationError("congruence does not belong to this algebra")
     blocks = theta.blocks
+    name = _quotient_name(A, blocks)
+    if theta.is_diagonal():
+        B = FiniteAlgebra._built(name, A.size, A.ops)
+        return Quotient(B, Homomorphism._built(A, B, range(A.size)))
     # the projection check is what rejects a partition that is not a congruence
-    return Quotient(*_image(A, f"{A.name}/{_short_partition_name(A, blocks)}",
-                            [b[0] for b in blocks], theta.block_index()))
+    return Quotient(*_image(A, name, [b[0] for b in blocks], theta.block_index()))
 
 
 def relabel(A: FiniteAlgebra, perm: Sequence[int], name: Optional[str] = None):

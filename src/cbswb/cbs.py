@@ -154,7 +154,8 @@ class _QuotientIso:
         elif f.source != A or not f.is_bijective() or not f.target.same_tables(Q.algebra):
             raise ValidationError("f is not an isomorphism onto A/theta")
         elif f.target != Q.algebra:
-            f = Homomorphism(A, Q.algebra, f.mapping)
+            # a homomorphism onto equal tables under another name
+            f = Homomorphism._built(A, Q.algebra, f.mapping)
         self.A, self.f, self.theta, self.Q = A, f, theta, Q
         self.f_inv = f.inverse()
         self.self_map = self.f_inv.compose(Q.projection)

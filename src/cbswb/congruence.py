@@ -25,6 +25,7 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Quotient,
+    _quotient_name,
     image_indices,
     quotient_algebra,
     satisfies,
@@ -467,6 +468,20 @@ def quotient_lift(Q: Quotient, theta: Congruence) -> Congruence:
         raise ValidationError("down lift needs sigma <= theta")
     # the quotient lists the sigma-blocks by least element, as x ascends
     return Congruence(Q.algebra, least_rep([rep[x] for x, r in enumerate(sigma) if r == x]))
+
+
+def quotient_through(Q: Quotient, theta: Congruence) -> Quotient:
+    """quotient_algebra(A, theta) for theta >= sigma, built as
+    (A/sigma)/(theta/sigma) from Q = A/sigma: only the projection of the
+    smaller Q.algebra is checked, which certifies theta when Q certifies
+    sigma.  Its projection from A is the composite of the two; both list
+    blocks by least element, so name, tables and mapping are the direct ones.
+    """
+    A = Q.projection.source
+    step = quotient_algebra(Q.algebra, quotient_lift(Q, theta))
+    B = FiniteAlgebra._built(_quotient_name(A, theta.blocks), step.algebra.size, step.algebra.ops)
+    down = step.projection.mapping
+    return Quotient(B, Homomorphism._built(A, B, [down[y] for y in Q.projection.mapping]))
 
 
 def transport(f: Homomorphism, theta: Congruence) -> Congruence:

@@ -25,7 +25,7 @@ from .algebra import (
     quotient_algebra,
 )
 from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, sequence_violations
-from .congruence import Congruence, compatibility_witness, congruence_join
+from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
 from .errors import BudgetError, ValidationError
 from .pset import PeriodicSet
 from .structure import check_factor_pair, decomposition_witness, factor_congruences
@@ -48,17 +48,17 @@ class OmegaCongruence:
     coords: PeriodicSet
 
     def restrict_rep(self, m: int):
-        """Least-representative array of the restriction to the first m coordinates."""
+        """Least-representative array of the restriction to the first m coordinates.
+
+        Coordinate 0 is the most significant digit: each coordinate appends
+        one digit to every prefix, 0 for a coordinate in S.
+        """
         n = self.base.size
-        weights = [n ** (m - 1 - i) for i in range(m)]
         bits = self.coords.bits_below(m)
-        collapse = [i for i in range(m) if bits >> i & 1]
-        rep = []
-        for x in range(n ** m):
-            r = x
-            for i in collapse:
-                r -= ((x // weights[i]) % n) * weights[i]
-            rep.append(r)
+        rep = [0]
+        for i in range(m):
+            digits = (0,) * n if bits >> i & 1 else range(n)
+            rep = [r * n + d for r in rep for d in digits]
         return rep
 
     def restrict(self, Bm: FiniteAlgebra, m: int) -> Congruence:
@@ -612,9 +612,10 @@ class QuasiCyclic:
 def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     """Work the pseudo-simple pattern on the level-m truncation.
 
-    Verifies the congruence chain of subgroup levels, the quotient map
-    [t] -> t mod p^(m-n) onto the level-(m-n) truncation, its recomputed
-    kernel, and the every-proper-quotient-isomorphic pattern that makes
+    Verifies the congruence chain of subgroup levels, each certified on the
+    quotient by the level before, the quotient map [t] -> t mod p^(m-n)
+    onto the level-(m-n) truncation, its kernel recomputed through the
+    chain, and the every-proper-quotient-isomorphic pattern that makes
     the full group satisfy the CBS property over the whole lattice.
     """
     qc = QuasiCyclic(p)
@@ -626,9 +627,14 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     size = T.size
 
     congs = [qc.subgroup_congruence(T, m, j) for j in range(m + 1)]
-    # the projection check of each quotient rejects a level that is not a
-    # congruence with ValidationError, so a quotient that exists certifies it
-    quotients = [quotient_algebra(T, c) for c in congs]
+    refines = [congs[j].refines(congs[j + 1]) for j in range(m)]
+    # each level is certified by a projection check, which rejects a level
+    # that is not a congruence with ValidationError: level j on T/level j-1
+    # when that level refines it (so its quotient is certified), else on T
+    quotients = [quotient_algebra(T, congs[0])]
+    for j in range(1, m + 1):
+        quotients.append(quotient_through(quotients[j - 1], congs[j]) if refines[j - 1]
+                         else quotient_algebra(T, congs[j]))
     chain = []
     chain_ok = True
     for j, c in enumerate(congs):
@@ -642,18 +648,13 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
             method = "subgroup_closure"
         chain_ok = chain_ok and ok
         chain.append({"level": j, "blocks": len(c.blocks), "method": method, "ok": ok})
-    strict = all(
-        congs[j].refines(congs[j + 1]) and congs[j].rep != congs[j + 1].rep
-        for j in range(m)
-    )
+    strict = all(refines[j] and congs[j].rep != congs[j + 1].rep for j in range(m))
     ends_ok = congs[0].is_diagonal() and congs[m].is_total()
 
-    target = truncs[n]
-    iso_ok = quotients[n].algebra.same_tables(target)
-    # that projection is x -> x mod p^(m-n) onto equal tables, already checked
-    h = quotients[n].projection if iso_ok else Homomorphism(
-        T, target, [x % p ** (m - n) for x in range(size)])
-    kernel_ok = h.kernel().rep == congs[n].rep
+    iso_ok = quotients[n].algebra.same_tables(truncs[n])
+    # the level-n projection composes the step maps of the chain, so its
+    # kernel and the subgroup level are two routes to one congruence
+    kernel_ok = quotients[n].projection.kernel().rep == congs[n].rep
 
     pattern = [
         {

@@ -11,7 +11,10 @@ homomorphism checks and their messages (arities up to 3) against
 exhaustive map enumeration, the block gather against per-cell indexing,
 isomorphism search (arities up to 3) against the bijective maps among
 them, the product, power, quotient and relabelling constructors against
-cell-by-cell construction, factor-pair verdicts against relational
+cell-by-cell construction, quotients through a finer congruence (on up
+to 6 elements, arities up to 3) against the direct quotient, the unchecked
+diagonal quotient, inverses and composites against the checked
+homomorphism constructor, factor-pair verdicts against relational
 products over all triples, and the table-driven complement lists against
 check_factor_pair.  The cover relation, the modular and distributive flags
 and every neutrality witness are checked against the triple loops of the
@@ -53,6 +56,8 @@ from cbswb.congruence import (
     congruence_join,
     congruence_meet,
     generated_congruence,
+    least_rep,
+    quotient_through,
 )
 from cbswb.corpus import corpus_algebra
 from cbswb.errors import ValidationError
@@ -547,6 +552,64 @@ def check_constructors(A, B, m, perm):
             len(reps), A.ops, lambda op, args: reps.index(rep[apply_raw(A, op, [reps[i] for i in args])])
         )
         assert Q.projection.mapping == tuple(reps.index(r) for r in rep)
+
+
+@st.composite
+def quotient_case(draw):
+    """An algebra of at most 6 elements with arities 0 to 3."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    n = draw(st.integers(1, 6))
+    return FiniteAlgebra("a", n, tables(draw, n, arities))
+
+
+def assert_checked(h):
+    """h passes the public constructor, which checks the map on every cell."""
+    assert Homomorphism(h.source, h.target, h.mapping) == h
+
+
+@KERNEL_SETTINGS
+@given(quotient_case(), st.data())
+def test_derived_quotients_and_maps_pass_the_homomorphism_check(A, data):
+    """Quotients through a finer congruence, the diagonal quotient, inverses
+    and composites are built unchecked; each must be what the checked route
+    builds, and pass the public constructor."""
+    D = quotient_algebra(A, Congruence.diagonal(A))
+    assert D.algebra.ops == A.ops and D.algebra.size == A.size
+    assert D.algebra.name == "a/" + "|".join(str(x) for x in range(A.size))
+    assert D.projection.mapping == tuple(range(A.size))
+    assert_passes_cell_check(D.algebra)
+    assert_checked(D.projection)
+
+    cons = all_congruences(A).elements
+    for _ in range(3):
+        theta = data.draw(st.sampled_from(cons))
+        sigma = data.draw(st.sampled_from([c for c in cons if c.refines(theta)]))
+        Q = quotient_algebra(A, sigma)
+        got, direct = quotient_through(Q, theta), quotient_algebra(A, theta)
+        assert vars(got.algebra) == vars(direct.algebra)
+        assert got.projection == direct.projection
+        assert_checked(got.projection)
+        # a coarsening of sigma that is no congruence fails the check on A/sigma
+        labels = data.draw(st.lists(st.integers(0, A.size - 1),
+                                    min_size=sigma.nblocks, max_size=sigma.nblocks))
+        rep = least_rep([labels[i] for i in sigma.block_index()])
+        if all(c.rep != rep for c in cons):
+            with pytest.raises(ValidationError, match="does not preserve"):
+                quotient_through(Q, Congruence(A, rep))
+        # a projection of A/sigma after the projection of A
+        step = quotient_algebra(Q.algebra, congruence.quotient_lift(Q, theta))
+        assert_checked(step.projection.compose(Q.projection))
+
+    _, iso = relabel(A, data.draw(st.permutations(range(A.size))))
+    auts = automorphisms(A)[:4]
+    assert_checked(iso.inverse())
+    for g in auts:
+        assert_checked(g.inverse())
+        assert_checked(iso.compose(g))
+        assert_checked(direct.projection.compose(g))
+        for h in auts:
+            assert_checked(g.compose(h))
+    assert_checked(direct.projection.compose(iso.inverse()))
 
 
 @KERNEL_SETTINGS

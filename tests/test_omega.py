@@ -32,7 +32,7 @@ from cbswb import (
     quasicyclic_suite,
     truncate_validate,
 )
-from cbswb import omega, pset
+from cbswb import congruence, omega, pset
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
@@ -537,6 +537,25 @@ def test_restriction_matches_collapse_definition():
             assert compatibility_witness(Bm, cong.rep) is None
 
 
+def test_restriction_by_digits_matches_the_division_loop():
+    # the oracle: subtract each collapsed digit of every element
+    def division_loop(n, m, collapse):
+        weights = [n ** (m - 1 - i) for i in range(m)]
+        rep = []
+        for x in range(n ** m):
+            r = x
+            for i in collapse:
+                r -= ((x // weights[i]) % n) * weights[i]
+            rep.append(r)
+        return rep
+
+    for n, m in ((2, 7), (3, 4), (2, 6)):
+        for mask in range(2 ** m):
+            collapse = [i for i in range(m) if mask >> i & 1]
+            oc = OmegaCongruence(z(n), PeriodicSet.from_finite(collapse))
+            assert oc.restrict_rep(m) == division_loop(n, m, collapse), (n, m, mask)
+
+
 def test_coordinate_lattice_matches_congruence_lattice():
     base = z(2)
     m = 3
@@ -957,6 +976,61 @@ def test_quasicyclic_suite_above_the_exhaustive_cap():
                     "truncations certify the pattern level by level",
         },
     }
+
+
+def quasicyclic_report(p, n, m):
+    """The full suite result on a truncation of at most 256 elements, all checks passing."""
+    return {
+        "prime": p,
+        "n": n,
+        "m": m,
+        "size": p ** m,
+        "ok": True,
+        "chain": [{"level": j, "blocks": p ** (m - j), "method": "exhaustive", "ok": True}
+                  for j in range(m + 1)],
+        "chain_strictly_increasing": True,
+        "chain_ends_ok": True,
+        "quotient": {
+            "statement": f"z({p}^{m})/z({p}^{n}) ~ z({p}^{m - n})",
+            "map": "t -> t mod p^(m-n), identity on representatives",
+            "ok": True,
+        },
+        "kernel_recomputed_ok": True,
+        "pseudo_simple_pattern": [
+            {"level": j, "quotient_size": p ** (m - j), "matches_truncation": True}
+            for j in range(m)
+        ],
+        "conclusion": {
+            "every_proper_quotient_isomorphic": True,
+            "downward_closure_holds": True,
+            "note": "each proper collapse of the full group reproduces the group itself; "
+                    "truncations certify the pattern level by level",
+        },
+    }
+
+
+def test_quasicyclic_suite_largest_benchmark_reports():
+    # the two largest suites the benchmark runs, as recorded before each
+    # level was certified through the level before
+    assert quasicyclic_suite(3, 2, 5) == quasicyclic_report(3, 2, 5)
+    assert quasicyclic_suite(2, 3, 7) == quasicyclic_report(2, 3, 7)
+
+
+def test_quasicyclic_kernel_is_read_off_the_chain(monkeypatch):
+    # step 3 of z(2^4) lifted to the total congruence of the 4-element level 2
+    real_lift = congruence.quotient_lift
+
+    def total_at_step_3(Q, theta):
+        lifted = real_lift(Q, theta)
+        return Congruence.total(Q.algebra) if Q.algebra.size == 4 else lifted
+
+    monkeypatch.setattr(congruence, "quotient_lift", total_at_step_3)
+    suite = quasicyclic_suite(2, 3, 4)
+    assert suite["kernel_recomputed_ok"] is False and suite["ok"] is False
+    # the subgroup levels themselves are untouched
+    assert suite["chain_strictly_increasing"] and suite["chain_ends_ok"]
+    monkeypatch.undo()
+    assert quasicyclic_suite(2, 3, 4)["kernel_recomputed_ok"] is True
 
 
 def test_quasicyclic_suite_rejects_a_level_that_is_no_congruence(monkeypatch):
