@@ -25,16 +25,11 @@ from .cbs import (
     boolean_sublattice_check,
     cbs_complete_check,
     cbs_property_check,
-    cbs_property_direct,
     cbs_sequence,
-    corresp2_witness,
     f_hat,
     f_hat_inverse,
-    f_hat_interval_check,
-    is_admissible,
     operator_eval,
     presheaf_check,
-    sigma_bracket,
     validate_sequence,
 )
 from .congruence import (

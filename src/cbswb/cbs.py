@@ -5,8 +5,7 @@ Four selectors are provided: the full lattice, the factor congruences,
 the centre of the congruence lattice, and the congruences whose quotient
 satisfies a fixed sentence set.  On top of the selected family the module
 computes the interval map f-hat induced by an isomorphism f: A -> A/theta,
-the bracket <sigma>_theta of congruences with isomorphic quotients, the
-CBS-sequences generated by such data, and the property / completeness
+the CBS-sequences generated by such data, and the property / completeness
 verdicts, each with explicit witnesses.
 """
 
@@ -117,18 +116,6 @@ def _complements(L: CongruenceLattice, x: Congruence, ks):
     return [c for c in ks if L.factor_pair(i, L.index[c.rep])]
 
 
-def is_admissible(f: Homomorphism, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP) -> dict:
-    """K-morphism test: some sigma in K(source) has quotient isomorphic to the target."""
-    A, B = f.source, f.target
-    ks = operator_eval(A, kind, max_size=max_size)
-    kernel_in_k = f.kernel().rep in _rep_set(ks)
-    for sigma in ks:
-        hit = iso_search(quotient_algebra(A, sigma).algebra, B, max_size=max_size)
-        if hit:
-            return {"admissible": True, "sigma": sigma, "iso": hit, "kernel_in_k": kernel_in_k}
-    return {"admissible": False, "sigma": None, "iso": None, "kernel_in_k": kernel_in_k}
-
-
 # ---------------------------------------------------------------------------
 # the interval map f-hat
 
@@ -179,51 +166,6 @@ def f_hat_inverse(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, psi: Con
     [theta, total] it is the exact inverse of f_hat.
     """
     return _QuotientIso(A, f, theta).fhat_inv(psi)
-
-
-def f_hat_interval_check(A: FiniteAlgebra, f: Homomorphism, theta: Congruence,
-                         kind: OperatorKind, max_size: int = DEFAULT_CON_CAP) -> dict:
-    """Re-check that f_hat maps K(A) order-isomorphically onto K(A) above theta."""
-    iso = _QuotientIso(A, f, theta)
-    ks = operator_eval(A, kind, max_size=max_size)
-    interval = [c for c in ks if theta.refines(c)]
-    images = [iso.fhat(s) for s in ks]
-    onto = sorted(_rep_set(images)) == sorted(_rep_set(interval))
-    injective = len(_rep_set(images)) == len(ks)
-    order = all(
-        (a.refines(b)) == (images[i].refines(images[j]))
-        for i, a in enumerate(ks)
-        for j, b in enumerate(ks)
-    )
-    roundtrip = all(
-        iso.fhat_inv(images[i]).rep == ks[i].rep for i in range(len(ks))
-    )
-    return {
-        "ok": onto and injective and order and roundtrip,
-        "onto_interval": onto,
-        "injective": injective,
-        "order_preserving": order,
-        "inverse_roundtrip": roundtrip,
-    }
-
-
-def sigma_bracket(A: FiniteAlgebra, theta: Congruence, sigma: Congruence,
-                  kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
-    """<sigma>_theta: congruences below theta in K(A) whose quotient matches A/sigma."""
-    ks = operator_eval(A, kind, max_size=max_size)
-    reps = _rep_set(ks)
-    if theta.rep not in reps or sigma.rep not in reps:
-        raise ValidationError("theta and sigma must belong to K(A)")
-    if not sigma.refines(theta):
-        raise ValidationError("sigma must lie below theta")
-    base = quotient_algebra(A, sigma).algebra
-    out = []
-    for zeta in ks:
-        if not zeta.refines(theta):
-            continue
-        if iso_search(base, quotient_algebra(A, zeta).algebra, max_size=max_size):
-            out.append(zeta)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -441,14 +383,23 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
                        max_size: int = DEFAULT_CON_CAP) -> dict:
     """Downward-closure form of the CBS property over K(A).
 
-    For every theta in K(A) with A isomorphic to A/theta, every sigma in
-    K(A) below theta must also give A isomorphic to A/sigma.  The verdict
-    is nontrivial only when some non-diagonal theta works.
+    For every theta in K(A) with A isomorphic to A/theta (an anchor), every
+    sigma in K(A) below theta must also give A isomorphic to A/sigma.  The
+    verdict is nontrivial only when some non-diagonal theta works.
+
+    In the paper's framework the CBS condition has content only when
+    A ~ A/theta for some theta other than the diagonal.  An isomorphism
+    keeps the carrier's size, so on a finite algebra only a congruence with
+    |A| blocks, the diagonal alone, can be an anchor: the isomorphism is
+    searched for once, and the verdict holds without nontrivial instances.
+    Those live on countable powers, in cbswb.omega.  cbs_complete_check
+    runs the same one case.
     """
     kind = kind or OperatorKind.con()
     ks = operator_eval(A, kind, max_size=max_size)
 
-    anchors = [c for c in ks if iso_search(A, quotient_algebra(A, c).algebra, max_size=max_size)]
+    anchors = [c for c in ks if c.is_diagonal()
+               and iso_search(A, quotient_algebra(A, c).algebra, max_size=max_size)]
     anchor_reps = _rep_set(anchors)
     holds, witnesses, checked = True, [], 0
     for theta in anchors:
@@ -473,60 +424,93 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     }
 
 
-def cbs_property_direct(A: FiniteAlgebra, partners, kind: Optional[OperatorKind] = None,
-                        max_size: int = DEFAULT_CON_CAP) -> dict:
-    """Definition form of the CBS property against a list of partner algebras.
+def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
+                       max_size: int = DEFAULT_CON_CAP) -> dict:
+    """Certify CBS-completeness of K(A) at the one case a finite algebra has.
 
-    Whenever A matches B/theta_B and B matches A/theta_A for operator
-    congruences, A and B themselves must be isomorphic.
+    An isomorphism f: A -> A/theta forces theta = sigma = zeta = the
+    diagonal (see cbs_property_check), with f the natural projection, and
+    the complement of f_hat(zeta) in K(A) is the total congruence.  From
+    that one attempt the check takes the sequence, sigma_zeta as the meet of
+    the d-terms after d[0], neg sigma_zeta as a complement of it in K(A),
+    chi and neg chi, and assembles the isomorphism chain
+    A ~ A/neg_chi x A/chi ~ A/neg_chi x A/sigma_zeta ~ A/zeta ~ A/sigma.
+    A chain that does not close is reported as not certified, with the
+    attempt in tried, never as a refutation.
     """
-    kind = kind or OperatorKind.con()
-    ka = operator_eval(A, kind, max_size=max_size)
-    instances, failures = 0, []
-    for B in partners:
-        if B.signature() != A.signature():
-            continue
-        kb = operator_eval(B, kind, max_size=max_size)
-        down_b = [tb for tb in kb
-                  if iso_search(A, quotient_algebra(B, tb).algebra, max_size=max_size)]
-        if not down_b:
-            continue
-        down_a = [ta for ta in ka
-                  if iso_search(B, quotient_algebra(A, ta).algebra, max_size=max_size)]
-        isomorphic = iso_search(A, B, max_size=max_size) is not None
-        for tb in down_b:
-            for ta in down_a:
-                instances += 1
-                if not isomorphic:
-                    failures.append({
-                        "partner": B.name,
-                        "theta_b": tb.to_blocks_list(),
-                        "theta_a": ta.to_blocks_list(),
-                    })
+    kind = kind or OperatorKind.fc()
+    diag = Congruence.diagonal(A)
+    iso = _QuotientIso(A, None, diag)
+    ks = operator_eval(A, kind, max_size=max_size)
+    L = all_congruences(A, max_size=max_size)
+    E, index = L.elements, L.index
+    boolean = boolean_sublattice_check(A, ks)["ok"]
+
+    def equation(claim, ok, hom=None):
+        entry = {"claim": claim, "ok": bool(ok)}
+        if hom is not None:
+            entry["iso"] = list(hom.mapping)
+        return entry
+
+    state = cbs_sequence(A, None, diag, diag, kind=kind, max_size=max_size)
+    i_sz = L.top
+    for d in state.ds[1:]:
+        i_sz = L.meet(i_sz, index[d.rep])
+    sz = E[i_sz]
+    nsz = _complements(L, sz, ks)[0]
+    i_chi, i_neg_chi = chi_pair(index[diag.rep], index[state.neg_odd[1].rep], i_sz,
+                                index[nsz.rep], L.meet, L.join)
+    chi, neg_chi = E[i_chi], E[i_neg_chi]
+    attempt = {
+        "zeta": diag.to_blocks_list(),
+        "complement": state.complement_used.to_blocks_list(),
+        "sigma_zeta": sz.to_blocks_list(),
+        "infimum_via": "meet",
+        "neg_sigma_zeta": nsz.to_blocks_list(),
+        "chi": chi.to_blocks_list(),
+        "neg_chi": neg_chi.to_blocks_list(),
+        "condition2_required": not boolean,
+    }
+
+    w = decomposition_witness(A, neg_chi, chi)
+    equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"])]
+
+    Qz = iso.Q.algebra
+    Qnc = quotient_algebra(A, neg_chi).algebra
+    Qsz = quotient_algebra(A, sz).algebra
+    hit2 = iso_search(Qz, direct_product(Qnc, Qsz), max_size=max_size)
+    equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
+
+    fchi = iso.fhat(chi)
+    Qchi = quotient_algebra(A, chi).algebra
+    Qfchi = quotient_algebra(A, fchi).algebra
+    hit3 = iso_search(Qchi, Qfchi, max_size=max_size)
+    equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))
+
+    equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
+    conc = iso_search(A, Qz, max_size=max_size)
+    conclusion = equation("A ~ A/sigma", conc, conc)
+
+    closed = all(e["ok"] for e in equations) and conclusion["ok"]
+    if not closed:
+        attempt.update(failure="equation chain did not close",
+                       equations=equations, conclusion=conclusion)
     return {
         "algebra": A.name,
         "kind": kind.label(),
-        "holds": not failures,
-        "instances": instances,
-        "failures": failures,
-    }
-
-
-def corresp2_witness(A: FiniteAlgebra, sigma: Congruence, theta: Congruence,
-                     kind: Optional[OperatorKind] = None, max_size: int = DEFAULT_CON_CAP) -> dict:
-    """Exhibit theta' = theta/sigma with A isomorphic to (A/sigma)/theta'."""
-    kind = kind or OperatorKind.con()
-    if not sigma.refines(theta):
-        raise ValidationError("sigma must lie below theta")
-    Q = quotient_algebra(A, sigma)
-    theta_prime = quotient_lift(Q, theta)
-    in_k = theta_prime.rep in _rep_set(operator_eval(Q.algebra, kind, max_size=max_size))
-    hit = iso_search(A, quotient_algebra(Q.algebra, theta_prime).algebra, max_size=max_size)
-    return {
-        "theta_prime": theta_prime,
-        "in_operator": in_k,
-        "iso": hit,
-        "ok": in_k and hit is not None,
+        "theta": diag.to_blocks_list(),
+        "sigma": diag.to_blocks_list(),
+        "boolean_operator": boolean,
+        "verdict": "certified" if closed else "not certified",
+        "certificate": {
+            **attempt,
+            "equations": equations,
+            "conclusion": conclusion,
+            "sequence": state.to_report(),
+        } if closed else None,
+        "tried": [] if closed else [attempt],
+        # the one zeta always has a complement, the total congruence
+        "skipped": [],
     }
 
 
@@ -556,147 +540,6 @@ def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     else:
         witness = [E[i].to_blocks_list() for i in at]
     return {"ok": False, "reason": reason, "witness": witness}
-
-
-def _infimum_in_k(L: CongruenceLattice, at, ds):
-    """Infimum of the d-terms inside K(A) per the two-stage rule.
-
-    K(A) is given by its positions at in Con(A) = L.  First the plain
-    congruence meet; if that leaves K(A), the greatest K(A)-element below
-    all d-terms, when one exists.
-    """
-    leq, M = L.leq, L.meet_table
-    ds = [L.index[d.rep] for d in ds]
-    meet = L.top
-    for d in ds:
-        meet = M[meet][d]
-    if meet in at:
-        return L.elements[meet], "meet"
-    below = [i for i in at if all(leq[i][d] for d in ds)]
-    for cand in below:
-        if all(leq[other][cand] for other in below):
-            return L.elements[cand], "greatest_in_k"
-    return None, "does not exist"
-
-
-def cbs_complete_check(A: FiniteAlgebra, f=None, theta: Optional[Congruence] = None,
-                       sigma: Optional[Congruence] = None, kind: Optional[OperatorKind] = None,
-                       max_size: int = DEFAULT_CON_CAP) -> dict:
-    """Search for a certified CBS-completeness witness below theta.
-
-    Tries each zeta in <sigma>_theta and each complement choice, computes
-    the d-term infimum inside K(A), checks the factor-pair conditions
-    (skipped when K(A) is Boolean), and assembles the isomorphism chain
-    A ~ A/neg_chi x A/chi ~ A/neg_chi x A/sigma_zeta ~ A/zeta ~ A/sigma.
-    Absence of a qualifying zeta is reported as not certified, never as a
-    refutation.
-    """
-    kind = kind or OperatorKind.fc()
-    theta = theta if theta is not None else Congruence.diagonal(A)
-    sigma = sigma if sigma is not None else Congruence.diagonal(A)
-    iso = _QuotientIso(A, f, theta)
-    f = iso.f
-    ks = operator_eval(A, kind, max_size=max_size)
-    L = all_congruences(A, max_size=max_size)
-    E, index = L.elements, L.index
-    at = [index[c.rep] for c in ks]
-    boolean = boolean_sublattice_check(A, ks)["ok"]
-
-    report = {
-        "algebra": A.name,
-        "kind": kind.label(),
-        "theta": theta.to_blocks_list(),
-        "sigma": sigma.to_blocks_list(),
-        "boolean_operator": boolean,
-        "verdict": "not certified",
-        "certificate": None,
-        "tried": [],
-        "skipped": [],
-    }
-
-    def equation(claim, ok, iso=None):
-        entry = {"claim": claim, "ok": bool(ok)}
-        if iso is not None:
-            entry["iso"] = list(iso.mapping)
-        return entry
-
-    bracket = sigma_bracket(A, theta, sigma, kind, max_size=max_size)
-    conc = iso_search(A, quotient_algebra(A, sigma).algebra, max_size=max_size)
-    for zeta in bracket:
-        options = _complements(L, iso.fhat(zeta), ks)
-        if not options:
-            report["skipped"].append({
-                "zeta": zeta.to_blocks_list(),
-                "reason": "no complement for f_hat(zeta) in K(A)",
-            })
-            continue
-        for comp in options:
-            attempt = {"zeta": zeta.to_blocks_list(), "complement": comp.to_blocks_list()}
-            state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp, max_size=max_size)
-            sz, how = _infimum_in_k(L, at, state.ds[1:])
-            if sz is None:
-                attempt["failure"] = "d-term infimum does not exist in K(A)"
-                report["tried"].append(attempt)
-                continue
-            attempt["sigma_zeta"] = sz.to_blocks_list()
-            attempt["infimum_via"] = how
-
-            z, n1, i_sz = index[zeta.rep], index[state.neg_odd[1].rep], index[sz.rep]
-            chis = [(c, *chi_pair(z, n1, i_sz, index[c.rep], L.meet, L.join))
-                    for c in _complements(L, sz, ks)]
-            paired = [p for p in chis if L.factor_pair(p[1], p[2])]
-            if not paired and not boolean:
-                attempt["failure"] = "no complement of sigma_zeta closes both factor pairs"
-                report["tried"].append(attempt)
-                continue
-            if not paired:
-                attempt["failure"] = "Boolean operator but complement of sigma_zeta is missing"
-                report["tried"].append(attempt)
-                continue
-            nsz, i_chi, i_neg_chi = paired[0]
-            chi, neg_chi = E[i_chi], E[i_neg_chi]
-            attempt["neg_sigma_zeta"] = nsz.to_blocks_list()
-            attempt["chi"] = chi.to_blocks_list()
-            attempt["neg_chi"] = neg_chi.to_blocks_list()
-            attempt["condition2_required"] = not boolean
-
-            try:
-                w = decomposition_witness(A, neg_chi, chi)
-            except ValidationError:
-                attempt["failure"] = "chi decomposition is not a factor pair"
-                report["tried"].append(attempt)
-                continue
-            equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"])]
-
-            Qz = quotient_algebra(A, zeta).algebra
-            Qnc = quotient_algebra(A, neg_chi).algebra
-            Qsz = quotient_algebra(A, sz).algebra
-            hit2 = iso_search(Qz, direct_product(Qnc, Qsz), max_size=max_size)
-            equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
-
-            fchi = iso.fhat(chi)
-            Qchi = quotient_algebra(A, chi).algebra
-            Qfchi = quotient_algebra(A, fchi).algebra
-            hit3 = iso_search(Qchi, Qfchi, max_size=max_size)
-            equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))
-
-            equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
-            conclusion = equation("A ~ A/sigma", conc, conc)
-
-            if all(e["ok"] for e in equations) and conclusion["ok"]:
-                report["verdict"] = "certified"
-                report["certificate"] = {
-                    **attempt,
-                    "equations": equations,
-                    "conclusion": conclusion,
-                    "sequence": state.to_report(),
-                }
-                return report
-            attempt["failure"] = "equation chain did not close"
-            attempt["equations"] = equations
-            attempt["conclusion"] = conclusion
-            report["tried"].append(attempt)
-    return report
 
 
 # ---------------------------------------------------------------------------

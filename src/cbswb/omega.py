@@ -547,9 +547,9 @@ def _is_prime(p: int) -> bool:
 class QuasiCyclic:
     """The group of p-power-denominator fractions mod 1, via its truncations.
 
-    Elements are reduced pairs (a, k) standing for a / p^k mod 1 with
-    p not dividing a, or (0, 0).  The level-m truncation is the subgroup
-    of elements with k <= m, a finite cyclic group of order p^m.
+    The level-m truncation is the subgroup of fractions a / p^k with
+    k <= m, a finite cyclic group of order p^m whose element t stands for
+    t / p^m.
     """
 
     prime: int
@@ -557,37 +557,6 @@ class QuasiCyclic:
     def __post_init__(self):
         if not _is_prime(self.prime):
             raise ValidationError(f"{self.prime} is not prime")
-
-    def reduce(self, a: int, k: int):
-        p = self.prime
-        a %= p ** k if k > 0 else 1
-        while k > 0 and a % p == 0:
-            a //= p
-            k -= 1
-        if k == 0:
-            return (0, 0)
-        return (a, k)
-
-    def add(self, x, y):
-        k = max(x[1], y[1])
-        p = self.prime
-        a = x[0] * p ** (k - x[1]) + y[0] * p ** (k - y[1])
-        return self.reduce(a, k)
-
-    def neg(self, x):
-        if x == (0, 0):
-            return x
-        return self.reduce(self.prime ** x[1] - x[0], x[1])
-
-    def encode(self, pair, m: int) -> int:
-        """Element a/p^k as an integer t with pair = t / p^m."""
-        a, k = pair
-        if k > m:
-            raise ValidationError("element lies outside this truncation")
-        return a * self.prime ** (m - k)
-
-    def decode(self, t: int, m: int):
-        return self.reduce(t, m)
 
     def truncation(self, m: int) -> FiniteAlgebra:
         size = self.prime ** m

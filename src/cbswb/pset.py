@@ -176,13 +176,6 @@ class PeriodicSet:
     def is_naturals(self) -> bool:
         return self.pbits == _mask(self.threshold) and self.rbits == _mask(self.period)
 
-    def is_finite(self) -> bool:
-        return not self.rbits
-
-    def members_below(self, n: int):
-        bits = self.bits_below(n)
-        return [x for x in range(n) if bits >> x & 1]
-
     def bits_below(self, n: int) -> int:
         """Membership of 0..n-1 as one mask: bit x is set when x is a member."""
         t = self.threshold

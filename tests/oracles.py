@@ -3,10 +3,12 @@
 Everything here recomputes results from first principles: set partitions by
 restricted growth strings, compatibility by comparing all blockwise-equal
 argument tuples, term values by direct recursion, periodic-set operations
-by pointwise membership over a window.  None of it shares code with the
-package beyond the public data shapes.  The partitions of each n are kept
-as rep arrays after their first enumeration, for the congruence oracles
-filter them again and again.
+by pointwise membership over a window, the Pruefer group by fractions.
+None of it shares code with the package beyond the public data shapes,
+except the general CBS searches at the end, which are the reference forms
+of the CBS verbs and run on the package's kernels.  The partitions of
+each n are kept as rep arrays after their first enumeration, for the
+congruence oracles filter them again and again.
 """
 
 import functools
@@ -260,3 +262,296 @@ def neutrality_failure(M, J, z):
                 if J[M[x][y]][w] != M[J[x][w]][J[y][w]]:
                     return {"triple": [x, y, w], "identity": "D*"}
     return None
+
+
+class Pruefer:
+    """The Pruefer p-group Z(p^inf), worked as fractions: reduced pairs
+    (a, k) for a / p^k mod 1 with p not dividing a, or (0, 0).  Level m
+    holds the pairs with k <= m; its element t stands for t / p^m."""
+
+    def __init__(self, prime):
+        self.prime = prime
+
+    def reduce(self, a, k):
+        p = self.prime
+        a %= p ** k if k > 0 else 1
+        while k > 0 and a % p == 0:
+            a //= p
+            k -= 1
+        if k == 0:
+            return (0, 0)
+        return (a, k)
+
+    def add(self, x, y):
+        k = max(x[1], y[1])
+        p = self.prime
+        return self.reduce(x[0] * p ** (k - x[1]) + y[0] * p ** (k - y[1]), k)
+
+    def neg(self, x):
+        if x == (0, 0):
+            return x
+        return self.reduce(self.prime ** x[1] - x[0], x[1])
+
+    def encode(self, pair, m):
+        """Element a/p^k as the integer t with pair = t / p^m."""
+        a, k = pair
+        if k > m:
+            raise ValueError("element lies outside this truncation")
+        return a * self.prime ** (m - k)
+
+    def decode(self, t, m):
+        return self.reduce(t, m)
+
+
+# ---------------------------------------------------------------------------
+# general CBS searches
+#
+# On a finite algebra the CBS verbs run one case: an isomorphism A -> A/theta
+# keeps the carrier's size, so theta is the diagonal.  The searches below take
+# any isomorphism f: A -> A/theta and any sigma below theta, run over every
+# member of K(A), every zeta of the bracket and every complement, and are
+# what the verbs are checked against.  They import the package's kernels
+# where used, so that loading this module loads no package code.
+
+
+def f_hat_interval_check(A, f, theta, kind):
+    """Re-check that f_hat maps K(A) order-isomorphically onto K(A) above theta."""
+    from cbswb.cbs import f_hat, f_hat_inverse, operator_eval
+
+    ks = operator_eval(A, kind)
+    interval = {c.rep for c in ks if theta.refines(c)}
+    images = [f_hat(A, f, theta, s) for s in ks]
+    image_reps = {i.rep for i in images}
+    onto = image_reps == interval
+    injective = len(image_reps) == len(ks)
+    order = all(a.refines(b) == images[i].refines(images[j])
+                for i, a in enumerate(ks) for j, b in enumerate(ks))
+    roundtrip = all(f_hat_inverse(A, f, theta, image).rep == s.rep
+                    for image, s in zip(images, ks))
+    return {
+        "ok": onto and injective and order and roundtrip,
+        "onto_interval": onto,
+        "injective": injective,
+        "order_preserving": order,
+        "inverse_roundtrip": roundtrip,
+    }
+
+
+def sigma_bracket(A, theta, sigma, kind):
+    """<sigma>_theta: congruences below theta in K(A) whose quotient matches A/sigma."""
+    from cbswb.algebra import iso_search, quotient_algebra
+    from cbswb.cbs import operator_eval
+    from cbswb.errors import ValidationError
+
+    ks = operator_eval(A, kind)
+    reps = {c.rep for c in ks}
+    if theta.rep not in reps or sigma.rep not in reps:
+        raise ValidationError("theta and sigma must belong to K(A)")
+    if not sigma.refines(theta):
+        raise ValidationError("sigma must lie below theta")
+    base = quotient_algebra(A, sigma).algebra
+    return [zeta for zeta in ks if zeta.refines(theta)
+            and iso_search(base, quotient_algebra(A, zeta).algebra)]
+
+
+def infimum_in_k(L, at, ds):
+    """Infimum of the d-terms inside K(A) per the two-stage rule.
+
+    K(A) is given by its positions at in Con(A) = L.  First the plain
+    congruence meet; if that leaves K(A), the greatest K(A)-element below
+    all d-terms, when one exists.
+    """
+    leq, M = L.leq, L.meet_table
+    ds = [L.index[d.rep] for d in ds]
+    meet = L.top
+    for d in ds:
+        meet = M[meet][d]
+    if meet in at:
+        return L.elements[meet], "meet"
+    below = [i for i in at if all(leq[i][d] for d in ds)]
+    for cand in below:
+        if all(leq[other][cand] for other in below):
+            return L.elements[cand], "greatest_in_k"
+    return None, "does not exist"
+
+
+def cbs_property_search(A, kind):
+    """cbs_property_check's report with the isomorphism searched for every
+    member of K(A), a quotient built for each."""
+    from cbswb.algebra import iso_search, quotient_algebra
+    from cbswb.cbs import operator_eval
+
+    ks = operator_eval(A, kind)
+    anchors = [c for c in ks if iso_search(A, quotient_algebra(A, c).algebra)]
+    anchor_reps = {c.rep for c in anchors}
+    pairs = [(t, s) for t in anchors for s in ks if s.refines(t)]
+    witnesses = [{"theta": t.to_blocks_list(), "sigma": s.to_blocks_list()}
+                 for t, s in pairs if s.rep not in anchor_reps]
+    return {
+        "algebra": A.name,
+        "kind": kind.label(),
+        "holds": not witnesses,
+        "nontrivial": any(not c.is_diagonal() for c in anchors),
+        "self_isomorphic": [c.to_blocks_list() for c in anchors],
+        "checked": len(pairs),
+        "witnesses": witnesses,
+    }
+
+
+def cbs_property_direct(A, partners, kind):
+    """Definition form of the CBS property against a list of partner algebras.
+
+    Whenever A matches B/theta_B and B matches A/theta_A for operator
+    congruences, A and B themselves must be isomorphic.
+    """
+    from cbswb.algebra import iso_search, quotient_algebra
+    from cbswb.cbs import operator_eval
+
+    ka = operator_eval(A, kind)
+    instances, failures = 0, []
+    for B in partners:
+        if B.signature() != A.signature():
+            continue
+        kb = operator_eval(B, kind)
+        down_b = [tb for tb in kb if iso_search(A, quotient_algebra(B, tb).algebra)]
+        if not down_b:
+            continue
+        down_a = [ta for ta in ka if iso_search(B, quotient_algebra(A, ta).algebra)]
+        isomorphic = iso_search(A, B) is not None
+        for tb in down_b:
+            for ta in down_a:
+                instances += 1
+                if not isomorphic:
+                    failures.append({
+                        "partner": B.name,
+                        "theta_b": tb.to_blocks_list(),
+                        "theta_a": ta.to_blocks_list(),
+                    })
+    return {
+        "algebra": A.name,
+        "kind": kind.label(),
+        "holds": not failures,
+        "instances": instances,
+        "failures": failures,
+    }
+
+
+def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
+    """cbs_complete_check's report from the general search below theta.
+
+    Tries each zeta in <sigma>_theta and each complement choice, computes
+    the d-term infimum inside K(A), checks the factor-pair conditions
+    (skipped when K(A) is Boolean), and assembles the isomorphism chain
+    A ~ A/neg_chi x A/chi ~ A/neg_chi x A/sigma_zeta ~ A/zeta ~ A/sigma.
+    theta and sigma default to the diagonal and f to the natural projection.
+    """
+    from cbswb.algebra import direct_product, iso_search, quotient_algebra
+    from cbswb.cbs import (boolean_sublattice_check, cbs_sequence, chi_pair, f_hat,
+                           operator_eval)
+    from cbswb.congruence import Congruence, all_congruences
+    from cbswb.errors import ValidationError
+    from cbswb.structure import decomposition_witness
+
+    theta = theta if theta is not None else Congruence.diagonal(A)
+    sigma = sigma if sigma is not None else Congruence.diagonal(A)
+    if f is None:
+        f = quotient_algebra(A, theta).projection
+        if not f.is_bijective():
+            raise ValidationError("no default isomorphism: theta collapses elements")
+    ks = operator_eval(A, kind)
+    L = all_congruences(A)
+    E, index = L.elements, L.index
+    at = [index[c.rep] for c in ks]
+    boolean = boolean_sublattice_check(A, ks)["ok"]
+
+    def complements(x):
+        return [c for c in ks if L.factor_pair(index[x.rep], index[c.rep])]
+
+    def equation(claim, ok, iso=None):
+        entry = {"claim": claim, "ok": bool(ok)}
+        if iso is not None:
+            entry["iso"] = list(iso.mapping)
+        return entry
+
+    report = {
+        "algebra": A.name,
+        "kind": kind.label(),
+        "theta": theta.to_blocks_list(),
+        "sigma": sigma.to_blocks_list(),
+        "boolean_operator": boolean,
+        "verdict": "not certified",
+        "certificate": None,
+        "tried": [],
+        "skipped": [],
+    }
+    bracket = sigma_bracket(A, theta, sigma, kind)
+    conc = iso_search(A, quotient_algebra(A, sigma).algebra)
+    for zeta in bracket:
+        options = complements(f_hat(A, f, theta, zeta))
+        if not options:
+            report["skipped"].append({
+                "zeta": zeta.to_blocks_list(),
+                "reason": "no complement for f_hat(zeta) in K(A)",
+            })
+            continue
+        for comp in options:
+            attempt = {"zeta": zeta.to_blocks_list(), "complement": comp.to_blocks_list()}
+            state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp)
+            sz, how = infimum_in_k(L, at, state.ds[1:])
+            if sz is None:
+                attempt["failure"] = "d-term infimum does not exist in K(A)"
+                report["tried"].append(attempt)
+                continue
+            attempt["sigma_zeta"] = sz.to_blocks_list()
+            attempt["infimum_via"] = how
+
+            z, n1, i_sz = index[zeta.rep], index[state.neg_odd[1].rep], index[sz.rep]
+            chis = [(c, *chi_pair(z, n1, i_sz, index[c.rep], L.meet, L.join))
+                    for c in complements(sz)]
+            paired = [p for p in chis if L.factor_pair(p[1], p[2])]
+            if not paired:
+                attempt["failure"] = ("no complement of sigma_zeta closes both factor pairs"
+                                      if not boolean else
+                                      "Boolean operator but complement of sigma_zeta is missing")
+                report["tried"].append(attempt)
+                continue
+            nsz, i_chi, i_neg_chi = paired[0]
+            chi, neg_chi = E[i_chi], E[i_neg_chi]
+            attempt["neg_sigma_zeta"] = nsz.to_blocks_list()
+            attempt["chi"] = chi.to_blocks_list()
+            attempt["neg_chi"] = neg_chi.to_blocks_list()
+            attempt["condition2_required"] = not boolean
+
+            try:
+                w = decomposition_witness(A, neg_chi, chi)
+            except ValidationError:
+                attempt["failure"] = "chi decomposition is not a factor pair"
+                report["tried"].append(attempt)
+                continue
+            equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"])]
+            Qz = quotient_algebra(A, zeta).algebra
+            Qnc = quotient_algebra(A, neg_chi).algebra
+            Qsz = quotient_algebra(A, sz).algebra
+            hit2 = iso_search(Qz, direct_product(Qnc, Qsz))
+            equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
+            fchi = f_hat(A, f, theta, chi)
+            hit3 = iso_search(quotient_algebra(A, chi).algebra,
+                              quotient_algebra(A, fchi).algebra)
+            equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))
+            equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
+            conclusion = equation("A ~ A/sigma", conc, conc)
+
+            if all(e["ok"] for e in equations) and conclusion["ok"]:
+                report["verdict"] = "certified"
+                report["certificate"] = {
+                    **attempt,
+                    "equations": equations,
+                    "conclusion": conclusion,
+                    "sequence": state.to_report(),
+                }
+                return report
+            attempt["failure"] = "equation chain did not close"
+            attempt["equations"] = equations
+            attempt["conclusion"] = conclusion
+            report["tried"].append(attempt)
+    return report

@@ -40,7 +40,7 @@ from cbswb import (
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 
-from oracles import all_homs, brute_congruences
+from oracles import all_homs, brute_congruences, members
 
 CORPUS = {name: corpus_algebra(name) for name in CORPUS_NAMES}
 GROUPS = ("z2", "z3", "z4", "v4")
@@ -266,14 +266,14 @@ def test_criterion_07_symbolic_run_exact():
     # independent per-coordinate infimum oracle on 0..256
     family = AffineFamily(run.ds[1], run.k, run.theta)
     window = 600
-    fixed = set(family.fixed.members_below(window))
-    term = set(family.v1.members_below(window))
+    fixed = members(family.fixed, window)
+    term = members(family.v1, window)
     alive = set(range(257))
     for _ in range(2 * (257 // family.k + 2)):
         alive &= term
         term = {x + family.k for x in term if x + family.k < window} | fixed
-    assert set(countable_infimum(family)[0].members_below(257)) == alive
-    assert set(run.sigma_zeta.members_below(257)) == alive
+    assert members(countable_infimum(family)[0], 257) == alive
+    assert members(run.sigma_zeta, 257) == alive
 
     for m in (8, 16):
         result = truncate_validate(run, m)

@@ -7,30 +7,33 @@ from cbswb.algebra import (
     Homomorphism,
     Operation,
     automorphisms,
+    iso_search,
     power_algebra,
     quotient_algebra,
 )
 from cbswb.cbs import (
     OperatorKind,
-    _infimum_in_k,
     boolean_sublattice_check,
     cbs_complete_check,
     cbs_property_check,
-    cbs_property_direct,
     cbs_sequence,
-    corresp2_witness,
     f_hat,
-    f_hat_interval_check,
     f_hat_inverse,
-    is_admissible,
     operator_eval,
     presheaf_check,
-    sigma_bracket,
     validate_sequence,
 )
-from cbswb.congruence import Congruence, CongruenceLattice, all_congruences, principal_congruence
+from cbswb.congruence import (
+    Congruence,
+    CongruenceLattice,
+    all_congruences,
+    principal_congruence,
+    quotient_lift,
+)
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
+
+from oracles import cbs_property_direct, f_hat_interval_check, infimum_in_k, sigma_bracket
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -75,19 +78,27 @@ def test_operator_eval_rel_requires_membership():
         operator_eval(z4, OperatorKind.relative(("(+ x x) = (+ y y)",)))
 
 
+def admitting(f, kind):
+    """Members sigma of K(source) with source/sigma isomorphic to the target,
+    and whether the kernel of f lies in K(source): a K-morphism has one."""
+    ks = operator_eval(f.source, kind)
+    hits = [s for s in ks if iso_search(quotient_algebra(f.source, s).algebra, f.target)]
+    return hits, f.kernel().rep in reps(ks)
+
+
 def test_admissibility():
     z4 = corpus_algebra("z4")
     z2 = corpus_algebra("z2")
     proj = Homomorphism(z4, z2, [0, 1, 0, 1])
-    got = is_admissible(proj, OperatorKind.con())
-    assert got["admissible"] and got["kernel_in_k"]
-    assert got["sigma"].to_blocks_list() == [[0, 2], [1, 3]]
+    hits, kernel_in_k = admitting(proj, OperatorKind.con())
+    assert hits and kernel_in_k
+    assert hits[0].to_blocks_list() == [[0, 2], [1, 3]]
     # FC(z4) has no congruence with a two-element quotient
-    got_fc = is_admissible(proj, OperatorKind.fc())
-    assert not got_fc["admissible"] and not got_fc["kernel_in_k"]
+    hits_fc, kernel_in_fc = admitting(proj, OperatorKind.fc())
+    assert not hits_fc and not kernel_in_fc
     auto = automorphisms(z4)[1]
-    got_auto = is_admissible(auto, OperatorKind.fc())
-    assert got_auto["admissible"] and got_auto["sigma"].is_diagonal()
+    hits_auto, _ = admitting(auto, OperatorKind.fc())
+    assert hits_auto and hits_auto[0].is_diagonal()
 
 
 def _diag_setup(name):
@@ -226,9 +237,9 @@ def test_infimum_in_k_takes_the_greatest_member_below_the_d_terms():
     assert len(E) == 8 and len(atoms) == 3
     a, b = atoms[:2]
     ds = [E[L.join(a, b)]]
-    assert _infimum_in_k(L, [L.bottom, a, L.top], ds) == (E[a], "greatest_in_k")
+    assert infimum_in_k(L, [L.bottom, a, L.top], ds) == (E[a], "greatest_in_k")
     # with both atoms in K(A) both lie below a v b and neither is the greatest
-    assert _infimum_in_k(L, [L.bottom, a, b, L.top], ds) == (None, "does not exist")
+    assert infimum_in_k(L, [L.bottom, a, b, L.top], ds) == (None, "does not exist")
 
 
 def test_cbs_property_finite_triviality():
@@ -249,28 +260,37 @@ def test_cbs_property_direct_form_agrees():
         partners = []
         for theta in all_congruences(A).elements:
             partners.append(quotient_algebra(A, theta).algebra)
-        got = cbs_property_direct(A, partners)
+        got = cbs_property_direct(A, partners, OperatorKind.con())
         assert got["holds"]
         assert got["instances"] >= 1
         assert got["failures"] == []
     # different signatures are skipped, not failures
-    got = cbs_property_direct(corpus_algebra("z4"), [corpus_algebra("chain2")])
+    got = cbs_property_direct(corpus_algebra("z4"), [corpus_algebra("chain2")], OperatorKind.con())
     assert got["instances"] == 0
+
+
+def corresp2(A, sigma, theta):
+    """theta' = theta/sigma, whether it lies in Con(A/sigma), and an
+    isomorphism A -> (A/sigma)/theta' or None."""
+    Q = quotient_algebra(A, sigma)
+    theta_prime = quotient_lift(Q, theta)
+    in_k = theta_prime.rep in reps(operator_eval(Q.algebra, OperatorKind.con()))
+    return theta_prime, in_k, iso_search(A, quotient_algebra(Q.algebra, theta_prime).algebra)
 
 
 def test_corresp2_witness():
     z4 = corpus_algebra("z4")
     diag = Congruence.diagonal(z4)
-    got = corresp2_witness(z4, diag, diag)
-    assert got["ok"] and got["in_operator"]
-    assert got["theta_prime"].is_diagonal()
+    theta_prime, in_k, hit = corresp2(z4, diag, diag)
+    assert in_k and hit is not None
+    assert theta_prime.is_diagonal()
     # theta/sigma always lands in the quotient operator, but the iso back to
     # A needs A ~ A/theta, which fails for a proper collapse of a finite algebra
     sigma = principal_congruence(z4, 0, 2)
-    partial = corresp2_witness(z4, sigma, Congruence.total(z4))
-    assert partial["in_operator"] and partial["iso"] is None and not partial["ok"]
+    _, in_k, hit = corresp2(z4, sigma, Congruence.total(z4))
+    assert in_k and hit is None
     with pytest.raises(ValidationError):
-        corresp2_witness(z4, Congruence.total(z4), sigma)
+        corresp2(z4, Congruence.total(z4), sigma)  # sigma above theta
 
 
 def test_boolean_sublattice_check():

@@ -22,7 +22,10 @@ definitions, on Con(A) and on random lattices given as the closed sets of
 random Moore families.  On relabelled products of corpus groups, rings and
 lattices of up to 16 elements, every principal congruence the Con(A)
 closure computes, reusing the ones it already knows, is checked against
-a closure from scratch.
+a closure from scratch.  The reports of both CBS verbs, which run the one
+case a finite algebra has, are checked byte for byte against the general
+searches over every member of K(A), on random algebras of at most 4
+elements.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -45,9 +48,15 @@ from cbswb.algebra import (
     power_algebra,
     quotient_algebra,
     relabel,
+    satisfies,
     table_args,
 )
-from cbswb.cbs import boolean_sublattice_check
+from cbswb.cbs import (
+    OperatorKind,
+    boolean_sublattice_check,
+    cbs_complete_check,
+    cbs_property_check,
+)
 from cbswb import congruence
 from cbswb.congruence import (
     Congruence,
@@ -63,6 +72,7 @@ from cbswb.corpus import corpus_algebra
 from cbswb.errors import ValidationError
 from cbswb.lattice import FiniteLattice
 from cbswb.omega import QuasiCyclic
+from cbswb.report import json_text
 from cbswb.structure import center_of_lattice, check_factor_pair, factor_congruences
 
 from oracles import (
@@ -70,6 +80,8 @@ from oracles import (
     apply_raw,
     boolean_sublattice_failure,
     brute_congruences,
+    cbs_complete_search,
+    cbs_property_search,
     factor_pair_verdict,
     join_closure,
     lattice_covers,
@@ -685,3 +697,20 @@ def test_lattice_laws_of_moore_families_match_triple_loops(case):
             uppers = [s for s in sets if s & (sets[i] | sets[j]) == sets[i] | sets[j]]
             assert sets[L.join(i, j)] == min(uppers, key=lambda s: bin(s).count("1"))
     check_lattice_laws(L)
+
+
+@settings(KERNEL_SETTINGS, max_examples=40)
+@given(st.data())
+def test_cbs_verbs_match_the_general_searches(data):
+    size = data.draw(st.integers(1, 4))
+    A = FiniteAlgebra("r", size, tables(data.draw, size, data.draw(signatures)))
+    kinds = [OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(),
+             OperatorKind.relative(("x = x",))]
+    binary = next((op.name for op in A.ops if op.arity == 2), None)
+    if binary is not None:
+        comm = OperatorKind.relative((f"({binary} x y) = ({binary} y x)",))
+        if satisfies(A, comm.sentences)[0]:
+            kinds.append(comm)
+    for kind in kinds:
+        assert json_text(cbs_property_check(A, kind)) == json_text(cbs_property_search(A, kind))
+        assert json_text(cbs_complete_check(A, kind)) == json_text(cbs_complete_search(A, kind))

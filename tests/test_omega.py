@@ -36,7 +36,7 @@ from cbswb import congruence, omega, pset
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
-from oracles import raw_members
+from oracles import Pruefer, apply_raw, members, raw_members
 
 WINDOW = 64
 
@@ -72,8 +72,8 @@ def test_canonicalization():
     assert (u.threshold, u.prefix, u.period, u.residues) == (1, (True,), 2, frozenset({1}))
     assert u.render() == "prefix=1;period=2;residues={1}"
     v = PeriodicSet.from_finite([0, 1, 2])
-    assert v == PeriodicSet.block(0, 3) and v.is_finite()
-    assert N.is_naturals() and E.is_empty() and not N.is_finite()
+    assert v == PeriodicSet.block(0, 3) and not v.residues
+    assert N.is_naturals() and E.is_empty() and N.residues
     with pytest.raises(ValidationError):
         PeriodicSet(2, (True,), 1, ())
     with pytest.raises(ValidationError):
@@ -89,7 +89,8 @@ def test_membership_matches_raw_form():
     for _ in range(500):
         s, (threshold, prefix, period, residues) = rand_set(rng)
         want = raw_members(threshold, prefix, period, residues, WINDOW)
-        assert s.members_below(WINDOW) == sorted(want)
+        assert sorted(members(s, WINDOW)) == sorted(want)
+        assert s.bits_below(WINDOW) == sum(1 << x for x in want)
         assert -1 not in s
 
 
@@ -98,14 +99,14 @@ def test_boolean_ops_pointwise():
     for _ in range(300):
         a, _ = rand_set(rng)
         b, _ = rand_set(rng)
-        ma, mb = set(a.members_below(WINDOW)), set(b.members_below(WINDOW))
-        assert set(a.union(b).members_below(WINDOW)) == ma | mb
-        assert set(a.intersect(b).members_below(WINDOW)) == ma & mb
-        assert set(a.difference(b).members_below(WINDOW)) == ma - mb
-        assert set(a.complement().members_below(WINDOW)) == set(range(WINDOW)) - ma
+        ma, mb = members(a, WINDOW), members(b, WINDOW)
+        assert members(a.union(b), WINDOW) == ma | mb
+        assert members(a.intersect(b), WINDOW) == ma & mb
+        assert members(a.difference(b), WINDOW) == ma - mb
+        assert members(a.complement(), WINDOW) == set(range(WINDOW)) - ma
         assert a.complement().complement() == a
         # equality is canonical: same members means same object data
-        assert (a == b) == (a.members_below(4 * 6 + 7) == b.members_below(4 * 6 + 7))
+        assert (a == b) == (members(a, 4 * 6 + 7) == members(b, 4 * 6 + 7))
 
 
 def test_shift_and_backshift():
@@ -113,11 +114,11 @@ def test_shift_and_backshift():
     for _ in range(200):
         s, _ = rand_set(rng)
         k = rng.randrange(0, 5)
-        ms = set(s.members_below(WINDOW))
-        assert set(s.shift(k).members_below(WINDOW)) == {x + k for x in ms if x + k < WINDOW}
-        assert set(s.backshift(k).members_below(WINDOW - k)) == {
+        ms = members(s, WINDOW)
+        assert members(s.shift(k), WINDOW) == {x + k for x in ms if x + k < WINDOW}
+        assert members(s.backshift(k), WINDOW - k) == {
             x - k for x in ms if x >= k
-        } | {x - k for x in s.members_below(WINDOW) if x >= k}
+        } | {x - k for x in members(s, WINDOW) if x >= k}
         assert s.shift(k).backshift(k) == s
         # shift then backshift loses nothing; the reverse loses the low block
         assert s.backshift(k).shift(k) == s.difference(PeriodicSet.block(0, k))
@@ -132,7 +133,7 @@ def test_subset_relation():
     for _ in range(200):
         a, _ = rand_set(rng)
         b, _ = rand_set(rng)
-        want = set(a.members_below(WINDOW)) <= set(b.members_below(WINDOW))
+        want = members(a, WINDOW) <= members(b, WINDOW)
         assert a.subset(b) == want
     assert E.subset(N) and not N.subset(E)
     assert PeriodicSet.block(2, 5).subset(PeriodicSet.block(0, 5))
@@ -439,15 +440,15 @@ def test_infimum_matches_per_coordinate_oracle():
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     fam = AffineFamily(run.ds[1], run.k, run.theta)
     window = 600
-    fixed = set(fam.fixed.members_below(window))
-    term = set(fam.v1.members_below(window))
+    fixed = members(fam.fixed, window)
+    term = members(fam.v1, window)
     stabilized_after = 2 * ((256 + 1 + fam.k - 1) // fam.k + 1)
     alive = set(range(257))
     for _ in range(stabilized_after):
         alive &= term
         term = {x + fam.k for x in term if x + fam.k < window} | fixed
     got, _ = countable_infimum(fam)
-    assert set(got.members_below(257)) == alive
+    assert members(got, 257) == alive
     assert got == run.sigma_zeta
 
 
@@ -462,14 +463,14 @@ def test_infimum_random_families_against_model():
         fam = (AffineFamily if mode == "union" else IntersectFamily)(v1, k, fixed)
         got, _ = countable_infimum(fam)
 
-        fset = set(fixed.members_below(window))
-        term = set(v1.members_below(window))
+        fset = members(fixed, window)
+        term = members(v1, window)
         alive = set(range(check_below))
         for _ in range(2 * ((check_below + k) // k + 1)):
             alive &= term
             shifted = {x + k for x in term if x + k < window}
             term = (shifted | fset) if mode == "union" else (shifted & fset)
-        assert set(got.members_below(check_below)) == alive
+        assert members(got, check_below) == alive
         for t in fam.terms(12):
             assert got.subset(t)
 
@@ -841,7 +842,7 @@ def test_truncation_budget_messages_name_stage_and_value():
 
 
 def test_quasicyclic_arithmetic():
-    qc = QuasiCyclic(2)
+    qc = Pruefer(2)
     assert qc.reduce(4, 3) == (1, 1)      # 4/8 = 1/2
     assert qc.reduce(8, 3) == (0, 0)      # 8/8 = 0 mod 1
     assert qc.add((1, 1), (1, 1)) == (0, 0)
@@ -851,7 +852,7 @@ def test_quasicyclic_arithmetic():
     assert qc.neg((0, 0)) == (0, 0)
 
     for p in (2, 3):
-        qc = QuasiCyclic(p)
+        qc = Pruefer(p)
         level = 3 if p == 2 else 2
         elems = [qc.reduce(a, level) for a in range(p ** level)]
         zero = (0, 0)
@@ -863,7 +864,7 @@ def test_quasicyclic_arithmetic():
                 for w in elems:
                     assert qc.add(qc.add(x, y), w) == qc.add(x, qc.add(y, w))
 
-    qc = QuasiCyclic(2)
+    qc = Pruefer(2)
     m = 4
     seen = set()
     for t in range(2 ** m):
@@ -871,12 +872,25 @@ def test_quasicyclic_arithmetic():
         assert qc.encode(pair, m) == t
         seen.add(pair)
     assert len(seen) == 2 ** m
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         qc.encode((1, 5), 4)
     with pytest.raises(ValidationError):
         QuasiCyclic(4)
     with pytest.raises(ValidationError):
         QuasiCyclic(1)
+
+
+def test_quasicyclic_truncation_adds_as_fractions():
+    # element t of the level-m truncation stands for t / p^m
+    for p, levels in ((2, range(1, 5)), (3, range(1, 4))):
+        qc = Pruefer(p)
+        for m in levels:
+            T = QuasiCyclic(p).truncation(m)
+            plus = T.op("+")
+            for a in range(T.size):
+                for b in range(T.size):
+                    want = qc.encode(qc.add(qc.decode(a, m), qc.decode(b, m)), m)
+                    assert apply_raw(T, plus, (a, b)) == want, (p, m, a, b)
 
 
 def test_quasicyclic_truncation_and_subgroups():
