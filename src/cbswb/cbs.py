@@ -86,34 +86,48 @@ class OperatorKind:
         return self.selector
 
 
+def _k_positions(A: FiniteAlgebra, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
+    """(Con(A), the ascending positions of K(A) in it).  The diagonal is
+    always position 0 of Con(A)."""
+    if kind.selector == "fc":
+        analysis = factor_congruences(A, max_size=max_size)
+        return analysis.lattice, analysis.fc
+    L = all_congruences(A, max_size=max_size)
+    if kind.selector == "con":
+        return L, range(len(L))
+    if kind.selector == "zcon":
+        return L, center_of_lattice(L).central
+    at = [L.index[c.rep] for c in
+          relative_congruences(A, kind.sentences, max_size=max_size, budget=kind.budget)]
+    if at[:1] != [L.bottom]:
+        raise ValidationError(
+            f"{A.name!r} does not satisfy the relative sentences, "
+            "so the diagonal is missing from K(A)"
+        )
+    return L, at
+
+
 def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
     """K(A) for the given selector, in canonical congruence order."""
-    if kind.selector == "con":
-        ks = list(all_congruences(A, max_size=max_size))
-    elif kind.selector == "fc":
-        ks = factor_congruences(A, max_size=max_size).fc_congruences()
-    elif kind.selector == "zcon":
-        lattice = all_congruences(A, max_size=max_size)
-        center = center_of_lattice(lattice)
-        ks = [lattice.elements[i] for i in center.central]
-    else:
-        ks = relative_congruences(A, kind.sentences, max_size=max_size, budget=kind.budget)
-        if Congruence.diagonal(A).rep not in {c.rep for c in ks}:
-            raise ValidationError(
-                f"{A.name!r} does not satisfy the relative sentences, "
-                "so the diagonal is missing from K(A)"
-            )
-    return ks
+    L, at = _k_positions(A, kind, max_size=max_size)
+    return [L.elements[i] for i in at]
 
 
-def _rep_set(ks):
-    return {c.rep for c in ks}
+def _complements(L: CongruenceLattice, i, members):
+    """Positions in members that form a factor pair with position i of
+    Con(A) = L, ascending."""
+    return [j for j in L.complements(i) if j in members and L.factor_pair(i, j)]
 
 
-def _complements(L: CongruenceLattice, x: Congruence, ks):
-    """Members of ks that form a factor pair with x, all of them in Con(A) = L."""
-    i = L.index[x.rep]
-    return [c for c in ks if L.factor_pair(i, L.index[c.rep])]
+def _boolean_failure(L: CongruenceLattice, at):
+    """None when the positions at form a Boolean sublattice of Con(A) = L,
+    else (reason, positions): a missing bound first, the diagonal before
+    the total, with no positions, then L.boolean_failure."""
+    if L.bottom not in at:
+        return "missing_diagonal", None
+    if L.top not in at:
+        return "missing_total", None
+    return L.boolean_failure(at)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +319,9 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
     """
     kind = kind or OperatorKind.fc()
     iso = _QuotientIso(A, f, theta)
-    ks = operator_eval(A, kind, max_size=max_size)
-    reps = _rep_set(ks)
-    if theta.rep not in reps or zeta.rep not in reps:
+    L, at = _k_positions(A, kind, max_size=max_size)
+    inside = set(at)
+    if L.index.get(theta.rep) not in inside or L.index.get(zeta.rep) not in inside:
         raise ValidationError("theta and zeta must belong to K(A)")
     if not zeta.refines(theta):
         raise ValidationError("zeta must lie below theta")
@@ -329,9 +343,10 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
             raise ValidationError(
                 f"sequence did not stabilize within {DEFAULT_SEQUENCE_LIMIT} indices")
 
-    options = _complements(all_congruences(A, max_size=max_size), iso.fhat(zeta), ks)
+    opts = _complements(L, L.index[iso.fhat(zeta).rep], inside)
+    options = [L.elements[j] for j in opts]
     if complement is not None:
-        if complement.rep not in _rep_set(options):
+        if L.index.get(complement.rep) not in opts:
             raise ValidationError("supplied complement is not a factor complement of f_hat(zeta) in K(A)")
         chosen = complement
     elif options:
@@ -396,30 +411,21 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     runs the same one case.
     """
     kind = kind or OperatorKind.con()
-    ks = operator_eval(A, kind, max_size=max_size)
+    L, at = _k_positions(A, kind, max_size=max_size)
+    E = L.elements
 
-    anchors = [c for c in ks if c.is_diagonal()
-               and iso_search(A, quotient_algebra(A, c).algebra, max_size=max_size)]
-    anchor_reps = _rep_set(anchors)
-    holds, witnesses, checked = True, [], 0
-    for theta in anchors:
-        for sigma in ks:
-            if not sigma.refines(theta):
-                continue
-            checked += 1
-            if sigma.rep not in anchor_reps:
-                holds = False
-                witnesses.append({
-                    "theta": theta.to_blocks_list(),
-                    "sigma": sigma.to_blocks_list(),
-                })
+    anchors = [i for i in at if i == L.bottom
+               and iso_search(A, quotient_algebra(A, E[i]).algebra, max_size=max_size)]
+    pairs = [(t, s) for t in anchors for s in at if L.leq[s][t]]
+    witnesses = [{"theta": E[t].to_blocks_list(), "sigma": E[s].to_blocks_list()}
+                 for t, s in pairs if s not in anchors]
     return {
         "algebra": A.name,
         "kind": kind.label(),
-        "holds": holds,
-        "nontrivial": any(not c.is_diagonal() for c in anchors),
-        "self_isomorphic": [c.to_blocks_list() for c in anchors],
-        "checked": checked,
+        "holds": not witnesses,
+        "nontrivial": any(i != L.bottom for i in anchors),
+        "self_isomorphic": [E[i].to_blocks_list() for i in anchors],
+        "checked": len(pairs),
         "witnesses": witnesses,
     }
 
@@ -441,10 +447,9 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     kind = kind or OperatorKind.fc()
     diag = Congruence.diagonal(A)
     iso = _QuotientIso(A, None, diag)
-    ks = operator_eval(A, kind, max_size=max_size)
-    L = all_congruences(A, max_size=max_size)
+    L, at = _k_positions(A, kind, max_size=max_size)
     E, index = L.elements, L.index
-    boolean = boolean_sublattice_check(A, ks)["ok"]
+    boolean = _boolean_failure(L, at) is None
 
     def equation(claim, ok, hom=None):
         entry = {"claim": claim, "ok": bool(ok)}
@@ -456,11 +461,10 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     i_sz = L.top
     for d in state.ds[1:]:
         i_sz = L.meet(i_sz, index[d.rep])
-    sz = E[i_sz]
-    nsz = _complements(L, sz, ks)[0]
-    i_chi, i_neg_chi = chi_pair(index[diag.rep], index[state.neg_odd[1].rep], i_sz,
-                                index[nsz.rep], L.meet, L.join)
-    chi, neg_chi = E[i_chi], E[i_neg_chi]
+    i_nsz = _complements(L, i_sz, set(at))[0]
+    i_chi, i_neg_chi = chi_pair(L.bottom, index[state.neg_odd[1].rep], i_sz, i_nsz,
+                                L.meet, L.join)
+    sz, nsz, chi, neg_chi = E[i_sz], E[i_nsz], E[i_chi], E[i_neg_chi]
     attempt = {
         "zeta": diag.to_blocks_list(),
         "complement": state.complement_used.to_blocks_list(),
@@ -517,29 +521,25 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
 def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure.
 
-    Both bounds are checked on the family itself; closure and complements
-    are read off the tables of Con(A), on the family's positions in
-    canonical order.  The family comes out of Con(A), whose carrier cap its
-    caller has applied, so none is applied here.
+    The family is read as its positions in Con(A) (see _boolean_failure);
+    a member outside Con(A) is refused once both bounds are found.  The
+    family comes out of Con(A), whose carrier cap its caller has applied,
+    so none is applied here.
     """
-    reps = _rep_set(ks)
-    if Congruence.diagonal(A).rep not in reps:
-        return {"ok": False, "reason": "missing_diagonal", "witness": None}
-    if Congruence.total(A).rep not in reps:
-        return {"ok": False, "reason": "missing_total", "witness": None}
     L = all_congruences(A, max_size=A.size)
-    if any(c.algebra != A or c.rep not in L.index for c in ks):
+    index = L.index
+    failure = _boolean_failure(L, sorted({index[c.rep] for c in ks if c.rep in index}))
+    reason, at = failure or (None, None)
+    # a missing bound is reported before a member outside Con(A)
+    if reason not in ("missing_diagonal", "missing_total") and any(
+            c.algebra != A or c.rep not in index for c in ks):
         raise ValidationError(f"the family holds a partition outside Con({A.name!r})")
-    failure = L.boolean_failure(sorted(L.index[r] for r in reps))
-    if failure is None:
-        return {"ok": True, "reason": None, "witness": None}
-    reason, at = failure
     E = L.elements
     if reason == "complement_not_unique":
         witness = [E[at[0]].to_blocks_list(), [E[j].to_blocks_list() for j in at[1]]]
     else:
-        witness = [E[i].to_blocks_list() for i in at]
-    return {"ok": False, "reason": reason, "witness": witness}
+        witness = None if at is None else [E[i].to_blocks_list() for i in at]
+    return {"ok": failure is None, "reason": reason, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -557,83 +557,80 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     """
     if factor is None:
         factor = kind.selector in ("fc", "zcon")
-    ks = operator_eval(A, kind, max_size=max_size)
-    reps = _rep_set(ks)
-    L = all_congruences(A, max_size=max_size)
-    at = [L.index[c.rep] for c in ks]
+    L, at = _k_positions(A, kind, max_size=max_size)
+    E, inside = L.elements, set(at)
     violations = []
 
-    quotients = [quotient_algebra(A, s) for s in ks]
+    quotients = [quotient_algebra(A, E[i]) for i in at]
     axiom1 = {"ok": True, "violations": []}
-    if Congruence.diagonal(A).rep not in reps:
+    if L.bottom not in inside:
         axiom1["ok"] = False
         axiom1["violations"].append({"reason": "diagonal_missing"})
     if kind.selector == "rel":
-        for s, Q in zip(ks, quotients):
+        for i, Q in zip(at, quotients):
             holds, _ = satisfies(Q.algebra, kind.sentences, budget=kind.budget)
             if not holds:
                 axiom1["ok"] = False
                 axiom1["violations"].append({
                     "reason": "quotient_outside_class",
-                    "sigma": s.to_blocks_list(),
+                    "sigma": E[i].to_blocks_list(),
                 })
 
-    kqs = [operator_eval(Q.algebra, kind, max_size=max_size) for Q in quotients]
-    downs = []  # per sigma: t.rep -> t/sigma for every t in K(A) above sigma
+    # per sigma: Con(A/sigma) and the positions of K(A/sigma) in it
+    kqs = [_k_positions(Q.algebra, kind, max_size=max_size) for Q in quotients]
+    downs = []  # per sigma: t -> t/sigma for the position t of each K(A) member above sigma
     correspondence = {"ok": True, "violations": []}
-    for i, s, Q, kq in zip(at, ks, quotients, kqs):
-        kq_reps = _rep_set(kq)
-        above = [t for j, t in zip(at, ks) if L.leq[i][j]]
-        above_reps = _rep_set(above)
-        down = {t.rep: quotient_lift(Q, t) for t in above}
+    for i, Q, (LQ, kq) in zip(at, quotients, kqs):
+        kq_in = set(kq)
+        above = [j for j in at if L.leq[i][j]]
+        above_in = set(above)
+        down = {j: quotient_lift(Q, E[j]) for j in above}
         downs.append(down)
-        missing = [t for t in above if down[t.rep].rep not in kq_reps]
-        extra = [q for q in kq if transport(Q.projection, q).rep not in above_reps]
-        order_ok = all(
-            t1.refines(t2) == down[t1.rep].refines(down[t2.rep])
-            for t1 in above for t2 in above
-        )
+        lift = {j: LQ.index.get(t.rep) for j, t in down.items()}
+        missing = [j for j in above if lift[j] not in kq_in]
+        extra = [q for q in kq
+                 if L.index[transport(Q.projection, LQ.elements[q]).rep] not in above_in]
+        # a lift outside Con(A/sigma) fails the order test
+        order_ok = None not in lift.values() and all(
+            L.leq[a][b] == LQ.leq[lift[a]][lift[b]] for a in above for b in above)
         if missing or extra or not order_ok:
             correspondence["ok"] = False
             correspondence["violations"].append({
-                "sigma": s.to_blocks_list(),
-                "missing_in_quotient": [t.to_blocks_list() for t in missing],
-                "extra_in_quotient": [q.to_blocks_list() for q in extra],
+                "sigma": E[i].to_blocks_list(),
+                "missing_in_quotient": [E[j].to_blocks_list() for j in missing],
+                "extra_in_quotient": [LQ.elements[q].to_blocks_list() for q in extra],
                 "order_isomorphic": order_ok,
             })
 
     factor_block = None
     if factor:
-        subset_bad = [c for c in ks if not _complements(L, c, L.elements)]
-        missing_comp = [t for t in ks if not _complements(L, t, ks)]
+        subset_bad = [i for i in at if not _complements(L, i, range(len(L)))]
+        missing_comp = [i for i in at if not _complements(L, i, inside)]
         pair_bad = []
-        for i, s, Q, kq, down in zip(at, ks, quotients, kqs, downs):
-            kq_reps = _rep_set(kq)
-            for j, t in zip(at, ks):
-                if not L.leq[i][j]:
-                    continue
-                for c in _complements(L, t, ks):
-                    image = down[t.rep]
-                    mate = quotient_lift(Q, L.elements[L.join_table[L.index[c.rep]][i]])
+        for i, Q, (LQ, kq), down in zip(at, quotients, kqs, downs):
+            kq_in = set(kq)
+            for j, image in down.items():
+                for c in _complements(L, j, inside):
+                    mate = quotient_lift(Q, E[L.join(c, i)])
                     verdict = check_factor_pair(Q.algebra, image, mate)
-                    in_k = image.rep in kq_reps and mate.rep in kq_reps
+                    in_k = LQ.index.get(image.rep) in kq_in and LQ.index.get(mate.rep) in kq_in
                     if not verdict["ok"] or not in_k:
                         pair_bad.append({
-                            "sigma": s.to_blocks_list(),
-                            "theta": t.to_blocks_list(),
-                            "complement": c.to_blocks_list(),
+                            "sigma": E[i].to_blocks_list(),
+                            "theta": E[j].to_blocks_list(),
+                            "complement": E[c].to_blocks_list(),
                             "pair_ok": verdict["ok"],
                             "reason": verdict["reason"],
                             "in_operator": in_k,
                         })
         factor_block = {
             "ok": not (subset_bad or missing_comp or pair_bad),
-            "subset_of_fc": [c.to_blocks_list() for c in subset_bad],
-            "missing_complement": [c.to_blocks_list() for c in missing_comp],
+            "subset_of_fc": [E[i].to_blocks_list() for i in subset_bad],
+            "missing_complement": [E[i].to_blocks_list() for i in missing_comp],
             "quotient_pairs": pair_bad,
         }
 
-    boolean_block = boolean_sublattice_check(A, ks) if boolean else None
+    boolean_block = boolean_sublattice_check(A, [E[i] for i in at]) if boolean else None
 
     auto = automorphisms(A, max_size=max_size)
     copies = [(g, A) for g in auto[:DEFAULT_ISO_CAP]]
@@ -642,10 +639,9 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     copies.append((to_copy, B))
     iso_block = {"ok": True, "sampled": True, "automorphisms": len(auto), "violations": []}
     for g, target in copies:
-        # an automorphism's target is A itself, whose K is ks
-        kb = ks if target is A else operator_eval(target, kind, max_size=max_size)
-        pulled = {transport(g, t).rep for t in kb}
-        if pulled != reps:
+        # an automorphism's target is A itself, whose K is at
+        LB, kb = (L, at) if target is A else _k_positions(target, kind, max_size=max_size)
+        if {L.index[transport(g, LB.elements[t]).rep] for t in kb} != inside:
             iso_block["ok"] = False
             iso_block["violations"].append({
                 "target": target.name,
@@ -666,7 +662,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     return {
         "algebra": A.name,
         "kind": kind.label(),
-        "operator_size": len(ks),
+        "operator_size": len(at),
         "ok": ok,
         "failed_conditions": violations,
         "conditions": {

@@ -75,9 +75,6 @@ class FactorAnalysis:
     complements: dict  # lattice index -> tuple of lattice indices
     fc: tuple  # lattice indices with at least one complement
 
-    def fc_congruences(self):
-        return [self.lattice.elements[i] for i in self.fc]
-
     def sub_poset(self):
         """Order matrix of FC(A) inside Con(A)."""
         return [[bool(self.lattice.leq[i][j]) for j in self.fc] for i in self.fc]

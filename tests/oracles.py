@@ -5,10 +5,11 @@ restricted growth strings, compatibility by comparing all blockwise-equal
 argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window, the Pruefer group by fractions.
 None of it shares code with the package beyond the public data shapes,
-except the general CBS searches at the end, which are the reference forms
-of the CBS verbs and run on the package's kernels.  The partitions of
-each n are kept as rep arrays after their first enumeration, for the
-congruence oracles filter them again and again.
+except the general CBS searches and the refinement-scan presheaf
+correspondence at the end, which are the reference forms of the CBS verbs
+and run on the package's kernels.  The partitions of each n are kept as
+rep arrays after their first enumeration, for the congruence oracles
+filter them again and again.
 """
 
 import functools
@@ -555,3 +556,39 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
             attempt["conclusion"] = conclusion
             report["tried"].append(attempt)
     return report
+
+
+def presheaf_correspondence(A, kind):
+    """presheaf_check's correspondence block by refinement scans.
+
+    For every sigma in K(A), the members of K(A) above sigma, each lifted
+    to A/sigma, must be exactly K(A/sigma), and refinement must hold
+    between two of them exactly when it holds between their lifts.  The
+    lifts are looked up as quotient_lift in cbswb.congruence when called.
+    """
+    from cbswb.algebra import quotient_algebra
+    from cbswb.cbs import operator_eval
+    from cbswb.congruence import quotient_lift, transport
+
+    ks = operator_eval(A, kind)
+    block = {"ok": True, "violations": []}
+    for s in ks:
+        Q = quotient_algebra(A, s)
+        kq = operator_eval(Q.algebra, kind)
+        kq_reps = {q.rep for q in kq}
+        above = [t for t in ks if s.refines(t)]
+        above_reps = {t.rep for t in above}
+        down = {t.rep: quotient_lift(Q, t) for t in above}
+        missing = [t for t in above if down[t.rep].rep not in kq_reps]
+        extra = [q for q in kq if transport(Q.projection, q).rep not in above_reps]
+        order_ok = all(t1.refines(t2) == down[t1.rep].refines(down[t2.rep])
+                       for t1 in above for t2 in above)
+        if missing or extra or not order_ok:
+            block["ok"] = False
+            block["violations"].append({
+                "sigma": s.to_blocks_list(),
+                "missing_in_quotient": [t.to_blocks_list() for t in missing],
+                "extra_in_quotient": [q.to_blocks_list() for q in extra],
+                "order_isomorphic": order_ok,
+            })
+    return block

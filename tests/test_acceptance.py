@@ -73,14 +73,15 @@ def test_criterion_01_congruence_oracle_equivalence():
 def test_criterion_02_factor_congruence_facts():
     z4 = CORPUS["z4"]
     assert len(all_congruences(z4)) == 3
-    fc_z4 = {c.rep for c in factor_congruences(z4).fc_congruences()}
+    analysis = factor_congruences(z4)
+    fc_z4 = {analysis.lattice.elements[i].rep for i in analysis.fc}
     assert fc_z4 == {Congruence.diagonal(z4).rep, Congruence.total(z4).rep}
 
     v4 = CORPUS["v4"]
     lattice = all_congruences(v4)
     assert len(lattice) == 5
-    fc_v4 = factor_congruences(v4).fc_congruences()
-    assert {c.rep for c in fc_v4} == {c.rep for c in lattice}
+    analysis = factor_congruences(v4)
+    assert {analysis.lattice.elements[i].rep for i in analysis.fc} == {c.rep for c in lattice}
     bfc = bfc_check(v4)
     assert not bfc["ok"] and bfc["reason"] == "complement_not_unique"
     assert len(bfc["complements"]) >= 2
@@ -93,7 +94,8 @@ def test_criterion_02_factor_congruence_facts():
     assert failed["witness"] is not None and failed["permutable"] is False
 
     lat22 = CORPUS["lat22"]
-    fc_lat = factor_congruences(lat22).fc_congruences()
+    analysis = factor_congruences(lat22)
+    fc_lat = [analysis.lattice.elements[i] for i in analysis.fc]
     assert len(fc_lat) == 4
     assert bfc_check(lat22)["ok"]
     witnessed = 0
@@ -326,12 +328,17 @@ LATTICE_LAWS = ["(meet x y) = (meet y x)", "(join x y) = (join y x)",
                 "(meet x (bot)) = (bot)", "(join x (top)) = (top)"]
 
 
+def fc_reps(A):
+    analysis = factor_congruences(A)
+    return {analysis.lattice.elements[i].rep for i in analysis.fc}
+
+
 def frozen_facts(A):
     laws = LAWS[A.name] if LAWS.get(A.name) else LATTICE_LAWS
     return {
         "laws": [parse_sentence(t) for t in laws],
         "con": {c.rep for c in all_congruences(A)},
-        "fc": {c.rep for c in factor_congruences(A).fc_congruences()},
+        "fc": fc_reps(A),
     }
 
 
@@ -360,7 +367,7 @@ def detect_table_mutation(mutant, facts):
     if got != facts["con"]:
         delta = got.symmetric_difference(facts["con"])
         return {"check": "congruence lattice", "witness": sorted(delta)}
-    got_fc = {c.rep for c in factor_congruences(mutant).fc_congruences()}
+    got_fc = fc_reps(mutant)
     if got_fc != facts["fc"]:
         return {"check": "factor congruences",
                 "witness": sorted(got_fc.symmetric_difference(facts["fc"]))}

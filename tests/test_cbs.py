@@ -1,4 +1,5 @@
 import copy
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from cbswb.algebra import (
     power_algebra,
     quotient_algebra,
 )
+from cbswb import cbs
 from cbswb.cbs import (
     OperatorKind,
     boolean_sublattice_check,
@@ -74,8 +76,13 @@ def test_operator_eval_selectors():
 def test_operator_eval_rel_requires_membership():
     # z4 itself fails (x+x) = (y+y), so the diagonal quotient leaves the class
     z4 = corpus_algebra("z4")
-    with pytest.raises(ValidationError):
-        operator_eval(z4, OperatorKind.relative(("(+ x x) = (+ y y)",)))
+    kind = OperatorKind.relative(("(+ x x) = (+ y y)",))
+    message = re.escape("'z4' does not satisfy the relative sentences, "
+                        "so the diagonal is missing from K(A)")
+    with pytest.raises(ValidationError, match=message):
+        operator_eval(z4, kind)
+    with pytest.raises(ValidationError, match=message):
+        presheaf_check(z4, kind)
 
 
 def admitting(f, kind):
@@ -303,6 +310,18 @@ def test_boolean_sublattice_check():
     assert not bad["ok"] and bad["reason"] == "complement_not_unique"
 
 
+def test_boolean_sublattice_check_reports_a_missing_bound_first():
+    z4 = corpus_algebra("z4")
+    diag, total = Congruence.diagonal(z4), Congruence.total(z4)
+    outside = Congruence(z4, (0, 0, 2, 3))  # {0, 1} {2} {3} is no congruence of z4
+    for family, reason in (([total, outside], "missing_diagonal"),
+                           ([diag, outside], "missing_total")):
+        assert boolean_sublattice_check(z4, family) == {
+            "ok": False, "reason": reason, "witness": None}
+    with pytest.raises(ValidationError, match="outside Con"):
+        boolean_sublattice_check(z4, [diag, total, outside])
+
+
 def test_con_is_enumerated_once_per_algebra(monkeypatch):
     z4 = corpus_algebra("z4")
     assert all_congruences(z4) is all_congruences(z4)
@@ -386,3 +405,35 @@ def test_presheaf_boolean_condition():
     got2 = presheaf_check(v4, OperatorKind.con(), factor=False, boolean=True)
     assert not got2["ok"]
     assert "boolean" in got2["failed_conditions"]
+
+
+def test_presheaf_reads_order_off_the_lattices(monkeypatch):
+    cases = [(corpus_algebra("lat22"), OperatorKind.con()), (corpus_algebra("z4"), OperatorKind.fc())]
+    usual = [presheaf_check(A, kind) for A, kind in cases]
+    assert all(got["ok"] for got in usual)
+
+    def refuse(self, other):
+        raise AssertionError("refinement scan in presheaf_check")
+
+    monkeypatch.setattr(Congruence, "refines", refuse)
+    assert [presheaf_check(A, kind) for A, kind in cases] == usual
+
+
+def test_presheaf_counts_a_lift_outside_the_quotient_lattice_as_an_order_failure(monkeypatch):
+    z4 = corpus_algebra("z4")
+    total = Congruence.total(z4).rep
+    lift = cbs.quotient_lift
+
+    def outside(Q, theta):
+        if Q.algebra.size == 4 and theta.rep == total:
+            return Congruence(Q.algebra, (0, 0, 2, 3))  # no congruence of z4/diagonal
+        return lift(Q, theta)
+
+    monkeypatch.setattr(cbs, "quotient_lift", outside)
+    got = presheaf_check(z4, OperatorKind.con())["conditions"]["correspondence"]
+    assert got == {"ok": False, "violations": [{
+        "sigma": [[0], [1], [2], [3]],
+        "missing_in_quotient": [[[0, 1, 2, 3]]],
+        "extra_in_quotient": [],
+        "order_isomorphic": False,
+    }]}

@@ -25,7 +25,10 @@ closure computes, reusing the ones it already knows, is checked against
 a closure from scratch.  The reports of both CBS verbs, which run the one
 case a finite algebra has, are checked byte for byte against the general
 searches over every member of K(A), on random algebras of at most 4
-elements.
+elements.  The correspondence block of presheaf_check, read off the
+positions of K(A) in Con(A) and Con(A/sigma), is checked against
+refinement scans on random algebras of at most 5 elements (arities up to
+3), also with one lift replaced by a wrong congruence.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -56,8 +59,10 @@ from cbswb.cbs import (
     boolean_sublattice_check,
     cbs_complete_check,
     cbs_property_check,
+    operator_eval,
+    presheaf_check,
 )
-from cbswb import congruence
+from cbswb import cbs, congruence
 from cbswb.congruence import (
     Congruence,
     CongruenceLattice,
@@ -66,6 +71,7 @@ from cbswb.congruence import (
     congruence_meet,
     generated_congruence,
     least_rep,
+    quotient_lift,
     quotient_through,
 )
 from cbswb.corpus import corpus_algebra
@@ -91,6 +97,7 @@ from oracles import (
     neutrality_failure,
     order_bound,
     partition_reps,
+    presheaf_correspondence,
     refines,
 )
 
@@ -714,3 +721,44 @@ def test_cbs_verbs_match_the_general_searches(data):
     for kind in kinds:
         assert json_text(cbs_property_check(A, kind)) == json_text(cbs_property_search(A, kind))
         assert json_text(cbs_complete_check(A, kind)) == json_text(cbs_complete_search(A, kind))
+
+
+@st.composite
+def presheaf_case(draw):
+    size = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    A = FiniteAlgebra("r", size, tables(draw, size, arities))
+    return A, draw(st.sampled_from([OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon()]))
+
+
+@settings(KERNEL_SETTINGS, max_examples=30)
+@given(presheaf_case(), st.data())
+def test_presheaf_correspondence_matches_the_refinement_scan(case, data):
+    A, kind = case
+
+    def correspondence():
+        got = presheaf_check(A, kind)["conditions"]["correspondence"]
+        assert got == presheaf_correspondence(A, kind)
+        return got
+
+    correspondence()
+    if A.size == 1:
+        return
+    # one lift replaced by another member of Con(A/sigma), on both sides
+    ks = operator_eval(A, kind)
+    sigma = data.draw(st.sampled_from([s for s in ks if not s.is_total()]))
+    theta = data.draw(st.sampled_from([t for t in ks if sigma.refines(t)]))
+    Q = quotient_algebra(A, sigma)
+    true = quotient_lift(Q, theta).rep
+    wrong = data.draw(st.sampled_from([c.rep for c in all_congruences(Q.algebra) if c.rep != true]))
+    key = tuple(Q.projection.mapping), theta.rep
+
+    def wrong_lift(P, t):
+        if (tuple(P.projection.mapping), t.rep) == key:
+            return Congruence(P.algebra, wrong)
+        return quotient_lift(P, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbs, "quotient_lift", wrong_lift)
+        mp.setattr(congruence, "quotient_lift", wrong_lift)
+        assert not correspondence()["ok"]
