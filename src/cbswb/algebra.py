@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetError, FormatError, ValidationError
+from .errors import FormatError, ValidationError, over_budget
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_ISO_CAP = 10
@@ -448,9 +448,7 @@ def satisfies(A: FiniteAlgebra, sentences, budget: int = DEFAULT_EVAL_BUDGET):
         vars_ = sent.variables()
         count = A.size ** len(vars_)
         if count > budget:
-            raise BudgetError(
-                f"sentence over {len(vars_)} variables needs {count} assignments, budget {budget}"
-            )
+            raise over_budget("term evaluation", "assignments", count, budget, "assignment")
         for values in itertools.product(A.elements(), repeat=len(vars_)):
             env = dict(zip(vars_, values))
             if any(eval_term(A, s, env) != eval_term(A, t, env) for s, t in sent.premises):
@@ -666,10 +664,7 @@ def _isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int):
     if A.signature() != B.signature() or A.size != B.size:
         return
     if A.size > max_size:
-        raise BudgetError(
-            f"isomorphism search: carrier has {A.size} elements, "
-            f"over the {max_size}-element budget"
-        )
+        raise over_budget("isomorphism search", "carrier", A.size, max_size, "element")
 
     n = A.size
     label_a = _element_labels(A)

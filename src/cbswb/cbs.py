@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
-    DEFAULT_ISO_CAP,
     FiniteAlgebra,
     Homomorphism,
     Sentence,
@@ -36,10 +35,12 @@ from .congruence import (
     relative_congruences,
     transport,
 )
-from .errors import ValidationError
+from .errors import ValidationError, over_budget
 from .structure import center_of_lattice, check_factor_pair, decomposition_witness, factor_congruences
 
 DEFAULT_SEQUENCE_LIMIT = 32
+# automorphisms presheaf_check samples for its iso-invariance condition
+AUTOMORPHISM_SAMPLES = 10
 
 _SELECTORS = ("con", "fc", "zcon", "rel")
 
@@ -340,8 +341,8 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
         if stabilized_at is not None and len(sigmas) >= 8:
             break
         if len(sigmas) > DEFAULT_SEQUENCE_LIMIT:
-            raise ValidationError(
-                f"sequence did not stabilize within {DEFAULT_SEQUENCE_LIMIT} indices")
+            raise over_budget("CBS sequence", "indices", len(sigmas),
+                              DEFAULT_SEQUENCE_LIMIT, "index")
 
     opts = _complements(L, L.index[iso.fhat(zeta).rep], inside)
     options = [L.elements[j] for j in opts]
@@ -633,7 +634,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
     boolean_block = boolean_sublattice_check(A, [E[i] for i in at]) if boolean else None
 
     auto = automorphisms(A, max_size=max_size)
-    copies = [(g, A) for g in auto[:DEFAULT_ISO_CAP]]
+    copies = [(g, A) for g in auto[:AUTOMORPHISM_SAMPLES]]
     perm = tuple((i + 1) % A.size for i in range(A.size))
     B, to_copy = relabel(A, perm, name=f"{A.name}~")
     copies.append((to_copy, B))
@@ -648,11 +649,6 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                 "mapping": list(g.mapping),
             })
 
-    ok = axiom1["ok"] and correspondence["ok"] and iso_block["ok"]
-    if factor_block is not None:
-        ok = ok and factor_block["ok"]
-    if boolean_block is not None:
-        ok = ok and boolean_block["ok"]
     for block, name in ((axiom1, "axiom1"), (correspondence, "correspondence"),
                         (factor_block, "factor"), (boolean_block, "boolean"),
                         (iso_block, "iso_invariance")):
@@ -663,7 +659,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         "algebra": A.name,
         "kind": kind.label(),
         "operator_size": len(at),
-        "ok": ok,
+        "ok": not violations,
         "failed_conditions": violations,
         "conditions": {
             "axiom1": axiom1,

@@ -31,7 +31,7 @@ from .algebra import (
     satisfies,
     table_args,
 )
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 from .lattice import FiniteLattice
 
 DEFAULT_CON_CAP = 8
@@ -413,10 +413,7 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
     lattice is kept on A and returned by later calls that pass the cap.
     """
     if A.size > max_size:
-        raise BudgetError(
-            f"congruence enumeration: carrier has {A.size} elements, "
-            f"over the {max_size}-element budget"
-        )
+        raise over_budget("congruence enumeration", "carrier", A.size, max_size, "element")
     if A._con is not None:
         return A._con
     n = A.size
@@ -441,10 +438,8 @@ def all_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> Congru
                 if joined not in items:
                     items[joined] = Congruence(A, joined)
                     if len(items) > CON_COUNT_CAP:
-                        raise BudgetError(
-                            f"congruence enumeration: |Con(A)| reached {len(items)}, "
-                            f"over the {CON_COUNT_CAP}-member budget"
-                        )
+                        raise over_budget("congruence enumeration", "|Con(A)|", len(items),
+                                          CON_COUNT_CAP, "member")
     A._con = CongruenceLattice(A, items.values())
     return A._con
 

@@ -21,3 +21,14 @@ class ValidationError(CbswbError):
 
 class BudgetError(CbswbError):
     """The requested computation exceeds the configured size or evaluation budget."""
+
+
+def over_budget(stage: str, what: str, count: int, cap: int, unit: str) -> BudgetError:
+    """The one BudgetError shape: the stage, the count it reached, the cap.
+
+    Callers compare count with cap themselves and build the error only once
+    it is over, so nothing runs below a cap; over_budget("truncation", "m",
+    65, 64, "coordinate") reads "truncation: m reached 65, over the
+    64-coordinate budget".
+    """
+    return BudgetError(f"{stage}: {what} reached {count}, over the {cap}-{unit} budget")

@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, sequence_violations
 from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, over_budget
 from .pset import PeriodicSet
 from .structure import check_factor_pair, decomposition_witness, factor_congruences
 
@@ -247,7 +247,7 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
     certificate expressed as coordinate maps.
     """
     if indices > MAX_INDICES:
-        raise BudgetError(f"omega run: indices reached {indices}, over the {MAX_INDICES}-index budget")
+        raise over_budget("omega run", "indices", indices, MAX_INDICES, "index")
     _require_indecomposable(A)
     iso = ShiftIso(k)
     theta = iso.theta()
@@ -372,7 +372,7 @@ def check_truncation(k: int, m: int) -> None:
     if m < 2 * k:
         raise ValidationError("truncation must cover at least twice the shift")
     if m > MAX_TRUNCATION:
-        raise BudgetError(f"truncation: m reached {m}, over the {MAX_TRUNCATION}-coordinate budget")
+        raise over_budget("truncation", "m", m, MAX_TRUNCATION, "coordinate")
 
 
 def truncate_validate(run: OmegaRun, m: int) -> dict:
@@ -561,10 +561,7 @@ class QuasiCyclic:
     def truncation(self, m: int) -> FiniteAlgebra:
         size = self.prime ** m
         if size > QC_SIZE_CAP:
-            raise BudgetError(
-                f"quasi-cyclic truncation: carrier reached {size}, "
-                f"over the {QC_SIZE_CAP}-element budget"
-            )
+            raise over_budget("quasi-cyclic truncation", "carrier", size, QC_SIZE_CAP, "element")
         # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
         doubled = list(range(size)) * 2
         table = tuple(chain.from_iterable(doubled[a:a + size] for a in range(size)))

@@ -24,7 +24,7 @@ import math
 import re
 from functools import lru_cache
 
-from .errors import BudgetError, FormatError, ValidationError
+from .errors import FormatError, ValidationError, over_budget
 
 SIZE_CAP = 1 << 20
 
@@ -32,9 +32,7 @@ SIZE_CAP = 1 << 20
 def _budget(stage: str, threshold: int, period: int):
     if threshold > SIZE_CAP or period > SIZE_CAP:
         what, value = ("threshold", threshold) if threshold > SIZE_CAP else ("period", period)
-        raise BudgetError(
-            f"periodic set {stage}: {what} reached {value}, over the {SIZE_CAP}-bit budget"
-        )
+        raise over_budget(f"periodic set {stage}", what, value, SIZE_CAP, "bit")
 
 
 @lru_cache(maxsize=256)

@@ -55,42 +55,41 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _inline(value) -> Optional[str]:
-    """Short lists of scalars, or of scalar lists, are rendered on one line."""
-    if not isinstance(value, list):
-        return None
-    if all(not isinstance(v, (list, dict)) for v in value):
-        text = "[" + ", ".join(_scalar(v) for v in value) + "]"
-    elif all(
-        isinstance(v, list) and all(not isinstance(x, (list, dict)) for x in v)
-        for v in value
-    ):
-        text = "[" + ", ".join(
-            "[" + ", ".join(_scalar(x) for x in v) + "]" for v in value
-        ) + "]"
-    else:
-        return None
-    return text if len(text) <= 72 else None
+def _flat(values) -> bool:
+    return all(not isinstance(v, (list, dict)) for v in values)
 
-def _lines(label, value, depth):
-    pad = "  " * depth
+
+def _row(values) -> str:
+    return "[" + ", ".join(map(_scalar, values)) + "]"
+
+
+def _text(out: list, label, value, pad: str) -> None:
+    """Append the lines of one labelled value, indented by pad, to out.
+
+    A list of scalars, or of scalar lists, goes on one line when that fits
+    in 72 columns.  Each item takes two columns at least (its ", "), so a
+    list of more than 36 items is not tried."""
+    head = f"{pad}{label}:"
     if isinstance(value, dict):
-        if not value:
-            yield f"{pad}{label}: {{}}"
-            return
-        yield f"{pad}{label}:"
+        out.append(head if value else head + " {}")
         for k in value:
-            yield from _lines(k, value[k], depth + 1)
+            _text(out, k, value[k], pad + "  ")
     elif isinstance(value, list):
-        inline = _inline(value)
-        if inline is not None:
-            yield f"{pad}{label}: {inline}"
-            return
-        yield f"{pad}{label}:"
-        for i, item in enumerate(value):
-            yield from _lines(f"[{i}]", item, depth + 1)
+        flat = _flat(value)
+        if len(value) <= 36 and (flat or all(isinstance(v, list) and _flat(v) for v in value)):
+            line = _row(value) if flat else "[" + ", ".join(map(_row, value)) + "]"
+            if len(line) <= 72:
+                out.append(f"{head} {line}")
+                return
+        out.append(head)
+        pad += "  "
+        if flat:
+            out += [f"{pad}[{i}]: {_scalar(v)}" for i, v in enumerate(value)]
+        else:
+            for i, v in enumerate(value):
+                _text(out, f"[{i}]", v, pad)
     else:
-        yield f"{pad}{label}: {_scalar(value)}"
+        out.append(f"{head} {_scalar(value)}")
 
 
 _BOOLS = {True: "true", False: "false"}
@@ -155,9 +154,9 @@ def render_report(r: Report, format: str = "text") -> str:
         raise FormatError(f"unknown report format {format!r}")
     out = [SCHEMA, f"verb: {r.verb}", f"status: {r.status}"]
     for key in r.body:
-        out.extend(_lines(key, r.body[key], 0))
+        _text(out, key, r.body[key], "")
     if r.timing is not None:
-        out.extend(_lines("timing", r.timing, 0))
+        _text(out, "timing", r.timing, "")
     return "\n".join(out) + "\n"
 
 

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles: set partitions by
 restricted growth strings, compatibility by comparing all blockwise-equal
 argument tuples, term values by direct recursion, periodic-set operations
-by pointwise membership over a window, the Pruefer group by fractions.
+by pointwise membership over a window, the Pruefer group by fractions,
+text reports by a recursive walk over every cell.
 None of it shares code with the package beyond the public data shapes,
 except the general CBS searches and the refinement-scan presheaf
 correspondence at the end, which are the reference forms of the CBS verbs
@@ -302,6 +303,57 @@ class Pruefer:
 
     def decode(self, t, m):
         return self.reduce(t, m)
+
+
+def _scalar_text(value):
+    if value is None:
+        return "none"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
+
+
+def _inline_text(value):
+    """Short lists of scalars, or of scalar lists, are rendered on one line."""
+    if not isinstance(value, list):
+        return None
+    if all(not isinstance(v, (list, dict)) for v in value):
+        text = "[" + ", ".join(_scalar_text(v) for v in value) + "]"
+    elif all(
+        isinstance(v, list) and all(not isinstance(x, (list, dict)) for x in v)
+        for v in value
+    ):
+        text = "[" + ", ".join(
+            "[" + ", ".join(_scalar_text(x) for x in v) + "]" for v in value
+        ) + "]"
+    else:
+        return None
+    return text if len(text) <= 72 else None
+
+
+def text_lines(label, value, depth=0):
+    """The lines of one labelled value in a text report, walked cell by cell:
+    the reference form of the text writer in cbswb.report."""
+    pad = "  " * depth
+    if isinstance(value, dict):
+        if not value:
+            yield f"{pad}{label}: {{}}"
+            return
+        yield f"{pad}{label}:"
+        for k in value:
+            yield from text_lines(k, value[k], depth + 1)
+    elif isinstance(value, list):
+        inline = _inline_text(value)
+        if inline is not None:
+            yield f"{pad}{label}: {inline}"
+            return
+        yield f"{pad}{label}:"
+        for i, item in enumerate(value):
+            yield from text_lines(f"[{i}]", item, depth + 1)
+    else:
+        yield f"{pad}{label}: {_scalar_text(value)}"
 
 
 # ---------------------------------------------------------------------------

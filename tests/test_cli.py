@@ -16,6 +16,7 @@ from cbswb.cli import build_parser, main
 from cbswb.congruence import all_congruences
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.report import json_text
+from oracles import text_lines
 
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
@@ -323,10 +324,10 @@ def test_emit_dot_draws_the_hasse_diagram_of_the_partition_lattice(tmp_path):
 def test_carrier_budget_messages_name_stage_and_count(capsys, tmp_path):
     z2_4 = _write_algebra(tmp_path / "z2_4.json", power_algebra(corpus_algebra("z2"), 4))
     assert run(capsys, "con", z2_4) == (
-        2, "", "error: congruence enumeration: carrier has 16 elements, "
+        2, "", "error: congruence enumeration: carrier reached 16, "
                "over the 8-element budget\n")
     assert run(capsys, "iso", z2_4, z2_4) == (
-        2, "", "error: isomorphism search: carrier has 16 elements, "
+        2, "", "error: isomorphism search: carrier reached 16, "
                "over the 10-element budget\n")
 
 
@@ -349,7 +350,8 @@ def test_eval_budget_reaches_the_engine(capsys, monkeypatch):
     monkeypatch.delenv("CBSWB_BUDGET", raising=False)
     argv = ("presheaf-check", Z4, "--kind", "rel", "--sentence", "(+ x y) = (+ y x)")
     code, _, err = run(capsys, *argv, "--eval-budget", "1")
-    assert code == 2 and "budget 1" in err
+    assert code == 2 and err == (
+        "error: term evaluation: assignments reached 16, over the 1-assignment budget\n")
     # the budget lives on the job's operator kind, not in the process
     assert "CBSWB_BUDGET" not in os.environ
     code, out, err = run(capsys, *argv)
@@ -426,6 +428,25 @@ _documents = st.recursive(
 @example([[], {}, [[]], [{}]])
 def test_json_text_matches_the_stdlib_indented_writer(doc):
     assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# short cells, so that lists cross both the 72-column line and 36 items
+_cell = st.sampled_from(["", "x", "a, b", 0, 7, -12, True, False, None])
+_text_documents = st.recursive(
+    _scalar | _rows | st.lists(_cell, max_size=48),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@WRITER_SETTINGS
+@given(_text_documents)
+# 36 empty strings fit in 72 columns and 37 do not; a bound of 24 items
+# would break the 30 onto 30 lines
+@example([[""] * 30, [""] * 36, [""] * 37, [[""]] * 18, [[], [""] * 36], {}, [{}]])
+def test_report_text_matches_the_cell_by_cell_writer(doc):
+    lines = ["cbswb-report/1", "verb: x", "status: pass", *text_lines("doc", doc)]
+    assert render_report(Report("x", "pass", {"doc": doc})) == "\n".join(lines) + "\n"
 
 
 def test_cbs_complete_takes_no_theta_or_sigma(capsys):
