@@ -660,7 +660,9 @@ def _element_labels(A: FiniteAlgebra):
 
 
 def _isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int):
-    """Every isomorphism A -> B as a mapping tuple, in lexicographic order."""
+    """Every isomorphism A -> B as a mapping tuple, in lexicographic order.
+    Each cell is checked when the last of its arguments is assigned, so a
+    yielded map is a homomorphism and callers build it through _built."""
     if A.signature() != B.signature() or A.size != B.size:
         return
     if A.size > max_size:
@@ -735,9 +737,9 @@ def _isomorphisms(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int):
 def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int = DEFAULT_ISO_CAP):
     """The lexicographically least isomorphism A -> B, or None."""
     mapping = next(_isomorphisms(A, B, max_size), None)
-    return None if mapping is None else Homomorphism(A, B, mapping)
+    return None if mapping is None else Homomorphism._built(A, B, mapping)
 
 
 def automorphisms(A: FiniteAlgebra, max_size: int = DEFAULT_ISO_CAP):
     """Every automorphism of A, in lexicographic order."""
-    return [Homomorphism(A, A, m) for m in _isomorphisms(A, A, max_size)]
+    return [Homomorphism._built(A, A, m) for m in _isomorphisms(A, A, max_size)]

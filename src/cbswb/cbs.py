@@ -5,11 +5,14 @@ Four selectors are provided: the full lattice, the factor congruences,
 the centre of the congruence lattice, and the congruences whose quotient
 satisfies a fixed sentence set.  On top of the selected family the module
 computes the interval map f-hat induced by an isomorphism f: A -> A/theta,
-the CBS-sequences generated by such data, and the property / completeness
+on a finite algebra an automorphism with theta the diagonal, the
+CBS-sequences generated by such data, and the property / completeness
 verdicts, each with explicit witnesses.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from typing import Callable, Optional
 
 from .algebra import (
@@ -17,7 +20,7 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Sentence,
-    automorphisms,
+    _isomorphisms,
     direct_product,
     iso_search,
     parse_sentence,
@@ -35,10 +38,9 @@ from .congruence import (
     relative_congruences,
     transport,
 )
-from .errors import ValidationError, over_budget
+from .errors import ValidationError
 from .structure import center_of_lattice, check_factor_pair, decomposition_witness, factor_congruences
 
-DEFAULT_SEQUENCE_LIMIT = 32
 # automorphisms presheaf_check samples for its iso-invariance condition
 AUTOMORPHISM_SAMPLES = 10
 
@@ -135,52 +137,28 @@ def _boolean_failure(L: CongruenceLattice, at):
 # the interval map f-hat
 
 
-class _QuotientIso:
-    """An isomorphism f: A -> A/theta, checked once, with f_hat and its loose
-    inverse over the one A/theta: the finite twin of omega.ShiftIso.  With
-    f = None the natural projection is taken, and it must be bijective.
-
-    f is kept as a map onto Q.algebra, with its inverse and the self-map
-    inverse o projection of A; f_hat is the pullback along that self-map,
-    since (a, b) is in pi^-1(f(sigma)) iff (f^-1(pi a), f^-1(pi b)) is in sigma.
-    """
-
-    def __init__(self, A: FiniteAlgebra, f, theta: Congruence):
-        if theta.algebra != A:
-            raise ValidationError("theta does not belong to this algebra")
-        Q = quotient_algebra(A, theta)
-        if f is None:
-            f = Q.projection
-            if not f.is_bijective():
-                raise ValidationError("no default isomorphism: theta collapses elements")
-        elif f.source != A or not f.is_bijective() or not f.target.same_tables(Q.algebra):
-            raise ValidationError("f is not an isomorphism onto A/theta")
-        elif f.target != Q.algebra:
-            # a homomorphism onto equal tables under another name
-            f = Homomorphism._built(A, Q.algebra, f.mapping)
-        self.A, self.f, self.theta, self.Q = A, f, theta, Q
-        self.f_inv = f.inverse()
-        self.self_map = self.f_inv.compose(Q.projection)
-
-    def fhat(self, sigma: Congruence) -> Congruence:
-        return transport(self.self_map, sigma)
-
-    def fhat_inv(self, psi: Congruence) -> Congruence:
-        return transport(self.f, quotient_lift(self.Q, congruence_join(psi, self.theta)))
+def _automorphism(A: FiniteAlgebra, f) -> Homomorphism:
+    """f as a map A -> A, checked once.  An isomorphism A -> A/theta keeps
+    the carrier's size, so on a finite algebra theta is the diagonal and f
+    an automorphism: None is the identity, and a bijective map onto tables
+    equal to A's, such as those of A/diagonal, is read as one onto A."""
+    if f is None:
+        return Homomorphism._built(A, A, range(A.size))
+    if f.source != A or not f.is_bijective() or not f.target.same_tables(A):
+        raise ValidationError("f is not an automorphism of A")
+    return f if f.target == A else Homomorphism._built(A, A, f.mapping)
 
 
-def f_hat(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, sigma: Congruence) -> Congruence:
-    """u_theta^-1 of the pushforward of sigma along f; lands in [theta, total]."""
-    return _QuotientIso(A, f, theta).fhat(sigma)
+def f_hat(A: FiniteAlgebra, f, sigma: Congruence) -> Congruence:
+    """The pushforward of sigma along the automorphism f (None for the
+    identity): the pullback along f^-1, since (a, b) is in f(sigma) iff
+    (f^-1(a), f^-1(b)) is in sigma."""
+    return transport(_automorphism(A, f).inverse(), sigma)
 
 
-def f_hat_inverse(A: FiniteAlgebra, f: Homomorphism, theta: Congruence, psi: Congruence) -> Congruence:
-    """Loose inverse of f_hat: join with theta, drop to the quotient, pull back.
-
-    Joining first makes the map total on Con(A); on the interval
-    [theta, total] it is the exact inverse of f_hat.
-    """
-    return _QuotientIso(A, f, theta).fhat_inv(psi)
+def f_hat_inverse(A: FiniteAlgebra, f, psi: Congruence) -> Congruence:
+    """The inverse of f_hat: the pullback of psi along f."""
+    return transport(_automorphism(A, f), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -308,56 +286,41 @@ class CbsSequenceState:
         }
 
 
-def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
-                 kind: Optional[OperatorKind] = None, complement: Optional[Congruence] = None,
+def cbs_sequence(A: FiniteAlgebra, f=None, kind: Optional[OperatorKind] = None,
                  max_size: int = DEFAULT_CON_CAP) -> CbsSequenceState:
-    """Run the sigma/theta recursion from zeta and attach the complement data.
+    """Run the sigma/theta recursion of the automorphism f (None for the
+    identity) and attach the complement data.
 
-    sigma_0 is the diagonal, sigma_1 = zeta, theta_{n+1} is the pushforward
+    On a finite algebra theta = zeta = the diagonal (see _automorphism):
+    sigma_0 and sigma_1 are the diagonal, theta_{n+1} is the pushforward
     of sigma_n along f and sigma_{n+1} the preimage of theta_n under the
-    natural projection.  The complement of f_hat(zeta) seeds the odd-index
-    complements, which then propagate through f_hat.
+    natural projection of A/diagonal, the identity, so the recursion is
+    stationary from index 2 on and runs to index 7.  The complement of
+    f_hat(zeta) in K(A) seeds the odd-index complements, which then
+    propagate through f_hat.
     """
     kind = kind or OperatorKind.fc()
-    iso = _QuotientIso(A, f, theta)
+    f = _automorphism(A, f)
+    fhat = partial(transport, f.inverse())
     L, at = _k_positions(A, kind, max_size=max_size)
-    inside = set(at)
-    if L.index.get(theta.rep) not in inside or L.index.get(zeta.rep) not in inside:
-        raise ValidationError("theta and zeta must belong to K(A)")
-    if not zeta.refines(theta):
-        raise ValidationError("zeta must lie below theta")
+    diag = Congruence.diagonal(A)
 
-    sigmas = [Congruence.diagonal(A), zeta]
-    thetas = [None, transport(iso.f_inv, sigmas[0])]
+    sigmas = [diag, diag]
+    thetas = [None, fhat(diag)]
     stabilized_at = None
-    while True:
-        n = len(sigmas) - 1
-        nxt_sigma = transport(iso.Q.projection, thetas[n])
-        nxt_theta = transport(iso.f_inv, sigmas[n])
-        sigmas.append(nxt_sigma)
-        thetas.append(nxt_theta)
-        if stabilized_at is None and nxt_sigma.rep == sigmas[n].rep and nxt_theta.rep == thetas[n].rep:
+    for n in range(1, 7):
+        sigmas.append(thetas[n])
+        thetas.append(fhat(sigmas[n]))
+        if stabilized_at is None and sigmas[n + 1].rep == sigmas[n].rep \
+                and thetas[n + 1].rep == thetas[n].rep:
             stabilized_at = n + 1
-        if stabilized_at is not None and len(sigmas) >= 8:
-            break
-        if len(sigmas) > DEFAULT_SEQUENCE_LIMIT:
-            raise over_budget("CBS sequence", "indices", len(sigmas),
-                              DEFAULT_SEQUENCE_LIMIT, "index")
 
-    opts = _complements(L, L.index[iso.fhat(zeta).rep], inside)
-    options = [L.elements[j] for j in opts]
-    if complement is not None:
-        if L.index.get(complement.rep) not in opts:
-            raise ValidationError("supplied complement is not a factor complement of f_hat(zeta) in K(A)")
-        chosen = complement
-    elif options:
-        chosen = options[0]
-    else:
-        raise ValidationError("no complement available for f_hat(zeta) in K(A)")
-
-    neg_odd, ds = sequence_tail(sigmas, iso.fhat_inv(chosen), iso.fhat, congruence_join)
+    options = [L.elements[j] for j in _complements(L, L.index[fhat(diag).rep], set(at))]
+    # the total congruence is in every K(A) and a complement of the diagonal
+    chosen = options[0]
+    neg_odd, ds = sequence_tail(sigmas, transport(f, chosen), fhat, congruence_join)
     return CbsSequenceState(
-        algebra=A, f=iso.f, theta=theta, zeta=zeta, kind=kind,
+        algebra=A, f=f, theta=diag, zeta=diag, kind=kind,
         sigmas=sigmas, thetas=thetas, neg_odd=neg_odd, ds=ds,
         complement_used=chosen, complement_options=options,
         stabilized=stabilized_at is not None, stabilized_at=stabilized_at,
@@ -367,26 +330,27 @@ def cbs_sequence(A: FiniteAlgebra, f, theta: Congruence, zeta: Congruence,
 def validate_sequence(state: CbsSequenceState):
     """Recompute every law of the sequence; returns the list of violations.
     After the shared list: the theta recursion and the chosen complement."""
-    A, theta, sigmas, thetas = state.algebra, state.theta, state.sigmas, state.thetas
-    iso = _QuotientIso(A, state.f, theta)
+    A, sigmas, thetas = state.algebra, state.sigmas, state.thetas
+    f = _automorphism(A, state.f)
+    fhat = partial(transport, f.inverse())
     out = sequence_shape(sigmas, thetas, state.neg_odd, state.ds)
     if out:
         return out
     lattice = SequenceLattice(
-        iso.fhat, congruence_join, Congruence.refines,
+        fhat, congruence_join, Congruence.refines,
         Congruence.is_diagonal, Congruence.is_total,
         ("join", "is not total", "the pulled-back complement"),
     )
     out = sequence_violations(lattice, sigmas, state.zeta, state.neg_odd,
-                              iso.fhat_inv(state.complement_used), state.ds)
-    if thetas[1].rep != Congruence.diagonal(iso.Q.algebra).rep:
+                              transport(f, state.complement_used), state.ds)
+    if thetas[1].rep != Congruence.diagonal(A).rep:
         out.append("theta[1] is not the diagonal of the quotient")
     for n in range(1, len(sigmas) - 1):
-        if sigmas[n + 1].rep != transport(iso.Q.projection, thetas[n]).rep:
+        if sigmas[n + 1].rep != thetas[n].rep:
             out.append(f"sigma[{n + 1}] breaks the recursion")
-        if thetas[n + 1].rep != transport(iso.f_inv, sigmas[n]).rep:
+        if thetas[n + 1].rep != fhat(sigmas[n]).rep:
             out.append(f"theta[{n + 1}] breaks the recursion")
-    if check_factor_pair(A, iso.fhat(state.zeta), state.complement_used)["ok"] is False:
+    if check_factor_pair(A, fhat(state.zeta), state.complement_used)["ok"] is False:
         out.append("chosen complement does not form a factor pair with f_hat(zeta)")
     return out
 
@@ -436,7 +400,7 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     """Certify CBS-completeness of K(A) at the one case a finite algebra has.
 
     An isomorphism f: A -> A/theta forces theta = sigma = zeta = the
-    diagonal (see cbs_property_check), with f the natural projection, and
+    diagonal (see cbs_property_check), with f the identity, and
     the complement of f_hat(zeta) in K(A) is the total congruence.  From
     that one attempt the check takes the sequence, sigma_zeta as the meet of
     the d-terms after d[0], neg sigma_zeta as a complement of it in K(A),
@@ -447,7 +411,6 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     """
     kind = kind or OperatorKind.fc()
     diag = Congruence.diagonal(A)
-    iso = _QuotientIso(A, None, diag)
     L, at = _k_positions(A, kind, max_size=max_size)
     E, index = L.elements, L.index
     boolean = _boolean_failure(L, at) is None
@@ -458,7 +421,7 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
             entry["iso"] = list(hom.mapping)
         return entry
 
-    state = cbs_sequence(A, None, diag, diag, kind=kind, max_size=max_size)
+    state = cbs_sequence(A, kind=kind, max_size=max_size)
     i_sz = L.top
     for d in state.ds[1:]:
         i_sz = L.meet(i_sz, index[d.rep])
@@ -480,13 +443,13 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     w = decomposition_witness(A, neg_chi, chi)
     equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"])]
 
-    Qz = iso.Q.algebra
+    Qz = quotient_algebra(A, diag).algebra
     Qnc = quotient_algebra(A, neg_chi).algebra
     Qsz = quotient_algebra(A, sz).algebra
     hit2 = iso_search(Qz, direct_product(Qnc, Qsz), max_size=max_size)
     equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
 
-    fchi = iso.fhat(chi)
+    fchi = f_hat(A, state.f, chi)
     Qchi = quotient_algebra(A, chi).algebra
     Qfchi = quotient_algebra(A, fchi).algebra
     hit3 = iso_search(Qchi, Qfchi, max_size=max_size)
@@ -633,12 +596,15 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
 
     boolean_block = boolean_sublattice_check(A, [E[i] for i in at]) if boolean else None
 
-    auto = automorphisms(A, max_size=max_size)
-    copies = [(g, A) for g in auto[:AUTOMORPHISM_SAMPLES]]
+    # the search checks every cell of a map before it yields it; the
+    # automorphisms past the samples are only counted
+    autos = _isomorphisms(A, A, max_size)
+    copies = [(Homomorphism._built(A, A, m), A) for m in islice(autos, AUTOMORPHISM_SAMPLES)]
+    count = len(copies) + sum(1 for _ in autos)
     perm = tuple((i + 1) % A.size for i in range(A.size))
     B, to_copy = relabel(A, perm, name=f"{A.name}~")
     copies.append((to_copy, B))
-    iso_block = {"ok": True, "sampled": True, "automorphisms": len(auto), "violations": []}
+    iso_block = {"ok": True, "sampled": True, "automorphisms": count, "violations": []}
     for g, target in copies:
         # an automorphism's target is A itself, whose K is at
         LB, kb = (L, at) if target is A else _k_positions(target, kind, max_size=max_size)

@@ -585,8 +585,12 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     the full group satisfy the CBS property over the whole lattice.
     """
     qc = QuasiCyclic(p)
-    if not (0 <= n < m <= 10):
-        raise ValidationError("need 0 <= n < m <= 10")
+    if not (0 <= n < m):
+        raise ValidationError("need 0 <= n < m")
+    # every prime is at least 2, so a level past this one is over the carrier cap
+    levels = QC_SIZE_CAP.bit_length() - 1
+    if m > levels:
+        raise over_budget("quasi-cyclic suite", "m", m, levels, "level")
     # truncs[j] is the level-(m-j) truncation, which z(p^m) modulo level j should be
     truncs = [qc.truncation(m - j) for j in range(m)]
     T = truncs[0]

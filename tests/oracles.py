@@ -360,27 +360,121 @@ def text_lines(label, value, depth=0):
 # general CBS searches
 #
 # On a finite algebra the CBS verbs run one case: an isomorphism A -> A/theta
-# keeps the carrier's size, so theta is the diagonal.  The searches below take
-# any isomorphism f: A -> A/theta and any sigma below theta, run over every
-# member of K(A), every zeta of the bracket and every complement, and are
-# what the verbs are checked against.  They import the package's kernels
-# where used, so that loading this module loads no package code.
+# keeps the carrier's size, so theta is the diagonal and f an automorphism.
+# The forms below take any isomorphism f: A -> A/theta, any seed zeta below
+# theta and any complement; the searches run them over every member of K(A),
+# every zeta of the bracket and every complement, and are what the verbs are
+# checked against.  They import the package's kernels where used, so that
+# loading this module loads no package code.
+
+
+class QuotientIso:
+    """An isomorphism f: A -> A/theta, checked, with f_hat and its loose
+    inverse over the one A/theta.  With f = None the natural projection is
+    taken, and it must be bijective.
+
+    f is kept as a map onto Q.algebra, with its inverse and the self-map
+    inverse o projection of A; f_hat is the pullback along that self-map,
+    since (a, b) is in pi^-1(f(sigma)) iff (f^-1(pi a), f^-1(pi b)) is in sigma.
+    """
+
+    def __init__(self, A, f, theta):
+        from cbswb.algebra import Homomorphism, quotient_algebra
+        from cbswb.errors import ValidationError
+
+        if theta.algebra != A:
+            raise ValidationError("theta does not belong to this algebra")
+        Q = quotient_algebra(A, theta)
+        if f is None:
+            f = Q.projection
+            if not f.is_bijective():
+                raise ValidationError("no default isomorphism: theta collapses elements")
+        elif f.source != A or not f.is_bijective() or not f.target.same_tables(Q.algebra):
+            raise ValidationError("f is not an isomorphism onto A/theta")
+        elif f.target != Q.algebra:
+            f = Homomorphism(A, Q.algebra, f.mapping)
+        self.A, self.f, self.theta, self.Q = A, f, theta, Q
+        self.f_inv = f.inverse()
+        self.self_map = self.f_inv.compose(Q.projection)
+
+    def fhat(self, sigma):
+        """u_theta^-1 of the pushforward of sigma along f; lands in [theta, total]."""
+        from cbswb.congruence import transport
+
+        return transport(self.self_map, sigma)
+
+    def fhat_inv(self, psi):
+        """Loose inverse of fhat: join with theta, drop to the quotient, pull
+        back.  Joining first makes the map total on Con(A); on the interval
+        [theta, total] it is the exact inverse of fhat."""
+        from cbswb.congruence import congruence_join, quotient_lift, transport
+
+        return transport(self.f, quotient_lift(self.Q, congruence_join(psi, self.theta)))
+
+
+def general_cbs_sequence(A, f, theta, zeta, kind, complement=None):
+    """The CBS-sequence of f: A -> A/theta seeded at zeta in K(A) below
+    theta, with the given complement of f_hat(zeta) in K(A), else the first.
+
+    sigma_0 is the diagonal, sigma_1 = zeta, theta_{n+1} is the pushforward
+    of sigma_n along f and sigma_{n+1} the preimage of theta_n under the
+    natural projection, run until both stabilize and to index 7 at least.
+    """
+    from cbswb.cbs import CbsSequenceState, operator_eval, sequence_tail
+    from cbswb.congruence import Congruence, all_congruences, congruence_join, transport
+    from cbswb.errors import ValidationError
+
+    iso = QuotientIso(A, f, theta)
+    ks = operator_eval(A, kind)
+    reps = {c.rep for c in ks}
+    if theta.rep not in reps or zeta.rep not in reps:
+        raise ValidationError("theta and zeta must belong to K(A)")
+    if not zeta.refines(theta):
+        raise ValidationError("zeta must lie below theta")
+
+    sigmas = [Congruence.diagonal(A), zeta]
+    thetas = [None, transport(iso.f_inv, sigmas[0])]
+    stabilized_at = None
+    while stabilized_at is None or len(sigmas) < 8:
+        assert len(sigmas) <= 32, "the sigma/theta recursion did not stabilize"
+        n = len(sigmas) - 1
+        sigmas.append(transport(iso.Q.projection, thetas[n]))
+        thetas.append(transport(iso.f_inv, sigmas[n]))
+        if stabilized_at is None and sigmas[-1].rep == sigmas[n].rep \
+                and thetas[-1].rep == thetas[n].rep:
+            stabilized_at = n + 1
+
+    L = all_congruences(A)
+    image = L.index[iso.fhat(zeta).rep]
+    options = [c for c in ks if L.factor_pair(image, L.index[c.rep])]
+    if complement is not None and complement.rep not in {c.rep for c in options}:
+        raise ValidationError("supplied complement is not a factor complement of f_hat(zeta) in K(A)")
+    if not options:
+        raise ValidationError("no complement available for f_hat(zeta) in K(A)")
+    chosen = options[0] if complement is None else complement
+    neg_odd, ds = sequence_tail(sigmas, iso.fhat_inv(chosen), iso.fhat, congruence_join)
+    return CbsSequenceState(
+        algebra=A, f=iso.f, theta=theta, zeta=zeta, kind=kind,
+        sigmas=sigmas, thetas=thetas, neg_odd=neg_odd, ds=ds,
+        complement_used=chosen, complement_options=options,
+        stabilized=stabilized_at is not None, stabilized_at=stabilized_at,
+    )
 
 
 def f_hat_interval_check(A, f, theta, kind):
     """Re-check that f_hat maps K(A) order-isomorphically onto K(A) above theta."""
-    from cbswb.cbs import f_hat, f_hat_inverse, operator_eval
+    from cbswb.cbs import operator_eval
 
+    iso = QuotientIso(A, f, theta)
     ks = operator_eval(A, kind)
     interval = {c.rep for c in ks if theta.refines(c)}
-    images = [f_hat(A, f, theta, s) for s in ks]
+    images = [iso.fhat(s) for s in ks]
     image_reps = {i.rep for i in images}
     onto = image_reps == interval
     injective = len(image_reps) == len(ks)
     order = all(a.refines(b) == images[i].refines(images[j])
                 for i, a in enumerate(ks) for j, b in enumerate(ks))
-    roundtrip = all(f_hat_inverse(A, f, theta, image).rep == s.rep
-                    for image, s in zip(images, ks))
+    roundtrip = all(iso.fhat_inv(image).rep == s.rep for image, s in zip(images, ks))
     return {
         "ok": onto and injective and order and roundtrip,
         "onto_interval": onto,
@@ -499,18 +593,14 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
     theta and sigma default to the diagonal and f to the natural projection.
     """
     from cbswb.algebra import direct_product, iso_search, quotient_algebra
-    from cbswb.cbs import (boolean_sublattice_check, cbs_sequence, chi_pair, f_hat,
-                           operator_eval)
+    from cbswb.cbs import boolean_sublattice_check, chi_pair, operator_eval
     from cbswb.congruence import Congruence, all_congruences
     from cbswb.errors import ValidationError
     from cbswb.structure import decomposition_witness
 
     theta = theta if theta is not None else Congruence.diagonal(A)
     sigma = sigma if sigma is not None else Congruence.diagonal(A)
-    if f is None:
-        f = quotient_algebra(A, theta).projection
-        if not f.is_bijective():
-            raise ValidationError("no default isomorphism: theta collapses elements")
+    iso = QuotientIso(A, f, theta)
     ks = operator_eval(A, kind)
     L = all_congruences(A)
     E, index = L.elements, L.index
@@ -540,7 +630,7 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
     bracket = sigma_bracket(A, theta, sigma, kind)
     conc = iso_search(A, quotient_algebra(A, sigma).algebra)
     for zeta in bracket:
-        options = complements(f_hat(A, f, theta, zeta))
+        options = complements(iso.fhat(zeta))
         if not options:
             report["skipped"].append({
                 "zeta": zeta.to_blocks_list(),
@@ -549,7 +639,7 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
             continue
         for comp in options:
             attempt = {"zeta": zeta.to_blocks_list(), "complement": comp.to_blocks_list()}
-            state = cbs_sequence(A, f, theta, zeta, kind=kind, complement=comp)
+            state = general_cbs_sequence(A, f, theta, zeta, kind, complement=comp)
             sz, how = infimum_in_k(L, at, state.ds[1:])
             if sz is None:
                 attempt["failure"] = "d-term infimum does not exist in K(A)"
@@ -587,7 +677,7 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
             Qsz = quotient_algebra(A, sz).algebra
             hit2 = iso_search(Qz, direct_product(Qnc, Qsz))
             equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
-            fchi = f_hat(A, f, theta, chi)
+            fchi = iso.fhat(chi)
             hit3 = iso_search(quotient_algebra(A, chi).algebra,
                               quotient_algebra(A, fchi).algebra)
             equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))

@@ -190,9 +190,8 @@ def test_criterion_04_presheaf_axioms():
 def test_criterion_05_sequence_laws():
     runs = violations = 0
     for name, A in CORPUS.items():
-        diag = Congruence.diagonal(A)
         for kind in (OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon()):
-            state = cbs_sequence(A, None, diag, diag, kind=kind)
+            state = cbs_sequence(A, kind=kind)
             bad = validate_sequence(state)
             assert bad == [], (name, kind.label(), bad)
             assert state.stabilized

@@ -2,7 +2,8 @@
 
 Each bounded loop of the workbench compares its count with its cap and, once
 over, raises errors.over_budget(stage, what, count, cap, unit).  The table
-below reaches each of the nine, through the library and through the CLI.
+below reaches each of the nine, through the library and through the CLI,
+and a test counts the over_budget calls in src against it.
 """
 
 import ast
@@ -12,14 +13,13 @@ import re
 
 import pytest
 
-from cbswb import cbs, cli
+from cbswb import cli
 from cbswb.algebra import (FiniteAlgebra, Operation, iso_search, parse_sentence, power_algebra,
                            render_algebra, satisfies)
-from cbswb.cbs import cbs_complete_check
 from cbswb.congruence import all_congruences
 from cbswb.corpus import corpus_algebra
 from cbswb.errors import BudgetError
-from cbswb.omega import QuasiCyclic, check_truncation, omega_cbs_run
+from cbswb.omega import QuasiCyclic, check_truncation, omega_cbs_run, quasicyclic_suite
 from cbswb.pset import PeriodicSet
 
 SHAPE = re.compile(r"^[^:]+: .+ reached \d+, over the \d+-[a-z]+ budget$")
@@ -71,21 +71,16 @@ SITES = [
      lambda: PeriodicSet.parse("prefix=;period=1000000000;residues={}"),
      ("omega-demo", "--base", Z2, "--shift", "2", "--zeta", "prefix=;period=1000000000;residues={}"),
      "periodic set construction: period reached 1000000000, over the 1048576-bit budget"),
-    ("CBS sequence",
-     lambda: cbs_complete_check(corpus_algebra("z4")),
-     ("cbs-complete", Z4),
-     "CBS sequence: indices reached 5, over the 4-index budget"),
+    ("quasi-cyclic level",
+     lambda: quasicyclic_suite(2, 1, 11),
+     ("quasicyclic", "2", "1", "11"),
+     "quasi-cyclic suite: m reached 11, over the 10-level budget"),
 ]
 
 
 @pytest.mark.parametrize("call, argv, message", [s[1:] for s in SITES], ids=[s[0] for s in SITES])
-def test_each_budget_site_refuses_in_the_one_shape(call, argv, message, capsys, tmp_path,
-                                                   monkeypatch):
+def test_each_budget_site_refuses_in_the_one_shape(call, argv, message, capsys, tmp_path):
     assert SHAPE.match(message)
-    # theta = zeta = the diagonal stabilizes at index 2 and the loop runs on
-    # to 8 indices, so no corpus input reaches the 32-index limit; 4 stops it
-    # at the fifth
-    monkeypatch.setattr(cbs, "DEFAULT_SEQUENCE_LIMIT", 4)
     with pytest.raises(BudgetError) as err:
         call()
     assert str(err.value) == message
@@ -102,13 +97,24 @@ def test_each_budget_site_refuses_in_the_one_shape(call, argv, message, capsys, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_only_errors_constructs_budget_errors():
-    # every refusal goes through errors.over_budget, so its shape is the one above
+def _calls(name):
+    """(module, line) of every call of name in src outside errors.py."""
+    out = []
     for fn in sorted(os.listdir(SRC)):
         if not fn.endswith(".py") or fn == "errors.py":
             continue
         with open(os.path.join(SRC, fn)) as fh:
             tree = ast.parse(fh.read(), fn)
-        calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetError"]
-        assert calls == [], f"{fn} constructs BudgetError at lines {calls}"
+        out += [(fn, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+    return out
+
+
+def test_only_errors_constructs_budget_errors():
+    # every refusal goes through errors.over_budget, so its shape is the one above
+    assert _calls("BudgetError") == []
+
+
+def test_the_table_lists_every_budget_site():
+    # a site added or removed in src must add or remove its row above
+    assert len(_calls("over_budget")) == len(SITES)

@@ -11,6 +11,7 @@ from cbswb.algebra import (
     iso_search,
     power_algebra,
     quotient_algebra,
+    relabel,
 )
 from cbswb import cbs
 from cbswb.cbs import (
@@ -35,7 +36,8 @@ from cbswb.congruence import (
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
 
-from oracles import cbs_property_direct, f_hat_interval_check, infimum_in_k, sigma_bracket
+from oracles import (QuotientIso, cbs_property_direct, f_hat_interval_check, infimum_in_k,
+                     sigma_bracket)
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -118,10 +120,11 @@ def _diag_setup(name):
 def test_f_hat_identity_case():
     A, theta, f = _diag_setup("v4")
     for c in all_congruences(A).elements:
-        assert f_hat(A, f, theta, c).rep == c.rep
-        assert f_hat_inverse(A, f, theta, c).rep == c.rep
+        for g in (f, None):
+            assert f_hat(A, g, c).rep == c.rep
+            assert f_hat_inverse(A, g, c).rep == c.rep
     # f_hat of the bottom of K(A) is theta itself
-    assert f_hat(A, f, theta, Congruence.diagonal(A)).rep == theta.rep
+    assert f_hat(A, f, Congruence.diagonal(A)).rep == theta.rep
     check = f_hat_interval_check(A, f, theta, OperatorKind.fc())
     assert check["ok"]
     assert check["onto_interval"] and check["inverse_roundtrip"]
@@ -135,10 +138,15 @@ def test_f_hat_through_nontrivial_automorphism():
         f = Homomorphism(A, Q, g.mapping)
         check = f_hat_interval_check(A, f, theta, OperatorKind.con())
         assert check["ok"]
-        # loose inverse agrees with the exact inverse on [theta, total]
+        # the pullbacks along f^-1 and f are the general f_hat and its loose
+        # inverse, taken through A/theta
+        general = QuotientIso(A, f, theta)
         for c in all_congruences(A).elements:
-            image = f_hat(A, f, theta, c)
-            assert f_hat_inverse(A, f, theta, image).rep == c.rep
+            for h in (f, g):
+                image = f_hat(A, h, c)
+                assert image.rep == general.fhat(c).rep
+                assert f_hat_inverse(A, h, image).rep == c.rep
+                assert f_hat_inverse(A, h, c).rep == general.fhat_inv(c).rep
 
 
 def test_sigma_bracket_on_v4():
@@ -161,36 +169,33 @@ def test_sigma_bracket_on_v4():
 def test_cbs_sequence_collapses_at_diagonal():
     for name in ("v4", "z4", "lat22"):
         A, theta, f = _diag_setup(name)
-        state = cbs_sequence(A, f, theta, Congruence.diagonal(A))
-        assert state.stabilized
-        assert all(s.is_diagonal() for s in state.sigmas)
-        assert all(d.is_total() for d in state.ds)
-        assert state.complement_used.is_total()
-        assert validate_sequence(state) == []
-        assert len(state.sigmas) >= 8
+        for g in (None, f, *automorphisms(A)):
+            state = cbs_sequence(A, g)
+            assert state.stabilized and state.stabilized_at == 2
+            assert all(s.is_diagonal() for s in state.sigmas + state.thetas[1:])
+            assert all(d.is_total() for d in state.ds)
+            assert state.complement_used.is_total()
+            assert [c.rep for c in state.complement_options] == [Congruence.total(A).rep]
+            assert validate_sequence(state) == []
+            assert len(state.sigmas) == 8
 
 
-def test_cbs_sequence_rejects_bad_seeds():
-    A, theta, f = _diag_setup("v4")
-    with pytest.raises(ValidationError):
-        cbs_sequence(A, f, theta, Congruence.total(A))  # zeta above theta
-    wrong = Congruence.diagonal(corpus_algebra("z4"))
-    with pytest.raises(ValidationError):
-        cbs_sequence(A, f, theta, wrong)
-
-
-def test_cbs_sequence_explicit_complement_is_validated():
-    A, theta, f = _diag_setup("v4")
-    diag = Congruence.diagonal(A)
-    good = cbs_sequence(A, f, theta, diag, complement=Congruence.total(A))
-    assert good.complement_used.is_total()
-    with pytest.raises(ValidationError):
-        cbs_sequence(A, f, theta, diag, complement=principal_congruence(A, 0, 1))
+def test_cbs_sequence_rejects_a_map_that_is_no_automorphism():
+    v4, z4 = corpus_algebra("v4"), corpus_algebra("z4")
+    shifted, to_shifted = relabel(z4, [1, 2, 3, 0])
+    assert not shifted.same_tables(z4)
+    for A, f in ((v4, automorphisms(z4)[1]),  # a map of another algebra
+                 (v4, Homomorphism(v4, v4, [0, 0, 0, 0])),  # not bijective
+                 (z4, to_shifted)):  # onto other tables
+        for call in (lambda: cbs_sequence(A, f), lambda: f_hat(A, f, Congruence.total(A)),
+                     lambda: f_hat_inverse(A, f, Congruence.total(A))):
+            with pytest.raises(ValidationError, match="f is not an automorphism of A"):
+                call()
 
 
 def test_validate_sequence_flags_mutations():
     A, theta, f = _diag_setup("v4")
-    state = cbs_sequence(A, f, theta, Congruence.diagonal(A))
+    state = cbs_sequence(A, f)
 
     bad = copy.copy(state)
     bad.sigmas = list(state.sigmas)
@@ -213,7 +218,7 @@ def test_validate_sequence_flags_mutations():
 
 def test_validate_sequence_reports_malformed_tables():
     A, theta, f = _diag_setup("v4")
-    state = cbs_sequence(A, f, theta, Congruence.diagonal(A))
+    state = cbs_sequence(A, f)
     odd = len(state.ds)
 
     extra = copy.copy(state)

@@ -43,12 +43,15 @@ def test_small_corpus_covers_required_algebras():
 
 def test_congruence_canonical_form_validation():
     z4 = corpus_algebra("z4")
-    with pytest.raises(ValidationError):
-        Congruence(z4, (0, 1, 2))  # wrong length
-    with pytest.raises(ValidationError):
-        Congruence(z4, (1, 1, 2, 3))  # rep[0] > 0
-    with pytest.raises(ValidationError):
-        Congruence(z4, (0, 0, 1, 1))  # value 1 is not a block root
+    z2 = corpus_algebra("z2")
+    length = "rep array length differs from carrier size"
+    form = "rep array is not in least-representative form"
+    for A, rep, message in ((z4, (0, 1, 2), length), (z2, (0, 0, 1), length),
+                            (z4, (1, 1, 2, 3), form),  # rep[0] > 0
+                            (z2, (1, 1), form),
+                            (z4, (0, 0, 1, 1), form)):  # value 1 is not a block root
+        with pytest.raises(ValidationError, match=message):
+            Congruence(A, rep)
     # form-only validation: (0,1,2,1) is a valid rep array even though the
     # partition 0|13|2 is not compatible with + on z4
     c = Congruence(z4, (0, 1, 2, 1))

@@ -13,7 +13,8 @@ isomorphism search (arities up to 3) against the bijective maps among
 them, the product, power, quotient and relabelling constructors against
 cell-by-cell construction, quotients through a finer congruence (on up
 to 6 elements, arities up to 3) against the direct quotient, the unchecked
-diagonal quotient, inverses and composites against the checked
+diagonal quotient, inverses, composites, the maps the isomorphism search
+yields and the pairing maps of factor pairs against the checked
 homomorphism constructor, factor-pair verdicts against relational
 products over all triples, and the table-driven complement lists against
 check_factor_pair.  The cover relation, the modular and distributive flags
@@ -25,8 +26,10 @@ closure computes, reusing the ones it already knows, is checked against
 a closure from scratch.  The reports of both CBS verbs, which run the one
 case a finite algebra has, are checked byte for byte against the general
 searches over every member of K(A), on random algebras of at most 4
-elements.  The correspondence block of presheaf_check, read off the
-positions of K(A) in Con(A) and Con(A/sigma), is checked against
+elements, and so is the CBS sequence of every automorphism against the
+general sequence through A/diagonal.  The correspondence block of
+presheaf_check, read off the positions of K(A) in Con(A) and
+Con(A/sigma), is checked against
 refinement scans on random algebras of at most 5 elements (arities up to
 3), also with one lift replaced by a wrong congruence.
 Hypothesis runs derandomized with a bounded number of examples, so every
@@ -43,6 +46,7 @@ from cbswb.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
+    _isomorphisms,
     automorphisms,
     direct_product,
     gather,
@@ -59,8 +63,10 @@ from cbswb.cbs import (
     boolean_sublattice_check,
     cbs_complete_check,
     cbs_property_check,
+    cbs_sequence,
     operator_eval,
     presheaf_check,
+    validate_sequence,
 )
 from cbswb import cbs, congruence
 from cbswb.congruence import (
@@ -79,7 +85,8 @@ from cbswb.errors import ValidationError
 from cbswb.lattice import FiniteLattice
 from cbswb.omega import QuasiCyclic
 from cbswb.report import json_text
-from cbswb.structure import center_of_lattice, check_factor_pair, factor_congruences
+from cbswb.structure import (center_of_lattice, check_factor_pair, decomposition_witness,
+                             factor_congruences)
 
 from oracles import (
     all_homs,
@@ -89,6 +96,7 @@ from oracles import (
     cbs_complete_search,
     cbs_property_search,
     factor_pair_verdict,
+    general_cbs_sequence,
     join_closure,
     lattice_covers,
     lattice_is_distributive,
@@ -619,7 +627,19 @@ def test_derived_quotients_and_maps_pass_the_homomorphism_check(A, data):
         step = quotient_algebra(Q.algebra, congruence.quotient_lift(Q, theta))
         assert_checked(step.projection.compose(Q.projection))
 
-    _, iso = relabel(A, data.draw(st.permutations(range(A.size))))
+    copy, iso = relabel(A, data.draw(st.permutations(range(A.size))))
+    # the isomorphism search checks every cell before it yields a map
+    for m in _isomorphisms(A, A, A.size):
+        assert_checked(Homomorphism._built(A, A, m))
+    assert_checked(iso_search(A, copy))
+    # the pairing map of a factor pair, into the product of its quotients
+    analysis = factor_congruences(A)
+    E = analysis.lattice.elements
+    for i, js in analysis.complements.items():
+        for j in js:
+            pairing = decomposition_witness(A, E[i], E[j])["iso"]
+            assert pairing.is_bijective()
+            assert_checked(pairing)
     auts = automorphisms(A)[:4]
     assert_checked(iso.inverse())
     for g in auts:
@@ -706,9 +726,10 @@ def test_lattice_laws_of_moore_families_match_triple_loops(case):
     check_lattice_laws(L)
 
 
-@settings(KERNEL_SETTINGS, max_examples=40)
-@given(st.data())
-def test_cbs_verbs_match_the_general_searches(data):
+def cbs_case(data):
+    """A random algebra of at most 4 elements and the operator kinds to run
+    on it: con, fc, zcon, rel on x = x and, when A satisfies it,
+    commutativity of its first binary operation."""
     size = data.draw(st.integers(1, 4))
     A = FiniteAlgebra("r", size, tables(data.draw, size, data.draw(signatures)))
     kinds = [OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(),
@@ -718,9 +739,36 @@ def test_cbs_verbs_match_the_general_searches(data):
         comm = OperatorKind.relative((f"({binary} x y) = ({binary} y x)",))
         if satisfies(A, comm.sentences)[0]:
             kinds.append(comm)
+    return A, kinds
+
+
+@settings(KERNEL_SETTINGS, max_examples=40)
+@given(st.data())
+def test_cbs_verbs_match_the_general_searches(data):
+    A, kinds = cbs_case(data)
     for kind in kinds:
         assert json_text(cbs_property_check(A, kind)) == json_text(cbs_property_search(A, kind))
         assert json_text(cbs_complete_check(A, kind)) == json_text(cbs_complete_search(A, kind))
+
+
+@settings(KERNEL_SETTINGS, max_examples=30)
+@given(st.data())
+def test_cbs_sequence_matches_the_general_sequence(data):
+    """The sequence of each automorphism f (None for the identity, also
+    given as a map onto A/diagonal) is the general sequence of f seeded at
+    theta = zeta = the diagonal, byte for byte, and both pass the laws."""
+    A, kinds = cbs_case(data)
+    diag = Congruence.diagonal(A)
+    Q = quotient_algebra(A, diag).algebra
+    for g in (None, *automorphisms(A)):
+        given_as = [g] if g is None else [g, Homomorphism(A, Q, g.mapping)]
+        for kind in kinds:
+            general = general_cbs_sequence(A, g, diag, diag, kind)
+            assert validate_sequence(general) == []
+            for f in given_as:
+                state = cbs_sequence(A, f, kind)
+                assert json_text(state.to_report()) == json_text(general.to_report())
+                assert validate_sequence(state) == []
 
 
 @st.composite
