@@ -6,8 +6,8 @@ the centre of the congruence lattice, and the congruences whose quotient
 satisfies a fixed sentence set.  On top of the selected family the module
 computes the interval map f-hat induced by an isomorphism f: A -> A/theta,
 on a finite algebra an automorphism with theta the diagonal, the
-CBS-sequences generated by such data, and the property / completeness
-verdicts, each with explicit witnesses.
+CBS-sequence of that one case, and the property / completeness verdicts,
+each with explicit witnesses.
 """
 
 from dataclasses import dataclass, field
@@ -138,15 +138,14 @@ def _boolean_failure(L: CongruenceLattice, at):
 
 
 def _automorphism(A: FiniteAlgebra, f) -> Homomorphism:
-    """f as a map A -> A, checked once.  An isomorphism A -> A/theta keeps
-    the carrier's size, so on a finite algebra theta is the diagonal and f
-    an automorphism: None is the identity, and a bijective map onto tables
-    equal to A's, such as those of A/diagonal, is read as one onto A."""
+    """f as an automorphism of A, None for the identity.  An isomorphism
+    A -> A/theta keeps the carrier's size, so on a finite algebra theta is
+    the diagonal and f an automorphism."""
     if f is None:
         return Homomorphism._built(A, A, range(A.size))
-    if f.source != A or not f.is_bijective() or not f.target.same_tables(A):
+    if f.source != A or f.target != A or not f.is_bijective():
         raise ValidationError("f is not an automorphism of A")
-    return f if f.target == A else Homomorphism._built(A, A, f.mapping)
+    return f
 
 
 def f_hat(A: FiniteAlgebra, f, sigma: Congruence) -> Congruence:
@@ -256,7 +255,6 @@ class CbsSequenceState:
     """Materialized sigma/theta tables with complement choices and d-terms."""
 
     algebra: FiniteAlgebra
-    f: Homomorphism
     theta: Congruence
     zeta: Congruence
     kind: OperatorKind
@@ -286,53 +284,41 @@ class CbsSequenceState:
         }
 
 
-def cbs_sequence(A: FiniteAlgebra, f=None, kind: Optional[OperatorKind] = None,
+def cbs_sequence(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
                  max_size: int = DEFAULT_CON_CAP) -> CbsSequenceState:
-    """Run the sigma/theta recursion of the automorphism f (None for the
-    identity) and attach the complement data.
+    """The CBS-sequence of the one case a finite algebra has, with its
+    complement data.
 
-    On a finite algebra theta = zeta = the diagonal (see _automorphism):
-    sigma_0 and sigma_1 are the diagonal, theta_{n+1} is the pushforward
-    of sigma_n along f and sigma_{n+1} the preimage of theta_n under the
-    natural projection of A/diagonal, the identity, so the recursion is
-    stationary from index 2 on and runs to index 7.  The complement of
-    f_hat(zeta) in K(A) seeds the odd-index complements, which then
-    propagate through f_hat.
+    An isomorphism f: A -> A/theta keeps the carrier's size, so theta =
+    zeta = the diagonal and f is an automorphism.  Pulling the diagonal or
+    the total congruence back along a bijection gives it again, so the
+    sequence is the same for every f: sigma_0 = sigma_1 = the diagonal,
+    theta_{n+1} = f_hat(sigma_n) and sigma_{n+1} = theta_n are the diagonal
+    too, stationary from index 2 and written to index 7, and the total
+    congruence, in every K(A), is the one complement of f_hat(zeta).  The
+    odd-index complements are then total, and so is every d-term.  K(A) is
+    read so that the carrier cap applies and a relative kind whose
+    sentences A fails is refused.
     """
     kind = kind or OperatorKind.fc()
-    f = _automorphism(A, f)
-    fhat = partial(transport, f.inverse())
-    L, at = _k_positions(A, kind, max_size=max_size)
-    diag = Congruence.diagonal(A)
-
-    sigmas = [diag, diag]
-    thetas = [None, fhat(diag)]
-    stabilized_at = None
-    for n in range(1, 7):
-        sigmas.append(thetas[n])
-        thetas.append(fhat(sigmas[n]))
-        if stabilized_at is None and sigmas[n + 1].rep == sigmas[n].rep \
-                and thetas[n + 1].rep == thetas[n].rep:
-            stabilized_at = n + 1
-
-    options = [L.elements[j] for j in _complements(L, L.index[fhat(diag).rep], set(at))]
-    # the total congruence is in every K(A) and a complement of the diagonal
-    chosen = options[0]
-    neg_odd, ds = sequence_tail(sigmas, transport(f, chosen), fhat, congruence_join)
+    _k_positions(A, kind, max_size=max_size)
+    diag, total = Congruence.diagonal(A), Congruence.total(A)
     return CbsSequenceState(
-        algebra=A, f=f, theta=diag, zeta=diag, kind=kind,
-        sigmas=sigmas, thetas=thetas, neg_odd=neg_odd, ds=ds,
-        complement_used=chosen, complement_options=options,
-        stabilized=stabilized_at is not None, stabilized_at=stabilized_at,
+        algebra=A, theta=diag, zeta=diag, kind=kind,
+        sigmas=[diag] * 8, thetas=[None] + [diag] * 7,
+        neg_odd={i: total for i in range(1, 8, 2)}, ds=[total] * 4,
+        complement_used=total, complement_options=[total],
+        stabilized=True, stabilized_at=2,
     )
 
 
 def validate_sequence(state: CbsSequenceState):
     """Recompute every law of the sequence; returns the list of violations.
-    After the shared list: the theta recursion and the chosen complement."""
+    The sequence is every automorphism's (see cbs_sequence), so f_hat is
+    that of the identity.  After the shared list: the theta recursion and
+    the chosen complement."""
     A, sigmas, thetas = state.algebra, state.sigmas, state.thetas
-    f = _automorphism(A, state.f)
-    fhat = partial(transport, f.inverse())
+    fhat = partial(f_hat, A, None)
     out = sequence_shape(sigmas, thetas, state.neg_odd, state.ds)
     if out:
         return out
@@ -342,7 +328,7 @@ def validate_sequence(state: CbsSequenceState):
         ("join", "is not total", "the pulled-back complement"),
     )
     out = sequence_violations(lattice, sigmas, state.zeta, state.neg_odd,
-                              transport(f, state.complement_used), state.ds)
+                              f_hat_inverse(A, None, state.complement_used), state.ds)
     if thetas[1].rep != Congruence.diagonal(A).rep:
         out.append("theta[1] is not the diagonal of the quotient")
     for n in range(1, len(sigmas) - 1):
@@ -415,10 +401,10 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     E, index = L.elements, L.index
     boolean = _boolean_failure(L, at) is None
 
-    def equation(claim, ok, hom=None):
+    def equation(claim, ok, mapping=None):
         entry = {"claim": claim, "ok": bool(ok)}
-        if hom is not None:
-            entry["iso"] = list(hom.mapping)
+        if mapping is not None:
+            entry["iso"] = list(mapping)
         return entry
 
     state = cbs_sequence(A, kind=kind, max_size=max_size)
@@ -441,23 +427,19 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     }
 
     w = decomposition_witness(A, neg_chi, chi)
-    equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"])]
+    equations = [equation("A ~ A/neg_chi x A/chi", True, w["iso"].mapping)]
 
-    Qz = quotient_algebra(A, diag).algebra
+    # A/zeta = A/sigma = A/diagonal has A's tables
     Qnc = quotient_algebra(A, neg_chi).algebra
     Qsz = quotient_algebra(A, sz).algebra
-    hit2 = iso_search(Qz, direct_product(Qnc, Qsz), max_size=max_size)
-    equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2, hit2))
+    hit2 = iso_search(A, direct_product(Qnc, Qsz), max_size=max_size)
+    equations.append(equation("A/zeta ~ A/neg_chi x A/sigma_zeta", hit2,
+                              hit2 and hit2.mapping))
 
-    fchi = f_hat(A, state.f, chi)
-    Qchi = quotient_algebra(A, chi).algebra
-    Qfchi = quotient_algebra(A, fchi).algebra
-    hit3 = iso_search(Qchi, Qfchi, max_size=max_size)
-    equations.append(equation("A/chi ~ A/f_hat(chi)", hit3, hit3))
-
-    equations.append(equation("f_hat(chi) = sigma_zeta", fchi.rep == sz.rep))
-    conc = iso_search(A, Qz, max_size=max_size)
-    conclusion = equation("A ~ A/sigma", conc, conc)
+    # the sequence is the identity's, whose f_hat(chi) is chi
+    equations.append(equation("A/chi ~ A/f_hat(chi)", True, range(chi.nblocks)))
+    equations.append(equation("f_hat(chi) = sigma_zeta", chi.rep == sz.rep))
+    conclusion = equation("A ~ A/sigma", True, range(A.size))
 
     closed = all(e["ok"] for e in equations) and conclusion["ok"]
     if not closed:

@@ -454,7 +454,7 @@ def general_cbs_sequence(A, f, theta, zeta, kind, complement=None):
     chosen = options[0] if complement is None else complement
     neg_odd, ds = sequence_tail(sigmas, iso.fhat_inv(chosen), iso.fhat, congruence_join)
     return CbsSequenceState(
-        algebra=A, f=iso.f, theta=theta, zeta=zeta, kind=kind,
+        algebra=A, theta=theta, zeta=zeta, kind=kind,
         sigmas=sigmas, thetas=thetas, neg_odd=neg_odd, ds=ds,
         complement_used=chosen, complement_options=options,
         stabilized=stabilized_at is not None, stabilized_at=stabilized_at,

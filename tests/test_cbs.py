@@ -110,22 +110,14 @@ def test_admissibility():
     assert hits_auto and hits_auto[0].is_diagonal()
 
 
-def _diag_setup(name):
-    A = corpus_algebra(name)
-    theta = Congruence.diagonal(A)
-    f = Homomorphism(A, quotient_algebra(A, theta).algebra, list(range(A.size)))
-    return A, theta, f
-
-
 def test_f_hat_identity_case():
-    A, theta, f = _diag_setup("v4")
+    A = corpus_algebra("v4")
+    identity = Homomorphism(A, A, list(range(A.size)))
     for c in all_congruences(A).elements:
-        for g in (f, None):
+        for g in (identity, None):
             assert f_hat(A, g, c).rep == c.rep
             assert f_hat_inverse(A, g, c).rep == c.rep
-    # f_hat of the bottom of K(A) is theta itself
-    assert f_hat(A, f, Congruence.diagonal(A)).rep == theta.rep
-    check = f_hat_interval_check(A, f, theta, OperatorKind.fc())
+    check = f_hat_interval_check(A, None, Congruence.diagonal(A), OperatorKind.fc())
     assert check["ok"]
     assert check["onto_interval"] and check["inverse_roundtrip"]
 
@@ -142,11 +134,10 @@ def test_f_hat_through_nontrivial_automorphism():
         # inverse, taken through A/theta
         general = QuotientIso(A, f, theta)
         for c in all_congruences(A).elements:
-            for h in (f, g):
-                image = f_hat(A, h, c)
-                assert image.rep == general.fhat(c).rep
-                assert f_hat_inverse(A, h, image).rep == c.rep
-                assert f_hat_inverse(A, h, c).rep == general.fhat_inv(c).rep
+            image = f_hat(A, g, c)
+            assert image.rep == general.fhat(c).rep
+            assert f_hat_inverse(A, g, image).rep == c.rep
+            assert f_hat_inverse(A, g, c).rep == general.fhat_inv(c).rep
 
 
 def test_sigma_bracket_on_v4():
@@ -168,34 +159,40 @@ def test_sigma_bracket_on_v4():
 
 def test_cbs_sequence_collapses_at_diagonal():
     for name in ("v4", "z4", "lat22"):
-        A, theta, f = _diag_setup(name)
-        for g in (None, f, *automorphisms(A)):
-            state = cbs_sequence(A, g)
-            assert state.stabilized and state.stabilized_at == 2
-            assert all(s.is_diagonal() for s in state.sigmas + state.thetas[1:])
-            assert all(d.is_total() for d in state.ds)
-            assert state.complement_used.is_total()
-            assert [c.rep for c in state.complement_options] == [Congruence.total(A).rep]
-            assert validate_sequence(state) == []
-            assert len(state.sigmas) == 8
+        A = corpus_algebra(name)
+        state = cbs_sequence(A)
+        assert state.stabilized and state.stabilized_at == 2
+        assert all(s.is_diagonal() for s in state.sigmas + state.thetas[1:])
+        assert all(d.is_total() for d in state.ds)
+        assert state.complement_used.is_total()
+        assert [c.rep for c in state.complement_options] == [Congruence.total(A).rep]
+        assert validate_sequence(state) == []
+        assert len(state.sigmas) == 8
+        # every automorphism's f_hat fixes each term, so the sequence is every f's
+        for g in automorphisms(A):
+            terms = state.sigmas + state.thetas[1:] + list(state.neg_odd.values()) + state.ds
+            assert all(f_hat(A, g, c) == c for c in terms)
 
 
-def test_cbs_sequence_rejects_a_map_that_is_no_automorphism():
+def test_f_hat_rejects_a_map_that_is_no_automorphism():
     v4, z4 = corpus_algebra("v4"), corpus_algebra("z4")
     shifted, to_shifted = relabel(z4, [1, 2, 3, 0])
     assert not shifted.same_tables(z4)
+    onto_quotient = Homomorphism(v4, quotient_algebra(v4, Congruence.diagonal(v4)).algebra,
+                                 list(range(4)))
     for A, f in ((v4, automorphisms(z4)[1]),  # a map of another algebra
                  (v4, Homomorphism(v4, v4, [0, 0, 0, 0])),  # not bijective
-                 (z4, to_shifted)):  # onto other tables
-        for call in (lambda: cbs_sequence(A, f), lambda: f_hat(A, f, Congruence.total(A)),
+                 (z4, to_shifted),  # onto other tables
+                 (v4, onto_quotient)):  # onto equal tables of another algebra
+        for call in (lambda: f_hat(A, f, Congruence.total(A)),
                      lambda: f_hat_inverse(A, f, Congruence.total(A))):
             with pytest.raises(ValidationError, match="f is not an automorphism of A"):
                 call()
 
 
 def test_validate_sequence_flags_mutations():
-    A, theta, f = _diag_setup("v4")
-    state = cbs_sequence(A, f)
+    A = corpus_algebra("v4")
+    state = cbs_sequence(A)
 
     bad = copy.copy(state)
     bad.sigmas = list(state.sigmas)
@@ -217,8 +214,8 @@ def test_validate_sequence_flags_mutations():
 
 
 def test_validate_sequence_reports_malformed_tables():
-    A, theta, f = _diag_setup("v4")
-    state = cbs_sequence(A, f)
+    A = corpus_algebra("v4")
+    state = cbs_sequence(A)
     odd = len(state.ds)
 
     extra = copy.copy(state)
