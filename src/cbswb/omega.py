@@ -67,9 +67,15 @@ class OmegaCongruence:
 
 @dataclass(frozen=True)
 class ShiftIso:
-    """Isomorphism of the power onto its quotient by the first k coordinates."""
+    """Isomorphism of the power onto its quotient by the first k coordinates.
+
+    fhat keeps the images it has computed, keyed by the canonical set, so a
+    run and its validation map each term once; the dict lives as long as
+    the ShiftIso.
+    """
 
     k: int
+    images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -80,7 +86,10 @@ class ShiftIso:
 
     def fhat(self, S: PeriodicSet) -> PeriodicSet:
         """S shifted by k, with the k coordinates of theta collapsed as well."""
-        return S.shift_fill(self.k)
+        image = self.images.get(S)
+        if image is None:
+            image = self.images[S] = S.shift_fill(self.k)
+        return image
 
     def fhat_inv(self, S: PeriodicSet) -> PeriodicSet:
         return S.backshift(self.k)
@@ -198,9 +207,15 @@ class OmegaRun:
     neg_sigma_zeta: Optional[PeriodicSet] = None
     equations: list = field(default_factory=list)
     conclusion: dict = field(default_factory=dict)
+    # the ShiftIso the terms came from, with their images; not an init field,
+    # so a copy made by dataclasses.replace starts a ShiftIso of its own
+    shift_iso: Optional[ShiftIso] = field(default=None, init=False, repr=False, compare=False)
 
     def iso(self) -> ShiftIso:
-        return ShiftIso(self.k)
+        """The run's ShiftIso, a new one if k has changed since it was made."""
+        if self.shift_iso is None or self.shift_iso.k != self.k:
+            self.shift_iso = ShiftIso(self.k)
+        return self.shift_iso
 
     def to_report(self) -> dict:
         texts = {}  # thetas[n] is sigmas[n-1], so many sets recur
@@ -305,12 +320,14 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
         "ok": all(e["ok"] for e in equations),
     }
 
-    return OmegaRun(
+    run = OmegaRun(
         base=A, k=k, theta=theta, zeta=zeta, sigmas=sigmas, thetas=thetas,
         neg_odd=neg_odd, ds=ds, sigma_zeta=sigma_zeta, infimum_certificate=cert,
         chi=chi, neg_chi=neg_chi, neg_sigma_zeta=neg_sigma_zeta,
         equations=equations, conclusion=conclusion,
     )
+    run.shift_iso = iso
+    return run
 
 
 def _d_pairs_may_fail(ds) -> bool:
@@ -362,11 +379,6 @@ def _lowest(bits: int):
     return (bits & -bits).bit_length() - 1 if bits else None
 
 
-def _window_mismatch(S: PeriodicSet, T: PeriodicSet, m: int):
-    """Least coordinate below m in exactly one of S and T, or None."""
-    return _lowest(S.bits_below(m) ^ T.bits_below(m))
-
-
 def check_truncation(k: int, m: int) -> None:
     """Refuse a truncation to m coordinates of a run shifting by k."""
     if m < 2 * k:
@@ -384,7 +396,6 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     """
     check_truncation(run.k, m)
     A = run.base
-    iso = run.iso()
     carrier = A.size ** m
     materialized = carrier <= MATERIALIZE_CAP
     checks = []
@@ -413,8 +424,8 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 run.chi, run.neg_chi)
     record_sets("zeta = neg_chi meet sigma_zeta", run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
                 run.neg_chi, run.sigma_zeta)
-    image = iso.fhat(run.chi)
-    record_sets("f_hat(chi) = sigma_zeta", image == run.sigma_zeta, image, run.sigma_zeta)
+    fchi = run.iso().fhat(run.chi)
+    record_sets("f_hat(chi) = sigma_zeta", fchi == run.sigma_zeta, fchi, run.sigma_zeta)
     shifted, neg_sz = run.chi.complement().shift(run.k), run.sigma_zeta.complement()
     record_sets("chi^c shifted onto sigma_zeta^c", shifted == neg_sz, shifted, neg_sz)
 
@@ -426,23 +437,31 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         record("sequence shape", False, {"reason": reason})
     if shape:
         return summary()
-    full = (1 << m) - 1
-    for n in range(len(run.sigmas) - 2):
-        x = _window_mismatch(iso.fhat(run.sigmas[n]), run.sigmas[n + 2], m)
-        record(f"recursion sigma[{n + 2}]", x is None,
+    full, k = (1 << m) - 1, run.k
+    sigma = [S.bits_below(m) for S in run.sigmas]
+    neg = {i: S.bits_below(m) for i, S in run.neg_odd.items()}
+    fill = (1 << k) - 1
+
+    def image(w):
+        # the window of f_hat(S) from the window w of S: the shift only moves
+        # coordinates up, so it reads nothing past m, and the first k are collapsed
+        return (w << k | fill) & full
+
+    for n in range(len(sigma) - 2):
+        x = _lowest(image(sigma[n]) ^ sigma[n + 2])
+        record(f"recursion sigma[{n + 2}]", x is None, None if x is None else
                {"pair": [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"], "coordinate": x})
-    for i in sorted(run.neg_odd):
-        if i + 2 in run.neg_odd:
-            x = _window_mismatch(iso.fhat(run.neg_odd[i]), run.neg_odd[i + 2], m)
-            record(f"complement rule neg_sigma[{i + 2}]", x is None,
+    for i in sorted(neg):
+        if i + 2 in neg:
+            x = _lowest(image(neg[i]) ^ neg[i + 2])
+            record(f"complement rule neg_sigma[{i + 2}]", x is None, None if x is None else
                    {"pair": [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"], "coordinate": x})
-        miss = _lowest(full ^ (run.sigmas[i].bits_below(m) | run.neg_odd[i].bits_below(m)))
-        record(f"totality sigma[{i}] u neg_sigma[{i}]", miss is None,
-               {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": miss})
+        x = _lowest(full ^ (sigma[i] | neg[i]))
+        record(f"totality sigma[{i}] u neg_sigma[{i}]", x is None, None if x is None else
+               {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": x})
     for n, d in enumerate(run.ds):
-        want = run.sigmas[2 * n].union(run.neg_odd[2 * n + 1])
-        x = _window_mismatch(d, want, m)
-        record(f"definition d[{n}]", x is None,
+        x = _lowest(d.bits_below(m) ^ (sigma[2 * n] | neg[2 * n + 1]))
+        record(f"definition d[{n}]", x is None, None if x is None else
                {"pair": [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"], "coordinate": x})
 
     pairs = [

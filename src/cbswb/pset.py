@@ -16,8 +16,11 @@ complement and the shifts, run `_trim` alone: complementing or rotating a
 residue mask maps its translates to the translates of the result, so a
 mask whose least period is p keeps p.  Union, intersection and difference
 can shorten the period (the odd and the even numbers make every number),
-so they run both steps.  A period-1 tail holds every position or none,
-so it is tiled as one mask.
+so they run both steps, except at period 1, whose one divisor leaves no
+period to search.  A period-1 tail holds every position or none, so
+`_trim` tiles it inline as one mask, with no call.  The binary operations
+read the window of the set with the lower threshold inline, as
+`bits_below` would give it.
 """
 
 import math
@@ -75,8 +78,6 @@ def _bits(positions, n: int) -> int:
 
 def _least_period(p: int, rbits: int):
     """The least period of the residue mask rbits < 2^p, with its mask."""
-    if p == 1:
-        return 1, rbits
     for d in _divisors(p):
         low = rbits & (1 << d) - 1
         if _tile(low, d, p) == rbits:
@@ -89,7 +90,9 @@ def _trim(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
     The threshold drops to just past the last position where the prefix
     disagrees with the periodic tail.
     """
-    t = (pbits ^ _tile(rbits, p, t)).bit_length()
+    # a period-1 tail holds every position or none
+    tail = ((1 << t) - 1 if rbits else 0) if p == 1 else _tile(rbits, p, t)
+    t = (pbits ^ tail).bit_length()
     s = object.__new__(PeriodicSet)
     s.threshold, s.pbits, s.period, s.rbits = t, pbits & (1 << t) - 1, p, rbits
     return s
@@ -97,6 +100,8 @@ def _trim(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
 
 def _of(t: int, pbits: int, p: int, rbits: int) -> "PeriodicSet":
     """Canonical set from pbits < 2^t below threshold t and rbits < 2^p mod p."""
+    if p == 1:  # the only divisor of 1 is 1
+        return _trim(t, pbits, 1, rbits)
     return _trim(t, pbits, *_least_period(p, rbits))
 
 
@@ -185,14 +190,22 @@ class PeriodicSet:
 
     def _aligned(self, other: "PeriodicSet", stage: str):
         """Both sets as windows below the larger threshold and masks mod the lcm."""
-        n = max(self.threshold, other.threshold)
+        t, u = self.threshold, other.threshold
         p, q = self.period, other.period
+        a, b, ra, rb = self.pbits, other.pbits, self.rbits, other.rbits
+        # the set with the lower threshold fills the window up from its tail,
+        # as bits_below does
+        if t < u:
+            n, a = u, a | _tile(ra, p, u) >> t << t
+        elif u < t:
+            n, b = t, b | _tile(rb, q, t) >> u << u
+        else:
+            n = t
         if p == q:  # both sets are within budget, so the pair is too
-            return n, p, self.bits_below(n), other.bits_below(n), self.rbits, other.rbits
+            return n, p, a, b, ra, rb
         m = math.lcm(p, q)
         _budget(stage, n, m)
-        return (n, m, self.bits_below(n), other.bits_below(n),
-                _tile(self.rbits, p, m), _tile(other.rbits, q, m))
+        return n, m, a, b, _tile(ra, p, m), _tile(rb, q, m)
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
         n, p, a, b, ra, rb = self._aligned(other, "union")

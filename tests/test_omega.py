@@ -37,6 +37,7 @@ from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
 from oracles import Pruefer, apply_raw, members, raw_members
+from test_pset_random import raw_sets
 
 WINDOW = 64
 
@@ -314,6 +315,42 @@ def test_validate_flags_mutations():
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     run.chi = run.chi.union(PeriodicSet.from_finite([0]))
     assert any("chi" in v for v in omega_validate(run))
+
+
+def test_image_memo_cannot_hide_a_changed_term():
+    zeta = PeriodicSet.from_finite([0])
+    run = omega_cbs_run(z(2), 2, zeta)
+    assert omega_validate(run) == [] and run.iso().images  # the images are kept
+    edits = [("sigmas", 3, "f_hat(sigma[3]) != sigma[5]"),
+             ("sigmas", 5, "f_hat(sigma[3]) != sigma[5]"),
+             ("neg_odd", 5, "neg sigma[5] != f_hat(neg sigma[3])")]
+    fresh = omega_cbs_run(z(2), 2, zeta)
+    for name, index, flagged in edits:
+        old = getattr(run, name)[index]
+        # coordinate 1 lies below each term's threshold, so toggling it keeps
+        # the threshold and the period and changes only a prefix bit
+        x = PeriodicSet.from_finite([1])
+        new = old.difference(x) if x.subset(old) else old.union(x)
+        assert (new.threshold, new.period) == (old.threshold, old.period)
+        getattr(run, name)[index] = getattr(fresh, name)[index] = new
+        # the run validated before reports what a run never validated reports
+        violations = omega_validate(run)
+        assert flagged in violations, (name, index, violations)
+        assert violations == omega_validate(dataclasses.replace(fresh))
+
+
+def test_runs_do_not_share_their_shift_iso():
+    a = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    b = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    c = dataclasses.replace(a)
+    assert a.iso() is a.iso()
+    for x, y in ((a, b), (a, c), (b, c)):
+        assert x.iso() is not y.iso() and x.iso().images is not y.iso().images
+    assert ShiftIso(2) == ShiftIso(2) and ShiftIso(2).images is not ShiftIso(2).images
+    # a run whose k is changed maps its terms by the new shift
+    a.k = 3
+    assert a.iso().k == 3 and omega_validate(a) == omega_validate(dataclasses.replace(b, k=3))
+    assert "f_hat(sigma[0]) != sigma[2]" in omega_validate(a)
 
 
 def test_validate_lists_every_failing_d_pair():
@@ -657,6 +694,48 @@ def test_truncation_window_checks_ignore_coordinates_past_m(field):
     # the same holes inside a larger window are seen
     wide = truncate_validate(_holed_run(field, LATE_HOLES), 24)
     assert {c["witness"]["coordinate"] for c in wide["failures"]} >= {16}
+
+
+def _window_mismatch(S, T, m):
+    """Least coordinate below m in exactly one of S and T, or None: the
+    check on the sets themselves, f_hat(S) built through ShiftIso."""
+    x = S.bits_below(m) ^ T.bits_below(m)
+    return (x & -x).bit_length() - 1 if x else None
+
+
+def _window_coordinate(result, name):
+    entry = next(c for c in result["checks"] if c["name"] == name)
+    return None if entry["ok"] else entry["witness"]["coordinate"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(raw_sets(), st.integers(1, 8), st.integers(0, 40), st.data())
+def test_truncation_windows_agree_with_the_shifted_sets(case, k, extra, data):
+    S, _ = case
+    m = min(2 * k + extra, 64)
+    assert (S.bits_below(m) << k | (1 << k) - 1) & ((1 << m) - 1) == \
+        ShiftIso(k).fhat(S).bits_below(m)
+    # one corrupted term of a run, checked on a window too large to materialize
+    zeta = PeriodicSet.from_finite(sorted(data.draw(st.frozensets(st.integers(0, k - 1)))))
+    run = omega_cbs_run(z(2), k, zeta, indices=12)
+    field = data.draw(st.sampled_from(["sigma", "neg"]))
+    terms = run.sigmas if field == "sigma" else run.neg_odd
+    index = data.draw(st.sampled_from(sorted(range(len(terms)) if field == "sigma" else terms)))
+    if terms[index] == S:
+        S = S.complement()
+    terms[index] = S
+    m = max(m, 10)
+    result = truncate_validate(run, m)
+    iso = ShiftIso(k)
+    for n in range(len(run.sigmas) - 2):
+        assert _window_coordinate(result, f"recursion sigma[{n + 2}]") == \
+            _window_mismatch(iso.fhat(run.sigmas[n]), run.sigmas[n + 2], m)
+    for i in range(1, len(run.sigmas) - 2, 2):
+        assert _window_coordinate(result, f"complement rule neg_sigma[{i + 2}]") == \
+            _window_mismatch(iso.fhat(run.neg_odd[i]), run.neg_odd[i + 2], m)
+    for n, d in enumerate(run.ds):
+        assert _window_coordinate(result, f"definition d[{n}]") == \
+            _window_mismatch(d, run.sigmas[2 * n].union(run.neg_odd[2 * n + 1]), m)
 
 
 def test_symbolic_layer_does_not_test_membership_coordinate_by_coordinate(monkeypatch):

@@ -8,8 +8,9 @@ involved, one full common period repeats forever.  Pairs that share a
 period take the path that skips the lcm, and the results of complement
 and the shifts, which keep the least period and skip its search, are
 compared with the full canonicalisation of raw fields spelled out from
-the readable ones.  Hypothesis runs derandomized with a bounded number of
-examples, so every run tries the same sets.
+the readable ones, as are the binary operations on pairs with a period-1
+side, which skip the period search.  Hypothesis runs derandomized with a
+bounded number of examples, so every run tries the same sets.
 """
 
 import math
@@ -176,3 +177,41 @@ def test_equal_period_operations_match_window_model(pair):
         assert_canonical(s)
     assert a.subset(b) == (ma <= mb)
     assert b.subset(a) == (mb <= ma)
+
+
+@st.composite
+def period_one_sets(draw):
+    """A set of period 1, a finite or a cofinite one, with its membership over the window."""
+    threshold = draw(st.integers(0, MAX_THRESHOLD))
+    prefix = draw(st.lists(st.booleans(), min_size=threshold, max_size=threshold))
+    residues = draw(st.sampled_from([(), (0,)]))
+    return PeriodicSet(threshold, prefix, 1, residues), raw_members(
+        threshold, prefix, 1, residues, WINDOW)
+
+
+def raw_fields(s, n, period):
+    """The window below n and the residue mask mod period, a multiple of s.period,
+    spelled out from the readable fields."""
+    below = {x for x in range(n)
+             if (s.prefix[x] if x < s.threshold else x % s.period in s.residues)}
+    return mask(below), mask(r for r in range(period) if r % s.period in s.residues)
+
+
+@PSET_SETTINGS
+@given(st.one_of(st.tuples(period_one_sets(), raw_sets()),
+                 st.tuples(raw_sets(), period_one_sets()),
+                 st.tuples(period_one_sets(), period_one_sets())))
+def test_binary_operations_with_a_period_one_side_match_full_canonicalisation(pair):
+    # each result must equal the full canonicalisation, period search included,
+    # of raw fields over the larger threshold and the lcm of the periods
+    (a, ma), (b, mb) = pair
+    n, p = max(a.threshold, b.threshold), math.lcm(a.period, b.period)
+    (wa, ra), (wb, rb) = raw_fields(a, n, p), raw_fields(b, n, p)
+    want = {
+        "union": _of(n, wa | wb, p, ra | rb),
+        "intersect": _of(n, wa & wb, p, ra & rb),
+        "difference": _of(n, wa & ~wb, p, ra & ~rb),
+    }
+    for name, expected in want.items():
+        assert getattr(a, name)(b) == expected, name
+    assert a.subset(b) == want["difference"].is_empty() == (ma <= mb)
