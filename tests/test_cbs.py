@@ -81,10 +81,11 @@ def test_operator_eval_rel_requires_membership():
     kind = OperatorKind.relative(("(+ x x) = (+ y y)",))
     message = re.escape("'z4' does not satisfy the relative sentences, "
                         "so the diagonal is missing from K(A)")
-    with pytest.raises(ValidationError, match=message):
-        operator_eval(z4, kind)
-    with pytest.raises(ValidationError, match=message):
-        presheaf_check(z4, kind)
+    # every CBS entry point reads K(A) before it computes anything
+    for check in (operator_eval, presheaf_check, cbs_property_check, cbs_complete_check,
+                  cbs_sequence):
+        with pytest.raises(ValidationError, match=message):
+            check(z4, kind)
 
 
 def admitting(f, kind):
@@ -351,6 +352,28 @@ def test_con_is_enumerated_once_per_algebra(monkeypatch):
     # the built list keeps every algebra alive, so ids are not reused
     assert any(A is z2_3 for A in built) and any(A is v4 for A in built)
     assert len({id(A) for A in built}) == len(built)
+
+
+def test_cbs_complete_reads_k_once(monkeypatch):
+    read = []
+    factor_congruences = cbs.factor_congruences
+
+    def counted(A, *args, **kwargs):
+        read.append(A)
+        return factor_congruences(A, *args, **kwargs)
+
+    monkeypatch.setattr(cbs, "factor_congruences", counted)
+    for name in CORPUS_NAMES:
+        A = corpus_algebra(name)
+        read.clear()
+        assert cbs_complete_check(A)["verdict"] == "certified"
+        assert read == [A], name
+    # the K(A) read is the verb's one budget site: no isomorphism search runs
+    z2_4 = power_algebra(corpus_algebra("z2"), 4)
+    with pytest.raises(BudgetError) as err:
+        cbs_complete_check(z2_4)
+    assert str(err.value) == (
+        "congruence enumeration: carrier reached 16, over the 8-element budget")
 
 
 def test_cbs_complete_certifies_corpus_algebras():
