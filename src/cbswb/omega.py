@@ -27,7 +27,7 @@ from .algebra import (
 from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, sequence_violations
 from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
 from .errors import ValidationError, over_budget
-from .pset import PeriodicSet
+from .pset import PeriodicSet, _budget, _of, _rotate
 from .structure import check_factor_pair, decomposition_witness, factor_congruences
 
 MATERIALIZE_CAP = 512
@@ -67,15 +67,9 @@ class OmegaCongruence:
 
 @dataclass(frozen=True)
 class ShiftIso:
-    """Isomorphism of the power onto its quotient by the first k coordinates.
-
-    fhat keeps the images it has computed, keyed by the canonical set, so a
-    run and its validation map each term once; the dict lives as long as
-    the ShiftIso.
-    """
+    """Isomorphism of the power onto its quotient by the first k coordinates."""
 
     k: int
-    images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -86,10 +80,7 @@ class ShiftIso:
 
     def fhat(self, S: PeriodicSet) -> PeriodicSet:
         """S shifted by k, with the k coordinates of theta collapsed as well."""
-        image = self.images.get(S)
-        if image is None:
-            image = self.images[S] = S.shift_fill(self.k)
-        return image
+        return S.shift_fill(self.k)
 
     def fhat_inv(self, S: PeriodicSet) -> PeriodicSet:
         return S.backshift(self.k)
@@ -122,10 +113,6 @@ class AffineFamily:
         return out
 
 
-def _stabilization_bound(x: int, k: int) -> int:
-    return (x + 1 + k - 1) // k + 1
-
-
 def countable_infimum(family: AffineFamily):
     """Intersection of the whole family, decided coordinatewise, and its
     certificate.
@@ -144,7 +131,7 @@ def countable_infimum(family: AffineFamily):
     # transients clear, so the candidate threshold leaves that much room
     settle = n0 + 2 * pattern
     window = settle + 2 * pattern
-    n_max = 2 * _stabilization_bound(window - 1, k)
+    n_max = 2 * ((window + k - 1) // k + 1)  # twice the bound of coordinate window - 1
     terms = family.terms(n_max)
 
     # coordinate x reads the terms V_1 .. V_min(2b, n_max), b its stabilization
@@ -168,13 +155,19 @@ def countable_infimum(family: AffineFamily):
     if unstable:
         raise ValidationError("infimum not representable")
 
-    residues = {x % pattern for x in range(settle, settle + pattern) if bits >> x & 1}
-    candidate = PeriodicSet(settle, [bits >> x & 1 for x in range(settle)], pattern, residues)
+    # the residue of coordinate settle + j is (settle + j) mod pattern
+    residues = _rotate(bits >> settle & (1 << pattern) - 1, pattern, settle)
+    _budget("construction", settle, pattern)
+    candidate = _of(settle, bits & (1 << settle) - 1, pattern, residues)
     if candidate.bits_below(window) != bits:
         raise ValidationError("infimum not representable")
-    for term in terms:
-        if not candidate.subset(term):
-            raise ValidationError("infimum not representable")
+    # windows one common period past every threshold decide inclusion
+    last = max(candidate.threshold, *(term.threshold for term in terms))
+    period = math.lcm(candidate.period, *{term.period for term in terms})
+    _budget("subset test", last, period)
+    c = candidate.bits_below(last + period)
+    if any(c & ~term.bits_below(last + period) for term in terms):
+        raise ValidationError("infimum not representable")
 
     return candidate, {
         "window": window,
@@ -207,23 +200,14 @@ class OmegaRun:
     neg_sigma_zeta: Optional[PeriodicSet] = None
     equations: list = field(default_factory=list)
     conclusion: dict = field(default_factory=dict)
-    # the ShiftIso the terms came from, with their images; not an init field,
-    # so a copy made by dataclasses.replace starts a ShiftIso of its own
-    shift_iso: Optional[ShiftIso] = field(default=None, init=False, repr=False, compare=False)
-
-    def iso(self) -> ShiftIso:
-        """The run's ShiftIso, a new one if k has changed since it was made."""
-        if self.shift_iso is None or self.shift_iso.k != self.k:
-            self.shift_iso = ShiftIso(self.k)
-        return self.shift_iso
 
     def to_report(self) -> dict:
-        texts = {}  # thetas[n] is sigmas[n-1], so many sets recur
+        texts = {}  # thetas[n] is the object sigmas[n-1], so many sets recur
 
         def render(s: PeriodicSet) -> str:
-            text = texts.get(s)
+            text = texts.get(id(s))
             if text is None:
-                text = texts[s] = s.render()
+                text = texts[id(s)] = s.render()
             return text
 
         return {
@@ -320,52 +304,69 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
         "ok": all(e["ok"] for e in equations),
     }
 
-    run = OmegaRun(
+    return OmegaRun(
         base=A, k=k, theta=theta, zeta=zeta, sigmas=sigmas, thetas=thetas,
         neg_odd=neg_odd, ds=ds, sigma_zeta=sigma_zeta, infimum_certificate=cert,
         chi=chi, neg_chi=neg_chi, neg_sigma_zeta=neg_sigma_zeta,
         equations=equations, conclusion=conclusion,
     )
-    run.shift_iso = iso
-    return run
-
-
-def _d_pairs_may_fail(ds) -> bool:
-    # a pair of d-terms misses a coordinate only if two complements share
-    # it, so one linear pass decides whether the pairs need checking
-    seen = twice = PeriodicSet.empty()
-    for d in ds:
-        gap = d.complement()
-        twice = twice.union(seen.intersect(gap))
-        seen = seen.union(gap)
-    return not twice.is_empty()
 
 
 def omega_validate(run: OmegaRun):
     """Symbolic law re-check: the law list shared with the finite validator,
-    then theta, sigma_zeta and chi, which only the symbolic run has."""
-    iso = run.iso()
+    then theta, sigma_zeta and chi, which only the symbolic run has.
+
+    Sets whose thresholds are at most T' and whose periods divide P are
+    equal iff they agree on [0, T' + P).  A law compares stored terms, f_hat
+    of them (k higher thresholds) and their Boolean combinations, so each
+    term is read once as a window of W = T + k + P bits, T the largest
+    stored threshold and P the lcm of the stored periods, and the laws are
+    decided exactly on those ints.
+    """
+    k = ShiftIso(run.k).k  # refuses a shift below 1, as the run does
     out = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
     if out:
         return out
+    named = [run.zeta, run.sigma_zeta, run.chi, run.neg_chi]
+    terms = [*run.sigmas, *run.thetas[1:], *run.neg_odd.values(), *run.ds, *named]
+    last = max(S.threshold for S in terms)
+    period = math.lcm(*{S.period for S in terms})
+    _budget("validation window", last + k, period)
+    width = last + k + period
+    full, fill = (1 << width) - 1, (1 << k) - 1
+    sigmas = [S.bits_below(width) for S in run.sigmas]
+    neg_odd = {i: S.bits_below(width) for i, S in run.neg_odd.items()}
+    ds = [d.bits_below(width) for d in run.ds]
+    zeta, sigma_zeta, chi, neg_chi = (S.bits_below(width) for S in named)
+
+    def pairs_may_fail(ds):
+        # a pair of d-terms misses a coordinate only if two gaps share it
+        seen = twice = 0
+        for d in ds:
+            gap = full ^ d
+            twice |= seen & gap
+            seen |= gap
+        return twice != 0
+
     lattice = SequenceLattice(
-        iso.fhat, PeriodicSet.union, PeriodicSet.subset,
-        PeriodicSet.is_empty, PeriodicSet.is_naturals,
-        ("union", "misses coordinates", "the complement rule"), _d_pairs_may_fail,
+        lambda w: (w << k | fill) & full, int.__or__, lambda a, b: not a & ~b,
+        lambda w: not w, lambda w: w == full,
+        ("union", "misses coordinates", "the complement rule"), pairs_may_fail,
     )
-    neg1 = iso.fhat_inv(iso.fhat(run.zeta).complement())
-    out += sequence_violations(lattice, run.sigmas, run.zeta, run.neg_odd, neg1, run.ds)
+    # neg sigma[1] is f_hat(zeta)^c shifted back by k, which is zeta^c
+    neg1 = full ^ zeta
+    out += sequence_violations(lattice, sigmas, zeta, neg_odd, neg1, ds)
     for n in range(1, len(run.thetas)):
-        if run.thetas[n] != run.sigmas[n - 1]:
+        if run.thetas[n].bits_below(width) != sigmas[n - 1]:
             out.append(f"theta[{n}] is not the image of sigma[{n - 1}]")
-    for n in range(1, len(run.ds)):
-        if not run.sigma_zeta.subset(run.ds[n]):
+    for n in range(1, len(ds)):
+        if sigma_zeta & ~ds[n]:
             out.append(f"sigma_zeta is not below d[{n}]")
-    chi, neg_chi = chi_pair(run.zeta, neg1, run.sigma_zeta, run.sigma_zeta.complement(),
-                            PeriodicSet.intersect, PeriodicSet.union)
-    if run.chi != chi:
+    want_chi, want_neg_chi = chi_pair(zeta, neg1, sigma_zeta, full ^ sigma_zeta,
+                                      int.__and__, int.__or__)
+    if chi != want_chi:
         out.append("chi does not match its definition")
-    if run.neg_chi != neg_chi:
+    if neg_chi != want_neg_chi:
         out.append("neg_chi does not match its definition")
     return out
 
@@ -424,7 +425,7 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 run.chi, run.neg_chi)
     record_sets("zeta = neg_chi meet sigma_zeta", run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
                 run.neg_chi, run.sigma_zeta)
-    fchi = run.iso().fhat(run.chi)
+    fchi = ShiftIso(run.k).fhat(run.chi)
     record_sets("f_hat(chi) = sigma_zeta", fchi == run.sigma_zeta, fchi, run.sigma_zeta)
     shifted, neg_sz = run.chi.complement().shift(run.k), run.sigma_zeta.complement()
     record_sets("chi^c shifted onto sigma_zeta^c", shifted == neg_sz, shifted, neg_sz)

@@ -176,9 +176,6 @@ class PeriodicSet:
     def is_empty(self) -> bool:
         return not (self.pbits or self.rbits)
 
-    def is_naturals(self) -> bool:
-        return self.pbits == _mask(self.threshold) and self.rbits == _mask(self.period)
-
     def bits_below(self, n: int) -> int:
         """Membership of 0..n-1 as one mask: bit x is set when x is a member."""
         t = self.threshold

@@ -6,11 +6,12 @@ argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window, the Pruefer group by fractions,
 text reports by a recursive walk over every cell.
 None of it shares code with the package beyond the public data shapes,
-except the general CBS searches and the refinement-scan presheaf
-correspondence at the end, which are the reference forms of the CBS verbs
-and run on the package's kernels.  The partitions of each n are kept as
-rep arrays after their first enumeration, for the congruence oracles
-filter them again and again.
+except the general CBS searches, the refinement-scan presheaf
+correspondence and the set routes of the symbolic validator and the
+countable infimum at the end, which are the reference forms of the CBS
+verbs and of the window routes and run on the package's kernels.  The
+partitions of each n are kept as rep arrays after their first enumeration,
+for the congruence oracles filter them again and again.
 """
 
 import functools
@@ -734,3 +735,102 @@ def presheaf_correspondence(A, kind):
                 "order_isomorphic": order_ok,
             })
     return block
+
+
+# ---------------------------------------------------------------------------
+# symbolic runs on sets
+#
+# The symbolic validator and the countable infimum decide their laws on
+# integer windows; the forms below are the set-operation routes they are
+# checked against, with every comparison a PeriodicSet operation.
+
+
+def omega_validate_sets(run):
+    """omega_validate with every law decided by PeriodicSet operations."""
+    from cbswb.cbs import SequenceLattice, chi_pair, sequence_shape, sequence_violations
+    from cbswb.omega import ShiftIso
+    from cbswb.pset import PeriodicSet
+
+    def pairs_may_fail(ds):
+        # a pair of d-terms misses a coordinate only if two complements share
+        # it, so one linear pass decides whether the pairs need checking
+        seen = twice = PeriodicSet.empty()
+        for d in ds:
+            gap = d.complement()
+            twice = twice.union(seen.intersect(gap))
+            seen = seen.union(gap)
+        return not twice.is_empty()
+
+    iso = ShiftIso(run.k)
+    out = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
+    if out:
+        return out
+    lattice = SequenceLattice(
+        iso.fhat, PeriodicSet.union, PeriodicSet.subset,
+        PeriodicSet.is_empty, lambda S: S == PeriodicSet.naturals(),
+        ("union", "misses coordinates", "the complement rule"), pairs_may_fail,
+    )
+    neg1 = iso.fhat_inv(iso.fhat(run.zeta).complement())
+    out += sequence_violations(lattice, run.sigmas, run.zeta, run.neg_odd, neg1, run.ds)
+    for n in range(1, len(run.thetas)):
+        if run.thetas[n] != run.sigmas[n - 1]:
+            out.append(f"theta[{n}] is not the image of sigma[{n - 1}]")
+    for n in range(1, len(run.ds)):
+        if not run.sigma_zeta.subset(run.ds[n]):
+            out.append(f"sigma_zeta is not below d[{n}]")
+    chi, neg_chi = chi_pair(run.zeta, neg1, run.sigma_zeta, run.sigma_zeta.complement(),
+                            PeriodicSet.intersect, PeriodicSet.union)
+    if run.chi != chi:
+        out.append("chi does not match its definition")
+    if run.neg_chi != neg_chi:
+        out.append("neg_chi does not match its definition")
+    return out
+
+
+def countable_infimum_sets(family):
+    """countable_infimum with the candidate built from membership lists and
+    tested against every term by PeriodicSet.subset."""
+    import math
+
+    from cbswb.errors import ValidationError
+    from cbswb.pset import PeriodicSet
+
+    k = family.k
+    base_period = math.lcm(family.v1.period, family.fixed.period)
+    pattern = base_period * k
+    n0 = max(family.v1.threshold, family.fixed.threshold, k)
+    settle = n0 + 2 * pattern
+    window = settle + 2 * pattern
+    n_max = 2 * ((window + k - 1) // k + 1)  # twice coordinate window - 1's bound
+    terms = family.terms(n_max)
+
+    def span(lo, hi):
+        lo, hi = max(lo, 0), min(hi, window)
+        return (1 << hi) - (1 << lo) if lo < hi else 0
+
+    full = span(0, window)
+    bits = full
+    at_bound = unstable = 0
+    for n, term in enumerate(terms, 1):
+        w = term.bits_below(window)
+        read = span(((n + 1) // 2 - 2) * k, window)
+        bits &= w | full ^ read
+        at_bound |= w & span((n - 2) * k, (n - 1) * k)
+        unstable |= (w ^ at_bound) & read & span(0, (n - 1) * k)
+    if unstable:
+        raise ValidationError("infimum not representable")
+
+    residues = {x % pattern for x in range(settle, settle + pattern) if bits >> x & 1}
+    candidate = PeriodicSet(settle, [bits >> x & 1 for x in range(settle)], pattern, residues)
+    if candidate.bits_below(window) != bits:
+        raise ValidationError("infimum not representable")
+    for term in terms:
+        if not candidate.subset(term):
+            raise ValidationError("infimum not representable")
+
+    return candidate, {
+        "window": window,
+        "terms_checked": n_max,
+        "stabilization_bound": "ceil((x+1)/k)+1",
+        "pattern_period": pattern,
+    }

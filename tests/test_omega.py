@@ -36,7 +36,8 @@ from cbswb import congruence, omega, pset
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
-from oracles import Pruefer, apply_raw, members, raw_members
+from oracles import (Pruefer, apply_raw, countable_infimum_sets, members, omega_validate_sets,
+                     raw_members)
 from test_pset_random import raw_sets
 
 WINDOW = 64
@@ -74,7 +75,7 @@ def test_canonicalization():
     assert u.render() == "prefix=1;period=2;residues={1}"
     v = PeriodicSet.from_finite([0, 1, 2])
     assert v == PeriodicSet.block(0, 3) and not v.residues
-    assert N.is_naturals() and E.is_empty() and N.residues
+    assert E.is_empty() and N.residues and not N.prefix
     with pytest.raises(ValidationError):
         PeriodicSet(2, (True,), 1, ())
     with pytest.raises(ValidationError):
@@ -317,10 +318,10 @@ def test_validate_flags_mutations():
     assert any("chi" in v for v in omega_validate(run))
 
 
-def test_image_memo_cannot_hide_a_changed_term():
+def test_a_validated_run_reports_a_changed_term():
     zeta = PeriodicSet.from_finite([0])
     run = omega_cbs_run(z(2), 2, zeta)
-    assert omega_validate(run) == [] and run.iso().images  # the images are kept
+    assert omega_validate(run) == []
     edits = [("sigmas", 3, "f_hat(sigma[3]) != sigma[5]"),
              ("sigmas", 5, "f_hat(sigma[3]) != sigma[5]"),
              ("neg_odd", 5, "neg sigma[5] != f_hat(neg sigma[3])")]
@@ -339,17 +340,12 @@ def test_image_memo_cannot_hide_a_changed_term():
         assert violations == omega_validate(dataclasses.replace(fresh))
 
 
-def test_runs_do_not_share_their_shift_iso():
+def test_a_run_whose_k_changed_validates_by_the_new_shift():
     a = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     b = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
-    c = dataclasses.replace(a)
-    assert a.iso() is a.iso()
-    for x, y in ((a, b), (a, c), (b, c)):
-        assert x.iso() is not y.iso() and x.iso().images is not y.iso().images
-    assert ShiftIso(2) == ShiftIso(2) and ShiftIso(2).images is not ShiftIso(2).images
-    # a run whose k is changed maps its terms by the new shift
+    assert omega_validate(a) == []
     a.k = 3
-    assert a.iso().k == 3 and omega_validate(a) == omega_validate(dataclasses.replace(b, k=3))
+    assert omega_validate(a) == omega_validate(dataclasses.replace(b, k=3))
     assert "f_hat(sigma[0]) != sigma[2]" in omega_validate(a)
 
 
@@ -404,9 +400,9 @@ def test_malformed_runs_are_reported_not_raised(kind, reason):
 
 
 @st.composite
-def symbolic_runs(draw):
-    base = corpus_algebra(draw(st.sampled_from(("z2", "z3", "semilat2"))))
-    k = draw(st.integers(1, 6))
+def symbolic_runs(draw, bases=("z2", "z3", "semilat2"), max_k=6):
+    base = corpus_algebra(draw(st.sampled_from(bases)))
+    k = draw(st.integers(1, max_k))
     zeta = PeriodicSet.from_finite(sorted(draw(st.frozensets(st.integers(0, k - 1)))))
     return omega_cbs_run(base, k, zeta, indices=draw(st.integers(3, 40)))
 
@@ -424,7 +420,7 @@ def test_shared_law_list_on_random_runs(run, data):
     terms = [("sigma", n, S) for n, S in enumerate(run.sigmas)]
     terms += [("neg", i, S) for i, S in run.neg_odd.items()]
     terms += [("d", n, S) for n, S in enumerate(run.ds)]
-    field, n, S = data.draw(st.sampled_from([t for t in terms if not t[2].is_naturals()]))
+    field, n, S = data.draw(st.sampled_from([t for t in terms if t[2] != N]))
     # an eventually periodic set that misses a coordinate misses one
     # below its threshold plus its period
     gaps = S.complement().bits_below(S.threshold + S.period)
@@ -438,6 +434,85 @@ def test_shared_law_list_on_random_runs(run, data):
         run.ds[n] = grown
     violations = omega_validate(run)
     assert any(re.search(NAMES[field].format(n), v) for v in violations), (field, n, violations)
+
+
+GATE_BASES = ("z2", "z3", "chain2", "semilat2")
+
+
+def _stored_terms(run):
+    """Field name -> {key: set} for every set a run stores past theta, the
+    key None for a field that holds one set."""
+    out = {"sigmas": dict(enumerate(run.sigmas)), "neg_odd": dict(run.neg_odd),
+           "thetas": {n: S for n, S in enumerate(run.thetas) if S is not None},
+           "ds": dict(enumerate(run.ds))}
+    return out | {name: {None: getattr(run, name)}
+                  for name in ("zeta", "sigma_zeta", "chi", "neg_chi")}
+
+
+@st.composite
+def mutations(draw, run, kind):
+    """An edit of the given kind: "k" for another shift amount, "copy" for a
+    d-term copied over a sigma, else the name of the field one of whose
+    sets has a coordinate toggled."""
+    if kind == "k":
+        return draw(st.integers(1, 9).filter(lambda k: k != run.k))
+    if kind == "copy":
+        return draw(st.integers(0, len(run.ds) - 1)), draw(st.integers(0, len(run.sigmas) - 1))
+    terms = _stored_terms(run)[kind]
+    key = draw(st.sampled_from(list(terms)))
+    S = terms[key]
+    # past threshold + period a toggle changes the periodic tail's one member
+    return key, draw(st.integers(0, S.threshold + S.period + run.k))
+
+
+def _mutated(run, kind, arg):
+    """A copy of the run with one edit (see mutations); the run is unchanged."""
+    run = dataclasses.replace(run, sigmas=list(run.sigmas), thetas=list(run.thetas),
+                              neg_odd=dict(run.neg_odd), ds=list(run.ds))
+    if kind == "k":
+        run.k = arg
+    elif kind == "copy":
+        run.sigmas[arg[1]] = run.ds[arg[0]]
+    else:
+        key, x = arg
+        old = _stored_terms(run)[kind][key]
+        point = PeriodicSet.from_finite([x])
+        new = old.difference(point) if x in old else old.union(point)
+        if key is None:
+            setattr(run, kind, new)
+        else:
+            getattr(run, kind)[key] = new
+    return run
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(symbolic_runs(GATE_BASES, max_k=8), st.data())
+def test_window_validator_matches_the_set_route(run, data):
+    assert omega_validate(run) == omega_validate_sets(run) == []
+    for kind in (*_stored_terms(run), "copy", "k"):
+        edited = _mutated(run, kind, data.draw(mutations(run, kind)))
+        assert omega_validate(edited) == omega_validate_sets(edited), kind
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(symbolic_runs(GATE_BASES, max_k=16))
+def test_every_stored_period_of_a_built_run_divides_k(run):
+    # the CLI builds its run by omega_cbs_run from a zeta below k, so no CLI
+    # input makes the validation window's lcm larger than k
+    assert all(run.k % S.period == 0 for terms in _stored_terms(run).values()
+               for S in terms.values())
+
+
+def test_validation_refuses_a_window_over_the_period_budget():
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    # coprime periods whose lcm passes SIZE_CAP though each pair stays under it
+    for name, p in (("sigma_zeta", 1009), ("chi", 1013), ("neg_chi", 1019)):
+        setattr(run, name, PeriodicSet(0, (), p, (0,)))
+    assert 1009 * 1013 < pset.SIZE_CAP < 1009 * 1013 * 1019
+    with pytest.raises(BudgetError) as err:
+        omega_validate(run)
+    assert str(err.value) == ("periodic set validation window: period reached "
+                              f"{1009 * 1013 * 1019}, over the 1048576-bit budget")
 
 
 # -- the countable infimum -----------------------------------------------------
@@ -550,6 +625,52 @@ def test_infimum_reads_each_coordinate_within_its_certification_range():
         countable_infimum(FixedTerms(N, 1, N, [no3]))
 
 
+class PerturbedTerms(AffineFamily):
+    """The recurrence's terms with coordinate x toggled in term n (1-based)."""
+
+    def __init__(self, v1, k, fixed, n, x):
+        super().__init__(v1, k, fixed)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+
+    def terms(self, count):
+        out = super().terms(count)
+        if self.n <= count:
+            S, point = out[self.n - 1], PeriodicSet.from_finite([self.x])
+            out[self.n - 1] = S.difference(point) if self.x in S else S.union(point)
+        return out
+
+
+def _infimum_or_refusal(infimum, family):
+    try:
+        return infimum(family)
+    except ValidationError as e:
+        return str(e)
+
+
+def test_infimum_on_windows_matches_the_set_route():
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(400):
+        v1, _ = rand_set(rng)
+        fixed, _ = rand_set(rng)
+        k = rng.randrange(1, 4)
+        kind = rng.choice(["union", "intersect", "perturbed"])
+        if kind == "perturbed":
+            fam = PerturbedTerms(v1, k, fixed, rng.randrange(1, 13), rng.randrange(0, 24))
+        else:
+            fam = (AffineFamily if kind == "union" else IntersectFamily)(v1, k, fixed)
+        got = _infimum_or_refusal(countable_infimum, fam)
+        assert got == _infimum_or_refusal(countable_infimum_sets, fam), fam
+        refused += isinstance(got, str)
+    assert 0 < refused < 200
+    # with k = 1 the window is [0, 5) and V_12 reads only coordinate 4, so
+    # a V_12 that holds the window but nothing past it fails the candidate N
+    # only past every threshold, where the inclusion windows must reach
+    fam = FixedTerms(N, 1, N, [N] * 11 + [PeriodicSet.block(0, 5)])
+    assert _infimum_or_refusal(countable_infimum, fam) == "infimum not representable"
+
+
 def test_affine_family_validation():
     with pytest.raises(ValidationError):
         AffineFamily(N, 0, E)
@@ -606,7 +727,7 @@ def test_coordinate_lattice_matches_congruence_lattice():
     for S in sets:
         assert theta(S).is_diagonal() == S.is_empty()
         comp = S.complement()
-        assert S.intersect(comp).is_empty() and S.union(comp).is_naturals()
+        assert S.intersect(comp).is_empty() and S.union(comp) == N
         verdict = check_factor_pair(Bm, theta(S), theta(comp))
         assert verdict["ok"], verdict
         for T in sets:
