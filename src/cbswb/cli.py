@@ -143,7 +143,7 @@ def _cmd_iso(args):
 def _cmd_church(args):
     A = _load(args.file)
     t = parse_term(args.term, A.signature())
-    return "pass", church_centers(A, t, args.zero, args.one)
+    return "pass", church_centers(A, t, args.zero, args.one, budget=args.eval_budget)
 
 
 def _cmd_presheaf(args):
@@ -179,18 +179,8 @@ def _cmd_omega(args):
     violations = omega_validate(run)
     body = run.to_report()
     body["validation_violations"] = violations
-    body["truncations"] = []
-    ok = not violations
-    for m in truncations:
-        v = truncate_validate(run, m)
-        ok = ok and v["ok"]
-        body["truncations"].append({
-            "m": v["m"],
-            "materialized": v["materialized"],
-            "ok": v["ok"],
-            "checks": len(v["checks"]),
-            "failures": v["failures"],
-        })
+    body["truncations"] = [truncate_validate(run, m) for m in truncations]
+    ok = not violations and all(v["ok"] for v in body["truncations"])
     return ("pass" if ok else "refuted"), body
 
 
@@ -225,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-size", type=int, default=None, metavar="N",
                         help="carrier-size budget for enumeration or iso search")
     common.add_argument("--eval-budget", type=int, default=DEFAULT_EVAL_BUDGET, metavar="N",
-                        help="term-evaluation budget for kind rel (default 10^7)")
+                        help="term-evaluation budget for kind rel and church (default 10^7)")
 
     p = argparse.ArgumentParser(
         prog="cbswb",

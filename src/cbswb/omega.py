@@ -199,10 +199,11 @@ class OmegaRun:
     neg_chi: Optional[PeriodicSet] = None
     neg_sigma_zeta: Optional[PeriodicSet] = None
     equations: list = field(default_factory=list)
-    conclusion: dict = field(default_factory=dict)
 
     def to_report(self) -> dict:
         texts = {}  # thetas[n] is the object sigmas[n-1], so many sets recur
+        # held for the whole render, so that no later set can reuse its id
+        shift_from = self.chi.complement()
 
         def render(s: PeriodicSet) -> str:
             text = texts.get(id(s))
@@ -226,7 +227,14 @@ class OmegaRun:
             "neg_chi": render(self.neg_chi),
             "neg_sigma_zeta": render(self.neg_sigma_zeta),
             "equations": [dict(e) for e in self.equations],
-            "conclusion": dict(self.conclusion),
+            "conclusion": {
+                "claim": "B ~ B/zeta",
+                "identity_on": render(self.chi),
+                "shift_by": self.k,
+                "shift_from": render(shift_from),
+                "shift_onto": render(self.neg_sigma_zeta),
+                "ok": all(e["ok"] for e in self.equations),
+            },
         }
 
 
@@ -270,6 +278,7 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
                             PeriodicSet.intersect, PeriodicSet.union)
 
     naturals = PeriodicSet.naturals()
+    fchi = iso.fhat(chi)
     equations = [
         {
             "claim": "B ~ B/neg_chi x B/chi",
@@ -287,28 +296,19 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
         {
             "claim": "B/chi ~ B/f_hat(chi)",
             "via": f"shift re-indexing by {k}",
-            "ok": chi.complement().shift(k) == iso.fhat(chi).complement(),
+            "ok": chi.complement().shift(k) == fchi.complement(),
         },
         {
             "claim": "f_hat(chi) = sigma_zeta",
             "via": "set equality",
-            "ok": iso.fhat(chi) == sigma_zeta,
+            "ok": fchi == sigma_zeta,
         },
     ]
-    conclusion = {
-        "claim": "B ~ B/zeta",
-        "identity_on": chi.render(),
-        "shift_by": k,
-        "shift_from": chi.complement().render(),
-        "shift_onto": neg_sigma_zeta.render(),
-        "ok": all(e["ok"] for e in equations),
-    }
 
     return OmegaRun(
         base=A, k=k, theta=theta, zeta=zeta, sigmas=sigmas, thetas=thetas,
         neg_odd=neg_odd, ds=ds, sigma_zeta=sigma_zeta, infimum_certificate=cert,
-        chi=chi, neg_chi=neg_chi, neg_sigma_zeta=neg_sigma_zeta,
-        equations=equations, conclusion=conclusion,
+        chi=chi, neg_chi=neg_chi, neg_sigma_zeta=neg_sigma_zeta, equations=equations,
     )
 
 
@@ -393,30 +393,33 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
 
     Small carriers are materialized and checked exhaustively with real
     congruence arithmetic; larger ones are checked exactly on the coordinate
-    sets that define the congruences.  Failures carry named witnesses.
+    sets that define the congruences.  The result counts the laws checked
+    and lists the failed ones with named witnesses.
     """
     check_truncation(run.k, m)
     A = run.base
-    carrier = A.size ** m
-    materialized = carrier <= MATERIALIZE_CAP
-    checks = []
+    materialized = A.size ** m <= MATERIALIZE_CAP
+    result = {"m": m, "materialized": materialized, "ok": True, "checks": 0, "failures": []}
 
-    def record(name, ok, witness=None, method=None):
-        entry = {"name": name, "ok": bool(ok)}
-        if method is not None:
-            entry["method"] = method
-        if witness is not None and not ok:
+    def record(name, witness, method=None):
+        # witness is None for a law that holds
+        result["checks"] += 1
+        if witness is not None:
+            entry = {"name": name, "ok": False}
+            if method is not None:
+                entry["method"] = method
             entry["witness"] = witness
-        checks.append(entry)
+            result["failures"].append(entry)
+            result["ok"] = False
 
-    def summary():
-        return {"ok": all(c["ok"] for c in checks), "m": m, "carrier": carrier,
-                "materialized": materialized, "checks": checks,
-                "failures": [c for c in checks if not c["ok"]]}
+    def record_window(name, bits, pair, method=None):
+        # a window law fails at the least coordinate set in bits
+        x = _lowest(bits)
+        record(name, None if x is None else {"pair": pair, "coordinate": x}, method)
 
     def record_sets(name, ok, S, T):
         # the two sets are rendered only into a failure's witness
-        record(name, ok, None if ok else {"pair": [S.render(), T.render()]})
+        record(name, None if ok else {"pair": [S.render(), T.render()]})
 
     # set equations are global and exact, recomputed from the run fields
     record_sets("chi meets neg_chi in the diagonal", run.chi.intersect(run.neg_chi).is_empty(),
@@ -435,9 +438,9 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     # end the check here
     shape = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
     for reason in shape:
-        record("sequence shape", False, {"reason": reason})
+        record("sequence shape", {"reason": reason})
     if shape:
-        return summary()
+        return result
     full, k = (1 << m) - 1, run.k
     sigma = [S.bits_below(m) for S in run.sigmas]
     neg = {i: S.bits_below(m) for i, S in run.neg_odd.items()}
@@ -449,21 +452,17 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         return (w << k | fill) & full
 
     for n in range(len(sigma) - 2):
-        x = _lowest(image(sigma[n]) ^ sigma[n + 2])
-        record(f"recursion sigma[{n + 2}]", x is None, None if x is None else
-               {"pair": [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"], "coordinate": x})
+        record_window(f"recursion sigma[{n + 2}]", image(sigma[n]) ^ sigma[n + 2],
+                      [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"])
     for i in sorted(neg):
         if i + 2 in neg:
-            x = _lowest(image(neg[i]) ^ neg[i + 2])
-            record(f"complement rule neg_sigma[{i + 2}]", x is None, None if x is None else
-                   {"pair": [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"], "coordinate": x})
-        x = _lowest(full ^ (sigma[i] | neg[i]))
-        record(f"totality sigma[{i}] u neg_sigma[{i}]", x is None, None if x is None else
-               {"pair": [f"sigma[{i}]", f"neg_sigma[{i}]"], "coordinate": x})
+            record_window(f"complement rule neg_sigma[{i + 2}]", image(neg[i]) ^ neg[i + 2],
+                          [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"])
+        record_window(f"totality sigma[{i}] u neg_sigma[{i}]", full ^ (sigma[i] | neg[i]),
+                      [f"sigma[{i}]", f"neg_sigma[{i}]"])
     for n, d in enumerate(run.ds):
-        x = _lowest(d.bits_below(m) ^ (sigma[2 * n] | neg[2 * n + 1]))
-        record(f"definition d[{n}]", x is None, None if x is None else
-               {"pair": [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"], "coordinate": x})
+        record_window(f"definition d[{n}]", d.bits_below(m) ^ (sigma[2 * n] | neg[2 * n + 1]),
+                      [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"])
 
     pairs = [
         ("zeta", run.zeta, "neg_sigma[1]", run.neg_odd[1]),
@@ -481,44 +480,43 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
 
         for name1, s1, name2, s2 in pairs:
             verdict = check_factor_pair(Bm, cong(name1, s1), cong(name2, s2))
-            record(f"factor pair {name1}/{name2}", verdict["ok"],
+            record(f"factor pair {name1}/{name2}", None if verdict["ok"] else
                    {"pair": [name1, name2], "reason": verdict["reason"],
                     "elements": verdict["witness"]})
         for a in range(len(run.ds)):
             for b in range(a + 1, len(run.ds)):
                 joined = congruence_join(cong(f"d[{a}]", run.ds[a]), cong(f"d[{b}]", run.ds[b]))
-                record(f"orthogonality d[{a}]/d[{b}]", joined.is_total(),
+                record(f"orthogonality d[{a}]/d[{b}]", None if joined.is_total() else
                        {"pair": [f"d[{a}]", f"d[{b}]"]})
         try:
             # the witness's left factor is B/neg_chi, reused below
             witness = decomposition_witness(Bm, cong("neg_chi", run.neg_chi), cong("chi", run.chi))
             Qnc = witness["left"]
-            record("pairing B ~ B/neg_chi x B/chi", True)
+            record("pairing B ~ B/neg_chi x B/chi", None)
         except ValidationError as e:
-            record("pairing B ~ B/neg_chi x B/chi", False,
-                   {"pair": ["neg_chi", "chi"], "reason": str(e)})
+            record("pairing B ~ B/neg_chi x B/chi", {"pair": ["neg_chi", "chi"], "reason": str(e)})
             Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
 
         Qz = quotient_algebra(Bm, cong("zeta", run.zeta))
         Qsz = quotient_algebra(Bm, cong("sigma_zeta", run.sigma_zeta))
         pairing = "pairing B/zeta ~ B/neg_chi x B/sigma_zeta"
         pair = ["zeta", "neg_chi x sigma_zeta"]
-        sizes = {"zeta": Qz.algebra.size, "neg_chi": Qnc.algebra.size,
-                 "sigma_zeta": Qsz.algebra.size}
-        if sizes["zeta"] != sizes["neg_chi"] * sizes["sigma_zeta"]:
+        nz, nnc, nsz = Qz.algebra.size, Qnc.algebra.size, Qsz.algebra.size
+        if nz != nnc * nsz:
             # no bijection exists, and the product may be far larger than B
-            record(pairing, False, {"pair": pair, "reason": "size mismatch", "sizes": sizes})
+            record(pairing, {"pair": pair, "reason": "size mismatch",
+                             "sizes": {"zeta": nz, "neg_chi": nnc, "sigma_zeta": nsz}})
         else:
             prod = direct_product(Qnc.algebra, Qsz.algebra)
             mapping = [
-                Qnc.projection.mapping[r] * Qsz.algebra.size + Qsz.projection.mapping[r]
+                Qnc.projection.mapping[r] * nsz + Qsz.projection.mapping[r]
                 for r in (block[0] for block in cong("zeta", run.zeta).blocks)
             ]
             try:
                 ok = Homomorphism(Qz.algebra, prod, mapping).is_bijective()
-                record(pairing, ok, {"pair": pair, "reason": "not bijective"})
+                record(pairing, None if ok else {"pair": pair, "reason": "not bijective"})
             except ValidationError as e:
-                record(pairing, False, {"pair": pair, "reason": str(e)})
+                record(pairing, {"pair": pair, "reason": str(e)})
     else:
         # too large to materialize: every check is exact on coordinate sets
         exact = "coordinate-sets"
@@ -528,24 +526,23 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         base_bad = (compatibility_witness(A, [0] * A.size)
                     or compatibility_witness(A, list(range(A.size))))
         for name in ("zeta", "neg_sigma[1]", "chi", "neg_chi", "sigma_zeta"):
-            record(f"compatibility {name}", base_bad is None,
+            record(f"compatibility {name}", None if base_bad is None else
                    {"pair": [name, "base"], "base": base_bad}, exact)
         # theta_S1, theta_S2 are a factor pair of A^m exactly when S1, S2
         # partition the window
         for name1, s1, name2, s2 in pairs:
             # a coordinate in both sets or in neither leaves its XOR bit clear
             bad = _lowest(full ^ s1.bits_below(m) ^ s2.bits_below(m))
-            record(f"factor pair {name1}/{name2}",
-                   s1.intersect(s2).is_empty() and bad is None,
+            ok = s1.intersect(s2).is_empty() and bad is None
+            record(f"factor pair {name1}/{name2}", None if ok else
                    {"pair": [name1, name2], "coordinate": bad}, exact)
         # B/zeta ~ B/neg_chi x B/sigma_zeta reads the coordinates of chi and of
         # sigma_zeta^c, so the ones left free must be exactly those of zeta
         chi, sz, zeta = (S.bits_below(m) for S in (run.chi, run.sigma_zeta, run.zeta))
-        bad = _lowest((full ^ chi) & sz ^ zeta)
-        record("pairing partition of zeta^c", bad is None,
-               {"pair": ["zeta^c", "chi + sigma_zeta^c"], "coordinate": bad}, exact)
+        record_window("pairing partition of zeta^c", (full ^ chi) & sz ^ zeta,
+                      ["zeta^c", "chi + sigma_zeta^c"], exact)
 
-    return summary()
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +638,6 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     strict = all(refines[j] and congs[j].rep != congs[j + 1].rep for j in range(m))
     ends_ok = congs[0].is_diagonal() and congs[m].is_total()
 
-    iso_ok = quotients[n].algebra.same_tables(truncs[n])
     # the level-n projection composes the step maps of the chain, so its
     # kernel and the subgroup level are two routes to one congruence
     kernel_ok = quotients[n].projection.kernel().rep == congs[n].rep
@@ -655,6 +651,7 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
         for j in range(m)
     ]
     pattern_ok = all(e["matches_truncation"] for e in pattern)
+    iso_ok = pattern[n]["matches_truncation"]
 
     ok = chain_ok and strict and ends_ok and iso_ok and kernel_ok and pattern_ok
     return {

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (
+    DEFAULT_EVAL_BUDGET,
     FiniteAlgebra,
     Homomorphism,
     Term,
@@ -33,7 +34,7 @@ from .congruence import (
     congruence_meet,
     principal_congruence,
 )
-from .errors import ValidationError
+from .errors import ValidationError, over_budget
 from .lattice import FiniteLattice
 
 
@@ -240,7 +241,8 @@ def bfc_report(analysis: FactorAnalysis) -> dict:
 # central elements through a Church-style conditional term
 
 
-def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int) -> dict:
+def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int,
+                   budget: int = DEFAULT_EVAL_BUDGET) -> dict:
     """Central elements of an algebra with a conditional term.
 
     The term t must use variables z, x, y and satisfy t(1,x,y) = x and
@@ -255,6 +257,10 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int) -> dict:
     x ^ y = t(x,y,0), not x = t(x,0,1); each centre element e is
     cross-checked against the principal factor pair (theta(1,e),
     theta(e,0)).
+
+    t is evaluated once at every (z, x, y), and the laws read that table.
+    The table and the laws take n^3 + n(2n^3 + sum of n^(2 arity) over the
+    operations) evaluations, refused over the budget (default 10**7).
     """
     validate_term(A, t)
     bad = [v for v in t.variables() if v not in ("x", "y", "z")]
@@ -264,8 +270,15 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int) -> dict:
         if not (0 <= c < A.size):
             raise ValidationError(f"constant {c} out of range")
 
+    n = A.size
+    count = n ** 3 + n * (2 * n ** 3 + sum(n ** (2 * op.arity) for op in A.ops))
+    if count > budget:
+        raise over_budget("church", "evaluations", count, budget, "evaluation")
+    table = [eval_term(A, t, {"z": e, "x": a, "y": b})
+             for e, a, b in itertools.product(range(n), repeat=3)]
+
     def ite(e, a, b):
-        return eval_term(A, t, {"z": e, "x": a, "y": b})
+        return table[(e * n + a) * n + b]
 
     for a in range(A.size):
         for b in range(A.size):
@@ -331,12 +344,15 @@ def _church_failure(A, ite, e, zero, one):
     if ite(e, one, zero) != e:
         return {"law": "t(e,1,0)=e", "at": []}
     for op in A.ops:
-        k = op.arity
-        for avec in itertools.product(range(n), repeat=k):
-            for bvec in itertools.product(range(n), repeat=k):
-                lhs = ite(e, A.apply(op.name, *avec), A.apply(op.name, *bvec))
-                rhs = A.apply(op.name, *(ite(e, a, b) for a, b in zip(avec, bvec)))
-                if lhs != rhs:
+        g = op.table
+        # the argument tuples in table order, so g[i] is g applied to args[i]
+        args = list(itertools.product(range(n), repeat=op.arity))
+        for i, avec in enumerate(args):
+            for j, bvec in enumerate(args):
+                at = 0
+                for a, b in zip(avec, bvec):
+                    at = at * n + ite(e, a, b)
+                if ite(e, g[i], g[j]) != g[at]:
                     return {
                         "law": "t(e,g(a),g(b))=g(t(e,a,b))",
                         "operation": op.name,

@@ -89,6 +89,36 @@ def naive_eval(A, term, env):
     return apply_raw(A, A.op(term.head), [naive_eval(A, t, env) for t in term.args])
 
 
+def church_failure(A, t, e, zero, one):
+    """The first law that fails for e as a central element through the
+    conditional term t, in church_centers' law order, or None; each value
+    of t is computed again by direct recursion, once per call."""
+    n = A.size
+
+    @functools.cache
+    def ite(x, y):
+        return naive_eval(A, t, {"z": e, "x": x, "y": y})
+
+    for x in range(n):
+        if ite(x, x) != x:
+            return {"law": "t(e,x,x)=x", "at": [x]}
+    for x, y, w in itertools.product(range(n), repeat=3):
+        if ite(ite(x, y), w) != ite(x, w):
+            return {"law": "t(e,t(e,x,y),w)=t(e,x,w)", "at": [x, y, w]}
+        if ite(x, ite(y, w)) != ite(x, w):
+            return {"law": "t(e,x,t(e,y,w))=t(e,x,w)", "at": [x, y, w]}
+    if ite(one, zero) != e:
+        return {"law": "t(e,1,0)=e", "at": []}
+    for op in A.ops:
+        for u in itertools.product(range(n), repeat=op.arity):
+            for v in itertools.product(range(n), repeat=op.arity):
+                lhs = ite(apply_raw(A, op, u), apply_raw(A, op, v))
+                if lhs != apply_raw(A, op, [ite(a, b) for a, b in zip(u, v)]):
+                    return {"law": "t(e,g(a),g(b))=g(t(e,a,b))", "operation": op.name,
+                            "at": [list(u), list(v)]}
+    return None
+
+
 def members(S, window):
     """Pointwise membership set of a PeriodicSet over [0, window)."""
     return {x for x in range(window) if x in S}

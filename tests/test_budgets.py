@@ -2,7 +2,7 @@
 
 Each bounded loop of the workbench compares its count with its cap and, once
 over, raises errors.over_budget(stage, what, count, cap, unit).  The table
-below reaches each of the nine, through the library and through the CLI,
+below reaches each of the ten, through the library and through the CLI,
 and a test counts the over_budget calls in src against it.
 """
 
@@ -14,17 +14,19 @@ import re
 import pytest
 
 from cbswb import cli
-from cbswb.algebra import (FiniteAlgebra, Operation, iso_search, parse_sentence, power_algebra,
-                           render_algebra, satisfies)
+from cbswb.algebra import (FiniteAlgebra, Operation, iso_search, parse_sentence, parse_term,
+                           power_algebra, render_algebra, satisfies)
 from cbswb.congruence import all_congruences
 from cbswb.corpus import corpus_algebra
 from cbswb.errors import BudgetError
 from cbswb.omega import QuasiCyclic, check_truncation, omega_cbs_run, quasicyclic_suite
 from cbswb.pset import PeriodicSet
+from cbswb.structure import church_centers
 
 SHAPE = re.compile(r"^[^:]+: .+ reached \d+, over the \d+-[a-z]+ budget$")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "cbswb")
 Z2, Z4 = "corpus/z2.json", "corpus/z4.json"
+ITE = "(or (and z x) (and (not z) y))"
 
 
 def _z2_4():
@@ -43,6 +45,12 @@ SITES = [
      ("presheaf-check", Z4, "--kind", "rel", "--sentence", "(+ x y) = (+ y x)",
       "--eval-budget", "10"),
      "term evaluation: assignments reached 16, over the 10-assignment budget"),
+    ("church evaluations",
+     lambda: church_centers(corpus_algebra("boole2"),
+                            parse_term(ITE, corpus_algebra("boole2").signature()), 0, 1, budget=10),
+     ("church", "corpus/boole2.json", "--term", ITE, "--zero", "0", "--one", "1",
+      "--eval-budget", "10"),
+     "church: evaluations reached 116, over the 10-evaluation budget"),
     ("isomorphism search carrier",
      lambda: iso_search(_z2_4(), _z2_4()),
      ("iso", _z2_4, _z2_4),

@@ -32,7 +32,7 @@ from cbswb import (
     quasicyclic_suite,
     truncate_validate,
 )
-from cbswb import congruence, omega, pset
+from cbswb import cli, congruence, omega, pset
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
@@ -243,7 +243,8 @@ def test_run_shift_two_zeta_zero():
         PeriodicSet.from_finite([0])
     )
     assert all(e["ok"] for e in run.equations) and len(run.equations) == 4
-    assert run.conclusion["ok"] and run.conclusion["claim"] == "B ~ B/zeta"
+    conclusion = run.to_report()["conclusion"]
+    assert conclusion["ok"] and conclusion["claim"] == "B ~ B/zeta"
     assert run.infimum_certificate["pattern_period"] == run.k
     assert omega_validate(run) == []
     report = run.to_report()
@@ -269,7 +270,7 @@ def test_run_pure_shift():
     run = omega_cbs_run(z(3), 1, PeriodicSet.from_finite([0]))
     assert run.sigma_zeta == PeriodicSet.from_finite([0])
     assert run.chi == E and run.neg_chi == N
-    assert run.conclusion["ok"]
+    assert run.to_report()["conclusion"]["ok"]
     assert omega_validate(run) == []
 
 
@@ -278,7 +279,7 @@ def test_run_empty_zeta():
     assert all(d == N for d in run.ds)
     assert run.sigma_zeta == N
     assert run.chi == N and run.neg_chi == E
-    assert run.conclusion["ok"]
+    assert run.to_report()["conclusion"]["ok"]
     assert omega_validate(run) == []
 
 
@@ -744,24 +745,49 @@ def test_truncation_materialized_passes():
     for m in (4, 5):
         result = truncate_validate(run, m)
         assert result["ok"], result["failures"]
-        assert result["materialized"] and result["carrier"] == 2 ** m
-        names = {c["name"] for c in result["checks"]}
-        assert "f_hat(chi) = sigma_zeta" in names
-        assert "factor pair chi/neg_chi" in names
-        assert "pairing B ~ B/neg_chi x B/chi" in names
-        assert "pairing B/zeta ~ B/neg_chi x B/sigma_zeta" in names
-        assert result["failures"] == []
+        assert result["materialized"] and "carrier" not in result
+        # 5 set equations, 23 window laws, 3 factor pairs, 10 orthogonal
+        # d-pairs and the 2 pairings
+        assert result["checks"] == 43 and result["failures"] == []
 
 
 def test_truncation_lazy_passes():
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     result = truncate_validate(run, 16)
     assert result["ok"], result["failures"]
-    assert not result["materialized"] and result["carrier"] == 2 ** 16
-    checks = {c["name"]: c for c in result["checks"]}
-    for name in ("compatibility zeta", "factor pair sigma_zeta/neg_sigma_zeta",
-                 "pairing partition of zeta^c"):
-        assert checks[name]["method"] == "coordinate-sets"
+    assert not result["materialized"] and "carrier" not in result
+    # 5 set equations, 23 window laws, 5 compatibilities, 3 factor pairs, 1 partition
+    assert result["checks"] == 37 and result["failures"] == []
+
+
+def test_truncation_result_is_the_entry_omega_demo_prints(capsys):
+    # m = 4 is materialized, m = 16 is checked on coordinate sets
+    argv = ["omega-demo", "--base", "corpus/z2.json", "--shift", "2", "--zeta", "{0}",
+            "--truncate", "4", "--truncate", "16", "--format", "json"]
+    assert cli.main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["body"]["truncations"]
+    run = omega_cbs_run(corpus_algebra("z2"), 2, PeriodicSet.from_finite([0]))
+    results = [truncate_validate(run, m) for m in (4, 16)]
+    assert [r["materialized"] for r in results] == [True, False]
+    assert results == printed
+    # text reports follow key order
+    assert [list(r) for r in results] == [["m", "materialized", "ok", "checks", "failures"]] * 2
+
+
+def test_truncation_lazy_failures_name_their_method(monkeypatch):
+    # a base whose congruences were not compatible fails all five compatibility
+    # checks, each entry in the order name, ok, method, witness
+    monkeypatch.setattr(omega, "compatibility_witness", lambda A, rep: [0, 1])
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    result = truncate_validate(run, 16)
+    assert not result["ok"] and result["checks"] == 37
+    names = ("zeta", "neg_sigma[1]", "chi", "neg_chi", "sigma_zeta")
+    assert result["failures"] == [
+        {"name": f"compatibility {name}", "ok": False, "method": "coordinate-sets",
+         "witness": {"pair": [name, "base"], "base": [0, 1]}} for name in names
+    ]
+    assert [list(entry) for entry in result["failures"]] == \
+        [["name", "ok", "method", "witness"]] * len(names)
 
 
 def test_truncation_flags_corrupted_sigma():
@@ -807,11 +833,9 @@ def test_truncation_window_checks_name_the_least_coordinate(field, check, pair, 
 @pytest.mark.parametrize("field", ["neg_sigma[5]", "d[2]"])
 def test_truncation_window_checks_ignore_coordinates_past_m(field):
     result = truncate_validate(_holed_run(field, LATE_HOLES), 16)
-    assert result["ok"] and result["failures"] == []
-    checks = {c["name"]: c for c in result["checks"]}
-    for name in ("complement rule neg_sigma[5]", "totality sigma[5] u neg_sigma[5]",
-                 "definition d[2]"):
-        assert checks[name] == {"name": name, "ok": True}
+    # every check of the unholed run, complement rule neg_sigma[5], totality
+    # sigma[5] u neg_sigma[5] and definition d[2] among them, passes
+    assert result["ok"] and result["failures"] == [] and result["checks"] == 37
     # the same holes inside a larger window are seen
     wide = truncate_validate(_holed_run(field, LATE_HOLES), 24)
     assert {c["witness"]["coordinate"] for c in wide["failures"]} >= {16}
@@ -825,8 +849,9 @@ def _window_mismatch(S, T, m):
 
 
 def _window_coordinate(result, name):
-    entry = next(c for c in result["checks"] if c["name"] == name)
-    return None if entry["ok"] else entry["witness"]["coordinate"]
+    """The witness coordinate of a failed check, None for one that passed."""
+    entry = next((c for c in result["failures"] if c["name"] == name), None)
+    return None if entry is None else entry["witness"]["coordinate"]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -847,6 +872,9 @@ def test_truncation_windows_agree_with_the_shifted_sets(case, k, extra, data):
     terms[index] = S
     m = max(m, 10)
     result = truncate_validate(run, m)
+    # 5 set equations, 11 recursions, 5 complement rules, 6 totalities, 6
+    # d-terms, 5 compatibilities, 3 factor pairs and 1 partition
+    assert not result["materialized"] and result["checks"] == 42
     iso = ShiftIso(k)
     for n in range(len(run.sigmas) - 2):
         assert _window_coordinate(result, f"recursion sigma[{n + 2}]") == \
@@ -979,7 +1007,7 @@ def test_truncation_pairing_size_mismatch_builds_no_product(monkeypatch):
 
     monkeypatch.setattr(omega, "direct_product", refuse)
     result = truncate_validate(bad, 5)
-    assert result["materialized"] and result["carrier"] == 243 and not result["ok"]
+    assert result["materialized"] and result["checks"] == 43 and not result["ok"]
     failure = next(c for c in result["failures"]
                    if c["name"] == "pairing B/zeta ~ B/neg_chi x B/sigma_zeta")
     assert failure == {
@@ -1015,8 +1043,10 @@ def test_truncation_builds_each_quotient_once(monkeypatch):
     run.chi = run.chi.union(PeriodicSet.from_finite([0]))
     built.clear()
     result = truncate_validate(run, 4)
-    assert "pairing B ~ B/neg_chi x B/chi" in {c["name"] for c in result["failures"]}
-    assert "pairing B/zeta ~ B/neg_chi x B/sigma_zeta" in {c["name"] for c in result["checks"]}
+    failed = {c["name"] for c in result["failures"]}
+    assert "pairing B ~ B/neg_chi x B/chi" in failed
+    # the second pairing still ran, and held
+    assert result["checks"] == 43 and "pairing B/zeta ~ B/neg_chi x B/sigma_zeta" not in failed
     assert len(built) == 3
 
 

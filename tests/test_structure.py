@@ -1,9 +1,14 @@
-import pytest
+import itertools
 
-from cbswb.algebra import direct_product, parse_term
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbswb import structure
+from cbswb.algebra import FiniteAlgebra, Operation, direct_product, parse_term, power_algebra
 from cbswb.congruence import Congruence, all_congruences, principal_congruence
 from cbswb.corpus import corpus_algebra
-from cbswb.errors import ValidationError
+from cbswb.errors import BudgetError, ValidationError
 from cbswb.structure import (
     bfc_check,
     center_of_lattice,
@@ -13,6 +18,8 @@ from cbswb.structure import (
     factor_congruences,
     z_con_report,
 )
+
+from oracles import church_failure
 
 
 def reps(congruences):
@@ -144,6 +151,67 @@ def test_church_centers_rejects_non_conditionals():
     term = parse_term("(or (and z x) (and (not z) y))", b2.signature())
     with pytest.raises(ValidationError):
         church_centers(b2, term, 0, 5)
+
+
+@st.composite
+def conditional_algebras(draw):
+    """(A, t, one): t is a conditional for the constants 0 and one of A, and
+    A has up to two more operations of arity 0 to 2.
+
+    Either the four-element Boolean algebra, where every element passes
+    laws 1-3 and the drawn operations can fail law 4; or 2 to 4 elements
+    with a ternary t, t(1,x,y) = x and t(0,x,y) = y, where each t(e,..) row
+    past 0 and 1 is a drawn table, picks x or y cell by cell, or is x or y
+    throughout, so laws 1-3 can fail."""
+    if draw(st.booleans()):
+        b2 = corpus_algebra("boole2")
+        n, one, ops = 4, 3, list(direct_product(b2, b2).ops)
+        text = "(or (and z x) (and (not z) y))"
+    else:
+        n, one, text = draw(st.integers(2, 4)), 1, "(t z x y)"
+        rows = {0: "y", 1: "x"}
+        for e in range(2, n):
+            rows[e] = draw(st.sampled_from(["table", "cells", "x", "y"]))
+        t = []
+        for e, x, y in itertools.product(range(n), repeat=3):
+            row = rows[e]
+            if row == "cells":
+                row = "x" if draw(st.booleans()) else "y"
+            t.append(x if row == "x" else y if row == "y" else draw(st.integers(0, n - 1)))
+        ops = [Operation("t", 3, tuple(t))]
+    cell = st.integers(0, n - 1)
+    for i, k in enumerate(draw(st.lists(st.integers(0, 2), max_size=2))):
+        ops.append(Operation(f"g{i}", k, tuple(draw(cell) for _ in range(n ** k))))
+    A = FiniteAlgebra("c", n, ops)
+    return A, parse_term(text, A.signature()), one
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(conditional_algebras())
+def test_church_laws_read_off_the_table_match_the_term_by_term_oracle(case):
+    A, term, one = case
+    report = church_centers(A, term, 0, one)
+    expected = {e: church_failure(A, term, e, 0, one) for e in range(A.size)}
+    assert report["centers"] == [e for e, f in expected.items() if f is None]
+    assert report["failures"] == {str(e): f for e, f in expected.items() if f is not None}
+
+
+def test_church_refuses_over_the_evaluation_budget_before_evaluating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("term evaluated past the budget")
+
+    monkeypatch.setattr(structure, "eval_term", refuse)
+    text = "(or (and z x) (and (not z) y))"
+    # 16^3 + 16 (2 16^3 + 2 16^4 + 16^2 + 2) = 2,236,448 fits the default budget,
+    # and 32 elements take 69,271,616
+    b16 = power_algebra(corpus_algebra("boole2"), 4)
+    with pytest.raises(BudgetError, match="^church: evaluations reached 2236448, "
+                                          "over the 2236447-evaluation budget$"):
+        church_centers(b16, parse_term(text, b16.signature()), 0, 15, budget=2236447)
+    b32 = power_algebra(corpus_algebra("boole2"), 5)
+    with pytest.raises(BudgetError, match="^church: evaluations reached 69271616, "
+                                          "over the 10000000-evaluation budget$"):
+        church_centers(b32, parse_term(text, b32.signature()), 0, 31)
 
 
 def test_one_element_algebra_degenerates_cleanly():
