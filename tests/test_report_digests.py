@@ -1,8 +1,9 @@
 """Every report's bytes, pinned.
 
 The three benchmark workloads' jobs at seed 3, whose inputs bench/gen.py
-writes, and every corpus file under each one-file verb in both formats run
-through cli.main in this process.  The exit status and the sha256 of
+writes, and every corpus file under each one-file verb, and under
+presheaf-check with each operator kind besides its default, in both formats
+run through cli.main in this process.  The exit status and the sha256 of
 standard output of each run must equal its row in report_digests.json, so a
 change that alters any report fails here.  A change that alters reports on
 purpose rewrites the table and says so in CHANGES.md:
@@ -27,6 +28,8 @@ TABLE = os.path.join(ROOT, "tests", "report_digests.json")
 SEED = 3
 WORKLOADS = ("finite-lattice", "truncation", "symbolic")
 FILE_VERBS = ("con", "fc", "center", "zcon", "presheaf-check", "cbs-check", "cbs-complete")
+# presheaf-check's other operator kinds; "x = x" puts every congruence in K(A)
+PRESHEAF_KINDS = (("--kind", "con"), ("--kind", "zcon"), ("--kind", "rel", "--sentence", "x = x"))
 
 
 def load_gen():
@@ -46,10 +49,14 @@ def runs(workdir):
             yield f"{workload} {i}", job["argv"]
     for fn in sorted(os.listdir(CORPUS)):
         if fn.endswith(".json"):
+            path = os.path.join(CORPUS, fn)
             for verb in FILE_VERBS:
                 for fmt in ("text", "json"):
-                    yield (f"corpus {fn[:-5]} {verb} {fmt}",
-                           [verb, os.path.join(CORPUS, fn), "--format", fmt])
+                    yield f"corpus {fn[:-5]} {verb} {fmt}", [verb, path, "--format", fmt]
+            for extra in PRESHEAF_KINDS:
+                for fmt in ("text", "json"):
+                    yield (f"corpus {fn[:-5]} presheaf-check {' '.join(extra)} {fmt}",
+                           ["presheaf-check", path, *extra, "--format", fmt])
 
 
 def digest(argv):
