@@ -28,7 +28,7 @@ from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, seque
 from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
 from .errors import ValidationError, over_budget
 from .pset import PeriodicSet, _budget, _of, _rotate
-from .structure import check_factor_pair, decomposition_witness, factor_congruences
+from .structure import check_factor_pair, factor_congruences
 
 MATERIALIZE_CAP = 512
 MAX_TRUNCATION = 64
@@ -478,8 +478,9 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 restricted[name] = OmegaCongruence(A, S).restrict(Bm, m)
             return restricted[name]
 
+        verdicts = {}
         for name1, s1, name2, s2 in pairs:
-            verdict = check_factor_pair(Bm, cong(name1, s1), cong(name2, s2))
+            verdict = verdicts[name1] = check_factor_pair(Bm, cong(name1, s1), cong(name2, s2))
             record(f"factor pair {name1}/{name2}", None if verdict["ok"] else
                    {"pair": [name1, name2], "reason": verdict["reason"],
                     "elements": verdict["witness"]})
@@ -488,15 +489,13 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 joined = congruence_join(cong(f"d[{a}]", run.ds[a]), cong(f"d[{b}]", run.ds[b]))
                 record(f"orthogonality d[{a}]/d[{b}]", None if joined.is_total() else
                        {"pair": [f"d[{a}]", f"d[{b}]"]})
-        try:
-            # the witness's left factor is B/neg_chi, reused below
-            witness = decomposition_witness(Bm, cong("neg_chi", run.neg_chi), cong("chi", run.chi))
-            Qnc = witness["left"]
-            record("pairing B ~ B/neg_chi x B/chi", None)
-        except ValidationError as e:
-            record("pairing B ~ B/neg_chi x B/chi", {"pair": ["neg_chi", "chi"], "reason": str(e)})
-            Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
-
+        # B ~ B/neg_chi x B/chi exactly when chi/neg_chi is a factor pair;
+        # meet and join are symmetric, so the verdict reads the same both ways
+        verdict = verdicts["chi"]
+        record("pairing B ~ B/neg_chi x B/chi", None if verdict["ok"] else
+               {"pair": ["neg_chi", "chi"],
+                "reason": f"not a factor pair: {verdict['reason']} at {verdict['witness']}"})
+        Qnc = quotient_algebra(Bm, cong("neg_chi", run.neg_chi))
         Qz = quotient_algebra(Bm, cong("zeta", run.zeta))
         Qsz = quotient_algebra(Bm, cong("sigma_zeta", run.sigma_zeta))
         pairing = "pairing B/zeta ~ B/neg_chi x B/sigma_zeta"

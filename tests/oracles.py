@@ -7,9 +7,10 @@ by pointwise membership over a window, the Pruefer group by fractions,
 text reports by a recursive walk over every cell.
 None of it shares code with the package beyond the public data shapes,
 except the general CBS searches, the refinement-scan presheaf
-correspondence and the set routes of the symbolic validator and the
-countable infimum at the end, which are the reference forms of the CBS
-verbs and of the window routes and run on the package's kernels.  The
+correspondence, the set routes of the symbolic validator and the
+countable infimum and the decomposition route of the truncation pairing at
+the end, which are the reference forms of the CBS verbs, of the window
+routes and of the pairing verdict and run on the package's kernels.  The
 partitions of each n are kept as rep arrays after their first enumeration,
 for the congruence oracles filter them again and again.
 """
@@ -864,3 +865,22 @@ def countable_infimum_sets(family):
         "stabilization_bound": "ceil((x+1)/k)+1",
         "pattern_period": pattern,
     }
+
+
+def truncation_pairing_entry(run, m):
+    """The failure entry truncate_validate gives "pairing B ~ B/neg_chi x B/chi"
+    at a materialized m, None when the law holds, by building the
+    decomposition B -> B/neg_chi x B/chi on the restricted congruences."""
+    from cbswb.algebra import power_algebra
+    from cbswb.errors import ValidationError
+    from cbswb.omega import OmegaCongruence
+    from cbswb.structure import decomposition_witness
+
+    B = power_algebra(run.base, m)
+    neg_chi, chi = (OmegaCongruence(run.base, S).restrict(B, m) for S in (run.neg_chi, run.chi))
+    try:
+        decomposition_witness(B, neg_chi, chi)
+    except ValidationError as e:
+        return {"name": "pairing B ~ B/neg_chi x B/chi", "ok": False,
+                "witness": {"pair": ["neg_chi", "chi"], "reason": str(e)}}
+    return None

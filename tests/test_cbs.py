@@ -13,7 +13,7 @@ from cbswb.algebra import (
     quotient_algebra,
     relabel,
 )
-from cbswb import cbs
+from cbswb import cbs, congruence
 from cbswb.cbs import (
     OperatorKind,
     boolean_sublattice_check,
@@ -411,6 +411,28 @@ def test_presheaf_con_everywhere_and_rel_on_groups():
         A = corpus_algebra(name)
         got = presheaf_check(A, OperatorKind.relative((COMM,)))
         assert got["ok"], (name, got["failed_conditions"])
+
+
+@pytest.mark.parametrize("name, sentence, calls", [
+    ("z4", COMM, 12),
+    ("v4", "(+ (+ x y) z) = (+ x (+ y z))", 22),
+    ("z4ring", "(mul x y) = (mul y x)", 12),
+])
+def test_relative_presheaf_checks_each_quotient_once(monkeypatch, name, sentence, calls):
+    # K(A), K of the relabelled copy and K of each quotient run one sentence
+    # check per congruence; axiom1 reads K(A) and checks nothing again
+    seen = []
+    real = congruence.satisfies
+
+    def counted(B, sentences, budget):
+        seen.append(B.name)
+        return real(B, sentences, budget=budget)
+
+    for module in (congruence, cbs):
+        monkeypatch.setattr(module, "satisfies", counted, raising=False)
+    got = presheaf_check(corpus_algebra(name), OperatorKind.relative((sentence,)))
+    assert got["ok"] and got["conditions"]["axiom1"] == {"ok": True, "violations": []}
+    assert len(seen) == calls
 
 
 def test_presheaf_reports_sampling_note():

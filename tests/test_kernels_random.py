@@ -102,6 +102,7 @@ from oracles import (
     lattice_is_distributive,
     lattice_is_modular,
     meet_rep,
+    naive_eval,
     neutrality_failure,
     order_bound,
     partition_reps,
@@ -766,6 +767,68 @@ def test_cbs_sequence_matches_the_general_sequence(data):
             general = general_cbs_sequence(A, f, diag, diag, kind)
             assert json_text(state.to_report()) == json_text(general.to_report())
             assert validate_sequence(general) == []
+
+
+REL_SENTENCES = ("x = x", "(f0 x y) = (f0 y x)", "(f0 (f0 x y) z) = (f0 x (f0 y z))")
+
+
+@st.composite
+def relative_case(draw):
+    """An algebra of 1 to 4 elements with a binary f0, and a sentence it
+    satisfies: any planted tables for x = x; for commutativity and
+    associativity a relabelled cyclic group or chain semilattice, or else a
+    symmetrized planted table or the first projection."""
+    size = draw(st.integers(1, 4))
+    sentence = draw(st.sampled_from(REL_SENTENCES))
+    if sentence == "x = x":
+        return FiniteAlgebra("r", size, tables(draw, size, [2, *draw(signatures)])), sentence
+    perm = draw(st.permutations(range(size)))
+    inv = {v: i for i, v in enumerate(perm)}
+    family = draw(st.sampled_from(("group", "chain", "other")))
+    if family == "group":
+        f = lambda x, y: perm[(inv[x] + inv[y]) % size]
+    elif family == "chain":
+        f = lambda x, y: x if inv[x] >= inv[y] else y
+    elif sentence == REL_SENTENCES[1]:
+        (op,) = tables(draw, size, [2])
+        f = lambda x, y: op.table[min(x, y) * size + max(x, y)]
+    else:
+        f = lambda x, y: x
+    table = tuple(f(x, y) for x in range(size) for y in range(size))
+    return FiniteAlgebra("r", size, [Operation("f0", 2, table)]), sentence
+
+
+@settings(KERNEL_SETTINGS, max_examples=40)
+@given(relative_case())
+def test_relative_presheaf_reads_membership_off_k(case):
+    """K(A) holds exactly the congruences whose quotients satisfy the
+    sentence, so axiom1 holds with no sentence check of its own: satisfies
+    runs once per member of Con(A), of the relabelled copy's Con and of each
+    quotient's Con, and never again per member of K(A)."""
+    A, sentence = case
+    kind = OperatorKind.relative([sentence])
+    calls = []
+    real = congruence.satisfies
+
+    def counted(B, sentences, budget):
+        calls.append(B)
+        return real(B, sentences, budget=budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # every route counts, a sentence check in cbs itself too
+        for module in (congruence, cbs):
+            mp.setattr(module, "satisfies", counted, raising=False)
+        got = presheaf_check(A, kind)
+    assert got["conditions"]["axiom1"] == {"ok": True, "violations": []}
+    (s,) = kind.sentences
+    names = s.variables()
+    quotients = [quotient_algebra(A, theta).algebra for theta in operator_eval(A, kind)]
+    for Q in quotients:
+        for values in itertools.product(range(Q.size), repeat=len(names)):
+            env = dict(zip(names, values))
+            assert naive_eval(Q, s.lhs, env) == naive_eval(Q, s.rhs, env)
+    assert len(calls) == 2 * len(all_congruences(A)) + sum(
+        len(all_congruences(Q)) for Q in quotients)
 
 
 @st.composite

@@ -37,7 +37,7 @@ from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
 from oracles import (Pruefer, apply_raw, countable_infimum_sets, members, omega_validate_sets,
-                     raw_members)
+                     raw_members, truncation_pairing_entry)
 from test_pset_random import raw_sets
 
 WINDOW = 64
@@ -1019,8 +1019,8 @@ def test_truncation_pairing_size_mismatch_builds_no_product(monkeypatch):
 
 
 def test_truncation_builds_each_quotient_once(monkeypatch):
-    # the pairing witness builds B/neg_chi and B/chi, and its B/neg_chi is
-    # reused for the second pairing, which adds B/zeta and B/sigma_zeta
+    # the first pairing reads the chi/neg_chi factor-pair verdict and builds
+    # nothing; the second builds B/neg_chi, B/zeta and B/sigma_zeta
     from cbswb import structure
 
     built = []
@@ -1030,16 +1030,21 @@ def test_truncation_builds_each_quotient_once(monkeypatch):
         built.append(theta.rep)
         return real(A, theta)
 
+    def refused(*args):
+        raise AssertionError("decomposition_witness called")
+
     monkeypatch.setattr(omega, "quotient_algebra", counted)
     monkeypatch.setattr(structure, "quotient_algebra", counted)
+    monkeypatch.setattr(structure, "decomposition_witness", refused)
+    assert not hasattr(omega, "decomposition_witness")
     run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     for m in (4, 5):
         built.clear()
         result = truncate_validate(run, m)
         assert result["ok"] and result["materialized"]
-        assert len(built) == 4 == len(set(built))
-    # a pair that is no factor pair fails before the witness builds anything,
-    # and B/neg_chi is built for the second pairing all the same
+        assert len(built) == 3 == len(set(built))
+    # a pair that is no factor pair fails the first pairing, and the second
+    # builds the same three quotients
     run.chi = run.chi.union(PeriodicSet.from_finite([0]))
     built.clear()
     result = truncate_validate(run, 4)
@@ -1048,6 +1053,42 @@ def test_truncation_builds_each_quotient_once(monkeypatch):
     # the second pairing still ran, and held
     assert result["checks"] == 43 and "pairing B/zeta ~ B/neg_chi x B/sigma_zeta" not in failed
     assert len(built) == 3
+
+
+PAIRING = "pairing B ~ B/neg_chi x B/chi"
+
+
+@st.composite
+def materialized_runs(draw):
+    """A run on a gate base with an m whose power is materialized."""
+    base = corpus_algebra(draw(st.sampled_from(GATE_BASES)))
+    top = max(m for m in range(1, 10) if base.size ** m <= omega.MATERIALIZE_CAP)
+    k = draw(st.integers(1, top // 2))
+    zeta = PeriodicSet.from_finite(sorted(draw(st.frozensets(st.integers(0, k - 1)))))
+    run = omega_cbs_run(base, k, zeta, indices=draw(st.integers(3, 12)))
+    return run, draw(st.integers(2 * k, top))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(materialized_runs(), st.data())
+def test_truncation_pairing_reads_the_factor_pair_verdict(case, data):
+    # the first pairing's entry, absent or failed with its witness, is the
+    # one the decomposition route gives, on the run and on runs with one
+    # coordinate of chi or neg_chi toggled so that it lies in both or in neither
+    run, m = case
+
+    def entries(r):
+        got = [e for e in truncate_validate(r, m)["failures"] if e["name"] == PAIRING]
+        assert got == [e for e in [truncation_pairing_entry(r, m)] if e is not None]
+        return got
+
+    assert entries(run) == []
+    x = data.draw(st.integers(0, m - 1))
+    owner = "chi" if x in run.chi else "neg_chi"
+    other = "neg_chi" if owner == "chi" else "chi"
+    for kind, reason in ((other, "meet_not_diagonal"), (owner, "join_not_total")):
+        (entry,) = entries(_mutated(run, kind, (None, x)))
+        assert entry["witness"]["reason"].startswith(f"not a factor pair: {reason} at ")
 
 
 def test_truncation_preconditions():
