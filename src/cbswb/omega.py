@@ -548,6 +548,14 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
 # quasi-cyclic groups
 
 
+def _carrier(p: int, m: int) -> int:
+    """p^m, the order of the level-m truncation, refused over the carrier cap."""
+    size = p ** m
+    if size > QC_SIZE_CAP:
+        raise over_budget("quasi-cyclic truncation", "carrier", size, QC_SIZE_CAP, "element")
+    return size
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -575,9 +583,7 @@ class QuasiCyclic:
             raise ValidationError(f"{self.prime} is not prime")
 
     def truncation(self, m: int) -> FiniteAlgebra:
-        size = self.prime ** m
-        if size > QC_SIZE_CAP:
-            raise over_budget("quasi-cyclic truncation", "carrier", size, QC_SIZE_CAP, "element")
+        size = _carrier(self.prime, m)
         # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
         doubled = list(range(size)) * 2
         table = tuple(chain.from_iterable(doubled[a:a + size] for a in range(size)))
@@ -600,13 +606,15 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     chain, and the every-proper-quotient-isomorphic pattern that makes
     the full group satisfy the CBS property over the whole lattice.
     """
-    qc = QuasiCyclic(p)
     if not (0 <= n < m):
         raise ValidationError("need 0 <= n < m")
     # every prime is at least 2, so a level past this one is over the carrier cap
     levels = QC_SIZE_CAP.bit_length() - 1
     if m > levels:
         raise over_budget("quasi-cyclic suite", "m", m, levels, "level")
+    # the carrier cap before the primality test, whose trial division runs to sqrt(p)
+    _carrier(p, m)
+    qc = QuasiCyclic(p)
     # truncs[j] is the level-(m-j) truncation, which z(p^m) modulo level j should be
     truncs = [qc.truncation(m - j) for j in range(m)]
     T = truncs[0]

@@ -10,6 +10,7 @@ import ast
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -101,6 +102,22 @@ def test_each_budget_site_refuses_in_the_one_shape(call, argv, message, capsys, 
             a = str(path)
         args.append(a)
     code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_huge_prime_meets_the_carrier_cap_before_its_primality_test(capsys):
+    # trial division of 2^61 - 1 would run for minutes; the carrier cap is
+    # checked first, through the one helper truncation shares
+    p = 2 ** 61 - 1
+    message = (f"quasi-cyclic truncation: carrier reached {p}, "
+               "over the 1024-element budget")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        quasicyclic_suite(p, 0, 1)
+    assert str(err.value) == message
+    code = cli.main(["quasicyclic", str(p), "0", "1"])
+    assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -1,6 +1,8 @@
-"""No module of src imports a name it does not use.
+"""No module of src imports a name it does not use, and no private helper
+of src goes unread.
 
-__init__.py is skipped: its imports are the package's re-exports.
+__init__.py is skipped by the import test: its imports are the package's
+re-exports.
 """
 
 import ast
@@ -29,3 +31,36 @@ def test_every_imported_name_is_used():
     unused = {fn: _unused_imports(fn) for fn in sorted(os.listdir(SRC))
               if fn.endswith(".py") and fn != "__init__.py"}
     assert {fn: names for fn, names in unused.items() if names} == {}
+
+
+def _private_definitions():
+    """(module, name) of every module-level function or class whose name starts with _."""
+    out = []
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn)) as fh:
+                tree = ast.parse(fh.read(), fn)
+            out += [(fn, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+    return out
+
+
+def _names_read():
+    """Every name src reads, as a bare name or as an attribute."""
+    read = set()
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn)) as fh:
+                tree = ast.parse(fh.read(), fn)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_private_helper_is_read():
+    read = _names_read()
+    assert [d for d in _private_definitions() if d[1] not in read] == []
