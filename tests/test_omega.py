@@ -830,6 +830,19 @@ def test_truncation_window_checks_name_the_least_coordinate(field, check, pair, 
     assert failure["witness"] == {"pair": pair, "coordinate": coordinate}
 
 
+def test_truncation_lists_several_failures_in_law_order():
+    # one holed term breaks four window laws; they are listed in the order
+    # the laws are checked, and the passing laws still count
+    result = truncate_validate(_holed_run("neg_sigma[5]", PERIODIC_HOLES), 16)
+    assert [c["name"] for c in result["failures"]] == [
+        "complement rule neg_sigma[5]",
+        "complement rule neg_sigma[7]",
+        "totality sigma[5] u neg_sigma[5]",
+        "definition d[2]",
+    ]
+    assert result["checks"] == 37 and not result["ok"]
+
+
 @pytest.mark.parametrize("field", ["neg_sigma[5]", "d[2]"])
 def test_truncation_window_checks_ignore_coordinates_past_m(field):
     result = truncate_validate(_holed_run(field, LATE_HOLES), 16)
