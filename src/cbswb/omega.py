@@ -401,21 +401,23 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
     materialized = A.size ** m <= MATERIALIZE_CAP
     result = {"m": m, "materialized": materialized, "ok": True, "checks": 0, "failures": []}
 
+    def fail(name, witness, method=None):
+        entry = {"name": name, "ok": False}
+        if method is not None:
+            entry["method"] = method
+        entry["witness"] = witness
+        result["failures"].append(entry)
+        result["ok"] = False
+
     def record(name, witness, method=None):
         # witness is None for a law that holds
         result["checks"] += 1
         if witness is not None:
-            entry = {"name": name, "ok": False}
-            if method is not None:
-                entry["method"] = method
-            entry["witness"] = witness
-            result["failures"].append(entry)
-            result["ok"] = False
+            fail(name, witness, method)
 
-    def record_window(name, bits, pair, method=None):
+    def fail_window(name, bits, pair, method=None):
         # a window law fails at the least coordinate set in bits
-        x = _lowest(bits)
-        record(name, None if x is None else {"pair": pair, "coordinate": x}, method)
+        fail(name, {"pair": pair, "coordinate": _lowest(bits)}, method)
 
     def record_sets(name, ok, S, T):
         # the two sets are rendered only into a failure's witness
@@ -451,18 +453,33 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         # coordinates up, so it reads nothing past m, and the first k are collapsed
         return (w << k | fill) & full
 
+    # a law that holds only counts; its name and pair are spelled out on failure
+    checks = 0
     for n in range(len(sigma) - 2):
-        record_window(f"recursion sigma[{n + 2}]", image(sigma[n]) ^ sigma[n + 2],
-                      [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"])
+        checks += 1
+        bad = image(sigma[n]) ^ sigma[n + 2]
+        if bad:
+            fail_window(f"recursion sigma[{n + 2}]", bad,
+                        [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"])
     for i in sorted(neg):
         if i + 2 in neg:
-            record_window(f"complement rule neg_sigma[{i + 2}]", image(neg[i]) ^ neg[i + 2],
-                          [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"])
-        record_window(f"totality sigma[{i}] u neg_sigma[{i}]", full ^ (sigma[i] | neg[i]),
-                      [f"sigma[{i}]", f"neg_sigma[{i}]"])
+            checks += 1
+            bad = image(neg[i]) ^ neg[i + 2]
+            if bad:
+                fail_window(f"complement rule neg_sigma[{i + 2}]", bad,
+                            [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"])
+        checks += 1
+        bad = full ^ (sigma[i] | neg[i])
+        if bad:
+            fail_window(f"totality sigma[{i}] u neg_sigma[{i}]", bad,
+                        [f"sigma[{i}]", f"neg_sigma[{i}]"])
     for n, d in enumerate(run.ds):
-        record_window(f"definition d[{n}]", d.bits_below(m) ^ (sigma[2 * n] | neg[2 * n + 1]),
-                      [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"])
+        checks += 1
+        bad = d.bits_below(m) ^ (sigma[2 * n] | neg[2 * n + 1])
+        if bad:
+            fail_window(f"definition d[{n}]", bad,
+                        [f"d[{n}]", f"sigma[{2 * n}] u neg_sigma[{2 * n + 1}]"])
+    result["checks"] += checks
 
     pairs = [
         ("zeta", run.zeta, "neg_sigma[1]", run.neg_odd[1]),
@@ -538,8 +555,11 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         # B/zeta ~ B/neg_chi x B/sigma_zeta reads the coordinates of chi and of
         # sigma_zeta^c, so the ones left free must be exactly those of zeta
         chi, sz, zeta = (S.bits_below(m) for S in (run.chi, run.sigma_zeta, run.zeta))
-        record_window("pairing partition of zeta^c", (full ^ chi) & sz ^ zeta,
-                      ["zeta^c", "chi + sigma_zeta^c"], exact)
+        result["checks"] += 1
+        bad = (full ^ chi) & sz ^ zeta
+        if bad:
+            fail_window("pairing partition of zeta^c", bad,
+                        ["zeta^c", "chi + sigma_zeta^c"], exact)
 
     return result
 
@@ -579,6 +599,9 @@ class QuasiCyclic:
     prime: int
 
     def __post_init__(self):
+        # the carrier cap before the primality test, whose trial division
+        # runs to sqrt(p): a prime over the cap has no truncation past level 0
+        _carrier(self.prime, 1)
         if not _is_prime(self.prime):
             raise ValidationError(f"{self.prime} is not prime")
 

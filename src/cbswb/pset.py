@@ -20,7 +20,8 @@ so they run both steps, except at period 1, whose one divisor leaves no
 period to search.  A period-1 tail holds every position or none, so
 `_trim` tiles it inline as one mask, with no call.  The binary operations
 read the window of the set with the lower threshold inline, as
-`bits_below` would give it.
+`bits_below` would give it.  `render` writes a period-1 tail, which most
+sets of a symbolic run have, as `{}` or `{0}` without reading its mask.
 """
 
 import math
@@ -263,11 +264,14 @@ class PeriodicSet:
     # -- text form -----------------------------------------------------------
 
     def render(self) -> str:
-        t = self.threshold
+        t, p = self.threshold, self.period
         bits = format(self.pbits, "b").zfill(t)[::-1] if t else ""
-        inner = ",".join(str(r) for r, c in enumerate(reversed(format(self.rbits, "b")))
-                         if c == "1")
-        return f"prefix={bits};period={self.period};residues={{{inner}}}"
+        if p == 1:  # a period-1 tail holds every position or none
+            inner = "0" if self.rbits else ""
+        else:
+            inner = ",".join([str(r) for r, c in enumerate(reversed(format(self.rbits, "b")))
+                              if c == "1"])
+        return f"prefix={bits};period={p};residues={{{inner}}}"
 
     @staticmethod
     def parse(text: str) -> "PeriodicSet":

@@ -93,6 +93,7 @@ def _text(out: list, label, value, pad: str) -> None:
 
 
 _BOOLS = {True: "true", False: "false"}
+_TEXTS = {str, type(None)}
 
 
 def _json(value, pad: str) -> str:
@@ -102,7 +103,8 @@ def _json(value, pad: str) -> str:
         inner = pad + "  "
         sep = ",\n" + inner
         return "{\n" + inner + sep.join(
-            [_string(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+            [_string(k) + ": " + (_string(v) if type(v) is str else _json(v, inner))
+             for k, v in sorted(value.items())]
         ) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -114,8 +116,8 @@ def _json(value, pad: str) -> str:
             body = sep.join(map(int.__repr__, value))
         elif kinds == {bool}:
             body = sep.join(map(_BOOLS.__getitem__, value))
-        elif kinds == {str}:
-            body = sep.join(map(_string, value))
+        elif kinds <= _TEXTS:
+            body = sep.join(["null" if v is None else _string(v) for v in value])
         else:
             body = sep.join([_json(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + pad + "]"
@@ -143,7 +145,8 @@ def json_text(doc) -> str:
     """The stdlib's JSON for doc with keys sorted and a two-space indent,
     byte for byte, for JSON-native documents (string keys).  The stdlib's C
     encoder cannot indent, so there each cell is one step of a Python
-    generator; here a list of ints, bools or strings is one join."""
+    generator; here a list of ints, of bools or of strings and nulls is one
+    join, and a dict writes its string values inline."""
     return _json(doc, "")
 
 

@@ -19,7 +19,7 @@ from cbswb.algebra import (FiniteAlgebra, Operation, iso_search, parse_sentence,
                            power_algebra, render_algebra, satisfies)
 from cbswb.congruence import all_congruences
 from cbswb.corpus import corpus_algebra
-from cbswb.errors import BudgetError
+from cbswb.errors import BudgetError, ValidationError
 from cbswb.omega import QuasiCyclic, check_truncation, omega_cbs_run, quasicyclic_suite
 from cbswb.pset import PeriodicSet
 from cbswb.structure import church_centers
@@ -120,6 +120,24 @@ def test_a_huge_prime_meets_the_carrier_cap_before_its_primality_test(capsys):
     assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_the_quasicyclic_constructor_meets_the_carrier_cap_before_its_primality_test():
+    # a prime over the cap could only build the level-0 truncation, so the
+    # constructor refuses it before trial division would run for minutes
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        QuasiCyclic(p)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (f"quasi-cyclic truncation: carrier reached {p}, "
+                              "over the 1024-element budget")
+    with pytest.raises(BudgetError):
+        QuasiCyclic(1031)  # the least prime over the cap
+    assert QuasiCyclic(1021).prime == 1021  # the greatest prime within it
+    for n in (1, 4):
+        with pytest.raises(ValidationError, match=f"^{n} is not prime$"):
+            QuasiCyclic(n)
 
 
 def _calls(name):

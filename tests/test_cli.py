@@ -414,7 +414,8 @@ _text = st.text() | st.sampled_from(["", "\u00e9t\u00e9", "\"q\" \\ \n\t\x00\x1f
 _float = st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
 _scalar = st.none() | st.booleans() | st.integers() | _float | _text
 _rows = (st.lists(st.integers()) | st.lists(st.booleans()) | st.lists(_text)
-         | st.lists(st.integers() | st.booleans()) | st.lists(_scalar))
+         | st.lists(st.none() | _text) | st.lists(st.integers() | st.booleans())
+         | st.lists(_scalar))
 _documents = st.recursive(
     _scalar | _rows,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
@@ -426,6 +427,8 @@ _documents = st.recursive(
 @given(_documents)
 @example({"a": [], "b": {}, "c": [[True, 1, False], [0, None], [float("nan"), "\u00ff"]]})
 @example([[], {}, [[]], [{}]])
+# the omega-demo report's shapes: a list of strings led by null, a dict of strings
+@example({"thetas": [None, "a", "b"], "neg_odd": {"1": "x", "3": "y"}, "k": [None]})
 def test_json_text_matches_the_stdlib_indented_writer(doc):
     assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 

@@ -15,7 +15,7 @@ bounded number of examples, so every run tries the same sets.
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cbswb.pset import PeriodicSet, _of
@@ -32,15 +32,20 @@ WINDOW = MAX_THRESHOLD + MAX_SHIFT + 2 * max(
     math.lcm(a, b) for a in range(1, MAX_PERIOD + 1) for b in range(1, MAX_PERIOD + 1))
 
 
+def raw_case(threshold, prefix, period, residues):
+    """A set together with its membership over the window."""
+    s = PeriodicSet(threshold, prefix, period, residues)
+    return s, raw_members(threshold, prefix, period, residues, WINDOW)
+
+
 @st.composite
 def raw_sets(draw):
-    """A set together with its membership over the window."""
+    """A raw_case of drawn fields."""
     threshold = draw(st.integers(0, MAX_THRESHOLD))
     prefix = draw(st.lists(st.booleans(), min_size=threshold, max_size=threshold))
     period = draw(st.integers(1, MAX_PERIOD))
     residues = draw(st.frozensets(st.integers(0, period - 1)))
-    s = PeriodicSet(threshold, prefix, period, residues)
-    return s, raw_members(threshold, prefix, period, residues, WINDOW)
+    return raw_case(threshold, prefix, period, residues)
 
 
 @st.composite
@@ -125,6 +130,12 @@ def test_shift_fill_matches_shift_and_block(case, k):
 
 @PSET_SETTINGS
 @given(raw_sets())
+# period-1 tails, which render writes without reading the residue mask
+@example(raw_case(0, (), 1, ()))  # the empty set
+@example(raw_case(0, (), 1, (0,)))  # the naturals
+@example(raw_case(5, (1, 0, 1, 1, 0), 1, ()))  # {0, 2, 3}
+@example(raw_case(4, (0, 1, 0, 1), 1, (0,)))  # all but 0 and 2
+@example(raw_case(3, (0, 0, 1), 4, (0, 1, 2, 3)))  # a full tail of period 4 is period 1
 def test_render_parse_round_trip(case):
     s, members = case
     text = s.render()
