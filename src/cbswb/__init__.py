@@ -20,7 +20,6 @@ from .algebra import (
     satisfies,
 )
 from .cbs import (
-    CbsSequenceState,
     OperatorKind,
     boolean_sublattice_check,
     cbs_complete_check,
@@ -30,7 +29,6 @@ from .cbs import (
     f_hat_inverse,
     operator_eval,
     presheaf_check,
-    validate_sequence,
 )
 from .congruence import (
     Congruence,

@@ -6,14 +6,13 @@ the centre of the congruence lattice, and the congruences whose quotient
 satisfies a fixed sentence set.  On top of the selected family the module
 computes the interval map f-hat induced by an isomorphism f: A -> A/theta,
 on a finite algebra an automorphism with theta the diagonal, the
-CBS-sequence of that one case, and the property / completeness verdicts,
-each with explicit witnesses.
+CBS-sequence table of that one case as cbs-complete reports it, and the
+property / completeness verdicts, each with explicit witnesses.
 """
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
@@ -30,7 +29,6 @@ from .congruence import (
     Congruence,
     CongruenceLattice,
     all_congruences,
-    congruence_join,
     quotient_lift,
     relative_congruences,
     transport,
@@ -152,132 +150,13 @@ def f_hat_inverse(A: FiniteAlgebra, f, psi: Congruence) -> Congruence:
 
 
 # ---------------------------------------------------------------------------
-# the CBS-sequence core, shared by the finite and the symbolic engine
+# the CBS-sequence
 
 
-@dataclass(frozen=True)
-class SequenceLattice:
-    """What the law list needs of an engine's K(A), and the engine's three
-    words: its join, a failed totality and the rule that gives neg sigma[1].
-    The d-term pairs are checked one by one only when pairs_may_fail holds."""
-
-    fhat: Callable
-    join: Callable
-    leq: Callable
-    is_diagonal: Callable
-    is_total: Callable
-    words: tuple
-    pairs_may_fail: Callable = lambda ds: True
-
-
-def sequence_tail(sigmas, neg1, fhat, join):
-    """neg sigma[i + 2] = f_hat(neg sigma[i]) for the odd i below len(sigmas),
-    and d[n] = sigma[2n] join neg sigma[2n + 1], one d-term per odd index."""
-    neg_odd = {1: neg1}
-    for i in range(3, len(sigmas), 2):
-        neg_odd[i] = fhat(neg_odd[i - 2])
-    return neg_odd, [join(sigmas[i - 1], neg) for i, neg in neg_odd.items()]
-
-
-def sequence_shape(sigmas, thetas, neg_odd, ds):
-    """Violations of tables that do not fit the sigmas.  The law lists read
-    every term by index, so they run only when this returns nothing."""
-    odd = list(range(1, len(sigmas), 2))
-    out = []
-    if len(sigmas) < 2:
-        out.append(f"{len(sigmas)} sigmas, fewer than sigma[0] and sigma[1]")
-    if len(thetas) != len(sigmas):
-        out.append(f"{len(thetas)} thetas for {len(sigmas)} sigmas")
-    if sorted(neg_odd) != odd:
-        out.append(f"neg sigma is not indexed by the odd indices below {len(sigmas)}")
-    if len(ds) != len(odd):
-        out.append(f"{len(ds)} d-terms for {len(odd)} odd indices")
-    return out
-
-
-def sequence_violations(lattice: SequenceLattice, sigmas, zeta, neg_odd, neg1, ds):
-    """Every law of a CBS-sequence whose tables pass sequence_shape, in one
-    order for both engines; neg1 is neg sigma[1] as the caller recomputes it."""
-    L = lattice
-    join_word, not_total, neg1_rule = L.words
-    out = []
-    if not L.is_diagonal(sigmas[0]):
-        out.append("sigma[0] is not the diagonal")
-    if sigmas[1] != zeta:
-        out.append("sigma[1] differs from zeta")
-    for n in range(len(sigmas) - 2):
-        if L.fhat(sigmas[n]) != sigmas[n + 2]:
-            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
-    for n in range(len(sigmas) - 1):
-        if not L.leq(sigmas[n], sigmas[n + 1]):
-            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
-    if neg_odd[1] != neg1:
-        out.append(f"neg sigma[1] differs from {neg1_rule}")
-    for i, neg in sorted(neg_odd.items()):
-        if i + 2 in neg_odd and neg_odd[i + 2] != L.fhat(neg):
-            out.append(f"neg sigma[{i + 2}] != f_hat(neg sigma[{i}])")
-        if not L.is_total(L.join(sigmas[i], neg)):
-            out.append(f"sigma[{i}] {join_word} its complement {not_total}")
-    for n, d in enumerate(ds):
-        if d != L.join(sigmas[2 * n], neg_odd[2 * n + 1]):
-            out.append(f"d[{n}] does not match its definition")
-    if L.pairs_may_fail(ds):
-        for a in range(len(ds)):
-            for b in range(a + 1, len(ds)):
-                if not L.is_total(L.join(ds[a], ds[b])):
-                    out.append(f"d[{a}] {join_word} d[{b}] {not_total}")
-    for n in range(len(ds) - 1):
-        if L.fhat(ds[n]) != ds[n + 1]:
-            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
-    return out
-
-
-def chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta, meet, join):
-    """chi = neg sigma[1] meet sigma_zeta and neg_chi = zeta join neg sigma_zeta."""
-    return meet(neg1, sigma_zeta), join(zeta, neg_sigma_zeta)
-
-
-# ---------------------------------------------------------------------------
-# CBS-sequences
-
-
-@dataclass
-class CbsSequenceState:
-    """Materialized sigma/theta tables with complement choices and d-terms."""
-
-    algebra: FiniteAlgebra
-    theta: Congruence
-    zeta: Congruence
-    kind: OperatorKind
-    sigmas: list = field(default_factory=list)
-    thetas: list = field(default_factory=list)  # thetas[0] is None
-    neg_odd: dict = field(default_factory=dict)  # odd index -> complement congruence
-    ds: list = field(default_factory=list)
-    complement_used: Optional[Congruence] = None
-    complement_options: list = field(default_factory=list)
-    stabilized: bool = False
-    stabilized_at: Optional[int] = None
-
-    def to_report(self) -> dict:
-        return {
-            "algebra": self.algebra.name,
-            "kind": self.kind.label(),
-            "theta": self.theta.to_blocks_list(),
-            "zeta": self.zeta.to_blocks_list(),
-            "sigmas": [c.to_blocks_list() for c in self.sigmas],
-            "thetas": [None if c is None else c.to_blocks_list() for c in self.thetas],
-            "neg_odd": {str(k): v.to_blocks_list() for k, v in sorted(self.neg_odd.items())},
-            "ds": [c.to_blocks_list() for c in self.ds],
-            "complement_used": self.complement_used.to_blocks_list(),
-            "complement_options": [c.to_blocks_list() for c in self.complement_options],
-            "stabilized": self.stabilized,
-            "stabilized_at": self.stabilized_at,
-        }
-
-
-def _sequence(A: FiniteAlgebra, kind: OperatorKind) -> CbsSequenceState:
-    """The CBS-sequence of the one case a finite algebra has, with its
-    complement data, for a kind whose K(A) the caller has read.
+def _sequence(A: FiniteAlgebra, kind: OperatorKind, diag: list, total: list) -> dict:
+    """The CBS-sequence table of the one case a finite algebra has, with its
+    complement data, for a kind whose K(A) the caller has read; diag and
+    total are the block lists of the diagonal and the total congruence.
 
     An isomorphism f: A -> A/theta keeps the carrier's size, so theta =
     zeta = the diagonal and f is an automorphism.  Pulling the diagonal or
@@ -288,53 +167,32 @@ def _sequence(A: FiniteAlgebra, kind: OperatorKind) -> CbsSequenceState:
     congruence, in every K(A), is the one complement of f_hat(zeta).  The
     odd-index complements are then total, and so is every d-term.
     """
-    diag, total = Congruence.diagonal(A), Congruence.total(A)
-    return CbsSequenceState(
-        algebra=A, theta=diag, zeta=diag, kind=kind,
-        sigmas=[diag] * 8, thetas=[None] + [diag] * 7,
-        neg_odd={i: total for i in range(1, 8, 2)}, ds=[total] * 4,
-        complement_used=total, complement_options=[total],
-        stabilized=True, stabilized_at=2,
-    )
+    return {
+        "algebra": A.name,
+        "kind": kind.label(),
+        "theta": diag,
+        "zeta": diag,
+        "sigmas": [diag] * 8,
+        "thetas": [None] + [diag] * 7,
+        "neg_odd": {str(i): total for i in range(1, 8, 2)},
+        "ds": [total] * 4,
+        "complement_used": total,
+        "complement_options": [total],
+        "stabilized": True,
+        "stabilized_at": 2,
+    }
 
 
 def cbs_sequence(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
-                 max_size: int = DEFAULT_CON_CAP) -> CbsSequenceState:
-    """The CBS-sequence of the one case a finite algebra has (see
-    _sequence).  K(A) is read so that the carrier cap applies and a
-    relative kind whose sentences A fails is refused."""
+                 max_size: int = DEFAULT_CON_CAP) -> dict:
+    """The CBS-sequence table of the one case a finite algebra has (see
+    _sequence), as cbs-complete reports it.  K(A) is read so that the
+    carrier cap applies and a relative kind whose sentences A fails is
+    refused."""
     kind = kind or OperatorKind.fc()
-    _k_positions(A, kind, max_size=max_size)
-    return _sequence(A, kind)
-
-
-def validate_sequence(state: CbsSequenceState):
-    """Recompute every law of the sequence; returns the list of violations.
-    The sequence is every automorphism's (see cbs_sequence), so f_hat is
-    that of the identity.  After the shared list: the theta recursion and
-    the chosen complement."""
-    A, sigmas, thetas = state.algebra, state.sigmas, state.thetas
-    fhat = partial(f_hat, A, None)
-    out = sequence_shape(sigmas, thetas, state.neg_odd, state.ds)
-    if out:
-        return out
-    lattice = SequenceLattice(
-        fhat, congruence_join, Congruence.refines,
-        Congruence.is_diagonal, Congruence.is_total,
-        ("join", "is not total", "the pulled-back complement"),
-    )
-    out = sequence_violations(lattice, sigmas, state.zeta, state.neg_odd,
-                              f_hat_inverse(A, None, state.complement_used), state.ds)
-    if thetas[1].rep != Congruence.diagonal(A).rep:
-        out.append("theta[1] is not the diagonal of the quotient")
-    for n in range(1, len(sigmas) - 1):
-        if sigmas[n + 1].rep != thetas[n].rep:
-            out.append(f"sigma[{n + 1}] breaks the recursion")
-        if thetas[n + 1].rep != fhat(sigmas[n]).rep:
-            out.append(f"theta[{n + 1}] breaks the recursion")
-    if check_factor_pair(A, fhat(state.zeta), state.complement_used)["ok"] is False:
-        out.append("chosen complement does not form a factor pair with f_hat(zeta)")
-    return out
+    L, _ = _k_positions(A, kind, max_size=max_size)
+    return _sequence(A, kind, L.elements[L.bottom].to_blocks_list(),
+                     L.elements[L.top].to_blocks_list())
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +281,7 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
                 {"claim": "f_hat(chi) = sigma_zeta", "ok": True},
             ],
             "conclusion": {"claim": "A ~ A/sigma", "ok": True, "iso": identity},
-            "sequence": _sequence(A, kind).to_report(),
+            "sequence": _sequence(A, kind, diag, total),
         },
         "tried": [],
         "skipped": [],

@@ -24,7 +24,6 @@ from .algebra import (
     power_algebra,
     quotient_algebra,
 )
-from .cbs import SequenceLattice, chi_pair, sequence_shape, sequence_tail, sequence_violations
 from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
 from .errors import ValidationError, over_budget
 from .pset import PeriodicSet, _budget, _of, _rotate
@@ -181,6 +180,31 @@ def countable_infimum(family: AffineFamily):
 # the symbolic CBS run
 
 
+def sequence_tail(sigmas, neg1, fhat, join):
+    """neg sigma[i + 2] = f_hat(neg sigma[i]) for the odd i below len(sigmas),
+    and d[n] = sigma[2n] join neg sigma[2n + 1], one d-term per odd index."""
+    neg_odd = {1: neg1}
+    for i in range(3, len(sigmas), 2):
+        neg_odd[i] = fhat(neg_odd[i - 2])
+    return neg_odd, [join(sigmas[i - 1], neg) for i, neg in neg_odd.items()]
+
+
+def sequence_shape(sigmas, thetas, neg_odd, ds):
+    """Violations of tables that do not fit the sigmas.  The law lists read
+    every term by index, so they run only when this returns nothing."""
+    odd = list(range(1, len(sigmas), 2))
+    out = []
+    if len(sigmas) < 2:
+        out.append(f"{len(sigmas)} sigmas, fewer than sigma[0] and sigma[1]")
+    if len(thetas) != len(sigmas):
+        out.append(f"{len(thetas)} thetas for {len(sigmas)} sigmas")
+    if sorted(neg_odd) != odd:
+        out.append(f"neg sigma is not indexed by the odd indices below {len(sigmas)}")
+    if len(ds) != len(odd):
+        out.append(f"{len(ds)} d-terms for {len(odd)} odd indices")
+    return out
+
+
 @dataclass
 class OmegaRun:
     """Symbolic sequence state over the countable power of the base."""
@@ -274,8 +298,7 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
     sigma_zeta, cert = countable_infimum(AffineFamily(ds[1], k, theta))
 
     neg_sigma_zeta = sigma_zeta.complement()
-    chi, neg_chi = chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta,
-                            PeriodicSet.intersect, PeriodicSet.union)
+    chi, neg_chi = neg1.intersect(sigma_zeta), zeta.union(neg_sigma_zeta)
 
     naturals = PeriodicSet.naturals()
     fchi = iso.fhat(chi)
@@ -313,15 +336,15 @@ def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10
 
 
 def omega_validate(run: OmegaRun):
-    """Symbolic law re-check: the law list shared with the finite validator,
-    then theta, sigma_zeta and chi, which only the symbolic run has.
+    """Symbolic law re-check: the sequence laws, then theta, sigma_zeta and
+    chi, each with its message, in one fixed order.
 
     Sets whose thresholds are at most T' and whose periods divide P are
     equal iff they agree on [0, T' + P).  A law compares stored terms, f_hat
     of them (k higher thresholds) and their Boolean combinations, so each
     term is read once as a window of W = T + k + P bits, T the largest
     stored threshold and P the lcm of the stored periods, and the laws are
-    decided exactly on those ints.
+    decided exactly on those ints, union as | and the total set as every bit.
     """
     k = ShiftIso(run.k).k  # refuses a shift below 1, as the run does
     out = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
@@ -339,34 +362,55 @@ def omega_validate(run: OmegaRun):
     ds = [d.bits_below(width) for d in run.ds]
     zeta, sigma_zeta, chi, neg_chi = (S.bits_below(width) for S in named)
 
-    def pairs_may_fail(ds):
-        # a pair of d-terms misses a coordinate only if two gaps share it
-        seen = twice = 0
-        for d in ds:
-            gap = full ^ d
-            twice |= seen & gap
-            seen |= gap
-        return twice != 0
+    def fhat(w):
+        return (w << k | fill) & full
 
-    lattice = SequenceLattice(
-        lambda w: (w << k | fill) & full, int.__or__, lambda a, b: not a & ~b,
-        lambda w: not w, lambda w: w == full,
-        ("union", "misses coordinates", "the complement rule"), pairs_may_fail,
-    )
+    if sigmas[0]:
+        out.append("sigma[0] is not the diagonal")
+    if sigmas[1] != zeta:
+        out.append("sigma[1] differs from zeta")
+    for n in range(len(sigmas) - 2):
+        if fhat(sigmas[n]) != sigmas[n + 2]:
+            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
+    for n in range(len(sigmas) - 1):
+        if sigmas[n] & ~sigmas[n + 1]:
+            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
     # neg sigma[1] is f_hat(zeta)^c shifted back by k, which is zeta^c
     neg1 = full ^ zeta
-    out += sequence_violations(lattice, sigmas, zeta, neg_odd, neg1, ds)
+    if neg_odd[1] != neg1:
+        out.append("neg sigma[1] differs from the complement rule")
+    for i, neg in sorted(neg_odd.items()):
+        if i + 2 in neg_odd and neg_odd[i + 2] != fhat(neg):
+            out.append(f"neg sigma[{i + 2}] != f_hat(neg sigma[{i}])")
+        if sigmas[i] | neg != full:
+            out.append(f"sigma[{i}] union its complement misses coordinates")
+    for n, d in enumerate(ds):
+        if d != sigmas[2 * n] | neg_odd[2 * n + 1]:
+            out.append(f"d[{n}] does not match its definition")
+    # a pair of d-terms misses a coordinate only if two gaps share it
+    seen = twice = 0
+    for d in ds:
+        gap = full ^ d
+        twice |= seen & gap
+        seen |= gap
+    if twice:
+        for a in range(len(ds)):
+            for b in range(a + 1, len(ds)):
+                if ds[a] | ds[b] != full:
+                    out.append(f"d[{a}] union d[{b}] misses coordinates")
+    for n in range(len(ds) - 1):
+        if fhat(ds[n]) != ds[n + 1]:
+            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
     for n in range(1, len(run.thetas)):
         if run.thetas[n].bits_below(width) != sigmas[n - 1]:
             out.append(f"theta[{n}] is not the image of sigma[{n - 1}]")
     for n in range(1, len(ds)):
         if sigma_zeta & ~ds[n]:
             out.append(f"sigma_zeta is not below d[{n}]")
-    want_chi, want_neg_chi = chi_pair(zeta, neg1, sigma_zeta, full ^ sigma_zeta,
-                                      int.__and__, int.__or__)
-    if chi != want_chi:
+    # chi = neg sigma[1] meet sigma_zeta and neg_chi = zeta join neg sigma_zeta
+    if chi != neg1 & sigma_zeta:
         out.append("chi does not match its definition")
-    if neg_chi != want_neg_chi:
+    if neg_chi != zeta | (full ^ sigma_zeta):
         out.append("neg_chi does not match its definition")
     return out
 

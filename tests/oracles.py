@@ -6,15 +6,21 @@ argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window, the Pruefer group by fractions,
 text reports by a recursive walk over every cell.
 None of it shares code with the package beyond the public data shapes,
-except the general CBS searches, the refinement-scan presheaf
-correspondence, the set routes of the symbolic validator and the
-countable infimum and the decomposition route of the truncation pairing at
-the end, which are the reference forms of the CBS verbs, of the window
-routes and of the pairing verdict and run on the package's kernels.  The
-partitions of each n are kept as rep arrays after their first enumeration,
-for the congruence oracles filter them again and again.
+except the CBS-sequence oracles and the routes at the end.  The finite
+sequence state, its validator and the generic sequence law list, which the
+validator shares with the set route of the symbolic validator, live here
+and read the package's f_hat, joins and shape check; the symbolic validator
+states its laws on window ints by itself, so the set route is a separate
+statement of them.  The general CBS searches, the refinement-scan presheaf
+correspondence, the set routes of the symbolic validator and the countable
+infimum and the decomposition route of the truncation pairing are the
+reference forms of the CBS verbs, of the window routes and of the pairing
+verdict, and run on the package's kernels.  The partitions of each n are
+kept as rep arrays after their first enumeration, for the congruence
+oracles filter them again and again.
 """
 
+import dataclasses
 import functools
 import itertools
 
@@ -389,6 +395,157 @@ def text_lines(label, value, depth=0):
 
 
 # ---------------------------------------------------------------------------
+# the finite CBS-sequence and its laws
+#
+# cbs_sequence reports the one finite sequence as a table; the state below
+# holds it as congruences, and the validator recomputes its laws.
+
+
+class CbsSequenceState:
+    """Materialized sigma/theta tables with complement choices and d-terms;
+    thetas[0] is None and neg_odd maps each odd index to its complement."""
+
+    def __init__(self, algebra, kind, theta, zeta, sigmas, thetas, neg_odd, ds,
+                 complement_used, complement_options, stabilized, stabilized_at):
+        self.algebra, self.kind, self.theta, self.zeta = algebra, kind, theta, zeta
+        self.sigmas, self.thetas, self.neg_odd, self.ds = sigmas, thetas, neg_odd, ds
+        self.complement_used, self.complement_options = complement_used, complement_options
+        self.stabilized, self.stabilized_at = stabilized, stabilized_at
+
+    def to_report(self):
+        return {
+            "algebra": self.algebra.name,
+            "kind": self.kind.label(),
+            "theta": self.theta.to_blocks_list(),
+            "zeta": self.zeta.to_blocks_list(),
+            "sigmas": [c.to_blocks_list() for c in self.sigmas],
+            "thetas": [None if c is None else c.to_blocks_list() for c in self.thetas],
+            "neg_odd": {str(k): v.to_blocks_list() for k, v in sorted(self.neg_odd.items())},
+            "ds": [c.to_blocks_list() for c in self.ds],
+            "complement_used": self.complement_used.to_blocks_list(),
+            "complement_options": [c.to_blocks_list() for c in self.complement_options],
+            "stabilized": self.stabilized,
+            "stabilized_at": self.stabilized_at,
+        }
+
+
+def reported_sequence(A, kind):
+    """The table cbs_sequence reports for A and kind, read back into
+    congruences of A as a CbsSequenceState."""
+    from cbswb.cbs import cbs_sequence
+    from cbswb.congruence import Congruence
+
+    table = cbs_sequence(A, kind)
+    assert (table["algebra"], table["kind"]) == (A.name, kind.label())
+
+    def cong(blocks):
+        return None if blocks is None else Congruence.from_blocks(A, blocks)
+
+    def congs(key):
+        return [cong(blocks) for blocks in table[key]]
+
+    return CbsSequenceState(
+        algebra=A, kind=kind, theta=cong(table["theta"]), zeta=cong(table["zeta"]),
+        sigmas=congs("sigmas"), thetas=congs("thetas"),
+        neg_odd={int(i): cong(blocks) for i, blocks in table["neg_odd"].items()},
+        ds=congs("ds"), complement_used=cong(table["complement_used"]),
+        complement_options=congs("complement_options"),
+        stabilized=table["stabilized"], stabilized_at=table["stabilized_at"],
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class SequenceLattice:
+    """What the law list needs of an engine's K(A), and the engine's three
+    words: its join, a failed totality and the rule that gives neg sigma[1].
+    The d-term pairs are checked one by one only when pairs_may_fail holds."""
+
+    fhat: object
+    join: object
+    leq: object
+    is_diagonal: object
+    is_total: object
+    words: tuple
+    pairs_may_fail: object = lambda ds: True
+
+
+def sequence_violations(lattice, sigmas, zeta, neg_odd, neg1, ds):
+    """Every law of a CBS-sequence whose tables pass sequence_shape, in one
+    order for every engine; neg1 is neg sigma[1] as the caller recomputes it."""
+    L = lattice
+    join_word, not_total, neg1_rule = L.words
+    out = []
+    if not L.is_diagonal(sigmas[0]):
+        out.append("sigma[0] is not the diagonal")
+    if sigmas[1] != zeta:
+        out.append("sigma[1] differs from zeta")
+    for n in range(len(sigmas) - 2):
+        if L.fhat(sigmas[n]) != sigmas[n + 2]:
+            out.append(f"f_hat(sigma[{n}]) != sigma[{n + 2}]")
+    for n in range(len(sigmas) - 1):
+        if not L.leq(sigmas[n], sigmas[n + 1]):
+            out.append(f"sigma[{n}] is not below sigma[{n + 1}]")
+    if neg_odd[1] != neg1:
+        out.append(f"neg sigma[1] differs from {neg1_rule}")
+    for i, neg in sorted(neg_odd.items()):
+        if i + 2 in neg_odd and neg_odd[i + 2] != L.fhat(neg):
+            out.append(f"neg sigma[{i + 2}] != f_hat(neg sigma[{i}])")
+        if not L.is_total(L.join(sigmas[i], neg)):
+            out.append(f"sigma[{i}] {join_word} its complement {not_total}")
+    for n, d in enumerate(ds):
+        if d != L.join(sigmas[2 * n], neg_odd[2 * n + 1]):
+            out.append(f"d[{n}] does not match its definition")
+    if L.pairs_may_fail(ds):
+        for a in range(len(ds)):
+            for b in range(a + 1, len(ds)):
+                if not L.is_total(L.join(ds[a], ds[b])):
+                    out.append(f"d[{a}] {join_word} d[{b}] {not_total}")
+    for n in range(len(ds) - 1):
+        if L.fhat(ds[n]) != ds[n + 1]:
+            out.append(f"f_hat(d[{n}]) != d[{n + 1}]")
+    return out
+
+
+def chi_pair(zeta, neg1, sigma_zeta, neg_sigma_zeta, meet, join):
+    """chi = neg sigma[1] meet sigma_zeta and neg_chi = zeta join neg sigma_zeta."""
+    return meet(neg1, sigma_zeta), join(zeta, neg_sigma_zeta)
+
+
+def validate_sequence(state):
+    """Recompute every law of a finite sequence; returns the list of
+    violations.  f_hat is that of the identity, whose sequence is every
+    automorphism's (see cbs_sequence).  After the law list: the theta
+    recursion and the chosen complement."""
+    from cbswb.cbs import f_hat, f_hat_inverse
+    from cbswb.congruence import Congruence, congruence_join
+    from cbswb.omega import sequence_shape
+    from cbswb.structure import check_factor_pair
+
+    A, sigmas, thetas = state.algebra, state.sigmas, state.thetas
+    fhat = functools.partial(f_hat, A, None)
+    out = sequence_shape(sigmas, thetas, state.neg_odd, state.ds)
+    if out:
+        return out
+    lattice = SequenceLattice(
+        fhat, congruence_join, Congruence.refines,
+        Congruence.is_diagonal, Congruence.is_total,
+        ("join", "is not total", "the pulled-back complement"),
+    )
+    out = sequence_violations(lattice, sigmas, state.zeta, state.neg_odd,
+                              f_hat_inverse(A, None, state.complement_used), state.ds)
+    if thetas[1].rep != Congruence.diagonal(A).rep:
+        out.append("theta[1] is not the diagonal of the quotient")
+    for n in range(1, len(sigmas) - 1):
+        if sigmas[n + 1].rep != thetas[n].rep:
+            out.append(f"sigma[{n + 1}] breaks the recursion")
+        if thetas[n + 1].rep != fhat(sigmas[n]).rep:
+            out.append(f"theta[{n + 1}] breaks the recursion")
+    if check_factor_pair(A, fhat(state.zeta), state.complement_used)["ok"] is False:
+        out.append("chosen complement does not form a factor pair with f_hat(zeta)")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # general CBS searches
 #
 # On a finite algebra the CBS verbs run one case: an isomorphism A -> A/theta
@@ -452,9 +609,10 @@ def general_cbs_sequence(A, f, theta, zeta, kind, complement=None):
     of sigma_n along f and sigma_{n+1} the preimage of theta_n under the
     natural projection, run until both stabilize and to index 7 at least.
     """
-    from cbswb.cbs import CbsSequenceState, operator_eval, sequence_tail
+    from cbswb.cbs import operator_eval
     from cbswb.congruence import Congruence, all_congruences, congruence_join, transport
     from cbswb.errors import ValidationError
+    from cbswb.omega import sequence_tail
 
     iso = QuotientIso(A, f, theta)
     ks = operator_eval(A, kind)
@@ -625,7 +783,7 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
     theta and sigma default to the diagonal and f to the natural projection.
     """
     from cbswb.algebra import direct_product, iso_search, quotient_algebra
-    from cbswb.cbs import boolean_sublattice_check, chi_pair, operator_eval
+    from cbswb.cbs import boolean_sublattice_check, operator_eval
     from cbswb.congruence import Congruence, all_congruences
     from cbswb.errors import ValidationError
     from cbswb.structure import decomposition_witness
@@ -778,8 +936,7 @@ def presheaf_correspondence(A, kind):
 
 def omega_validate_sets(run):
     """omega_validate with every law decided by PeriodicSet operations."""
-    from cbswb.cbs import SequenceLattice, chi_pair, sequence_shape, sequence_violations
-    from cbswb.omega import ShiftIso
+    from cbswb.omega import ShiftIso, sequence_shape
     from cbswb.pset import PeriodicSet
 
     def pairs_may_fail(ds):

@@ -12,6 +12,7 @@ from cbswb.algebra import (
     power_algebra,
     quotient_algebra,
     relabel,
+    satisfies,
 )
 from cbswb import cbs, congruence
 from cbswb.cbs import (
@@ -24,7 +25,6 @@ from cbswb.cbs import (
     f_hat_inverse,
     operator_eval,
     presheaf_check,
-    validate_sequence,
 )
 from cbswb.congruence import (
     Congruence,
@@ -37,7 +37,7 @@ from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
 
 from oracles import (QuotientIso, cbs_property_direct, f_hat_interval_check, infimum_in_k,
-                     sigma_bracket)
+                     reported_sequence, sigma_bracket, validate_sequence)
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -161,7 +161,7 @@ def test_sigma_bracket_on_v4():
 def test_cbs_sequence_collapses_at_diagonal():
     for name in ("v4", "z4", "lat22"):
         A = corpus_algebra(name)
-        state = cbs_sequence(A)
+        state = reported_sequence(A, OperatorKind.fc())
         assert state.stabilized and state.stabilized_at == 2
         assert all(s.is_diagonal() for s in state.sigmas + state.thetas[1:])
         assert all(d.is_total() for d in state.ds)
@@ -191,9 +191,24 @@ def test_f_hat_rejects_a_map_that_is_no_automorphism():
                 call()
 
 
+def test_cbs_complete_reports_the_cbs_sequence_table():
+    """cbs_sequence and cbs-complete's certificate write one table, and it
+    passes the sequence laws, on every corpus algebra and every kind."""
+    for name in CORPUS_NAMES:
+        A = corpus_algebra(name)
+        binary = [op.name for op in A.ops if op.arity == 2][:1]
+        sentence = f"({binary[0]} x y) = ({binary[0]} y x)" if binary else "x = x"
+        rel = OperatorKind.relative((sentence,))
+        assert satisfies(A, rel.sentences)[0], name
+        for kind in (OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(), rel):
+            table = cbs_sequence(A, kind)
+            assert cbs_complete_check(A, kind)["certificate"]["sequence"] == table
+            assert validate_sequence(reported_sequence(A, kind)) == [], (name, kind.label())
+
+
 def test_validate_sequence_flags_mutations():
     A = corpus_algebra("v4")
-    state = cbs_sequence(A)
+    state = reported_sequence(A, OperatorKind.fc())
 
     bad = copy.copy(state)
     bad.sigmas = list(state.sigmas)
@@ -216,7 +231,7 @@ def test_validate_sequence_flags_mutations():
 
 def test_validate_sequence_reports_malformed_tables():
     A = corpus_algebra("v4")
-    state = cbs_sequence(A)
+    state = reported_sequence(A, OperatorKind.fc())
     odd = len(state.ds)
 
     extra = copy.copy(state)

@@ -495,6 +495,40 @@ def test_window_validator_matches_the_set_route(run, data):
         assert omega_validate(edited) == omega_validate_sets(edited), kind
 
 
+# one edit per law whose message no other test spells out: the field, its
+# key (None for a field that holds one set), the coordinate toggled, and the
+# whole ordered violation list.  The run has sigma[n] = [0, n) for n >= 1,
+# neg sigma[i] = N - {i - 1}, d[n] = N - {2n}, chi the odd and neg_chi the
+# even coordinates.
+LAW_EDITS = [
+    ("sigmas", 0, 0, ["sigma[0] is not the diagonal", "f_hat(sigma[0]) != sigma[2]",
+                      "d[0] does not match its definition",
+                      "theta[1] is not the image of sigma[0]"]),
+    ("sigmas", 1, 0, ["sigma[1] differs from zeta", "f_hat(sigma[1]) != sigma[3]",
+                      "sigma[1] union its complement misses coordinates",
+                      "theta[2] is not the image of sigma[1]"]),
+    ("sigmas", 10, 0, ["f_hat(sigma[8]) != sigma[10]", "sigma[9] is not below sigma[10]"]),
+    ("neg_odd", 1, 0, ["neg sigma[1] differs from the complement rule",
+                       "neg sigma[3] != f_hat(neg sigma[1])",
+                       "d[0] does not match its definition"]),
+    ("neg_odd", 9, 9, ["neg sigma[9] != f_hat(neg sigma[7])",
+                       "sigma[9] union its complement misses coordinates",
+                       "d[4] does not match its definition"]),
+    ("thetas", 5, 0, ["theta[5] is not the image of sigma[4]"]),
+    ("chi", None, 0, ["chi does not match its definition"]),
+    ("neg_chi", None, 1, ["neg_chi does not match its definition"]),
+]
+
+
+def test_each_symbolic_law_is_reported_by_its_message():
+    run = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
+    assert omega_validate(run) == []
+    for field, key, x, expected in LAW_EDITS:
+        edited = _mutated(run, field, (key, x))
+        assert omega_validate(edited) == expected, (field, key)
+        assert omega_validate_sets(edited) == expected, (field, key)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(symbolic_runs(GATE_BASES, max_k=16))
 def test_every_stored_period_of_a_built_run_divides_k(run):
