@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 from operator import add, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import FormatError, ValidationError, over_budget
 
@@ -23,8 +22,7 @@ DEFAULT_ISO_CAP = 10
 MAX_TERM_DEPTH = 256
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     name: str
     arity: int
     table: tuple  # flat, length size**arity
@@ -256,8 +254,7 @@ def render_algebra(A: FiniteAlgebra) -> dict:
 # terms and sentences
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     head: str
     args: tuple = ()
     is_var: bool = False
@@ -387,8 +384,7 @@ def eval_term(A: FiniteAlgebra, term: Term, env: dict) -> int:
     return A.apply(term.head, *(eval_term(A, s, env) for s in term.args))
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """Universally quantified equation or quasi-equation.
 
     premises is a tuple of (lhs, rhs) term pairs; empty for a plain
@@ -591,8 +587,7 @@ def _quotient_name(A: FiniteAlgebra, blocks) -> str:
     return f"{A.name}/{len(blocks)}b.{digest}"
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     algebra: FiniteAlgebra
     projection: Homomorphism
 

@@ -10,9 +10,8 @@ CBS-sequence table of that one case as cbs-complete reports it, and the
 property / completeness verdicts, each with explicit witnesses.
 """
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
@@ -42,22 +41,21 @@ AUTOMORPHISM_SAMPLES = 10
 _SELECTORS = ("con", "fc", "zcon", "rel")
 
 
-@dataclass(frozen=True)
-class OperatorKind:
+class OperatorKind(NamedTuple("OperatorKind", [("selector", str), ("sentences", tuple),
+                                               ("budget", int)])):
     """Selector for a congruence operator, with sentences for the relative
     kind and the term-evaluation budget its sentence checks run under."""
 
-    selector: str
-    sentences: tuple = ()
-    budget: int = DEFAULT_EVAL_BUDGET
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.selector not in _SELECTORS:
-            raise ValidationError(f"unknown operator selector {self.selector!r}")
-        if self.selector != "rel" and self.sentences:
+    def __new__(cls, selector: str, sentences: tuple = (), budget: int = DEFAULT_EVAL_BUDGET):
+        if selector not in _SELECTORS:
+            raise ValidationError(f"unknown operator selector {selector!r}")
+        if selector != "rel" and sentences:
             raise ValidationError("only the relative operator takes sentences")
-        if self.selector == "rel" and not self.sentences:
+        if selector == "rel" and not sentences:
             raise ValidationError("relative operator needs at least one sentence")
+        return super().__new__(cls, selector, sentences, budget)
 
     @staticmethod
     def con() -> "OperatorKind":

@@ -12,9 +12,8 @@ of the power, and works the pseudo-simple quasi-cyclic group example.
 """
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple
 
 from .algebra import (
     FiniteAlgebra,
@@ -39,8 +38,7 @@ QC_SIZE_CAP = 1024
 # symbolic congruences and the shift
 
 
-@dataclass(frozen=True)
-class OmegaCongruence:
+class OmegaCongruence(NamedTuple):
     """theta_S on the countable power of the base: x ~ y iff they agree off S."""
 
     base: FiniteAlgebra
@@ -64,15 +62,15 @@ class OmegaCongruence:
         return Congruence(Bm, self.restrict_rep(m))
 
 
-@dataclass(frozen=True)
-class ShiftIso:
+class ShiftIso(NamedTuple("ShiftIso", [("k", int)])):
     """Isomorphism of the power onto its quotient by the first k coordinates."""
 
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int):
+        if k < 1:
             raise ValidationError("shift amount must be at least 1")
+        return super().__new__(cls, k)
 
     def theta(self) -> PeriodicSet:
         return PeriodicSet.block(0, self.k)
@@ -84,22 +82,28 @@ class ShiftIso:
     def fhat_inv(self, S: PeriodicSet) -> PeriodicSet:
         return S.backshift(self.k)
 
+    def window_fhat(self, width: int):
+        """fhat on the first width coordinates, as ints: the window of fhat(S)
+        from the window w of S.  The shift only moves coordinates up, so it
+        reads nothing past the window, and the first k are collapsed."""
+        k, full, fill = self.k, (1 << width) - 1, (1 << self.k) - 1
+        return lambda w: (w << k | fill) & full
+
 
 # ---------------------------------------------------------------------------
 # countable infima of affine families
 
 
-@dataclass(frozen=True)
-class AffineFamily:
+class AffineFamily(NamedTuple("AffineFamily", [("v1", PeriodicSet), ("k", int),
+                                               ("fixed", PeriodicSet)])):
     """V_1 given; V_{n+1} = shift(V_n, k) union a fixed set."""
 
-    v1: PeriodicSet
-    k: int
-    fixed: PeriodicSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, v1: PeriodicSet, k: int, fixed: PeriodicSet):
+        if k < 1:
             raise ValidationError("shift amount must be at least 1")
+        return super().__new__(cls, v1, k, fixed)
 
     def step(self, v: PeriodicSet) -> PeriodicSet:
         return v.shift(self.k).union(self.fixed)
@@ -205,24 +209,18 @@ def sequence_shape(sigmas, thetas, neg_odd, ds):
     return out
 
 
-@dataclass
 class OmegaRun:
-    """Symbolic sequence state over the countable power of the base."""
+    """Symbolic sequence state over the countable power of the base by the
+    shift k.  Every set is a PeriodicSet; thetas is quotient-indexed, so
+    thetas[0] is None, and neg_odd maps each odd index to neg sigma there."""
 
-    base: FiniteAlgebra
-    k: int
-    theta: PeriodicSet
-    zeta: PeriodicSet
-    sigmas: list = field(default_factory=list)
-    thetas: list = field(default_factory=list)  # quotient-indexed; thetas[0] is None
-    neg_odd: dict = field(default_factory=dict)
-    ds: list = field(default_factory=list)
-    sigma_zeta: Optional[PeriodicSet] = None
-    infimum_certificate: dict = field(default_factory=dict)
-    chi: Optional[PeriodicSet] = None
-    neg_chi: Optional[PeriodicSet] = None
-    neg_sigma_zeta: Optional[PeriodicSet] = None
-    equations: list = field(default_factory=list)
+    def __init__(self, base, k, theta, zeta, sigmas, thetas, neg_odd, ds, sigma_zeta,
+                 infimum_certificate, chi, neg_chi, neg_sigma_zeta, equations):
+        self.base, self.k, self.theta, self.zeta = base, k, theta, zeta
+        self.sigmas, self.thetas, self.neg_odd, self.ds = sigmas, thetas, neg_odd, ds
+        self.sigma_zeta, self.infimum_certificate = sigma_zeta, infimum_certificate
+        self.chi, self.neg_chi, self.neg_sigma_zeta = chi, neg_chi, neg_sigma_zeta
+        self.equations = equations
 
     def to_report(self) -> dict:
         texts = {}  # thetas[n] is the object sigmas[n-1], so many sets recur
@@ -346,7 +344,7 @@ def omega_validate(run: OmegaRun):
     stored threshold and P the lcm of the stored periods, and the laws are
     decided exactly on those ints, union as | and the total set as every bit.
     """
-    k = ShiftIso(run.k).k  # refuses a shift below 1, as the run does
+    iso = ShiftIso(run.k)  # refuses a shift below 1, as the run does
     out = sequence_shape(run.sigmas, run.thetas, run.neg_odd, run.ds)
     if out:
         return out
@@ -354,16 +352,13 @@ def omega_validate(run: OmegaRun):
     terms = [*run.sigmas, *run.thetas[1:], *run.neg_odd.values(), *run.ds, *named]
     last = max(S.threshold for S in terms)
     period = math.lcm(*{S.period for S in terms})
-    _budget("validation window", last + k, period)
-    width = last + k + period
-    full, fill = (1 << width) - 1, (1 << k) - 1
+    _budget("validation window", last + iso.k, period)
+    width = last + iso.k + period
+    full, fhat = (1 << width) - 1, iso.window_fhat(width)
     sigmas = [S.bits_below(width) for S in run.sigmas]
     neg_odd = {i: S.bits_below(width) for i, S in run.neg_odd.items()}
     ds = [d.bits_below(width) for d in run.ds]
     zeta, sigma_zeta, chi, neg_chi = (S.bits_below(width) for S in named)
-
-    def fhat(w):
-        return (w << k | fill) & full
 
     if sigmas[0]:
         out.append("sigma[0] is not the diagonal")
@@ -474,7 +469,8 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
                 run.chi, run.neg_chi)
     record_sets("zeta = neg_chi meet sigma_zeta", run.neg_chi.intersect(run.sigma_zeta) == run.zeta,
                 run.neg_chi, run.sigma_zeta)
-    fchi = ShiftIso(run.k).fhat(run.chi)
+    iso = ShiftIso(run.k)
+    fchi = iso.fhat(run.chi)
     record_sets("f_hat(chi) = sigma_zeta", fchi == run.sigma_zeta, fchi, run.sigma_zeta)
     shifted, neg_sz = run.chi.complement().shift(run.k), run.sigma_zeta.complement()
     record_sets("chi^c shifted onto sigma_zeta^c", shifted == neg_sz, shifted, neg_sz)
@@ -487,28 +483,21 @@ def truncate_validate(run: OmegaRun, m: int) -> dict:
         record("sequence shape", {"reason": reason})
     if shape:
         return result
-    full, k = (1 << m) - 1, run.k
+    full, fhat = (1 << m) - 1, iso.window_fhat(m)
     sigma = [S.bits_below(m) for S in run.sigmas]
     neg = {i: S.bits_below(m) for i, S in run.neg_odd.items()}
-    fill = (1 << k) - 1
-
-    def image(w):
-        # the window of f_hat(S) from the window w of S: the shift only moves
-        # coordinates up, so it reads nothing past m, and the first k are collapsed
-        return (w << k | fill) & full
-
     # a law that holds only counts; its name and pair are spelled out on failure
     checks = 0
     for n in range(len(sigma) - 2):
         checks += 1
-        bad = image(sigma[n]) ^ sigma[n + 2]
+        bad = fhat(sigma[n]) ^ sigma[n + 2]
         if bad:
             fail_window(f"recursion sigma[{n + 2}]", bad,
                         [f"f_hat(sigma[{n}])", f"sigma[{n + 2}]"])
     for i in sorted(neg):
         if i + 2 in neg:
             checks += 1
-            bad = image(neg[i]) ^ neg[i + 2]
+            bad = fhat(neg[i]) ^ neg[i + 2]
             if bad:
                 fail_window(f"complement rule neg_sigma[{i + 2}]", bad,
                             [f"f_hat(neg_sigma[{i}])", f"neg_sigma[{i + 2}]"])
@@ -631,8 +620,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuasiCyclic:
+class QuasiCyclic(NamedTuple("QuasiCyclic", [("prime", int)])):
     """The group of p-power-denominator fractions mod 1, via its truncations.
 
     The level-m truncation is the subgroup of fractions a / p^k with
@@ -640,14 +628,15 @@ class QuasiCyclic:
     t / p^m.
     """
 
-    prime: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, prime: int):
         # the carrier cap before the primality test, whose trial division
         # runs to sqrt(p): a prime over the cap has no truncation past level 0
-        _carrier(self.prime, 1)
-        if not _is_prime(self.prime):
-            raise ValidationError(f"{self.prime} is not prime")
+        _carrier(prime, 1)
+        if not _is_prime(prime):
+            raise ValidationError(f"{prime} is not prime")
+        return super().__new__(cls, prime)
 
     def truncation(self, m: int) -> FiniteAlgebra:
         size = _carrier(self.prime, m)

@@ -12,7 +12,7 @@ others.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     DEFAULT_EVAL_BUDGET,
@@ -70,8 +70,7 @@ def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
     }
 
 
-@dataclass
-class FactorAnalysis:
+class FactorAnalysis(NamedTuple):
     lattice: CongruenceLattice
     complements: dict  # lattice index -> tuple of lattice indices
     fc: tuple  # lattice indices with at least one complement
@@ -129,8 +128,7 @@ def decomposition_witness(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> d
 # centre of a bounded lattice
 
 
-@dataclass
-class CenterReport:
+class CenterReport(NamedTuple):
     central: tuple
     complements: dict  # central element -> tuple of complements
     failures: dict  # non-central element -> failure description

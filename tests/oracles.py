@@ -20,6 +20,7 @@ kept as rep arrays after their first enumeration, for the congruence
 oracles filter them again and again.
 """
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -932,6 +933,13 @@ def presheaf_correspondence(A, kind):
 # The symbolic validator and the countable infimum decide their laws on
 # integer windows; the forms below are the set-operation routes they are
 # checked against, with every comparison a PeriodicSet operation.
+
+
+def replaced(run, **changes):
+    """A shallow copy of a symbolic run with the named attributes set."""
+    out = copy.copy(run)
+    vars(out).update(changes)
+    return out
 
 
 def omega_validate_sets(run):

@@ -1,5 +1,7 @@
-"""No module of src imports a name it does not use, and no private helper
-of src goes unread.
+"""No module of src imports a name it does not use, no private helper of
+src goes unread, and starting the command line imports neither dataclasses
+nor inspect, whose imports and generated code would add to every run's
+start-up.
 
 __init__.py is skipped by the import test: its imports are the package's
 re-exports.
@@ -7,6 +9,8 @@ re-exports.
 
 import ast
 import os
+import subprocess
+import sys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "cbswb")
 
@@ -64,3 +68,18 @@ def _names_read():
 def test_every_private_helper_is_read():
     read = _names_read()
     assert [d for d in _private_definitions() if d[1] not in read] == []
+
+
+def _modules_loaded(statement):
+    """Which of dataclasses and inspect a fresh interpreter on src holds
+    after running statement."""
+    probe = f"import sys; {statement}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(SRC)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=30, env=env, check=True)
+    return proc.stdout
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # a bare interpreter is the baseline, for site may load either module
+    assert _modules_loaded("import cbswb.cli") == _modules_loaded("pass")

@@ -36,6 +36,7 @@ Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -653,6 +654,11 @@ def test_derived_quotients_and_maps_pass_the_homomorphism_check(A, data):
     assert_checked(direct.projection.compose(iso.inverse()))
 
 
+# the triple oracle reads only the two partitions, and the random algebras
+# share most of theirs, so its verdicts are kept for the whole module
+cached_factor_pair_verdict = functools.lru_cache(maxsize=None)(factor_pair_verdict)
+
+
 @KERNEL_SETTINGS
 @given(algebra_and_pairs())
 def test_check_factor_pair_matches_triple_oracle(case):
@@ -660,7 +666,7 @@ def test_check_factor_pair_matches_triple_oracle(case):
     cons = sorted(brute_congruences(A))
     for r1, r2 in itertools.product(cons, repeat=2):
         got = check_factor_pair(A, Congruence(A, r1), Congruence(A, r2))
-        assert got == factor_pair_verdict(r1, r2, A.size), (r1, r2)
+        assert got == cached_factor_pair_verdict(r1, r2, A.size), (r1, r2)
 
 
 @KERNEL_SETTINGS

@@ -1,6 +1,5 @@
 """Eventually periodic coordinate sets and the symbolic power machinery."""
 
-import dataclasses
 import json
 import random
 import re
@@ -37,7 +36,7 @@ from cbswb.congruence import compatibility_witness
 from cbswb.corpus import corpus_algebra
 
 from oracles import (Pruefer, apply_raw, countable_infimum_sets, members, omega_validate_sets,
-                     raw_members, truncation_pairing_entry)
+                     raw_members, replaced, truncation_pairing_entry)
 from test_pset_random import raw_sets
 
 WINDOW = 64
@@ -338,7 +337,7 @@ def test_a_validated_run_reports_a_changed_term():
         # the run validated before reports what a run never validated reports
         violations = omega_validate(run)
         assert flagged in violations, (name, index, violations)
-        assert violations == omega_validate(dataclasses.replace(fresh))
+        assert violations == omega_validate(replaced(fresh))
 
 
 def test_a_run_whose_k_changed_validates_by_the_new_shift():
@@ -346,7 +345,7 @@ def test_a_run_whose_k_changed_validates_by_the_new_shift():
     b = omega_cbs_run(z(2), 2, PeriodicSet.from_finite([0]))
     assert omega_validate(a) == []
     a.k = 3
-    assert omega_validate(a) == omega_validate(dataclasses.replace(b, k=3))
+    assert omega_validate(a) == omega_validate(replaced(b, k=3))
     assert "f_hat(sigma[0]) != sigma[2]" in omega_validate(a)
 
 
@@ -468,8 +467,8 @@ def mutations(draw, run, kind):
 
 def _mutated(run, kind, arg):
     """A copy of the run with one edit (see mutations); the run is unchanged."""
-    run = dataclasses.replace(run, sigmas=list(run.sigmas), thetas=list(run.thetas),
-                              neg_odd=dict(run.neg_odd), ds=list(run.ds))
+    run = replaced(run, sigmas=list(run.sigmas), thetas=list(run.thetas),
+                   neg_odd=dict(run.neg_odd), ds=list(run.ds))
     if kind == "k":
         run.k = arg
     elif kind == "copy":
@@ -637,9 +636,10 @@ def test_infimum_rejects_nonstabilizing_terms():
 class FixedTerms(AffineFamily):
     """Reports the given terms, the last one repeated, whatever its recurrence says."""
 
-    def __init__(self, v1, k, fixed, given):
-        super().__init__(v1, k, fixed)
-        object.__setattr__(self, "given", given)
+    def __new__(cls, v1, k, fixed, given):
+        family = super().__new__(cls, v1, k, fixed)
+        family.given = given
+        return family
 
     def terms(self, count):
         return (self.given + [self.given[-1]] * count)[:count]
@@ -663,10 +663,10 @@ def test_infimum_reads_each_coordinate_within_its_certification_range():
 class PerturbedTerms(AffineFamily):
     """The recurrence's terms with coordinate x toggled in term n (1-based)."""
 
-    def __init__(self, v1, k, fixed, n, x):
-        super().__init__(v1, k, fixed)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
+    def __new__(cls, v1, k, fixed, n, x):
+        family = super().__new__(cls, v1, k, fixed)
+        family.n, family.x = n, x
+        return family
 
     def terms(self, count):
         out = super().terms(count)
@@ -906,8 +906,7 @@ def _window_coordinate(result, name):
 def test_truncation_windows_agree_with_the_shifted_sets(case, k, extra, data):
     S, _ = case
     m = min(2 * k + extra, 64)
-    assert (S.bits_below(m) << k | (1 << k) - 1) & ((1 << m) - 1) == \
-        ShiftIso(k).fhat(S).bits_below(m)
+    assert ShiftIso(k).window_fhat(m)(S.bits_below(m)) == ShiftIso(k).fhat(S).bits_below(m)
     # one corrupted term of a run, checked on a window too large to materialize
     zeta = PeriodicSet.from_finite(sorted(data.draw(st.frozensets(st.integers(0, k - 1)))))
     run = omega_cbs_run(z(2), k, zeta, indices=12)
@@ -1047,7 +1046,7 @@ def test_truncation_pairing_size_mismatch_builds_no_product(monkeypatch):
     # have 243^2 elements against the 9 of B/zeta
     run = omega_cbs_run(z(3), 2, PeriodicSet.from_finite([0]))
     assert truncate_validate(run, 5)["ok"]
-    bad = dataclasses.replace(run, neg_chi=PeriodicSet.empty(), sigma_zeta=PeriodicSet.empty())
+    bad = replaced(run, neg_chi=PeriodicSet.empty(), sigma_zeta=PeriodicSet.empty())
 
     def refuse(*args, **kwargs):
         raise AssertionError("direct_product built for a size mismatch")

@@ -7,6 +7,7 @@ import pytest
 
 from cbswb import (
     AffineFamily,
+    Congruence,
     OmegaCongruence,
     Operation,
     OperatorKind,
@@ -19,7 +20,6 @@ from cbswb import (
     parse_term,
     quotient_algebra,
 )
-from cbswb.congruence import Congruence
 
 N = PeriodicSet.naturals()
 
