@@ -97,6 +97,31 @@ def naive_eval(A, term, env):
     return apply_raw(A, A.op(term.head), [naive_eval(A, t, env) for t in term.args])
 
 
+def naive_satisfies(A, sentences):
+    """satisfies by naive_eval, one variable bound per level of recursion:
+    at each full assignment every premise, then the conclusion; the first
+    failing assignment in lexicographic order is the witness."""
+    for idx, sent in enumerate(sentences):
+        names = sent.variables()
+
+        def first_failure(env):
+            if len(env) < len(names):
+                for v in range(A.size):
+                    found = first_failure({**env, names[len(env)]: v})
+                    if found is not None:
+                        return found
+                return None
+            if all(naive_eval(A, s, env) == naive_eval(A, t, env) for s, t in sent.premises):
+                if naive_eval(A, sent.lhs, env) != naive_eval(A, sent.rhs, env):
+                    return env
+            return None
+
+        env = first_failure({})
+        if env is not None:
+            return False, {"sentence": idx, "rendered": sent.render(), "assignment": env}
+    return True, None
+
+
 def church_failure(A, t, e, zero, one):
     """The first law that fails for e as a central element through the
     conditional term t, in church_centers' law order, or None; each value

@@ -156,6 +156,31 @@ def test_satisfies_and_budget():
         satisfies(z4, [assoc], budget=10)
 
 
+def test_satisfies_term_check_messages_and_order():
+    z4 = corpus_algebra("z4")
+
+    def message(*texts, budget=10 ** 7):
+        with pytest.raises(ValidationError) as err:
+            satisfies(z4, [parse_sentence(t) for t in texts], budget=budget)
+        return str(err.value)
+
+    assert message("(nope x) = x") == "unknown operation 'nope' in algebra 'z4'"
+    assert message("(+ x) = x") == "operation '+' has arity 2, got 1 arguments"
+    # a node is checked before its arguments, and arguments left to right
+    assert message("(+ (nope x)) = x") == "operation '+' has arity 2, got 1 arguments"
+    assert message("(+ (+ x) (nope x)) = x") == "operation '+' has arity 2, got 1 arguments"
+    # premises before the conclusion, and every term before the budget
+    assert message("x = (+ x y z) => (nope y) = y") == "operation '+' has arity 2, got 3 arguments"
+    assert message("(+ x y) = (+ y z) => (nope w) = y", budget=1) == \
+        "unknown operation 'nope' in algebra 'z4'"
+    # each sentence is checked when its turn comes: a failing first sentence
+    # returns before the second is looked at
+    bad = "(+ x x) = (+ y y)"
+    witness = {"sentence": 0, "rendered": bad, "assignment": {"x": 0, "y": 1}}
+    assert satisfies(z4, [parse_sentence(bad), parse_sentence("(nope x) = x")]) == (False, witness)
+    assert message("x = x", "(nope x) = x") == "unknown operation 'nope' in algebra 'z4'"
+
+
 def test_homomorphism_checked_on_creation():
     z4 = corpus_algebra("z4")
     z2 = corpus_algebra("z2")

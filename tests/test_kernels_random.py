@@ -31,7 +31,10 @@ general sequence through A/diagonal.  The correspondence block of
 presheaf_check, read off the positions of K(A) in Con(A) and
 Con(A/sigma), is checked against
 refinement scans on random algebras of at most 5 elements (arities up to
-3), also with one lift replaced by a wrong congruence.
+3), also with one lift replaced by a wrong congruence.  The verdict and
+witness of satisfies are checked against a recursive evaluation of every
+assignment on random algebras of at most 4 elements (arities up to 3) and
+random sentences with up to two premises.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -47,6 +50,8 @@ from cbswb.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
+    Sentence,
+    Term,
     _isomorphisms,
     automorphisms,
     direct_product,
@@ -103,6 +108,7 @@ from oracles import (
     lattice_is_modular,
     meet_rep,
     naive_eval,
+    naive_satisfies,
     neutrality_failure,
     order_bound,
     partition_reps,
@@ -836,6 +842,43 @@ def test_relative_presheaf_reads_membership_off_k(case):
             assert naive_eval(Q, s.lhs, env) == naive_eval(Q, s.rhs, env)
     assert len(calls) == 2 * len(all_congruences(A)) + sum(
         len(all_congruences(Q)) for Q in quotients)
+
+
+TERM_VARIABLES = ("x", "y", "z")
+
+
+def random_term(draw, ops, depth):
+    """A term over ops and the three variables, at most depth operations deep."""
+    heads = [op for op in ops if depth > 0 or op.arity == 0]
+    if not heads or draw(st.booleans()):
+        return Term.var(draw(st.sampled_from(TERM_VARIABLES)))
+    op = draw(st.sampled_from(heads))
+    return Term.app(op.name, [random_term(draw, ops, depth - 1) for _ in range(op.arity)])
+
+
+@st.composite
+def sentences_case(draw):
+    """An algebra of 1 to 4 elements with arities 0-3, and one or two
+    sentences with 0 to 2 premises each.  A conclusion's right side is
+    sometimes its left side, so that some sentences hold."""
+    size = draw(st.integers(1, 4))
+    ops = tables(draw, size, draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    A = FiniteAlgebra("r", size, ops)
+
+    def equation():
+        lhs = random_term(draw, ops, 2)
+        return lhs, lhs if draw(st.booleans()) else random_term(draw, ops, 2)
+
+    sentences = [Sentence(tuple(equation() for _ in range(draw(st.integers(0, 2)))), *equation())
+                 for _ in range(draw(st.integers(1, 2)))]
+    return A, sentences
+
+
+@KERNEL_SETTINGS
+@given(sentences_case())
+def test_satisfies_matches_the_recursive_oracle(case):
+    A, sentences = case
+    assert satisfies(A, sentences) == naive_satisfies(A, sentences)
 
 
 @st.composite

@@ -153,6 +153,30 @@ def test_church_centers_rejects_non_conditionals():
         church_centers(b2, term, 0, 5)
 
 
+def test_church_term_check_messages_and_order():
+    b2 = corpus_algebra("boole2")
+
+    def message(text, zero=0, one=1, budget=10 ** 7):
+        with pytest.raises(ValidationError) as err:
+            church_centers(b2, parse_term(text), zero, one, budget=budget)
+        return str(err.value)
+
+    good = "(or (and z x) (and (not z) y))"
+    assert message("(or (and z x) (and (not z) w))") == \
+        "conditional term must use variables z, x, y; found ['w']"
+    assert message(good, 0, 5) == "constant 5 out of range"
+    assert message(good, -1, 1) == "constant -1 out of range"
+    # operations and arities over the whole term, then variables, then
+    # constants, then the budget
+    assert message("(or (and z w) (nope x))") == "unknown operation 'nope' in algebra 'boole2'"
+    assert message("(or w (not z x))") == "operation 'not' has arity 1, got 2 arguments"
+    assert message("(or (and z x) (and (not z) w))", 0, 5) == \
+        "conditional term must use variables z, x, y; found ['w']"
+    assert message(good, 0, 5, budget=0) == "constant 5 out of range"
+    assert message("(or (and z x) (and (not v) w))", budget=0) == \
+        "conditional term must use variables z, x, y; found ['v', 'w']"
+
+
 @st.composite
 def conditional_algebras(draw):
     """(A, t, one): t is a conditional for the constants 0 and one of A, and
