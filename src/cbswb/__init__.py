@@ -7,8 +7,8 @@ from .algebra import (
     Sentence,
     Term,
     automorphisms,
+    compile_term,
     direct_product,
-    eval_term,
     iso_search,
     parse_algebra,
     parse_sentence,

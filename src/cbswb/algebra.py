@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from operator import add, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -99,9 +100,6 @@ class FiniteAlgebra:
             idx = idx * self.size + a
         return op.table[idx]
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def same_tables(self, other: "FiniteAlgebra") -> bool:
         """Structural equality that ignores the display name."""
         return self.size == other.size and self.ops == other.ops
@@ -179,8 +177,6 @@ def parse_algebra(doc) -> FiniteAlgebra:
     3 and up require the flat form.
     """
     if isinstance(doc, (str, bytes)):
-        import json
-
         try:
             doc = json.loads(doc)
         except (ValueError, RecursionError) as exc:
@@ -360,28 +356,33 @@ def parse_term(text: str, signature=None) -> Term:
     return term
 
 
-def validate_term(A: FiniteAlgebra, term: Term) -> None:
+def compile_term(A: FiniteAlgebra, term: Term, variables: Sequence[str]):
+    """term as a function of a tuple of values, one per name in variables.
+
+    One walk checks every operation and arity against A, a node before its
+    arguments, and every variable against variables.  A variable becomes an
+    itemgetter, and an operation folds its argument values into the flat
+    index of its table.
+    """
     if term.is_var:
-        return
+        if term.head not in variables:
+            raise ValidationError(f"unbound variable {term.head!r}")
+        return itemgetter(variables.index(term.head))
     op = A.op(term.head)
     if op.arity != len(term.args):
         raise ValidationError(
             f"operation {term.head!r} has arity {op.arity}, got {len(term.args)} arguments"
         )
-    for a in term.args:
-        validate_term(A, a)
+    table, n = op.table, A.size
+    args = [compile_term(A, s, variables) for s in term.args]
 
+    def fold(values):
+        i = 0
+        for f in args:
+            i = i * n + f(values)
+        return table[i]
 
-def eval_term(A: FiniteAlgebra, term: Term, env: dict) -> int:
-    """Evaluate a term under an assignment of variables to elements."""
-    if term.is_var:
-        if term.head not in env:
-            raise ValidationError(f"unbound variable {term.head!r}")
-        v = env[term.head]
-        if not (0 <= v < A.size):
-            raise ValidationError(f"assignment {term.head}={v} out of range")
-        return v
-    return A.apply(term.head, *(eval_term(A, s, env) for s in term.args))
+    return fold
 
 
 class Sentence(NamedTuple):
@@ -438,19 +439,17 @@ def satisfies(A: FiniteAlgebra, sentences, budget: int = DEFAULT_EVAL_BUDGET):
     budget (default 10**7).
     """
     for idx, sent in enumerate(sentences):
-        for s, t in list(sent.premises) + [(sent.lhs, sent.rhs)]:
-            validate_term(A, s)
-            validate_term(A, t)
-        vars_ = sent.variables()
-        count = A.size ** len(vars_)
+        names = sent.variables()
+        *premises, (lhs, rhs) = [(compile_term(A, s, names), compile_term(A, t, names))
+                                 for s, t in (*sent.premises, (sent.lhs, sent.rhs))]
+        count = A.size ** len(names)
         if count > budget:
             raise over_budget("term evaluation", "assignments", count, budget, "assignment")
-        for values in itertools.product(A.elements(), repeat=len(vars_)):
-            env = dict(zip(vars_, values))
-            if any(eval_term(A, s, env) != eval_term(A, t, env) for s, t in sent.premises):
-                continue
-            if eval_term(A, sent.lhs, env) != eval_term(A, sent.rhs, env):
-                return False, {"sentence": idx, "rendered": sent.render(), "assignment": env}
+        for values in itertools.product(range(A.size), repeat=len(names)):
+            # the premises are read only where the conclusion fails
+            if lhs(values) != rhs(values) and all(s(values) == t(values) for s, t in premises):
+                return False, {"sentence": idx, "rendered": sent.render(),
+                               "assignment": dict(zip(names, values))}
     return True, None
 
 
@@ -519,11 +518,6 @@ class Homomorphism:
         if not inner.target.same_tables(self.source):
             raise ValidationError("composition domains do not match")
         return Homomorphism._built(inner.source, self.target, [self.mapping[y] for y in inner.mapping])
-
-    def kernel(self):
-        from .congruence import Congruence, least_rep
-
-        return Congruence(self.source, least_rep(self.mapping))
 
     def __eq__(self, other):
         if not isinstance(other, Homomorphism):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 
-from .algebra import FiniteAlgebra, Operation
+from .algebra import FiniteAlgebra, Operation, render_algebra
 from .report import json_text
 
 
@@ -111,8 +111,6 @@ def corpus() -> dict:
 
 def write_corpus(directory: str) -> list:
     """Write every corpus algebra as a JSON file; returns the paths."""
-    from .algebra import render_algebra
-
     os.makedirs(directory, exist_ok=True)
     paths = []
     for name in CORPUS_NAMES:

@@ -23,7 +23,7 @@ from .algebra import (
     power_algebra,
     quotient_algebra,
 )
-from .congruence import Congruence, compatibility_witness, congruence_join, quotient_through
+from .congruence import Congruence, compatibility_witness, congruence_join, least_rep, quotient_through
 from .errors import ValidationError, over_budget
 from .pset import PeriodicSet, _budget, _of, _rotate
 from .structure import check_factor_pair, factor_congruences
@@ -703,7 +703,7 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
 
     # the level-n projection composes the step maps of the chain, so its
     # kernel and the subgroup level are two routes to one congruence
-    kernel_ok = quotients[n].projection.kernel().rep == congs[n].rep
+    kernel_ok = least_rep(quotients[n].projection.mapping) == congs[n].rep
 
     pattern = [
         {

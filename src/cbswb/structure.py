@@ -19,10 +19,9 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Term,
+    compile_term,
     direct_product,
-    eval_term,
     quotient_algebra,
-    validate_term,
 )
 from .congruence import (
     DEFAULT_CON_CAP,
@@ -260,7 +259,9 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int,
     The table and the laws take n^3 + n(2n^3 + sum of n^(2 arity) over the
     operations) evaluations, refused over the budget (default 10**7).
     """
-    validate_term(A, t)
+    # every variable of t is bound here, so an operation or arity error
+    # comes before the variable check
+    evaluate = compile_term(A, t, ("z", "x", "y") + t.variables())
     bad = [v for v in t.variables() if v not in ("x", "y", "z")]
     if bad:
         raise ValidationError(f"conditional term must use variables z, x, y; found {bad}")
@@ -272,8 +273,7 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int,
     count = n ** 3 + n * (2 * n ** 3 + sum(n ** (2 * op.arity) for op in A.ops))
     if count > budget:
         raise over_budget("church", "evaluations", count, budget, "evaluation")
-    table = [eval_term(A, t, {"z": e, "x": a, "y": b})
-             for e, a, b in itertools.product(range(n), repeat=3)]
+    table = list(map(evaluate, itertools.product(range(n), repeat=3)))
 
     def ite(e, a, b):
         return table[(e * n + a) * n + b]

@@ -9,8 +9,8 @@ from cbswb.algebra import (
     Homomorphism,
     Operation,
     automorphisms,
+    compile_term,
     direct_product,
-    eval_term,
     iso_search,
     parse_algebra,
     parse_sentence,
@@ -20,16 +20,16 @@ from cbswb.algebra import (
     relabel,
     render_algebra,
     satisfies,
-    validate_term,
 )
 from cbswb.cbs import OperatorKind, presheaf_check
-from cbswb.congruence import Congruence, all_congruences
+from cbswb.congruence import Congruence, all_congruences, least_rep, relative_congruences
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
 from cbswb.omega import omega_cbs_run, quasicyclic_suite, truncate_validate
 from cbswb.pset import PeriodicSet
+from cbswb.structure import church_centers
 
-from oracles import apply_raw, naive_eval
+from oracles import apply_raw, naive_eval, naive_satisfies
 
 rng = random.Random(20260814)
 
@@ -95,19 +95,47 @@ def test_parse_render_round_trip():
         parse_algebra([])
 
 
-def test_eval_term_against_naive_oracle():
+def test_compile_term_against_naive_oracle():
     z4 = corpus_algebra("z4ring")
     t = parse_term("(add (mul x y) (neg x))", z4.signature())
+    f = compile_term(z4, t, ("x", "y"))
     for x in range(4):
         for y in range(4):
             env = {"x": x, "y": y}
-            assert eval_term(z4, t, env) == naive_eval(z4, t, env)
+            assert f((x, y)) == naive_eval(z4, t, env)
     boole = corpus_algebra("boole2")
     t2 = parse_term("(or (and x (not y)) 0)", boole.signature())
+    # values are read by position in the variable tuple, which may hold
+    # names the term does not use
+    f2 = compile_term(boole, t2, ("u", "y", "x"))
     for x in range(2):
         for y in range(2):
             env = {"x": x, "y": y}
-            assert eval_term(boole, t2, env) == naive_eval(boole, t2, env)
+            assert f2((1, y, x)) == naive_eval(boole, t2, env)
+    t3 = parse_term("(f x y z)")
+    maj = FiniteAlgebra("maj", 2, [Operation("f", 3, tuple(
+        int(a + b + c >= 2) for a, b, c in itertools.product(range(2), repeat=3)))])
+    f3 = compile_term(maj, t3, ("x", "y", "z"))
+    for values in itertools.product(range(2), repeat=3):
+        assert f3(values) == naive_eval(maj, t3, dict(zip("xyz", values)))
+
+
+def test_compile_term_messages():
+    z4 = corpus_algebra("z4")
+
+    def message(text, variables=("x", "y")):
+        with pytest.raises(ValidationError) as err:
+            compile_term(z4, parse_term(text), variables)
+        return str(err.value)
+
+    assert message("(+ x z)") == "unbound variable 'z'"
+    assert message("(nope x)") == "unknown operation 'nope' in algebra 'z4'"
+    assert message("(+ x)") == "operation '+' has arity 2, got 1 arguments"
+    # one walk, a node before its arguments and arguments left to right
+    assert message("(+ z (nope x))") == "unbound variable 'z'"
+    assert message("(+ (nope z) x)") == "unknown operation 'nope' in algebra 'z4'"
+    assert message("(+ (+ z) x)") == "operation '+' has arity 2, got 1 arguments"
+    assert message("(+ x (+ y))", ()) == "unbound variable 'x'"
 
 
 def test_parse_term_errors():
@@ -126,9 +154,9 @@ def test_term_depth_limit():
     ring = corpus_algebra("z4ring")
     text = "(neg " * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
     t = parse_term(text, ring.signature())
-    validate_term(ring, t)
+    f = compile_term(ring, t, ("x",))
     for x in range(4):
-        assert eval_term(ring, t, {"x": x}) == naive_eval(ring, t, {"x": x})
+        assert f((x,)) == naive_eval(ring, t, {"x": x})
     assert t.render() == text
     assert satisfies(ring, [parse_sentence(f"{text} = x", ring.signature())]) == (True, None)
     deeper = "(neg " + text + ")"
@@ -181,12 +209,38 @@ def test_satisfies_term_check_messages_and_order():
     assert message("x = x", "(nope x) = x") == "unknown operation 'nope' in algebra 'z4'"
 
 
+def test_terms_are_evaluated_on_the_flat_tables(monkeypatch):
+    """satisfies, relative_congruences and church_centers never look an
+    operation up by name per cell: they run with apply refusing."""
+
+    def refuse(self, name, *args):
+        raise AssertionError(f"{self.name}.apply({name!r}) called")
+
+    monkeypatch.setattr(FiniteAlgebra, "apply", refuse)
+    for name in CORPUS_NAMES:
+        A = corpus_algebra(name)
+        # every operation with its arguments reversed, which fails for some
+        for op, k in A.signature():
+            names = [f"x{i}" for i in range(k)]
+            lhs = f"({op} {' '.join(names)})" if k else op
+            rhs = f"({op} {' '.join(reversed(names))})" if k else op
+            sentences = [parse_sentence(f"{lhs} = {rhs}", A.signature())]
+            assert satisfies(A, sentences) == naive_satisfies(A, sentences)
+            assert [c.rep for c in relative_congruences(A, sentences)] == [
+                c.rep for c in all_congruences(A)
+                if naive_satisfies(quotient_algebra(A, c).algebra, sentences)[0]]
+    b2 = corpus_algebra("boole2")
+    b4 = direct_product(b2, b2)
+    term = parse_term("(or (and z x) (and (not z) y))", b4.signature())
+    assert church_centers(b4, term, 0, 3)["centers"] == [0, 1, 2, 3]
+
+
 def test_homomorphism_checked_on_creation():
     z4 = corpus_algebra("z4")
     z2 = corpus_algebra("z2")
     h = Homomorphism(z4, z2, [0, 1, 0, 1])
     assert not h.is_bijective()
-    assert h.kernel().to_blocks_list() == [[0, 2], [1, 3]]
+    assert Congruence(z4, least_rep(h.mapping)).to_blocks_list() == [[0, 2], [1, 3]]
     with pytest.raises(ValidationError):
         Homomorphism(z4, z2, [0, 0, 1, 1])  # not a homomorphism
     with pytest.raises(ValidationError):

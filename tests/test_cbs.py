@@ -30,6 +30,7 @@ from cbswb.congruence import (
     Congruence,
     CongruenceLattice,
     all_congruences,
+    least_rep,
     principal_congruence,
     quotient_lift,
 )
@@ -93,7 +94,7 @@ def admitting(f, kind):
     and whether the kernel of f lies in K(source): a K-morphism has one."""
     ks = operator_eval(f.source, kind)
     hits = [s for s in ks if iso_search(quotient_algebra(f.source, s).algebra, f.target)]
-    return hits, f.kernel().rep in reps(ks)
+    return hits, least_rep(f.mapping) in reps(ks)
 
 
 def test_admissibility():

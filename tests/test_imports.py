@@ -1,7 +1,7 @@
-"""No module of src imports a name it does not use, no private helper of
-src goes unread, and starting the command line imports neither dataclasses
-nor inspect, whose imports and generated code would add to every run's
-start-up.
+"""No module of src imports a name it does not use or imports inside a
+function, no private helper of src goes unread, and starting the command
+line imports neither dataclasses nor inspect, whose imports and generated
+code would add to every run's start-up.
 
 __init__.py is skipped by the import test: its imports are the package's
 re-exports.
@@ -35,6 +35,21 @@ def test_every_imported_name_is_used():
     unused = {fn: _unused_imports(fn) for fn in sorted(os.listdir(SRC))
               if fn.endswith(".py") and fn != "__init__.py"}
     assert {fn: names for fn, names in unused.items() if names} == {}
+
+
+def test_no_function_imports():
+    # a function-level import runs on the function's first call, and one
+    # between two modules that import each other hides the cycle
+    found = []
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py"):
+            with open(os.path.join(SRC, fn)) as fh:
+                tree = ast.parse(fh.read(), fn)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [(fn, node.name, sub.lineno) for sub in ast.walk(node)
+                              if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 def _private_definitions():

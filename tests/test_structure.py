@@ -221,10 +221,20 @@ def test_church_laws_read_off_the_table_match_the_term_by_term_oracle(case):
 
 
 def test_church_refuses_over_the_evaluation_budget_before_evaluating(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("term evaluated past the budget")
+    real = structure.compile_term
+    compiled_terms = []
 
-    monkeypatch.setattr(structure, "eval_term", refuse)
+    def compiled(*args):
+        # the term is compiled, and so checked, before the budget; it is
+        # never evaluated
+        compiled_terms.append(real(*args))
+
+        def refuse(values):
+            raise AssertionError("term evaluated past the budget")
+
+        return refuse
+
+    monkeypatch.setattr(structure, "compile_term", compiled)
     text = "(or (and z x) (and (not z) y))"
     # 16^3 + 16 (2 16^3 + 2 16^4 + 16^2 + 2) = 2,236,448 fits the default budget,
     # and 32 elements take 69,271,616
@@ -236,6 +246,7 @@ def test_church_refuses_over_the_evaluation_budget_before_evaluating(monkeypatch
     with pytest.raises(BudgetError, match="^church: evaluations reached 69271616, "
                                           "over the 10000000-evaluation budget$"):
         church_centers(b32, parse_term(text, b32.signature()), 0, 31)
+    assert len(compiled_terms) == 2
 
 
 def test_one_element_algebra_degenerates_cleanly():
