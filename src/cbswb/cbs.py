@@ -17,9 +17,7 @@ from .algebra import (
     DEFAULT_EVAL_BUDGET,
     FiniteAlgebra,
     Homomorphism,
-    Sentence,
     _isomorphisms,
-    parse_sentence,
     quotient_algebra,
     relabel,
 )
@@ -56,25 +54,6 @@ class OperatorKind(NamedTuple("OperatorKind", [("selector", str), ("sentences", 
         if selector == "rel" and not sentences:
             raise ValidationError("relative operator needs at least one sentence")
         return super().__new__(cls, selector, sentences, budget)
-
-    @staticmethod
-    def con() -> "OperatorKind":
-        return OperatorKind("con")
-
-    @staticmethod
-    def fc() -> "OperatorKind":
-        return OperatorKind("fc")
-
-    @staticmethod
-    def zcon() -> "OperatorKind":
-        return OperatorKind("zcon")
-
-    @staticmethod
-    def relative(sentences, budget: int = DEFAULT_EVAL_BUDGET) -> "OperatorKind":
-        parsed = tuple(
-            s if isinstance(s, Sentence) else parse_sentence(s) for s in sentences
-        )
-        return OperatorKind("rel", parsed, budget)
 
     def label(self) -> str:
         if self.selector == "rel":
@@ -187,7 +166,7 @@ def cbs_sequence(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     _sequence), as cbs-complete reports it.  K(A) is read so that the
     carrier cap applies and a relative kind whose sentences A fails is
     refused."""
-    kind = kind or OperatorKind.fc()
+    kind = kind or OperatorKind("fc")
     L, _ = _k_positions(A, kind, max_size=max_size)
     return _sequence(A, kind, L.elements[L.bottom].to_blocks_list(),
                      L.elements[L.top].to_blocks_list())
@@ -216,7 +195,7 @@ def cbs_property_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     K(A) is read so that the carrier cap applies and a relative kind whose
     sentences A fails is refused.
     """
-    kind = kind or OperatorKind.con()
+    kind = kind or OperatorKind("con")
     L, _ = _k_positions(A, kind, max_size=max_size)
     return {
         "algebra": A.name,
@@ -251,7 +230,7 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     relative kind whose sentences A fails is refused, and the Boolean test
     runs on its positions.
     """
-    kind = kind or OperatorKind.fc()
+    kind = kind or OperatorKind("fc")
     L, at = _k_positions(A, kind, max_size=max_size)
     diag, total = L.elements[L.bottom].to_blocks_list(), L.elements[L.top].to_blocks_list()
     boolean = _boolean_failure(L, at) is None
@@ -314,22 +293,18 @@ def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
 # presheaf axioms
 
 
-def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] = None,
-                   boolean: bool = False, max_size: int = DEFAULT_CON_CAP) -> dict:
+def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
+                   max_size: int = DEFAULT_CON_CAP) -> dict:
     """Verify the operator axioms on A and all of its operator quotients.
 
     Checks the diagonal axiom, the two-sided correspondence between
     K(A) above sigma and K(A/sigma), isomorphism invariance (sampled over
-    automorphisms and one relabeled copy), and on request the factor-pair
-    and Boolean-sublattice conditions.
+    automorphisms and one relabeled copy), the factor-pair condition for
+    the kinds fc and zcon, and on request the Boolean-sublattice condition.
     """
-    if factor is None:
-        factor = kind.selector in ("fc", "zcon")
     L, at = _k_positions(A, kind, max_size=max_size)
     E, inside = L.elements, set(at)
-    violations = []
 
-    quotients = [quotient_algebra(A, E[i]) for i in at]
     # for the relative kind every member's quotient satisfies the sentences
     # already, as that is how it entered K(A)
     axiom1 = {"ok": True, "violations": []}
@@ -337,16 +312,21 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
         axiom1["ok"] = False
         axiom1["violations"].append({"reason": "diagonal_missing"})
 
-    # per sigma: Con(A/sigma) and the positions of K(A/sigma) in it
-    kqs = [_k_positions(Q.algebra, kind, max_size=max_size) for Q in quotients]
-    downs = []  # per sigma: t -> t/sigma for the position t of each K(A) member above sigma
+    factor = kind.selector in ("fc", "zcon")
+    if factor:
+        # each member's factor complements in Con(A), ascending, and those in K(A)
+        fc = {i: [j for j in L.complements(i) if L.factor_pair(i, j)] for i in at}
+        fc_in = {i: [j for j in fc[i] if j in inside] for i in at}
     correspondence = {"ok": True, "violations": []}
-    for i, Q, (LQ, kq) in zip(at, quotients, kqs):
+    pair_bad = []
+    for i in at:
+        Q = quotient_algebra(A, E[i])
+        LQ, kq = _k_positions(Q.algebra, kind, max_size=max_size)
         kq_in = set(kq)
         above = [j for j in at if L.leq[i][j]]
         above_in = set(above)
+        # j -> E[j]/sigma for the position j of each K(A) member above sigma
         down = {j: quotient_lift(Q, E[j]) for j in above}
-        downs.append(down)
         lift = {j: LQ.index.get(t.rep) for j, t in down.items()}
         missing = [j for j in above if lift[j] not in kq_in]
         extra = [q for q in kq
@@ -362,31 +342,27 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                 "extra_in_quotient": [LQ.elements[q].to_blocks_list() for q in extra],
                 "order_isomorphic": order_ok,
             })
+        if not factor:
+            continue
+        for j in above:
+            for c in fc_in[j]:
+                mate = quotient_lift(Q, E[L.join(c, i)])
+                verdict = check_factor_pair(Q.algebra, down[j], mate)
+                in_k = lift[j] in kq_in and LQ.index.get(mate.rep) in kq_in
+                if not verdict["ok"] or not in_k:
+                    pair_bad.append({
+                        "sigma": E[i].to_blocks_list(),
+                        "theta": E[j].to_blocks_list(),
+                        "complement": E[c].to_blocks_list(),
+                        "pair_ok": verdict["ok"],
+                        "reason": verdict["reason"],
+                        "in_operator": in_k,
+                    })
 
     factor_block = None
     if factor:
-        # each member's factor complements in Con(A), ascending, and those in K(A)
-        fc = {i: [j for j in L.complements(i) if L.factor_pair(i, j)] for i in at}
-        fc_in = {i: [j for j in fc[i] if j in inside] for i in at}
         subset_bad = [i for i in at if not fc[i]]
         missing_comp = [i for i in at if not fc_in[i]]
-        pair_bad = []
-        for i, Q, (LQ, kq), down in zip(at, quotients, kqs, downs):
-            kq_in = set(kq)
-            for j, image in down.items():
-                for c in fc_in[j]:
-                    mate = quotient_lift(Q, E[L.join(c, i)])
-                    verdict = check_factor_pair(Q.algebra, image, mate)
-                    in_k = LQ.index.get(image.rep) in kq_in and LQ.index.get(mate.rep) in kq_in
-                    if not verdict["ok"] or not in_k:
-                        pair_bad.append({
-                            "sigma": E[i].to_blocks_list(),
-                            "theta": E[j].to_blocks_list(),
-                            "complement": E[c].to_blocks_list(),
-                            "pair_ok": verdict["ok"],
-                            "reason": verdict["reason"],
-                            "in_operator": in_k,
-                        })
         factor_block = {
             "ok": not (subset_bad or missing_comp or pair_bad),
             "subset_of_fc": [E[i].to_blocks_list() for i in subset_bad],
@@ -415,6 +391,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, factor: Optional[bool] 
                 "mapping": list(g.mapping),
             })
 
+    violations = []
     for block, name in ((axiom1, "axiom1"), (correspondence, "correspondence"),
                         (factor_block, "factor"), (boolean_block, "boolean"),
                         (iso_block, "iso_invariance")):

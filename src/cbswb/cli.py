@@ -17,6 +17,7 @@ from .algebra import (
     DEFAULT_ISO_CAP,
     iso_search,
     parse_algebra,
+    parse_sentence,
     parse_term,
     quotient_algebra,
     render_algebra,
@@ -30,7 +31,7 @@ from .cbs import (
     presheaf_check,
 )
 from .congruence import DEFAULT_CON_CAP, Congruence, all_congruences
-from .errors import CbswbError, FormatError, ValidationError
+from .errors import CbswbError, FormatError
 from .omega import (check_truncation, omega_cbs_run, omega_validate, quasicyclic_suite,
                     truncate_validate)
 from .pset import PeriodicSet
@@ -57,15 +58,10 @@ def _blocks_literal(A, text: str) -> Congruence:
     return Congruence.from_blocks(A, blocks)
 
 
-def _kind(args) -> OperatorKind:
-    sentences = tuple(getattr(args, "sentence", None) or ())
-    if args.kind == "rel":
-        if not sentences:
-            raise ValidationError("kind rel requires at least one --sentence")
-        return OperatorKind.relative(sentences, args.eval_budget)
-    if sentences:
-        raise ValidationError("--sentence only applies to kind rel")
-    return {"con": OperatorKind.con, "fc": OperatorKind.fc, "zcon": OperatorKind.zcon}[args.kind]()
+def _kind(args, A) -> OperatorKind:
+    """The job's operator kind, its sentences read against A's signature."""
+    sentences = tuple(parse_sentence(s, A.signature()) for s in args.sentence or ())
+    return OperatorKind(args.kind, sentences, args.eval_budget)
 
 
 def _max_size(args, default):
@@ -102,7 +98,7 @@ def _cmd_center(args):
 
 def _cmd_zcon(args):
     A = _load(args.file)
-    ks = operator_eval(A, OperatorKind.zcon(), max_size=_max_size(args, DEFAULT_CON_CAP))
+    ks = operator_eval(A, OperatorKind("zcon"), max_size=_max_size(args, DEFAULT_CON_CAP))
     return "pass", {
         "algebra": A.name,
         "elements": [c.to_blocks_list() for c in ks],
@@ -148,23 +144,20 @@ def _cmd_church(args):
 
 def _cmd_presheaf(args):
     A = _load(args.file)
-    factor = False if args.no_factor else None
-    body = presheaf_check(
-        A, _kind(args), factor=factor, boolean=args.boolean,
-        max_size=_max_size(args, DEFAULT_CON_CAP),
-    )
+    body = presheaf_check(A, _kind(args, A), boolean=args.boolean,
+                          max_size=_max_size(args, DEFAULT_CON_CAP))
     return ("pass" if body["ok"] else "refuted"), body
 
 
 def _cmd_cbs_check(args):
     A = _load(args.file)
-    body = cbs_property_check(A, _kind(args), max_size=_max_size(args, DEFAULT_CON_CAP))
+    body = cbs_property_check(A, _kind(args, A), max_size=_max_size(args, DEFAULT_CON_CAP))
     return ("pass" if body["holds"] else "refuted"), body
 
 
 def _cmd_cbs_complete(args):
     A = _load(args.file)
-    body = cbs_complete_check(A, kind=_kind(args), max_size=_max_size(args, DEFAULT_CON_CAP))
+    body = cbs_complete_check(A, kind=_kind(args, A), max_size=_max_size(args, DEFAULT_CON_CAP))
     # the one finite case, theta = sigma = the diagonal, is always certified
     return "pass", body
 
@@ -259,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--sentence", action="append", metavar="EQN",
                         help="for kind rel; e.g. '(+ x y) = (+ y x)'")
         if verb == "presheaf-check":
-            sp.add_argument("--no-factor", action="store_true",
-                            help="skip the factor-pair axiom")
             sp.add_argument("--boolean", action="store_true",
                             help="also require a Boolean operator")
 

@@ -137,8 +137,10 @@ class Congruence:
                     raise ValidationError(f"element {x} occurs twice in partition")
                 seen[x] = min(b)
         if len(seen) != algebra.size:
-            missing = [x for x in range(algebra.size) if x not in seen]
-            raise ValidationError(f"partition misses elements {missing}")
+            # named by count and least element: the carrier may be huge
+            least = next(x for x in range(algebra.size) if x not in seen)
+            raise ValidationError(f"partition misses {algebra.size - len(seen)} elements, "
+                                  f"the least of them {least}")
         rep = tuple(seen[x] for x in range(algebra.size))
         witness = compatibility_witness(algebra, rep)
         if witness is not None:

@@ -12,10 +12,12 @@ validator shares with the set route of the symbolic validator, live here
 and read the package's f_hat, joins and shape check; the symbolic validator
 states its laws on window ints by itself, so the set route is a separate
 statement of them.  The general CBS searches, the refinement-scan presheaf
-correspondence, the set routes of the symbolic validator and the countable
-infimum and the decomposition route of the truncation pairing are the
-reference forms of the CBS verbs, of the window routes and of the pairing
-verdict, and run on the package's kernels.  The partitions of each n are
+correspondence, the check_factor_pair scans of the presheaf factor block
+and of the centre's pair checks, the set routes of the symbolic validator
+and the countable infimum and the decomposition route of the truncation
+pairing are the reference forms of the CBS verbs, of the presheaf and
+centre reports, of the window routes and of the pairing verdict, and run
+on the package's kernels.  The partitions of each n are
 kept as rep arrays after their first enumeration, for the congruence
 oracles filter them again and again.
 """
@@ -950,6 +952,91 @@ def presheaf_correspondence(A, kind):
                 "order_isomorphic": order_ok,
             })
     return block
+
+
+def _lift_rep(Q, rep):
+    """theta/sigma on Q = A/sigma as a rep array, for the rep array of a
+    theta above sigma: each block of Q takes the theta-class of its members."""
+    keys = [None] * Q.algebra.size
+    for a, q in enumerate(Q.projection.mapping):
+        keys[q] = rep[a]
+    first = {}
+    return tuple(first.setdefault(k, q) for q, k in enumerate(keys))
+
+
+def presheaf_factor(A, kind):
+    """presheaf_check's factor block by check_factor_pair scans.
+
+    Every member theta of K(A) needs a factor complement in Con(A)
+    (subset_of_fc) and one in K(A) (missing_complement).  For every sigma in
+    K(A), every theta in K(A) above it and every factor complement c of
+    theta in K(A), (theta/sigma, (c v sigma)/sigma) must be a factor pair of
+    A/sigma with both members in K(A/sigma); each pair that is not is listed.
+    Joins are transitive closures and lifts map blocks through the projection.
+    """
+    from cbswb.algebra import quotient_algebra
+    from cbswb.cbs import operator_eval
+    from cbswb.congruence import Congruence, all_congruences
+    from cbswb.structure import check_factor_pair
+
+    n = A.size
+    cons = all_congruences(A).elements
+    ks = operator_eval(A, kind)
+
+    def factor_mates(theta, family):
+        return [c for c in family if check_factor_pair(A, theta, c)["ok"]]
+
+    pairs = []
+    for s in ks:
+        Q = quotient_algebra(A, s)
+        kq = {q.rep for q in operator_eval(Q.algebra, kind)}
+        for t in ks:
+            if not refines(s.rep, t.rep):
+                continue
+            image = Congruence(Q.algebra, _lift_rep(Q, t.rep))
+            for c in factor_mates(t, ks):
+                mate = Congruence(Q.algebra, _lift_rep(Q, join_closure([c.rep, s.rep], n)))
+                verdict = check_factor_pair(Q.algebra, image, mate)
+                in_k = image.rep in kq and mate.rep in kq
+                if not verdict["ok"] or not in_k:
+                    pairs.append({
+                        "sigma": s.to_blocks_list(),
+                        "theta": t.to_blocks_list(),
+                        "complement": c.to_blocks_list(),
+                        "pair_ok": verdict["ok"],
+                        "reason": verdict["reason"],
+                        "in_operator": in_k,
+                    })
+    subset_bad = [t.to_blocks_list() for t in ks if not factor_mates(t, cons)]
+    missing = [t.to_blocks_list() for t in ks if not factor_mates(t, ks)]
+    return {
+        "ok": not (subset_bad or missing or pairs),
+        "subset_of_fc": subset_bad,
+        "missing_complement": missing,
+        "quotient_pairs": pairs,
+    }
+
+
+def center_pair_checks(A, center):
+    """z_con_report's pair_checks by check_factor_pair: each central
+    congruence, given as blocks in the report's order, with each of its
+    complements in Con(A), the congruences that meet it in the diagonal and
+    join it to the total congruence, in canonical order."""
+    from cbswb.congruence import Congruence, all_congruences
+    from cbswb.structure import check_factor_pair
+
+    n = A.size
+    cons = all_congruences(A).elements
+    out = []
+    for blocks in center:
+        z = Congruence.from_blocks(A, blocks)
+        for c in cons:
+            diagonal_meet = meet_rep(z.rep, c.rep) == tuple(range(n))
+            if diagonal_meet and join_closure([z.rep, c.rep], n) == (0,) * n:
+                verdict = check_factor_pair(A, z, c)
+                out.append({"theta": blocks, "complement": c.to_blocks_list(),
+                            "ok": verdict["ok"], "reason": verdict["reason"]})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -165,16 +165,16 @@ def test_criterion_04_presheaf_axioms():
     for name, A in CORPUS.items():
         if not all_congruences(A).modular:
             continue
-        report = presheaf_check(A, OperatorKind.fc())
+        report = presheaf_check(A, OperatorKind("fc"))
         assert report["ok"], (name, report["failed_conditions"])
         modular_checked += 1
 
     comm = parse_sentence("(+ x y) = (+ y x)")
     for name in GROUPS:
         A = CORPUS[name]
-        full = presheaf_check(A, OperatorKind.con())
+        full = presheaf_check(A, OperatorKind("con"))
         assert full["conditions"]["correspondence"]["ok"], name
-        rel = presheaf_check(A, OperatorKind.relative((comm,)))
+        rel = presheaf_check(A, OperatorKind("rel", (comm,)))
         assert rel["conditions"]["correspondence"]["ok"], name
 
     verdict(4, modular_checked >= 10,
@@ -188,7 +188,7 @@ def test_criterion_04_presheaf_axioms():
 def test_criterion_05_sequence_laws():
     runs = violations = 0
     for name, A in CORPUS.items():
-        for kind in (OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon()):
+        for kind in (OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon")):
             state = reported_sequence(A, kind)
             bad = validate_sequence(state)
             assert bad == [], (name, kind.label(), bad)
@@ -224,14 +224,14 @@ def rel_kind_for(A):
     if binary is not None:
         comm = parse_sentence(f"({binary.name} x y) = ({binary.name} y x)")
         if satisfies(A, [comm])[0]:
-            return OperatorKind.relative((comm,))
-    return OperatorKind.relative((parse_sentence("x = x"),))
+            return OperatorKind("rel", (comm,))
+    return OperatorKind("rel", (parse_sentence("x = x"),))
 
 
 def test_criterion_06_cbs_property_all_kinds():
     checked = 0
     for name, A in CORPUS.items():
-        kinds = [OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(),
+        kinds = [OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon"),
                  rel_kind_for(A)]
         for kind in kinds:
             report = cbs_property_check(A, kind)

@@ -474,7 +474,7 @@ def test_iso_search_does_not_apply_cell_by_cell(monkeypatch):
             automorphisms(v4),
             automorphisms(corpus_algebra("lat22")),
             automorphisms(median),
-            presheaf_check(v4, OperatorKind.fc()),
+            presheaf_check(v4, OperatorKind("fc")),
         )
 
     usual = search()

@@ -9,6 +9,7 @@ from cbswb.algebra import (
     Operation,
     automorphisms,
     iso_search,
+    parse_sentence,
     power_algebra,
     quotient_algebra,
     relabel,
@@ -48,28 +49,28 @@ def reps(ks):
 
 
 def test_operator_kind_validation():
-    assert OperatorKind.con().label() == "con"
-    assert OperatorKind.fc().label() == "fc"
-    assert OperatorKind.zcon().label() == "zcon"
-    rel = OperatorKind.relative((COMM,))
-    assert rel.label().startswith("rel[")
+    assert OperatorKind("con").label() == "con"
+    assert OperatorKind("fc").label() == "fc"
+    assert OperatorKind("zcon").label() == "zcon"
+    rel = OperatorKind("rel", (parse_sentence(COMM),))
+    assert rel.label() == "rel[(+ x y) = (+ y x)]"
     with pytest.raises(ValidationError):
         OperatorKind("centre")
     with pytest.raises(ValidationError):
-        OperatorKind.relative(())
+        OperatorKind("rel", ())
     with pytest.raises(FormatError):
-        OperatorKind.relative(("x =",))
+        parse_sentence("x =", corpus_algebra("z4").signature())
 
 
 def test_operator_eval_selectors():
     v4 = corpus_algebra("v4")
-    assert len(operator_eval(v4, OperatorKind.con())) == 5
-    assert len(operator_eval(v4, OperatorKind.fc())) == 5
-    assert reps(operator_eval(v4, OperatorKind.zcon())) == {
+    assert len(operator_eval(v4, OperatorKind("con"))) == 5
+    assert len(operator_eval(v4, OperatorKind("fc"))) == 5
+    assert reps(operator_eval(v4, OperatorKind("zcon"))) == {
         (0, 1, 2, 3), (0, 0, 0, 0)}
     z4 = corpus_algebra("z4")
-    assert reps(operator_eval(z4, OperatorKind.fc())) == {(0, 1, 2, 3), (0, 0, 0, 0)}
-    rel = operator_eval(z4, OperatorKind.relative((COMM,)))
+    assert reps(operator_eval(z4, OperatorKind("fc"))) == {(0, 1, 2, 3), (0, 0, 0, 0)}
+    rel = operator_eval(z4, OperatorKind("rel", (parse_sentence(COMM),)))
     assert len(rel) == 3  # commutativity keeps all of Con(z4)
     # ordering is canonical: finest first
     keys = [c.key() for c in rel]
@@ -79,7 +80,7 @@ def test_operator_eval_selectors():
 def test_operator_eval_rel_requires_membership():
     # z4 itself fails (x+x) = (y+y), so the diagonal quotient leaves the class
     z4 = corpus_algebra("z4")
-    kind = OperatorKind.relative(("(+ x x) = (+ y y)",))
+    kind = OperatorKind("rel", (parse_sentence("(+ x x) = (+ y y)"),))
     message = re.escape("'z4' does not satisfy the relative sentences, "
                         "so the diagonal is missing from K(A)")
     # every CBS entry point reads K(A) before it computes anything
@@ -101,14 +102,14 @@ def test_admissibility():
     z4 = corpus_algebra("z4")
     z2 = corpus_algebra("z2")
     proj = Homomorphism(z4, z2, [0, 1, 0, 1])
-    hits, kernel_in_k = admitting(proj, OperatorKind.con())
+    hits, kernel_in_k = admitting(proj, OperatorKind("con"))
     assert hits and kernel_in_k
     assert hits[0].to_blocks_list() == [[0, 2], [1, 3]]
     # FC(z4) has no congruence with a two-element quotient
-    hits_fc, kernel_in_fc = admitting(proj, OperatorKind.fc())
+    hits_fc, kernel_in_fc = admitting(proj, OperatorKind("fc"))
     assert not hits_fc and not kernel_in_fc
     auto = automorphisms(z4)[1]
-    hits_auto, _ = admitting(auto, OperatorKind.fc())
+    hits_auto, _ = admitting(auto, OperatorKind("fc"))
     assert hits_auto and hits_auto[0].is_diagonal()
 
 
@@ -119,7 +120,7 @@ def test_f_hat_identity_case():
         for g in (identity, None):
             assert f_hat(A, g, c).rep == c.rep
             assert f_hat_inverse(A, g, c).rep == c.rep
-    check = f_hat_interval_check(A, None, Congruence.diagonal(A), OperatorKind.fc())
+    check = f_hat_interval_check(A, None, Congruence.diagonal(A), OperatorKind("fc"))
     assert check["ok"]
     assert check["onto_interval"] and check["inverse_roundtrip"]
 
@@ -130,7 +131,7 @@ def test_f_hat_through_nontrivial_automorphism():
     Q = quotient_algebra(A, theta).algebra
     for g in automorphisms(A):
         f = Homomorphism(A, Q, g.mapping)
-        check = f_hat_interval_check(A, f, theta, OperatorKind.con())
+        check = f_hat_interval_check(A, f, theta, OperatorKind("con"))
         assert check["ok"]
         # the pullbacks along f^-1 and f are the general f_hat and its loose
         # inverse, taken through A/theta
@@ -146,23 +147,23 @@ def test_sigma_bracket_on_v4():
     v4 = corpus_algebra("v4")
     total = Congruence.total(v4)
     theta_a = principal_congruence(v4, 0, 1)
-    got = sigma_bracket(v4, total, theta_a, OperatorKind.con())
+    got = sigma_bracket(v4, total, theta_a, OperatorKind("con"))
     assert reps(got) == {
         principal_congruence(v4, 0, 1).rep,
         principal_congruence(v4, 0, 2).rep,
         principal_congruence(v4, 0, 3).rep,
     }
     only_diag = sigma_bracket(v4, Congruence.diagonal(v4),
-                              Congruence.diagonal(v4), OperatorKind.fc())
+                              Congruence.diagonal(v4), OperatorKind("fc"))
     assert reps(only_diag) == {Congruence.diagonal(v4).rep}
     with pytest.raises(ValidationError):
-        sigma_bracket(v4, theta_a, total, OperatorKind.con())  # sigma above theta
+        sigma_bracket(v4, theta_a, total, OperatorKind("con"))  # sigma above theta
 
 
 def test_cbs_sequence_collapses_at_diagonal():
     for name in ("v4", "z4", "lat22"):
         A = corpus_algebra(name)
-        state = reported_sequence(A, OperatorKind.fc())
+        state = reported_sequence(A, OperatorKind("fc"))
         assert state.stabilized and state.stabilized_at == 2
         assert all(s.is_diagonal() for s in state.sigmas + state.thetas[1:])
         assert all(d.is_total() for d in state.ds)
@@ -199,9 +200,9 @@ def test_cbs_complete_reports_the_cbs_sequence_table():
         A = corpus_algebra(name)
         binary = [op.name for op in A.ops if op.arity == 2][:1]
         sentence = f"({binary[0]} x y) = ({binary[0]} y x)" if binary else "x = x"
-        rel = OperatorKind.relative((sentence,))
+        rel = OperatorKind("rel", (parse_sentence(sentence),))
         assert satisfies(A, rel.sentences)[0], name
-        for kind in (OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(), rel):
+        for kind in (OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon"), rel):
             table = cbs_sequence(A, kind)
             assert cbs_complete_check(A, kind)["certificate"]["sequence"] == table
             assert validate_sequence(reported_sequence(A, kind)) == [], (name, kind.label())
@@ -209,7 +210,7 @@ def test_cbs_complete_reports_the_cbs_sequence_table():
 
 def test_validate_sequence_flags_mutations():
     A = corpus_algebra("v4")
-    state = reported_sequence(A, OperatorKind.fc())
+    state = reported_sequence(A, OperatorKind("fc"))
 
     bad = copy.copy(state)
     bad.sigmas = list(state.sigmas)
@@ -232,7 +233,7 @@ def test_validate_sequence_flags_mutations():
 
 def test_validate_sequence_reports_malformed_tables():
     A = corpus_algebra("v4")
-    state = reported_sequence(A, OperatorKind.fc())
+    state = reported_sequence(A, OperatorKind("fc"))
     odd = len(state.ds)
 
     extra = copy.copy(state)
@@ -271,7 +272,7 @@ def test_infimum_in_k_takes_the_greatest_member_below_the_d_terms():
 def test_cbs_property_finite_triviality():
     for name in ("z4", "v4", "chain3", "boole2", "one"):
         A = corpus_algebra(name)
-        for kind in (OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon()):
+        for kind in (OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon")):
             got = cbs_property_check(A, kind)
             assert got["holds"], (name, kind.label())
             assert got["nontrivial"] is False
@@ -286,12 +287,12 @@ def test_cbs_property_direct_form_agrees():
         partners = []
         for theta in all_congruences(A).elements:
             partners.append(quotient_algebra(A, theta).algebra)
-        got = cbs_property_direct(A, partners, OperatorKind.con())
+        got = cbs_property_direct(A, partners, OperatorKind("con"))
         assert got["holds"]
         assert got["instances"] >= 1
         assert got["failures"] == []
     # different signatures are skipped, not failures
-    got = cbs_property_direct(corpus_algebra("z4"), [corpus_algebra("chain2")], OperatorKind.con())
+    got = cbs_property_direct(corpus_algebra("z4"), [corpus_algebra("chain2")], OperatorKind("con"))
     assert got["instances"] == 0
 
 
@@ -300,7 +301,7 @@ def corresp2(A, sigma, theta):
     isomorphism A -> (A/sigma)/theta' or None."""
     Q = quotient_algebra(A, sigma)
     theta_prime = quotient_lift(Q, theta)
-    in_k = theta_prime.rep in reps(operator_eval(Q.algebra, OperatorKind.con()))
+    in_k = theta_prime.rep in reps(operator_eval(Q.algebra, OperatorKind("con")))
     return theta_prime, in_k, iso_search(A, quotient_algebra(Q.algebra, theta_prime).algebra)
 
 
@@ -321,11 +322,11 @@ def test_corresp2_witness():
 
 def test_boolean_sublattice_check():
     lat = corpus_algebra("lat22")
-    ks = operator_eval(lat, OperatorKind.fc())
+    ks = operator_eval(lat, OperatorKind("fc"))
     verdict = boolean_sublattice_check(lat, ks)
     assert verdict["ok"]
     v4 = corpus_algebra("v4")
-    bad = boolean_sublattice_check(v4, operator_eval(v4, OperatorKind.con()))
+    bad = boolean_sublattice_check(v4, operator_eval(v4, OperatorKind("con")))
     assert not bad["ok"] and bad["reason"] == "complement_not_unique"
 
 
@@ -364,7 +365,7 @@ def test_con_is_enumerated_once_per_algebra(monkeypatch):
     z2_3 = power_algebra(corpus_algebra("z2"), 3)
     assert cbs_complete_check(z2_3)["verdict"] == "certified"
     v4 = corpus_algebra("v4")
-    assert not presheaf_check(v4, OperatorKind.fc(), boolean=True)["ok"]
+    assert not presheaf_check(v4, OperatorKind("fc"), boolean=True)["ok"]
     # the built list keeps every algebra alive, so ids are not reused
     assert any(A is z2_3 for A in built) and any(A is v4 for A in built)
     assert len({id(A) for A in built}) == len(built)
@@ -413,7 +414,7 @@ def test_presheaf_fc_on_modular_corpus():
         A = corpus_algebra(name)
         if not all_congruences(A).modular:
             continue
-        got = presheaf_check(A, OperatorKind.fc())
+        got = presheaf_check(A, OperatorKind("fc"))
         assert got["ok"], (name, got["failed_conditions"])
         assert got["conditions"]["factor"]["ok"]
 
@@ -421,11 +422,11 @@ def test_presheaf_fc_on_modular_corpus():
 def test_presheaf_con_everywhere_and_rel_on_groups():
     for name in CORPUS_NAMES:
         A = corpus_algebra(name)
-        got = presheaf_check(A, OperatorKind.con())
+        got = presheaf_check(A, OperatorKind("con"))
         assert got["ok"], (name, got["failed_conditions"])
     for name in ("z2", "z3", "z4", "v4"):
         A = corpus_algebra(name)
-        got = presheaf_check(A, OperatorKind.relative((COMM,)))
+        got = presheaf_check(A, OperatorKind("rel", (parse_sentence(COMM),)))
         assert got["ok"], (name, got["failed_conditions"])
 
 
@@ -446,14 +447,14 @@ def test_relative_presheaf_checks_each_quotient_once(monkeypatch, name, sentence
 
     for module in (congruence, cbs):
         monkeypatch.setattr(module, "satisfies", counted, raising=False)
-    got = presheaf_check(corpus_algebra(name), OperatorKind.relative((sentence,)))
+    got = presheaf_check(corpus_algebra(name), OperatorKind("rel", (parse_sentence(sentence),)))
     assert got["ok"] and got["conditions"]["axiom1"] == {"ok": True, "violations": []}
     assert len(seen) == calls
 
 
 def test_presheaf_reports_sampling_note():
     v4 = corpus_algebra("v4")
-    got = presheaf_check(v4, OperatorKind.fc())
+    got = presheaf_check(v4, OperatorKind("fc"))
     inv = got["conditions"]["iso_invariance"]
     assert inv["sampled"] is True  # invariance is spot-checked, not proven
     assert inv["automorphisms"] == 6
@@ -462,16 +463,16 @@ def test_presheaf_reports_sampling_note():
 
 def test_presheaf_boolean_condition():
     lat = corpus_algebra("lat22")
-    got = presheaf_check(lat, OperatorKind.fc(), boolean=True)
+    got = presheaf_check(lat, OperatorKind("fc"), boolean=True)
     assert got["ok"]
     v4 = corpus_algebra("v4")
-    got2 = presheaf_check(v4, OperatorKind.con(), factor=False, boolean=True)
+    got2 = presheaf_check(v4, OperatorKind("con"), boolean=True)
     assert not got2["ok"]
     assert "boolean" in got2["failed_conditions"]
 
 
 def test_presheaf_reads_order_off_the_lattices(monkeypatch):
-    cases = [(corpus_algebra("lat22"), OperatorKind.con()), (corpus_algebra("z4"), OperatorKind.fc())]
+    cases = [(corpus_algebra("lat22"), OperatorKind("con")), (corpus_algebra("z4"), OperatorKind("fc"))]
     usual = [presheaf_check(A, kind) for A, kind in cases]
     assert all(got["ok"] for got in usual)
 
@@ -493,7 +494,7 @@ def test_presheaf_counts_a_lift_outside_the_quotient_lattice_as_an_order_failure
         return lift(Q, theta)
 
     monkeypatch.setattr(cbs, "quotient_lift", outside)
-    got = presheaf_check(z4, OperatorKind.con())["conditions"]["correspondence"]
+    got = presheaf_check(z4, OperatorKind("con"))["conditions"]["correspondence"]
     assert got == {"ok": False, "violations": [{
         "sigma": [[0], [1], [2], [3]],
         "missing_in_quotient": [[[0, 1, 2, 3]]],

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, report stability, error handling."""
 
+import argparse
+import ast
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.report import json_text
 from oracles import text_lines
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 V4 = "corpus/v4.json"
 Z2 = "corpus/z2.json"
 Z4 = "corpus/z4.json"
@@ -110,6 +113,20 @@ def test_every_verb_runs_clean(capsys):
         assert out.startswith("cbswb-report/1\nverb: "), argv
 
 
+def test_relative_sentences_read_the_signature_of_the_algebra(capsys):
+    # a constant of the algebra is an operation, not a variable
+    for argv in (
+        ("cbs-check", "corpus/chain3.json", "--kind", "rel", "--sentence", "(meet x bot) = bot"),
+        ("cbs-check", "corpus/boole2.json", "--kind", "rel", "--sentence", "(and x 0) = 0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert f"kind: rel[{argv[-1]}]" in out and "holds: true" in out, argv
+    # an operation the algebra lacks is refused
+    assert run(capsys, "cbs-check", Z4, "--kind", "rel", "--sentence", "(* x y) = (* y x)") == (
+        2, "", "error: unknown operation '*'\n")
+
+
 def test_quotient_and_quasicyclic_bodies(capsys):
     code, out, _ = run(capsys, "quotient", Z4, "--by", "[[0,2],[1,3]]")
     assert code == 0 and "size: 2" in out
@@ -152,6 +169,23 @@ def test_cached_parser_matches_fresh_parsers(capsys):
     assert reused == fresh
     assert [code for code, _, _ in fresh] == [0, 0, 0, 0]
     assert "m: 6" in fresh[0][1] and "m: 6" not in fresh[1][1]
+
+
+def test_every_long_option_is_set_by_a_test_or_a_benchmark_job():
+    """Each long option of each verb is an argv entry of some test or of a
+    job in bench/gen.py, so no option is left that nothing sets."""
+    sources = [os.path.join(ROOT, "tests", fn) for fn in os.listdir(os.path.join(ROOT, "tests"))
+               if fn.startswith("test_") and fn.endswith(".py")]
+    sources.append(os.path.join(ROOT, "bench", "gen.py"))
+    used = set()
+    for path in sources:
+        with open(path) as fh:
+            used.update(node.value for node in ast.walk(ast.parse(fh.read()))
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {option for sub in verbs.choices.values() for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    assert sorted(options - used) == []
 
 
 def test_json_format_parses_back(capsys):

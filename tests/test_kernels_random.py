@@ -31,7 +31,9 @@ general sequence through A/diagonal.  The correspondence block of
 presheaf_check, read off the positions of K(A) in Con(A) and
 Con(A/sigma), is checked against
 refinement scans on random algebras of at most 5 elements (arities up to
-3), also with one lift replaced by a wrong congruence.  The verdict and
+3), also with one lift replaced by a wrong congruence; its factor block,
+for the kinds fc and zcon, and the pair checks of the centre report are
+checked against check_factor_pair run on every pair on the same algebras.  The verdict and
 witness of satisfies are checked against a recursive evaluation of every
 assignment on random algebras of at most 4 elements (arities up to 3) and
 random sentences with up to two premises.
@@ -58,6 +60,7 @@ from cbswb.algebra import (
     gather,
     image_indices,
     iso_search,
+    parse_sentence,
     power_algebra,
     quotient_algebra,
     relabel,
@@ -91,13 +94,14 @@ from cbswb.lattice import FiniteLattice
 from cbswb.omega import QuasiCyclic
 from cbswb.report import json_text
 from cbswb.structure import (center_of_lattice, check_factor_pair, decomposition_witness,
-                             factor_congruences)
+                             factor_congruences, z_con_report)
 
 from oracles import (
     all_homs,
     apply_raw,
     boolean_sublattice_failure,
     brute_congruences,
+    center_pair_checks,
     cbs_complete_search,
     cbs_property_search,
     factor_pair_verdict,
@@ -113,6 +117,7 @@ from oracles import (
     order_bound,
     partition_reps,
     presheaf_correspondence,
+    presheaf_factor,
     refines,
     reported_sequence,
     validate_sequence,
@@ -746,11 +751,11 @@ def cbs_case(data):
     commutativity of its first binary operation."""
     size = data.draw(st.integers(1, 4))
     A = FiniteAlgebra("r", size, tables(data.draw, size, data.draw(signatures)))
-    kinds = [OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon(),
-             OperatorKind.relative(("x = x",))]
+    kinds = [OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon"),
+             OperatorKind("rel", (parse_sentence("x = x"),))]
     binary = next((op.name for op in A.ops if op.arity == 2), None)
     if binary is not None:
-        comm = OperatorKind.relative((f"({binary} x y) = ({binary} y x)",))
+        comm = OperatorKind("rel", (parse_sentence(f"({binary} x y) = ({binary} y x)"),))
         if satisfies(A, comm.sentences)[0]:
             kinds.append(comm)
     return A, kinds
@@ -819,7 +824,7 @@ def test_relative_presheaf_reads_membership_off_k(case):
     runs once per member of Con(A), of the relabelled copy's Con and of each
     quotient's Con, and never again per member of K(A)."""
     A, sentence = case
-    kind = OperatorKind.relative([sentence])
+    kind = OperatorKind("rel", (parse_sentence(sentence),))
     calls = []
     real = congruence.satisfies
 
@@ -886,7 +891,7 @@ def presheaf_case(draw):
     size = draw(st.integers(1, 5))
     arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     A = FiniteAlgebra("r", size, tables(draw, size, arities))
-    return A, draw(st.sampled_from([OperatorKind.con(), OperatorKind.fc(), OperatorKind.zcon()]))
+    return A, draw(st.sampled_from([OperatorKind("con"), OperatorKind("fc"), OperatorKind("zcon")]))
 
 
 @settings(KERNEL_SETTINGS, max_examples=30)
@@ -920,3 +925,24 @@ def test_presheaf_correspondence_matches_the_refinement_scan(case, data):
         mp.setattr(cbs, "quotient_lift", wrong_lift)
         mp.setattr(congruence, "quotient_lift", wrong_lift)
         assert not correspondence()["ok"]
+
+
+@st.composite
+def factor_case(draw):
+    size = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    A = FiniteAlgebra("r", size, tables(draw, size, arities))
+    return A, draw(st.sampled_from([OperatorKind("fc"), OperatorKind("zcon")]))
+
+
+@settings(KERNEL_SETTINGS, max_examples=30)
+@given(factor_case())
+@example((corpus_algebra("chain3"), OperatorKind("zcon")))  # central, yet no factor pair
+def test_factor_verdicts_match_factor_pair_scans(case):
+    """The factor block of presheaf_check, for the two kinds that run it,
+    and the centre's pair checks equal check_factor_pair run on every pair
+    they list."""
+    A, kind = case
+    assert presheaf_check(A, kind)["conditions"]["factor"] == presheaf_factor(A, kind)
+    report = z_con_report(A)
+    assert report["pair_checks"] == center_pair_checks(A, report["center"])

@@ -27,10 +27,11 @@ MEMBERS = "congruence enumeration: |Con(A)| reached 1025, over the 1024-member b
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """Input name -> path of its JSON file: the 8-element set with no
-    operations, z2^5 and z2."""
+    operations, the set of 10^8 elements with none, z2^5 and z2."""
     out = {}
     directory = tmp_path_factory.mktemp("no_hang")
     algebras = {"set8": FiniteAlgebra("set8", 8, []),
+                "set10^8": FiniteAlgebra("set10^8", 10 ** 8, []),
                 "z2^5": power_algebra(corpus_algebra("z2"), 5),
                 "z2": corpus_algebra("z2")}
     for name, A in algebras.items():
@@ -52,6 +53,9 @@ ROWS = [
     ("omega-demo indices 10^5",
      ("omega-demo", "--base", "z2", "--shift", "1", "--zeta", "{0}", "--indices", "100000"),
      "omega run: indices reached 100000, over the 1024-index budget"),
+    # the message names how many elements the partition misses, not each one
+    ("quotient set10^8", ("quotient", "set10^8", "--by", "[[0]]"),
+     "partition misses 99999999 elements, the least of them 1"),
     ("quasicyclic 2^61-1", ("quasicyclic", "2305843009213693951", "0", "1"),
      "quasi-cyclic truncation: carrier reached 2305843009213693951, "
      "over the 1024-element budget"),

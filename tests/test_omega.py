@@ -1276,7 +1276,7 @@ def test_quasicyclic_conclusion_follows_the_checks(monkeypatch):
 
 
 def test_quasicyclic_suite_above_the_exhaustive_cap():
-    # 512 elements: the chain is checked by subgroup closure; the whole
+    # 512 elements: the chain's method reads subgroup_closure; the whole
     # result as recorded before the level checks were merged
     def chain(j):
         return {"level": j, "blocks": 2 ** (9 - j), "method": "subgroup_closure", "ok": True}

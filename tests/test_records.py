@@ -32,8 +32,8 @@ def _records():
         (Operation("+", 2, (0, 1, 1, 0)), "name"),
         (parse_term("(+ x (- y))"), "head"),
         (parse_sentence("x = y => (+ x z) = (+ y z)"), "lhs"),
-        (OperatorKind.fc(), "selector"),
-        (OperatorKind.relative(("(+ x y) = (+ y x)",), budget=7), "sentences"),
+        (OperatorKind("fc"), "selector"),
+        (OperatorKind("rel", (parse_sentence("(+ x y) = (+ y x)"),), budget=7), "sentences"),
         (quotient_algebra(z4, theta), "algebra"),
         (OmegaCongruence(z4, PeriodicSet.from_finite([0, 2])), "coords"),
         (ShiftIso(2), "k"),
@@ -47,8 +47,9 @@ def test_equal_fields_make_equal_records_with_equal_hashes():
         assert a is not b
         assert a == b and hash(a) == hash(b), a
     assert Operation("+", 2, (0, 1, 1, 0)) != Operation("+", 2, (0, 1, 1, 1))
-    assert OperatorKind.fc() != OperatorKind.con()
-    assert OperatorKind.relative(("x = x",), budget=1) != OperatorKind.relative(("x = x",))
+    assert OperatorKind("fc") != OperatorKind("con")
+    same = (parse_sentence("x = x"),)
+    assert OperatorKind("rel", same, budget=1) != OperatorKind("rel", same)
 
 
 def test_frozen_records_refuse_an_attribute_write():
@@ -63,7 +64,7 @@ def test_records_repr_their_fields_by_name():
     assert repr(Operation("c", 0, (1,))) == "Operation(name='c', arity=0, table=(1,))"
     assert repr(parse_term("(- x)")) == (
         "Term(head='-', args=(Term(head='x', args=(), is_var=True),), is_var=False)")
-    assert repr(OperatorKind.zcon()) == (
+    assert repr(OperatorKind("zcon")) == (
         "OperatorKind(selector='zcon', sentences=(), budget=10000000)")
     assert repr(ShiftIso(3)) == "ShiftIso(k=3)"
     assert repr(QuasiCyclic(5)) == "QuasiCyclic(prime=5)"
