@@ -6,7 +6,6 @@ from .algebra import (
     Operation,
     Sentence,
     Term,
-    automorphisms,
     compile_term,
     direct_product,
     iso_search,

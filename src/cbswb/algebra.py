@@ -727,8 +727,3 @@ def iso_search(A: FiniteAlgebra, B: FiniteAlgebra, max_size: int = DEFAULT_ISO_C
     """The lexicographically least isomorphism A -> B, or None."""
     mapping = next(_isomorphisms(A, B, max_size), None)
     return None if mapping is None else Homomorphism._built(A, B, mapping)
-
-
-def automorphisms(A: FiniteAlgebra, max_size: int = DEFAULT_ISO_CAP):
-    """Every automorphism of A, in lexicographic order."""
-    return [Homomorphism._built(A, A, m) for m in _isomorphisms(A, A, max_size)]

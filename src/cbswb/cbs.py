@@ -24,7 +24,6 @@ from .algebra import (
 from .congruence import (
     DEFAULT_CON_CAP,
     Congruence,
-    CongruenceLattice,
     all_congruences,
     quotient_lift,
     relative_congruences,
@@ -63,13 +62,15 @@ class OperatorKind(NamedTuple("OperatorKind", [("selector", str), ("sentences", 
 
 def _k_positions(A: FiniteAlgebra, kind: OperatorKind, max_size: int = DEFAULT_CON_CAP):
     """(Con(A), the ascending positions of K(A) in it).  The diagonal is
-    always position 0 of Con(A)."""
-    if kind.selector == "fc":
-        analysis = factor_congruences(A, max_size=max_size)
-        return analysis.lattice, analysis.fc
+    always position 0 of Con(A), and every K(A) returned holds both bounds:
+    the diagonal and the total congruence are a factor pair, both are
+    central, A/total is trivial and satisfies every quasi-equation, and a
+    relative kind without the diagonal is refused."""
     L = all_congruences(A, max_size=max_size)
     if kind.selector == "con":
         return L, range(len(L))
+    if kind.selector == "fc":
+        return L, tuple(factor_congruences(A, max_size=max_size))
     if kind.selector == "zcon":
         return L, center_of_lattice(L).central
     at = [L.index[c.rep] for c in
@@ -86,17 +87,6 @@ def operator_eval(A: FiniteAlgebra, kind: OperatorKind, max_size: int = DEFAULT_
     """K(A) for the given selector, in canonical congruence order."""
     L, at = _k_positions(A, kind, max_size=max_size)
     return [L.elements[i] for i in at]
-
-
-def _boolean_failure(L: CongruenceLattice, at):
-    """None when the positions at form a Boolean sublattice of Con(A) = L,
-    else (reason, positions): a missing bound first, the diagonal before
-    the total, with no positions, then L.boolean_failure."""
-    if L.bottom not in at:
-        return "missing_diagonal", None
-    if L.top not in at:
-        return "missing_total", None
-    return L.boolean_failure(at)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,8 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
     kind = kind or OperatorKind("fc")
     L, at = _k_positions(A, kind, max_size=max_size)
     diag, total = L.elements[L.bottom].to_blocks_list(), L.elements[L.top].to_blocks_list()
-    boolean = _boolean_failure(L, at) is None
+    # both bounds are in K(A) (see _k_positions), so only the lattice test can fail
+    boolean = L.boolean_failure(at) is None
     identity = list(range(A.size))
     return {
         "algebra": A.name,
@@ -268,25 +259,26 @@ def cbs_complete_check(A: FiniteAlgebra, kind: Optional[OperatorKind] = None,
 def boolean_sublattice_check(A: FiniteAlgebra, ks) -> dict:
     """Is the family a Boolean sublattice of Con(A)?  Witnesses on failure.
 
-    The family is read as its positions in Con(A) (see _boolean_failure);
-    a member outside Con(A) is refused once both bounds are found.  The
-    family comes out of Con(A), whose carrier cap its caller has applied,
-    so none is applied here.
+    The family is read as its positions in Con(A).  Unlike a K(A), it can
+    miss a bound: the diagonal, then the total congruence, is sought first,
+    and a member outside Con(A) is refused once both are found; then
+    L.boolean_failure runs.  The family comes out of Con(A), whose carrier
+    cap its caller has applied, so none is applied here.
     """
     L = all_congruences(A, max_size=A.size)
-    index = L.index
-    failure = _boolean_failure(L, sorted({index[c.rep] for c in ks if c.rep in index}))
-    reason, at = failure or (None, None)
-    # a missing bound is reported before a member outside Con(A)
-    if reason not in ("missing_diagonal", "missing_total") and any(
-            c.algebra != A or c.rep not in index for c in ks):
+    index, E = L.index, L.elements
+    at = sorted({index[c.rep] for c in ks if c.rep in index})
+    for bound, reason in ((L.bottom, "missing_diagonal"), (L.top, "missing_total")):
+        if bound not in at:
+            return {"ok": False, "reason": reason, "witness": None}
+    if any(c.algebra != A or c.rep not in index for c in ks):
         raise ValidationError(f"the family holds a partition outside Con({A.name!r})")
-    E = L.elements
+    reason, at = L.boolean_failure(at) or (None, None)
     if reason == "complement_not_unique":
         witness = [E[at[0]].to_blocks_list(), [E[j].to_blocks_list() for j in at[1]]]
     else:
         witness = None if at is None else [E[i].to_blocks_list() for i in at]
-    return {"ok": failure is None, "reason": reason, "witness": witness}
+    return {"ok": reason is None, "reason": reason, "witness": witness}
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +297,16 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
     L, at = _k_positions(A, kind, max_size=max_size)
     E, inside = L.elements, set(at)
 
-    # for the relative kind every member's quotient satisfies the sentences
-    # already, as that is how it entered K(A)
+    # the diagonal is in every K(A) (see _k_positions), and for the relative
+    # kind every member's quotient satisfies the sentences already, as that
+    # is how it entered K(A)
     axiom1 = {"ok": True, "violations": []}
-    if L.bottom not in inside:
-        axiom1["ok"] = False
-        axiom1["violations"].append({"reason": "diagonal_missing"})
 
     factor = kind.selector in ("fc", "zcon")
     if factor:
-        # each member's factor complements in Con(A), ascending, and those in K(A)
-        fc = {i: [j for j in L.complements(i) if L.factor_pair(i, j)] for i in at}
-        fc_in = {i: [j for j in fc[i] if j in inside] for i in at}
+        # FC(A), and each K(A) member's factor complements in K(A), ascending
+        fc = factor_congruences(A, max_size=max_size)
+        fc_in = {i: [j for j in fc.get(i, ()) if j in inside] for i in at}
     correspondence = {"ok": True, "violations": []}
     pair_bad = []
     for i in at:
@@ -361,7 +351,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
 
     factor_block = None
     if factor:
-        subset_bad = [i for i in at if not fc[i]]
+        subset_bad = [i for i in at if i not in fc]
         missing_comp = [i for i in at if not fc_in[i]]
         factor_block = {
             "ok": not (subset_bad or missing_comp or pair_bad),
@@ -392,9 +382,8 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
             })
 
     violations = []
-    for block, name in ((axiom1, "axiom1"), (correspondence, "correspondence"),
-                        (factor_block, "factor"), (boolean_block, "boolean"),
-                        (iso_block, "iso_invariance")):
+    for block, name in ((correspondence, "correspondence"), (factor_block, "factor"),
+                        (boolean_block, "boolean"), (iso_block, "iso_invariance")):
         if block is not None and not block["ok"]:
             violations.append(name)
 

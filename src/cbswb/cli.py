@@ -36,7 +36,7 @@ from .omega import (check_truncation, omega_cbs_run, omega_validate, quasicyclic
                     truncate_validate)
 from .pset import PeriodicSet
 from .report import Report, lattice_dot, render_report
-from .structure import bfc_report, church_centers, factor_congruences, z_con_report
+from .structure import church_centers, fc_report, z_con_report
 
 
 def _load(path: str):
@@ -85,10 +85,7 @@ def _cmd_con(args):
 
 def _cmd_fc(args):
     A = _load(args.file)
-    analysis = factor_congruences(A, max_size=_max_size(args, DEFAULT_CON_CAP))
-    body = analysis.to_report()
-    body["bfc"] = bfc_report(analysis)
-    return "pass", body
+    return "pass", fc_report(all_congruences(A, max_size=_max_size(args, DEFAULT_CON_CAP)))
 
 
 def _cmd_center(args):
@@ -168,7 +165,8 @@ def _cmd_omega(args):
     truncations = args.truncate or [2 * args.shift]
     for m in truncations:
         check_truncation(args.shift, m)
-    run = omega_cbs_run(A, args.shift, zeta, indices=args.indices)
+    run = omega_cbs_run(A, args.shift, zeta, indices=args.indices,
+                        max_size=_max_size(args, DEFAULT_CON_CAP))
     violations = omega_validate(run)
     body = run.to_report()
     body["validation_violations"] = violations

@@ -381,6 +381,22 @@ class CongruenceLattice(FiniteLattice):
         E, n = self.elements, self.algebra.size
         return E[i].nblocks * E[j].nblocks == n and E[self.meet_table[i][j]].nblocks == n
 
+    @cached_property
+    def factor_complements(self) -> dict:
+        """FC(A): each member with a factor complement, ascending, mapped to
+        its factor complements, ascending.  A factor pair's block counts
+        multiply to |A|, so member i is tried only against the members with
+        |A|/count(i) blocks.  With a diagonal meet each i-block meets each
+        j-block at most once, and the |A| elements are those meetings, so all
+        happen and the relational product is total: every pair that passes
+        factor_pair is a pair of complements, and none is sought first."""
+        n, by_count = self.algebra.size, {}
+        for j, c in enumerate(self.elements):
+            by_count.setdefault(c.nblocks, []).append(j)
+        table = {i: tuple(j for j in by_count.get(n // c.nblocks, ()) if self.factor_pair(i, j))
+                 for i, c in enumerate(self.elements) if n % c.nblocks == 0}
+        return {i: js for i, js in table.items() if js}
+
     def __len__(self):
         return len(self.elements)
 

@@ -23,7 +23,8 @@ from .algebra import (
     power_algebra,
     quotient_algebra,
 )
-from .congruence import Congruence, compatibility_witness, congruence_join, least_rep, quotient_through
+from .congruence import (DEFAULT_CON_CAP, Congruence, compatibility_witness, congruence_join,
+                         least_rep, quotient_through)
 from .errors import ValidationError, over_budget
 from .pset import PeriodicSet, _budget, _of, _rotate
 from .structure import check_factor_pair, factor_congruences
@@ -260,24 +261,25 @@ class OmegaRun:
         }
 
 
-def _require_indecomposable(A: FiniteAlgebra):
+def _require_indecomposable(A: FiniteAlgebra, max_size: int):
     if A.size < 2:
         raise ValidationError("base algebra must have at least two elements")
-    analysis = factor_congruences(A)
-    if len(analysis.fc) != 2:
+    if len(factor_congruences(A, max_size=max_size)) != 2:
         raise ValidationError("base algebra decomposable")
 
 
-def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10) -> OmegaRun:
+def omega_cbs_run(A: FiniteAlgebra, k: int, zeta: PeriodicSet, indices: int = 10,
+                  max_size: int = DEFAULT_CON_CAP) -> OmegaRun:
     """Full symbolic CBS-sequence for the shift by k with seed zeta.
 
     Produces the sigma and d tables, the countable infimum sigma_zeta,
     the complement pair chi / neg_chi and the isomorphism-chain
-    certificate expressed as coordinate maps.
+    certificate expressed as coordinate maps.  The base must be
+    indecomposable, which FC(A) decides under the carrier cap max_size.
     """
     if indices > MAX_INDICES:
         raise over_budget("omega run", "indices", indices, MAX_INDICES, "index")
-    _require_indecomposable(A)
+    _require_indecomposable(A, max_size)
     iso = ShiftIso(k)
     theta = iso.theta()
     if not zeta.subset(theta):

@@ -69,38 +69,24 @@ def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
     }
 
 
-class FactorAnalysis(NamedTuple):
-    lattice: CongruenceLattice
-    complements: dict  # lattice index -> tuple of lattice indices
-    fc: tuple  # lattice indices with at least one complement
-
-    def sub_poset(self):
-        """Order matrix of FC(A) inside Con(A)."""
-        return [[bool(self.lattice.leq[i][j]) for j in self.fc] for i in self.fc]
-
-    def to_report(self) -> dict:
-        E = self.lattice.elements
-        return {
-            "algebra": self.lattice.algebra.name,
-            "factor_congruences": [E[i].to_blocks_list() for i in self.fc],
-            "complements": {
-                str(i): [E[j].to_blocks_list() for j in self.complements[i]] for i in self.fc
-            },
-            "order": self.sub_poset(),
-        }
+def factor_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> dict:
+    """FC(A) as the factor-complement table of the kept Con(A): each factor
+    congruence's position, ascending, mapped to the positions of its factor
+    complements, ascending (see CongruenceLattice.factor_complements)."""
+    return all_congruences(A, max_size=max_size).factor_complements
 
 
-def factor_congruences(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> FactorAnalysis:
-    """All factor congruences of A with their full complement lists.  A
-    factor pair is a pair of complements in Con(A), so only complements are
-    tried with CongruenceLattice.factor_pair."""
-    lattice = all_congruences(A, max_size=max_size)
-    complements = {}
-    for i in range(len(lattice)):
-        found = tuple(j for j in lattice.complements(i) if lattice.factor_pair(i, j))
-        if found:
-            complements[i] = found
-    return FactorAnalysis(lattice, complements, tuple(complements))
+def fc_report(L: CongruenceLattice) -> dict:
+    """The fc verb's report on Con(A) = L: FC(A), each member's factor
+    complements, the order of FC(A) inside Con(A) and bfc_report."""
+    E, table = L.elements, L.factor_complements
+    return {
+        "algebra": L.algebra.name,
+        "factor_congruences": [E[i].to_blocks_list() for i in table],
+        "complements": {str(i): [E[j].to_blocks_list() for j in js] for i, js in table.items()},
+        "order": [[bool(L.leq[i][j]) for j in table] for i in table],
+        "bfc": bfc_report(L, table),
+    }
 
 
 def decomposition_witness(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
@@ -164,57 +150,49 @@ def z_con_report(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> dict:
     A centre pair (theta, complement) whose relational product is total is
     a factor pair, so when every central pair composes to the total
     relation the centre is a collection of Boolean factor congruences and
-    sits inside FC(A).  Each verdict is read off the factor analysis: two
+    sits inside FC(A).  Each verdict is read off the FC(A) table: two
     complements meet in the diagonal and join to the total congruence, so
     a pair that is no factor pair fails check_factor_pair at permutability.
     """
-    analysis = factor_congruences(A, max_size=max_size)
-    centre = center_of_lattice(analysis.lattice)
-    E = analysis.lattice.elements
+    table, L = factor_congruences(A, max_size=max_size), all_congruences(A, max_size=max_size)
+    centre, E = center_of_lattice(L), L.elements
     pair_checks = []
-    all_compose = True
     for z in centre.central:
         for c in centre.complements[z]:
-            ok = c in analysis.complements.get(z, ())
-            pair_checks.append(
-                {
-                    "theta": E[z].to_blocks_list(),
-                    "complement": E[c].to_blocks_list(),
-                    "ok": ok,
-                    "reason": None if ok else "not_permutable",
-                }
-            )
-            all_compose = all_compose and ok
+            ok = c in table.get(z, ())
+            pair_checks.append({"theta": E[z].to_blocks_list(), "complement": E[c].to_blocks_list(),
+                                "ok": ok, "reason": None if ok else "not_permutable"})
     central_set = set(centre.central)
-    fc_set = set(analysis.fc)
+    fc_set = set(table)
     return {
         "algebra": A.name,
         "center": [E[z].to_blocks_list() for z in centre.central],
         "center_report": centre.to_report(),
         "pair_checks": pair_checks,
-        "boolean_candidate": all_compose and centre.center_boolean,
+        "boolean_candidate": all(p["ok"] for p in pair_checks) and centre.center_boolean,
         "center_subset_of_fc": central_set <= fc_set,
         "center_equals_fc": central_set == fc_set,
-        "fc": [E[i].to_blocks_list() for i in analysis.fc],
+        "fc": [E[i].to_blocks_list() for i in table],
     }
 
 
 def bfc_check(A: FiniteAlgebra, max_size: int = DEFAULT_CON_CAP) -> dict:
     """Is FC(A) a Boolean sublattice of Con(A)?  See bfc_report."""
-    return bfc_report(factor_congruences(A, max_size=max_size))
+    table = factor_congruences(A, max_size=max_size)
+    return bfc_report(all_congruences(A, max_size=max_size), table)
 
 
-def bfc_report(analysis: FactorAnalysis) -> dict:
-    """Is the FC(A) of an analysis a Boolean sublattice of Con(A)?
+def bfc_report(lattice: CongruenceLattice, fc) -> dict:
+    """Is FC(A), the ascending positions fc, a Boolean sublattice of
+    Con(A) = lattice?
 
     Checks closure under meet and join, then uniqueness of complements
     inside FC, returning the first counterexample found.  A finite uniquely
     complemented lattice is Boolean, so no distributivity check follows.
     """
-    lattice = analysis.lattice
     E = lattice.elements
-    fc_blocks = [E[i].to_blocks_list() for i in analysis.fc]
-    failure = lattice.boolean_failure(analysis.fc)
+    fc_blocks = [E[i].to_blocks_list() for i in fc]
+    failure = lattice.boolean_failure(fc)
     if failure is None:
         return {"ok": True, "reason": None, "fc": fc_blocks}
 

@@ -6,12 +6,12 @@ argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window, the Pruefer group by fractions,
 text reports by a recursive walk over every cell.
 None of it shares code with the package beyond the public data shapes,
-except the CBS-sequence oracles and the routes at the end.  The finite
-sequence state, its validator and the generic sequence law list, which the
-validator shares with the set route of the symbolic validator, live here
-and read the package's f_hat, joins and shape check; the symbolic validator
-states its laws on window ints by itself, so the set route is a separate
-statement of them.  The general CBS searches, the refinement-scan presheaf
+except the CBS-sequence oracles, the routes and the automorphism list at
+the end.  The finite sequence state, its validator and the generic
+sequence law list, which the validator shares with the set route of the
+symbolic validator, live here and read the package's f_hat, joins and
+shape check; the symbolic validator states its laws on window ints by
+itself, so the set route is a separate statement of them.  The general CBS searches, the refinement-scan presheaf
 correspondence, the check_factor_pair scans of the presheaf factor block
 and of the centre's pair checks, the set routes of the symbolic validator
 and the countable infimum and the decomposition route of the truncation
@@ -1161,3 +1161,21 @@ def truncation_pairing_entry(run, m):
         return {"name": "pairing B ~ B/neg_chi x B/chi", "ok": False,
                 "witness": {"pair": ["neg_chi", "chi"], "reason": str(e)}}
     return None
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+#
+# The package reads its isomorphism search through iso_search and, in
+# presheaf_check, through samples of the generator; the tests list the
+# whole automorphism group through it here.
+
+
+def automorphisms(A, max_size=None):
+    """Every automorphism of A, in lexicographic order, from the package's
+    isomorphism search under its carrier cap (DEFAULT_ISO_CAP when none is
+    given); no map is re-checked."""
+    from cbswb.algebra import DEFAULT_ISO_CAP, Homomorphism, _isomorphisms
+
+    cap = DEFAULT_ISO_CAP if max_size is None else max_size
+    return [Homomorphism._built(A, A, m) for m in _isomorphisms(A, A, cap)]

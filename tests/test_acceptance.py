@@ -19,7 +19,6 @@ from cbswb import (
     OperatorKind,
     PeriodicSet,
     all_congruences,
-    automorphisms,
     bfc_check,
     cbs_property_check,
     check_factor_pair,
@@ -38,7 +37,8 @@ from cbswb import (
 from cbswb.congruence import compatibility_witness
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 
-from oracles import all_homs, brute_congruences, members, reported_sequence, validate_sequence
+from oracles import (all_homs, automorphisms, brute_congruences, members, reported_sequence,
+                     validate_sequence)
 
 CORPUS = {name: corpus_algebra(name) for name in CORPUS_NAMES}
 GROUPS = ("z2", "z3", "z4", "v4")
@@ -71,15 +71,13 @@ def test_criterion_01_congruence_oracle_equivalence():
 def test_criterion_02_factor_congruence_facts():
     z4 = CORPUS["z4"]
     assert len(all_congruences(z4)) == 3
-    analysis = factor_congruences(z4)
-    fc_z4 = {analysis.lattice.elements[i].rep for i in analysis.fc}
+    fc_z4 = {all_congruences(z4).elements[i].rep for i in factor_congruences(z4)}
     assert fc_z4 == {Congruence.diagonal(z4).rep, Congruence.total(z4).rep}
 
     v4 = CORPUS["v4"]
     lattice = all_congruences(v4)
     assert len(lattice) == 5
-    analysis = factor_congruences(v4)
-    assert {analysis.lattice.elements[i].rep for i in analysis.fc} == {c.rep for c in lattice}
+    assert {lattice.elements[i].rep for i in factor_congruences(v4)} == {c.rep for c in lattice}
     bfc = bfc_check(v4)
     assert not bfc["ok"] and bfc["reason"] == "complement_not_unique"
     assert len(bfc["complements"]) >= 2
@@ -92,8 +90,7 @@ def test_criterion_02_factor_congruence_facts():
     assert failed["witness"] is not None and failed["permutable"] is False
 
     lat22 = CORPUS["lat22"]
-    analysis = factor_congruences(lat22)
-    fc_lat = [analysis.lattice.elements[i] for i in analysis.fc]
+    fc_lat = [all_congruences(lat22).elements[i] for i in factor_congruences(lat22)]
     assert len(fc_lat) == 4
     assert bfc_check(lat22)["ok"]
     witnessed = 0
@@ -326,8 +323,7 @@ LATTICE_LAWS = ["(meet x y) = (meet y x)", "(join x y) = (join y x)",
 
 
 def fc_reps(A):
-    analysis = factor_congruences(A)
-    return {analysis.lattice.elements[i].rep for i in analysis.fc}
+    return {all_congruences(A).elements[i].rep for i in factor_congruences(A)}
 
 
 def frozen_facts(A):

@@ -8,7 +8,6 @@ from cbswb.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
-    automorphisms,
     compile_term,
     direct_product,
     iso_search,
@@ -29,7 +28,7 @@ from cbswb.omega import omega_cbs_run, quasicyclic_suite, truncate_validate
 from cbswb.pset import PeriodicSet
 from cbswb.structure import church_centers
 
-from oracles import apply_raw, naive_eval, naive_satisfies
+from oracles import apply_raw, automorphisms, naive_eval, naive_satisfies
 
 rng = random.Random(20260814)
 

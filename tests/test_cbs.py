@@ -7,7 +7,6 @@ from cbswb.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
-    automorphisms,
     iso_search,
     parse_sentence,
     power_algebra,
@@ -37,9 +36,10 @@ from cbswb.congruence import (
 )
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
+from cbswb.structure import z_con_report
 
-from oracles import (QuotientIso, cbs_property_direct, f_hat_interval_check, infimum_in_k,
-                     reported_sequence, sigma_bracket, validate_sequence)
+from oracles import (QuotientIso, automorphisms, cbs_property_direct, f_hat_interval_check,
+                     infimum_in_k, reported_sequence, sigma_bracket, validate_sequence)
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -369,6 +369,22 @@ def test_con_is_enumerated_once_per_algebra(monkeypatch):
     # the built list keeps every algebra alive, so ids are not reused
     assert any(A is z2_3 for A in built) and any(A is v4 for A in built)
     assert len({id(A) for A in built}) == len(built)
+
+
+def test_factor_pairs_are_tested_once_per_lattice(monkeypatch):
+    tested = []
+    factor_pair = CongruenceLattice.factor_pair
+
+    def counted(L, i, j):
+        tested.append((L, i, j))  # holding L keeps each lattice distinct
+        return factor_pair(L, i, j)
+
+    monkeypatch.setattr(CongruenceLattice, "factor_pair", counted)
+    report = presheaf_check(power_algebra(corpus_algebra("z3"), 2), OperatorKind("fc"),
+                            max_size=16)
+    assert report["ok"] and report["conditions"]["factor"]["ok"]
+    z_con_report(power_algebra(corpus_algebra("z2"), 3))
+    assert tested and len(set(tested)) == len(tested)
 
 
 def test_cbs_complete_reads_k_once(monkeypatch):

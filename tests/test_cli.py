@@ -327,6 +327,19 @@ def test_max_size_reaches_the_isomorphism_searches_of_the_cbs_verbs(capsys, tmp_
     assert code == 2 and out == "" and err.startswith("error: congruence enumeration")
 
 
+def test_max_size_reaches_the_indecomposability_check_of_omega_demo(capsys, tmp_path):
+    # the cyclic group of order 9 is indecomposable, and its FC(A) is read
+    # under the job's carrier cap: the default 8 refuses it, 16 admits it
+    z9 = _write_algebra(tmp_path / "z9.json", FiniteAlgebra(
+        "z9", 9, [Operation("+", 2, tuple((a + b) % 9 for a in range(9) for b in range(9)))]))
+    argv = ("omega-demo", "--base", z9, "--shift", "1", "--zeta", "{}")
+    code, out, err = run(capsys, *argv, "--max-size", "16")
+    assert (code, err) == (0, "") and "status: pass" in out
+    assert run(capsys, *argv) == (
+        2, "", "error: congruence enumeration: carrier reached 9, "
+               "over the 8-element budget\n")
+
+
 def test_emit_dot_draws_the_hasse_diagram_of_the_partition_lattice(tmp_path):
     # Con of a 7-element set with only the identity is the partition lattice
     # (B_7 = 877 members), where a partition with k blocks is covered exactly

@@ -27,7 +27,8 @@ from cbswb.congruence import (
 from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, ValidationError
 
-from oracles import all_homs, apply_raw, brute_congruences, brute_principal, join_closure
+from oracles import (all_homs, apply_raw, automorphisms, brute_congruences, brute_principal,
+                     join_closure)
 
 rng = random.Random(73)
 
@@ -301,7 +302,6 @@ def test_transport_identity_and_iso_laws():
         ident = Homomorphism(A, A, list(range(A.size)))
         for theta in E:
             assert transport(ident, theta).rep == theta.rep
-        from cbswb.algebra import automorphisms
         for f in automorphisms(A):
             inv = f.inverse()
             for theta in E:

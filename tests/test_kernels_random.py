@@ -55,7 +55,6 @@ from cbswb.algebra import (
     Sentence,
     Term,
     _isomorphisms,
-    automorphisms,
     direct_product,
     gather,
     image_indices,
@@ -99,6 +98,7 @@ from cbswb.structure import (center_of_lattice, check_factor_pair, decomposition
 from oracles import (
     all_homs,
     apply_raw,
+    automorphisms,
     boolean_sublattice_failure,
     brute_congruences,
     center_pair_checks,
@@ -647,9 +647,8 @@ def test_derived_quotients_and_maps_pass_the_homomorphism_check(A, data):
         assert_checked(Homomorphism._built(A, A, m))
     assert_checked(iso_search(A, copy))
     # the pairing map of a factor pair, into the product of its quotients
-    analysis = factor_congruences(A)
-    E = analysis.lattice.elements
-    for i, js in analysis.complements.items():
+    E = all_congruences(A).elements
+    for i, js in factor_congruences(A).items():
         for j in js:
             pairing = decomposition_witness(A, E[i], E[j])["iso"]
             assert pairing.is_bijective()
@@ -684,12 +683,13 @@ def test_check_factor_pair_matches_triple_oracle(case):
 @given(algebra_and_pairs())
 def test_factor_congruences_match_check_factor_pair(case):
     A, _ = case
-    analysis = factor_congruences(A)
-    E = analysis.lattice.elements
+    fc = factor_congruences(A)
+    E = all_congruences(A).elements
     for i, theta in enumerate(E):
         expected = tuple(j for j, phi in enumerate(E) if check_factor_pair(A, theta, phi)["ok"])
-        assert analysis.complements.get(i, ()) == expected, i
-    assert analysis.fc == tuple(sorted(analysis.complements))
+        assert fc.get(i, ()) == expected, i
+    # the table lists FC(A) ascending, with no member lacking a complement
+    assert list(fc) == sorted(fc) and all(fc.values())
 
 
 def moore_case(points, gens):

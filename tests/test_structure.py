@@ -28,21 +28,20 @@ def reps(congruences):
 
 def test_fc_z4_is_trivial():
     z4 = corpus_algebra("z4")
-    analysis = factor_congruences(z4)
-    assert len(analysis.lattice.elements) == 3
-    assert reps(analysis.lattice.elements[i] for i in analysis.fc) == {(0, 1, 2, 3), (0, 0, 0, 0)}
+    E = all_congruences(z4).elements
+    assert len(E) == 3
+    assert reps(E[i] for i in factor_congruences(z4)) == {(0, 1, 2, 3), (0, 0, 0, 0)}
 
 
 def test_fc_v4_is_everything_but_not_boolean():
     v4 = corpus_algebra("v4")
-    analysis = factor_congruences(v4)
-    assert len(analysis.fc) == 5  # the whole diamond
+    fc = factor_congruences(v4)
+    assert len(fc) == 5  # the whole diamond
     # each atom has the other two as complements
-    atoms = [i for i in analysis.fc
-             if analysis.lattice.elements[i].nblocks == 2]
+    atoms = [i for i in fc if all_congruences(v4).elements[i].nblocks == 2]
     assert len(atoms) == 3
     for i in atoms:
-        assert len(analysis.complements[i]) == 2
+        assert len(fc[i]) == 2
     verdict = bfc_check(v4)
     assert verdict["ok"] is False
     assert verdict["reason"] == "complement_not_unique"
@@ -72,19 +71,19 @@ def test_factor_pair_refutation_ordering():
 
 def test_chain3_has_no_proper_factor_pair():
     chain3 = corpus_algebra("chain3")
-    analysis = factor_congruences(chain3)
-    assert reps(analysis.lattice.elements[i] for i in analysis.fc) == {(0, 1, 2), (0, 0, 0)}
+    E = all_congruences(chain3).elements
+    assert reps(E[i] for i in factor_congruences(chain3)) == {(0, 1, 2), (0, 0, 0)}
 
 
 def test_lat22_has_boolean_fc_with_verified_decompositions():
     lat = corpus_algebra("lat22")
-    analysis = factor_congruences(lat)
-    assert len(analysis.fc) == 4
+    fc = factor_congruences(lat)
+    assert len(fc) == 4
     verdict = bfc_check(lat)
     assert verdict["ok"] is True
-    E = analysis.lattice.elements
-    for i in analysis.fc:
-        for j in analysis.complements[i]:
+    E = all_congruences(lat).elements
+    for i, js in fc.items():
+        for j in js:
             wit = decomposition_witness(lat, E[i], E[j])
             assert wit["iso"].is_bijective()
             assert wit["product"].size == lat.size
@@ -251,6 +250,5 @@ def test_church_refuses_over_the_evaluation_budget_before_evaluating(monkeypatch
 
 def test_one_element_algebra_degenerates_cleanly():
     one = corpus_algebra("one")
-    analysis = factor_congruences(one)
-    assert len(analysis.fc) == 1  # diagonal = total
+    assert len(factor_congruences(one)) == 1  # diagonal = total
     assert bfc_check(one)["ok"] is True
