@@ -42,7 +42,6 @@ from .congruence import (
     relative_congruences,
     transport,
 )
-from .corpus import CORPUS_NAMES, corpus, corpus_algebra, write_corpus
 from .errors import BudgetError, CbswbError, FormatError, ValidationError
 from .lattice import FiniteLattice
 from .omega import (

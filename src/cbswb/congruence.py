@@ -174,18 +174,9 @@ class Congruence:
         self._same_parent(other)
         return all(other.rep[x] == other.rep[self.rep[x]] for x in range(len(self.rep)))
 
-    def __le__(self, other):
-        return self.refines(other)
-
     def key(self):
         """Canonical sort key: descending block count, then rep array."""
         return (-self.nblocks, self.rep)
-
-    def pairs(self):
-        for b in self.blocks:
-            for x in b:
-                for y in b:
-                    yield (x, y)
 
     def to_blocks_list(self):
         return [list(b) for b in self.blocks]

@@ -681,12 +681,13 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     congs = [qc.subgroup_congruence(T, m, j) for j in range(m + 1)]
     refines = [congs[j].refines(congs[j + 1]) for j in range(m)]
     # each level is certified by a projection check, which rejects a level
-    # that is not a congruence with ValidationError: level j on T/level j-1
-    # when that level refines it (so its quotient is certified), else on T
+    # that is not a congruence with ValidationError: level 0 on T, level j on
+    # T/level j-1.  Level j-1 relates x and y when x = y mod p^(m-j+1), which
+    # gives x = y mod p^(m-j), so it refines level j; quotient_through would
+    # refuse a level that it does not refine
     quotients = [quotient_algebra(T, congs[0])]
     for j in range(1, m + 1):
-        quotients.append(quotient_through(quotients[j - 1], congs[j]) if refines[j - 1]
-                         else quotient_algebra(T, congs[j]))
+        quotients.append(quotient_through(quotients[j - 1], congs[j]))
     # every level passed its projection check, so its block of 0 is a
     # subgroup: the method names that closure above 256 elements
     method = "exhaustive" if size <= 256 else "subgroup_closure"

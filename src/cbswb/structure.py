@@ -48,8 +48,9 @@ def check_factor_pair(A: FiniteAlgebra, t1: Congruence, t2: Congruence) -> dict:
         raise ValidationError("factor pair congruences must belong to the algebra")
     meet = congruence_meet(t1, t2)
     if not meet.is_diagonal():
-        witness = next((x, y) for x, y in sorted(meet.pairs()) if x != y)
-        return {"ok": False, "reason": "meet_not_diagonal", "witness": list(witness)}
+        # the least x with a partner, and its least partner
+        block = next(b for b in meet.blocks if len(b) > 1)
+        return {"ok": False, "reason": "meet_not_diagonal", "witness": list(block[:2])}
     # with a diagonal meet each t1-block meets each t2-block at most once, and
     # the |A| elements are those meetings: t1 o t2 is total when all happen
     if t1.nblocks * t2.nblocks == A.size:

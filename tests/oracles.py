@@ -5,9 +5,12 @@ restricted growth strings, compatibility by comparing all blockwise-equal
 argument tuples, term values by direct recursion, periodic-set operations
 by pointwise membership over a window, the Pruefer group by fractions,
 text reports by a recursive walk over every cell.
+The eleven corpus algebras come from one loader, corpus_algebra, which reads
+the committed corpus/<name>.json with the package's parse_algebra; those
+files are the only corpus.
 None of it shares code with the package beyond the public data shapes,
-except the CBS-sequence oracles, the routes and the automorphism list at
-the end.  The finite sequence state, its validator and the generic
+except the corpus loader, the CBS-sequence oracles, the routes and the
+automorphism list at the end.  The finite sequence state, its validator and the generic
 sequence law list, which the validator shares with the set route of the
 symbolic validator, live here and read the package's f_hat, joins and
 shape check; the symbolic validator states its laws on window ints by
@@ -26,6 +29,21 @@ import copy
 import dataclasses
 import functools
 import itertools
+import json
+import os
+
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
+CORPUS_NAMES = ("boole2", "chain2", "chain3", "lat22", "one", "semilat2", "v4", "z2", "z3", "z4",
+                "z4ring")
+
+
+def corpus_algebra(name):
+    """The committed corpus/<name>.json, parsed into a fresh FiniteAlgebra
+    on every call, so no test sees a Con(A) another one kept."""
+    from cbswb import parse_algebra
+
+    with open(os.path.join(CORPUS_DIR, f"{name}.json")) as fh:
+        return parse_algebra(json.load(fh))
 
 
 def all_partitions(n):

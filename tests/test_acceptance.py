@@ -35,10 +35,9 @@ from cbswb import (
     truncate_validate,
 )
 from cbswb.congruence import compatibility_witness
-from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 
-from oracles import (all_homs, automorphisms, brute_congruences, members, reported_sequence,
-                     validate_sequence)
+from oracles import (CORPUS_NAMES, all_homs, automorphisms, brute_congruences, corpus_algebra,
+                     members, reported_sequence, validate_sequence)
 
 CORPUS = {name: corpus_algebra(name) for name in CORPUS_NAMES}
 GROUPS = ("z2", "z3", "z4", "v4")

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -22,13 +24,14 @@ from cbswb.algebra import (
 )
 from cbswb.cbs import OperatorKind, presheaf_check
 from cbswb.congruence import Congruence, all_congruences, least_rep, relative_congruences
-from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
 from cbswb.omega import omega_cbs_run, quasicyclic_suite, truncate_validate
 from cbswb.pset import PeriodicSet
+from cbswb.report import json_text
 from cbswb.structure import church_centers
 
-from oracles import apply_raw, automorphisms, naive_eval, naive_satisfies
+from oracles import (CORPUS_DIR, CORPUS_NAMES, apply_raw, automorphisms, corpus_algebra, naive_eval,
+                     naive_satisfies)
 
 rng = random.Random(20260814)
 
@@ -92,6 +95,19 @@ def test_parse_render_round_trip():
         parse_algebra({"name": "x"})
     with pytest.raises(FormatError):
         parse_algebra([])
+
+
+def test_corpus_files_are_canonical():
+    # the committed files are the only corpus: each is named for its algebra
+    # and holds exactly the text render_algebra writes for it
+    files = sorted(fn[:-len(".json")] for fn in os.listdir(CORPUS_DIR) if fn.endswith(".json"))
+    assert len(CORPUS_NAMES) == 11 and tuple(files) == CORPUS_NAMES
+    for name in CORPUS_NAMES:
+        with open(os.path.join(CORPUS_DIR, f"{name}.json")) as fh:
+            text = fh.read()
+        A = parse_algebra(json.loads(text))
+        assert A.name == name
+        assert text == json_text(render_algebra(A)) + "\n", name
 
 
 def test_compile_term_against_naive_oracle():

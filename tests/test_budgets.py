@@ -18,11 +18,12 @@ from cbswb import cli
 from cbswb.algebra import (FiniteAlgebra, Operation, iso_search, parse_sentence, parse_term,
                            power_algebra, render_algebra, satisfies)
 from cbswb.congruence import all_congruences
-from cbswb.corpus import corpus_algebra
 from cbswb.errors import BudgetError, ValidationError
 from cbswb.omega import QuasiCyclic, check_truncation, omega_cbs_run, quasicyclic_suite
 from cbswb.pset import PeriodicSet
 from cbswb.structure import church_centers
+
+from oracles import corpus_algebra
 
 SHAPE = re.compile(r"^[^:]+: .+ reached \d+, over the \d+-[a-z]+ budget$")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "cbswb")

@@ -34,12 +34,12 @@ from cbswb.congruence import (
     principal_congruence,
     quotient_lift,
 )
-from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, FormatError, ValidationError
 from cbswb.structure import z_con_report
 
-from oracles import (QuotientIso, automorphisms, cbs_property_direct, f_hat_interval_check,
-                     infimum_in_k, reported_sequence, sigma_bracket, validate_sequence)
+from oracles import (CORPUS_NAMES, QuotientIso, automorphisms, cbs_property_direct, corpus_algebra,
+                     f_hat_interval_check, infimum_in_k, reported_sequence, sigma_bracket,
+                     validate_sequence)
 
 COMM = "(+ x y) = (+ y x)"
 

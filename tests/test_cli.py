@@ -16,9 +16,8 @@ from cbswb.algebra import FiniteAlgebra, Operation, direct_product, power_algebr
 from cbswb import cli
 from cbswb.cli import build_parser, main
 from cbswb.congruence import all_congruences
-from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.report import json_text
-from oracles import text_lines
+from oracles import CORPUS_NAMES, corpus_algebra, text_lines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 V4 = "corpus/v4.json"

@@ -24,11 +24,10 @@ from cbswb.congruence import (
     relative_congruences,
     transport,
 )
-from cbswb.corpus import CORPUS_NAMES, corpus_algebra
 from cbswb.errors import BudgetError, ValidationError
 
-from oracles import (all_homs, apply_raw, automorphisms, brute_congruences, brute_principal,
-                     join_closure)
+from oracles import (CORPUS_NAMES, all_homs, apply_raw, automorphisms, brute_congruences,
+                     brute_principal, corpus_algebra, join_closure)
 
 rng = random.Random(73)
 

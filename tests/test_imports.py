@@ -1,7 +1,8 @@
 """No module of src imports a name it does not use or imports inside a
-function, no private helper of src goes unread, and starting the command
-line imports neither dataclasses nor inspect, whose imports and generated
-code would add to every run's start-up.
+function, no private helper of src goes unread, every module of src is
+reached from the command line, and starting the command line imports
+neither dataclasses nor inspect, whose imports and generated code would add
+to every run's start-up.
 
 __init__.py is skipped by the import test: its imports are the package's
 re-exports.
@@ -83,6 +84,26 @@ def _names_read():
 def test_every_private_helper_is_read():
     read = _names_read()
     assert [d for d in _private_definitions() if d[1] not in read] == []
+
+
+def _relative_imports(fn):
+    """The modules of src that fn imports relatively, as file names."""
+    with open(os.path.join(SRC, fn)) as fh:
+        tree = ast.parse(fh.read(), fn)
+    return {f"{node.module}.py" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_every_module_is_reached_from_the_cli():
+    # a module that only the tests import is a test fixture, and belongs in tests
+    reached, todo = set(), ["cli.py"]
+    while todo:
+        fn = todo.pop()
+        if fn not in reached:
+            reached.add(fn)
+            todo += _relative_imports(fn)
+    modules = {fn for fn in os.listdir(SRC) if fn.endswith(".py") and fn != "__init__.py"}
+    assert sorted(modules - reached) == []
 
 
 def _modules_loaded(statement):

@@ -87,7 +87,6 @@ from cbswb.congruence import (
     quotient_lift,
     quotient_through,
 )
-from cbswb.corpus import corpus_algebra
 from cbswb.errors import ValidationError
 from cbswb.lattice import FiniteLattice
 from cbswb.omega import QuasiCyclic
@@ -104,6 +103,7 @@ from oracles import (
     center_pair_checks,
     cbs_complete_search,
     cbs_property_search,
+    corpus_algebra,
     factor_pair_verdict,
     general_cbs_sequence,
     join_closure,

@@ -17,7 +17,8 @@ import pytest
 
 import cbswb
 from cbswb import FiniteAlgebra, power_algebra, render_algebra
-from cbswb.corpus import corpus_algebra
+
+from oracles import corpus_algebra
 
 TIMEOUT = 10  # seconds; each row takes well under one
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cbswb.__file__)))

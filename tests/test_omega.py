@@ -33,10 +33,9 @@ from cbswb import (
 )
 from cbswb import cli, congruence, omega, pset
 from cbswb.congruence import compatibility_witness, least_rep
-from cbswb.corpus import corpus_algebra
 
-from oracles import (Pruefer, apply_raw, countable_infimum_sets, members, omega_validate_sets,
-                     raw_members, replaced, truncation_pairing_entry)
+from oracles import (Pruefer, apply_raw, corpus_algebra, countable_infimum_sets, members,
+                     omega_validate_sets, raw_members, replaced, truncation_pairing_entry)
 from test_pset_random import raw_sets
 
 WINDOW = 64
@@ -1365,16 +1364,25 @@ def test_quasicyclic_kernel_is_read_off_the_chain(monkeypatch):
 
 
 def test_quasicyclic_suite_rejects_a_level_that_is_no_congruence(monkeypatch):
-    # level 2 of z(2^4) replaced by four intervals: right block count, not compatible
+    # level 2 of z(2^4) replaced by a partition with the right block count
+    # that is not compatible with +
     real_subgroup = QuasiCyclic.subgroup_congruence
 
-    def intervals_at_level_2(self, T, m, j):
-        if j != 2:
-            return real_subgroup(self, T, m, j)
-        return Congruence(T, [x - x % 4 for x in range(T.size)])
+    def level_2_by(key):
+        def subgroup(self, T, m, j):
+            if j != 2:
+                return real_subgroup(self, T, m, j)
+            return Congruence(T, least_rep([key(x) for x in range(T.size)]))
 
-    monkeypatch.setattr(QuasiCyclic, "subgroup_congruence", intervals_at_level_2)
+        monkeypatch.setattr(QuasiCyclic, "subgroup_congruence", subgroup)
+
+    # pairs of residues mod 8, so level 1 refines it: the quotient check refuses it
+    level_2_by(lambda x: x % 8 // 2)
     with pytest.raises(ValidationError, match="does not preserve"):
+        quasicyclic_suite(2, 1, 4)
+    # four intervals, which level 1 does not refine: the lift to level 1 refuses it
+    level_2_by(lambda x: x // 4)
+    with pytest.raises(ValidationError, match="down lift needs sigma <= theta"):
         quasicyclic_suite(2, 1, 4)
 
 

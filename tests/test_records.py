@@ -15,11 +15,12 @@ from cbswb import (
     QuasiCyclic,
     ShiftIso,
     ValidationError,
-    corpus_algebra,
     parse_sentence,
     parse_term,
     quotient_algebra,
 )
+
+from oracles import corpus_algebra
 
 N = PeriodicSet.naturals()
 

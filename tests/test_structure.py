@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cbswb import structure
 from cbswb.algebra import FiniteAlgebra, Operation, direct_product, parse_term, power_algebra
 from cbswb.congruence import Congruence, all_congruences, principal_congruence
-from cbswb.corpus import corpus_algebra
 from cbswb.errors import BudgetError, ValidationError
 from cbswb.structure import (
     bfc_check,
@@ -19,7 +18,7 @@ from cbswb.structure import (
     z_con_report,
 )
 
-from oracles import church_failure
+from oracles import church_failure, corpus_algebra
 
 
 def reps(congruences):
@@ -46,6 +45,13 @@ def test_fc_v4_is_everything_but_not_boolean():
     assert verdict["ok"] is False
     assert verdict["reason"] == "complement_not_unique"
     assert len(verdict["complements"]) == 2  # the emitted counterexample pair
+    # on a bare 6-set the factor congruences are the partitions into blocks of
+    # one size, so the meet of two 3-block ones need not be one
+    verdict = bfc_check(FiniteAlgebra("set6", 6, []))
+    assert verdict["ok"] is False
+    assert verdict["reason"] == "meet_not_closed"
+    assert verdict["pair"] == [[[0, 1], [2, 3], [4, 5]], [[0, 1], [2, 4], [3, 5]]]
+    assert verdict["meet"] == [[0, 1], [2], [3], [4], [5]]
 
 
 def test_factor_pair_refutation_ordering():
