@@ -5,6 +5,11 @@ operations, each stored as a flat table in mixed-radix order: the value of
 f(i1, .., ik) sits at flat index i1*n^(k-1) + .. + ik.  Everything built on
 top (products, quotients, congruence lattices, the CBS machinery) reduces
 to lookups in these tables.
+
+On a carrier of at most BYTE_CARRIER (256) elements every table is a bytes
+object, one byte per cell, so the table kernels (gather, the homomorphism
+check, products, quotients and relabelings) compose tables with maps by
+bytes.translate.  Larger carriers keep tuples of ints.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import FormatError, ValidationError, over_budget
 
 DEFAULT_EVAL_BUDGET = 10_000_000
+# the largest carrier whose tables are bytes: every element fits in one byte
+BYTE_CARRIER = 256
 DEFAULT_ISO_CAP = 10
 # parse_term's nesting limit: the term walkers recurse once per level
 MAX_TERM_DEPTH = 256
@@ -26,7 +33,9 @@ MAX_TERM_DEPTH = 256
 class Operation(NamedTuple):
     name: str
     arity: int
-    table: tuple  # flat, length size**arity
+    # flat, length size**arity: bytes on carriers of at most BYTE_CARRIER
+    # elements, a tuple of ints above (FiniteAlgebra converts any sequence)
+    table: bytes | tuple
 
 
 class FiniteAlgebra:
@@ -74,7 +83,9 @@ class FiniteAlgebra:
     def _fields(self, name, size, ops):
         self.name = name
         self.size = size
-        self.ops = tuple(ops)
+        cells = cell_type(size)
+        self.ops = tuple(op if type(op.table) is cells else Operation(op.name, op.arity, cells(op.table))
+                         for op in ops)
         self._by_name = {op.name: op for op in self.ops}
         self._hash = None
         # Con(A), kept by congruence.all_congruences on first enumeration
@@ -121,6 +132,17 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, sig=[{sig}])"
 
 
+def cell_type(size: int) -> type:
+    """The type of every operation table of an algebra of the given size."""
+    return bytes if size <= BYTE_CARRIER else tuple
+
+
+def _byte_map(mapping: Sequence[int]) -> bytes:
+    """mapping, whose domain and values lie below BYTE_CARRIER, as a
+    bytes.translate table: bytes outside its domain map to 0."""
+    return bytes(mapping).ljust(BYTE_CARRIER, b"\0")
+
+
 def image_indices(mapping: Sequence[int], arity: int, size: int) -> list:
     """Flat index of (mapping[a1], .., mapping[ak]) in an arity-k table over
     a carrier of the given size, for every (a1, .., ak) over the domain of
@@ -139,13 +161,16 @@ def _getter(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-def gather(table: Sequence[int], mapping: Sequence[int], arity: int, size: int) -> list:
+def gather(table: Sequence[int], mapping: Sequence[int], arity: int, size: int):
     """table[i] at every i of image_indices(mapping, arity, size), in table order.
 
     Works one first-argument block at a time: each distinct block
     table[v*w:(v+1)*w] with v = mapping[a1] is gathered once at the
-    arity-1 image indices and reused by every a1 that maps to v.
+    arity-1 image indices and reused by every a1 that maps to v.  A bytes
+    table gives bytes, any other table a list.
     """
+    if type(table) is bytes:
+        return _gather_bytes(table, bytes(mapping), arity, size)
     if arity == 0:
         return [table[0]]
     w = size ** (arity - 1)
@@ -157,6 +182,21 @@ def gather(table: Sequence[int], mapping: Sequence[int], arity: int, size: int) 
             rows[v] = pick(table[v * w:(v + 1) * w])
         out += rows[v]
     return out
+
+
+def _gather_bytes(table: bytes, keys: bytes, arity: int, size: int) -> bytes:
+    """gather on a bytes table, with the map as bytes.  The cells whose
+    first arity-1 arguments have the image prefix p form the row
+    table[p*size:(p+1)*size]; each distinct row is gathered at the last
+    argument with one keys.translate, and the rows are joined in order."""
+    if arity == 0:
+        return table
+    if arity == 1:
+        return keys.translate(_byte_map(table))
+    prefixes = image_indices(keys, arity - 1, size)
+    rows = {p: keys.translate(table[p * size:(p + 1) * size].ljust(BYTE_CARRIER, b"\0"))
+            for p in set(prefixes)}
+    return b"".join(map(rows.__getitem__, prefixes))
 
 
 def table_args(arity: int, size: int, idx: int) -> tuple:
@@ -476,11 +516,19 @@ class Homomorphism:
         for v in mapping:
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < target.size):
                 raise ValidationError(f"mapping value {v!r} out of range")
+        # bytes rows on both sides when both carriers have bytes tables
+        by_bytes = max(source.size, target.size) <= BYTE_CARRIER
+        translation = _byte_map(mapping) if by_bytes else None
         # equal signatures list the same operations in the same order
         for op, op_t in zip(source.ops, target.ops):
             # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), both rows in table order
-            lhs_row = list(_getter(op.table)(mapping))
             rhs_row = gather(op_t.table, mapping, op.arity, target.size)
+            if by_bytes:
+                lhs_row = op.table.translate(translation)
+            else:
+                lhs_row = list(_getter(op.table)(mapping))
+                if type(rhs_row) is bytes:
+                    rhs_row = list(rhs_row)
             if lhs_row != rhs_row:
                 i = next(i for i, (lhs, rhs) in enumerate(zip(lhs_row, rhs_row)) if lhs != rhs)
                 raise ValidationError(
@@ -541,10 +589,22 @@ class Homomorphism:
 
 def _product_ops(opsa, na: int, opsb, nb: int) -> list:
     """Operations of the product of two carriers of sizes na and nb whose
-    operations have one signature, (a, b) encoded as a*nb + b."""
+    operations have one signature, (a, b) encoded as a*nb + b, with tables
+    of cell_type(na * nb)."""
     n = na * nb
     left = [p // nb for p in range(n)]
     right = list(range(nb)) * na
+    if n <= BYTE_CARRIER:
+        # A's table scaled by nb, plus B's: each cell sum a*nb + b is below
+        # 256, so the tables add as big integers with no carry across cells
+        scale = _byte_map(range(0, n, nb))
+        return [
+            Operation(opa.name, opa.arity, (
+                int.from_bytes(gather(opa.table.translate(scale), left, opa.arity, na), "big")
+                + int.from_bytes(gather(opb.table, right, opa.arity, nb), "big")
+            ).to_bytes(n ** opa.arity, "big"))
+            for opa, opb in zip(opsa, opsb)
+        ]
     return [
         # a gather only reorders cells, so A's table is scaled by nb before it
         Operation(opa.name, opa.arity, tuple(map(
@@ -590,9 +650,13 @@ def _image(A: FiniteAlgebra, name: str, section: Sequence[int], projection: Sequ
     """The algebra on range(len(section)) whose f(i1, .., ik) is projection applied to
     A's f(section[i1], .., section[ik]), and the projection checked as a map onto it.
     Its tables are not cell-checked: projection must take values in that range."""
+    if A.size <= BYTE_CARRIER:
+        translation = _byte_map(projection)
+        tables = [gather(op.table, section, op.arity, A.size).translate(translation) for op in A.ops]
+    else:
+        tables = [_getter(gather(op.table, section, op.arity, A.size))(projection) for op in A.ops]
     B = FiniteAlgebra._built(name, len(section), [
-        Operation(op.name, op.arity, _getter(gather(op.table, section, op.arity, A.size))(projection))
-        for op in A.ops
+        Operation(op.name, op.arity, table) for op, table in zip(A.ops, tables)
     ])
     return B, Homomorphism(A, B, projection)
 

@@ -26,6 +26,7 @@ from .algebra import (
     Homomorphism,
     Quotient,
     _quotient_name,
+    cell_type,
     image_indices,
     quotient_algebra,
     satisfies,
@@ -236,7 +237,8 @@ def _translation_columns(A: FiniteAlgebra):
     repeats or on the identity.
     """
     n = A.size
-    identity = tuple(range(n))
+    # keyed by slices of the tables, so the identity has their type
+    identity = cell_type(n)(range(n))
     seen = {identity: None}
     for op in A.ops:
         table = op.table

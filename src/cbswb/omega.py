@@ -19,6 +19,7 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Operation,
+    cell_type,
     direct_product,
     power_algebra,
     quotient_algebra,
@@ -643,8 +644,9 @@ class QuasiCyclic(NamedTuple("QuasiCyclic", [("prime", int)])):
     def truncation(self, m: int) -> FiniteAlgebra:
         size = _carrier(self.prime, m)
         # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
-        doubled = list(range(size)) * 2
-        table = tuple(chain.from_iterable(doubled[a:a + size] for a in range(size)))
+        doubled = cell_type(size)(range(size)) * 2
+        rows = (doubled[a:a + size] for a in range(size))
+        table = b"".join(rows) if type(doubled) is bytes else tuple(chain.from_iterable(rows))
         return FiniteAlgebra._built(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
 
     def subgroup_congruence(self, T: FiniteAlgebra, m: int, j: int) -> Congruence:

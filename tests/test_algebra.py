@@ -71,7 +71,20 @@ def test_table_validation_names_the_first_bad_entry():
         assert str(err.value) == f"operation 'f': table entry {shown} out of range 0..{size - 1}"
     for table in [(0, 1, 2), (Label(2), 0, 1), (2, Label(0), 1)]:
         A = FiniteAlgebra("a", 3, [Operation("f", 1, table)])
-        assert A.ops[0].table == table
+        assert tuple(A.ops[0].table) == table
+
+
+def test_tables_of_any_sequence_type_give_one_algebra():
+    # a list table once left the algebra unhashable and unequal to its tuple twin
+    for size in (3, 300):
+        cells = [(x + 1) % min(size, 256) for x in range(size)]
+        algebras = [FiniteAlgebra("a", size, [Operation("f", 1, table)])
+                    for table in (cells, tuple(cells), bytes(cells))]
+        for A in algebras:
+            assert A == algebras[0] and hash(A) == hash(algebras[0])
+            assert A.same_tables(algebras[0])
+            assert type(A.ops[0].table) is (bytes if size <= 256 else tuple)
+            assert list(A.ops[0].table) == cells
 
 
 def test_apply_uses_mixed_radix_encoding():

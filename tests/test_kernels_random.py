@@ -36,13 +36,19 @@ for the kinds fc and zcon, and the pair checks of the centre report are
 checked against check_factor_pair run on every pair on the same algebras.  The verdict and
 witness of satisfies are checked against a recursive evaluation of every
 assignment on random algebras of at most 4 elements (arities up to 3) and
-random sentences with up to two premises.
+random sentences with up to two premises.  Around the largest carrier
+whose tables are bytes (256 elements), on seeded tables of 255 to 257
+elements, products of 255 to 289 elements and powers of 243 to 512
+elements with their quotients onto at most 256 blocks, the block gather,
+the constructors and the homomorphism check's verdicts and messages are
+checked against the same per-cell references.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -434,7 +440,9 @@ def gather_case(draw):
 @example((tuple(range(27)), [1, 1, 1, 1, 1], 3, 3))
 def test_gather_and_table_args_match_per_cell_reference(case):
     table, mapping, k, size = case
-    assert gather(table, mapping, k, size) == [table[i] for i in image_indices(mapping, k, size)]
+    reference = [table[i] for i in image_indices(mapping, k, size)]
+    assert gather(table, mapping, k, size) == reference
+    assert gather(bytes(table), mapping, k, size) == bytes(reference)
     n = len(mapping)
     cells = list(itertools.product(range(n), repeat=k))
     assert [table_args(k, n, i) for i in range(n ** k)] == cells
@@ -498,12 +506,13 @@ def constructor_case(draw):
 
 
 def cellwise(size, ops, cell):
-    """Operations over range(size) whose value at args is cell(op, args)."""
-    return tuple(
+    """Operations over range(size) whose value at args is cell(op, args),
+    through the public constructor, which gives the tables their stored type."""
+    return FiniteAlgebra("cells", size, [
         Operation(op.name, op.arity,
                   tuple(cell(op, args) for args in itertools.product(range(size), repeat=op.arity)))
         for op in ops
-    )
+    ]).ops
 
 
 def digits(p, base, m):
@@ -549,7 +558,7 @@ def test_quasicyclic_truncations_pass_the_cell_check():
         qc = QuasiCyclic(p)
         for m in range(top + 1):
             T = qc.truncation(m)
-            assert T.ops[0].table == tuple((a + b) % p ** m
+            assert tuple(T.ops[0].table) == tuple((a + b) % p ** m
                                            for a in range(p ** m) for b in range(p ** m))
             assert_passes_cell_check(T)
 
@@ -593,6 +602,189 @@ def check_constructors(A, B, m, perm):
             len(reps), A.ops, lambda op, args: reps.index(rep[apply_raw(A, op, [reps[i] for i in args])])
         )
         assert Q.projection.mapping == tuple(reps.index(r) for r in rep)
+
+
+def seeded_ops(seed, size, arities, q=1):
+    """Uniform tables over range(size) from a seeded generator, for carriers
+    too big to draw cell by cell.  Cells whose arguments agree mod q take
+    values in one residue class mod q, so x -> x % q is a congruence.  With
+    q = 1 the last cell of each table is the top element, so a product of
+    such algebras reaches its own top element."""
+    rng = random.Random(seed)
+    residues = [x % q for x in range(size)]
+    ops = []
+    for i, k in enumerate(arities):
+        target = [rng.randrange(min(q, size)) for _ in range(q ** k)]
+        table = [r + q * rng.randrange((size - 1 - r) // q + 1)
+                 for r in map(target.__getitem__, image_indices(residues, k, q))]
+        if q == 1:
+            table[-1] = size - 1
+        ops.append(Operation(f"f{i}", k, tuple(table)))
+    return ops
+
+
+def map_verdict(A, B, mapping):
+    """The homomorphism check's message on A -> B, or None when it accepts."""
+    try:
+        Homomorphism(A, B, mapping)
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+def check_quotient(A, rep):
+    """quotient_algebra on any partition rep against the cell-by-cell quotient
+    on its least elements: the same tables and projection when the
+    projection passes first_failing_cell, otherwise its message."""
+    reps = sorted(set(rep))
+    index = {r: i for i, r in enumerate(reps)}
+    B = FiniteAlgebra("ref", len(reps), cellwise(
+        len(reps), A.ops, lambda op, args: index[rep[apply_raw(A, op, [reps[i] for i in args])]]))
+    projection = tuple(index[r] for r in rep)
+    want = first_failing_cell(A, B, projection)
+    if want is None:
+        Q = quotient_algebra(A, Congruence(A, rep))
+        assert Q.algebra.ops == B.ops and Q.projection.mapping == projection
+    else:
+        with pytest.raises(ValidationError) as err:
+            quotient_algebra(A, Congruence(A, rep))
+        assert str(err.value) == want
+
+
+def moved(mapping, x, value):
+    """mapping with x sent to value instead."""
+    out = list(mapping)
+    out[x] = value
+    return out
+
+
+@st.composite
+def carrier_boundary_case(draw):
+    """A carrier of 255, 256 or 257 elements (around the largest one whose
+    tables are bytes), arities 0 to 2, a planted congruence x -> x % q and a
+    seed for the tables and maps."""
+    return (draw(st.sampled_from((255, 256, 257))),
+            tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))),
+            draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# each example tables 243 to 512 elements, a binary operation up to 83,521
+# cells, so fewer examples run; the explicit ones put binary operations on
+# the boundary sizes
+BOUNDARY_SETTINGS = settings(KERNEL_SETTINGS, max_examples=6)
+
+
+@BOUNDARY_SETTINGS
+@given(carrier_boundary_case())
+@example((255, (2, 0), 3, 1))
+@example((256, (1, 2), 2, 2))
+@example((257, (2,), 4, 3))
+def test_kernels_match_per_cell_references_around_256_elements(case):
+    n, arities, q, seed = case
+    A = FiniteAlgebra("a", n, seeded_ops(seed, n, arities, q))
+    assert {type(op.table) for op in A.ops} == {bytes if n <= 256 else tuple}
+    rng = random.Random(seed)
+    # gather from domains on either side of 256 elements
+    for op in A.ops:
+        for d in (1, 256, 257):
+            mapping = [rng.randrange(n) for _ in range(d)]
+            got = gather(op.table, mapping, op.arity, n)
+            assert type(got) is (bytes if n <= 256 else list)
+            assert list(got) == [op.table[i] for i in image_indices(mapping, op.arity, n)]
+    perm = rng.sample(range(n), n)
+    inv = [perm.index(y) for y in range(n)]
+    copy, iso = relabel(A, perm)
+    assert copy.ops == cellwise(n, A.ops, lambda op, args: perm[apply_raw(A, op, [inv[a] for a in args])])
+    assert iso.mapping == tuple(perm)
+    x = rng.randrange(n)
+    broken = moved(perm, x, perm[x - 1])
+    assert map_verdict(A, copy, broken) == first_failing_cell(A, copy, broken)
+    # the planted congruence, and one element moved to another block
+    rep = least_rep([x % q for x in range(n)])
+    check_quotient(A, rep)
+    check_quotient(A, least_rep(moved(rep, n - 1, (n - 2) % q)))
+
+
+@st.composite
+def product_boundary_case(draw):
+    """Factor sizes whose product is 255, 256 (cells reaching 255) or more,
+    arities 0 to 2, and a seed for the tables and maps."""
+    return (draw(st.sampled_from(((15, 17), (16, 16), (16, 17), (17, 15), (1, 256), (2, 128)))),
+            tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=2))),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@BOUNDARY_SETTINGS
+@given(product_boundary_case())
+@example(((16, 16), (2, 0), 1))
+@example(((16, 17), (1, 2), 2))
+def test_products_match_per_cell_references_around_256_elements(case):
+    (na, nb), arities, seed = case
+    rng = random.Random(seed)
+    A = FiniteAlgebra("a", na, seeded_ops(rng.random(), na, arities))
+    B = FiniteAlgebra("b", nb, seeded_ops(rng.random(), nb, arities))
+    n = na * nb
+    P = direct_product(A, B)
+
+    def product_cell(op, args):
+        opb = B.op(op.name)
+        return apply_raw(A, op, [p // nb for p in args]) * nb + apply_raw(B, opb, [p % nb for p in args])
+
+    assert P.ops == cellwise(n, A.ops, product_cell)
+    assert {type(op.table) for op in P.ops} == {bytes if n <= 256 else tuple}
+    # each factor's last cell is its top element, so the product's is too
+    assert all(op.table[-1] == n - 1 for op in P.ops)
+    left, right = [p // nb for p in range(n)], [p % nb for p in range(n)]
+    assert map_verdict(P, A, left) is None and map_verdict(P, B, right) is None
+    x = rng.randrange(n)
+    broken = moved(left, x, (left[x] + 1) % na)
+    assert map_verdict(P, A, broken) == first_failing_cell(P, A, broken)
+    # maps from a bytes algebra into a product of 256 or 289 elements
+    if nb in (16, 17):
+        D = direct_product(B, B)
+        diagonal = [b * nb + b for b in range(nb)]
+        assert map_verdict(B, D, diagonal) is None
+        broken = moved(diagonal, rng.randrange(nb), rng.randrange(nb * nb))
+        assert map_verdict(B, D, broken) == first_failing_cell(B, D, broken)
+    check_quotient(P, least_rep(left))
+
+
+@st.composite
+def power_boundary_case(draw):
+    """A power of 243, 256, 289 or 512 elements, arities 0 to 2 when the
+    exponent is 2 and 0 to 1 above (the per-cell reference reads every
+    coordinate of every cell), and a seed for the tables."""
+    c, m = draw(st.sampled_from(((2, 8), (2, 9), (3, 5), (4, 4), (16, 2), (17, 2))))
+    top = 2 if m == 2 else 1
+    return c, m, tuple(draw(st.lists(st.integers(0, top), min_size=1, max_size=2))), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@BOUNDARY_SETTINGS
+@given(power_boundary_case())
+@example((2, 9, (1, 0), 1))
+@example((16, 2, (2,), 2))
+def test_powers_and_their_quotients_match_per_cell_references(case):
+    c, m, arities, seed = case
+    C = FiniteAlgebra("c", c, seeded_ops(seed, c, arities))
+    n = c ** m
+    coords = [digits(p, c, m) for p in range(n)]
+
+    def power_cell(op, args):
+        enc = 0
+        for i in range(m):
+            enc = enc * c + apply_raw(C, op, [coords[p][i] for p in args])
+        return enc
+
+    P = power_algebra(C, m)
+    assert P.ops == cellwise(n, C.ops, power_cell)
+    assert {type(op.table) for op in P.ops} == {bytes if n <= 256 else tuple}
+    # onto the coordinates in a drawn set: a congruence of at most 256 blocks
+    rng = random.Random(seed)
+    kept = rng.sample(range(m), min(m - 1, 8))
+    rep = least_rep([tuple(coords[p][i] for i in kept) for p in range(n)])
+    check_quotient(P, rep)
+    check_quotient(P, least_rep(moved(rep, n - 1, 0)))
 
 
 @st.composite

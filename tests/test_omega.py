@@ -1217,7 +1217,7 @@ def test_quasicyclic_truncation_and_subgroups():
     for p, m in ((2, 1), (2, 5), (3, 4), (5, 2), (31, 2)):
         size = p ** m
         (op,) = QuasiCyclic(p).truncation(m).ops
-        assert op.table == tuple((a + b) % size for a in range(size) for b in range(size))
+        assert tuple(op.table) == tuple((a + b) % size for a in range(size) for b in range(size))
     with pytest.raises(BudgetError):
         qc.truncation(11)
 

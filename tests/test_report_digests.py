@@ -3,9 +3,11 @@
 The three benchmark workloads' jobs at seed 3, whose inputs bench/gen.py
 writes, and every corpus file under each one-file verb, and under
 presheaf-check with each operator kind besides its default, in both formats
-run through cli.main in this process.  The exit status and the sha256 of
-standard output of each run must equal its row in report_digests.json, so a
-change that alters any report fails here.  A change that alters reports on
+run through cli.main in this process; and four runs on carriers of 256 and
+512 elements, either side of the largest carrier whose tables are bytes.
+The exit status and the sha256 of standard output of each run must equal
+its row in report_digests.json, so a change that alters any report fails
+here.  A change that alters reports on
 purpose rewrites the table and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_report_digests.py > tests/report_digests.json
@@ -30,6 +32,8 @@ WORKLOADS = ("finite-lattice", "truncation", "symbolic")
 FILE_VERBS = ("con", "fc", "center", "zcon", "presheaf-check", "cbs-check", "cbs-complete")
 # presheaf-check's other operator kinds; "x = x" puts every congruence in K(A)
 PRESHEAF_KINDS = (("--kind", "con"), ("--kind", "zcon"), ("--kind", "rel", "--sentence", "x = x"))
+# truncations of 2^8 and 2^9 elements: bytes tables up to 256 elements, tuples above
+BOUNDARY_LEVELS = (8, 9)
 
 
 def load_gen():
@@ -57,6 +61,11 @@ def runs(workdir):
                 for fmt in ("text", "json"):
                     yield (f"corpus {fn[:-5]} presheaf-check {' '.join(extra)} {fmt}",
                            ["presheaf-check", path, *extra, "--format", fmt])
+    for m in BOUNDARY_LEVELS:
+        yield f"boundary quasicyclic 2 1 {m}", ["quasicyclic", "2", "1", str(m)]
+        yield (f"boundary omega-demo z2 --shift 2 --zeta {{1}} --truncate {m}",
+               ["omega-demo", "--base", os.path.join(CORPUS, "z2.json"),
+                "--shift", "2", "--zeta", "{1}", "--truncate", str(m)])
 
 
 def digest(argv):
