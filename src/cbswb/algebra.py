@@ -7,9 +7,10 @@ top (products, quotients, congruence lattices, the CBS machinery) reduces
 to lookups in these tables.
 
 On a carrier of at most BYTE_CARRIER (256) elements every table is a bytes
-object, one byte per cell, so the table kernels (gather, the homomorphism
-check, products, quotients and relabelings) compose tables with maps by
-bytes.translate.  Larger carriers keep tuples of ints.
+object, one byte per cell; larger carriers keep tuples of ints.  Only
+cell_type, compose, concat and gather know which, and every table kernel
+(the homomorphism check, products, quotients, relabelings) is written once
+on top of them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ MAX_TERM_DEPTH = 256
 class Operation(NamedTuple):
     name: str
     arity: int
-    # flat, length size**arity: bytes on carriers of at most BYTE_CARRIER
-    # elements, a tuple of ints above (FiniteAlgebra converts any sequence)
+    # flat, length size**arity, of cell_type(size) (FiniteAlgebra converts
+    # any sequence); compose, concat and gather build new tables
     table: bytes | tuple
 
 
@@ -64,13 +65,8 @@ class FiniteAlgebra:
                 raise ValidationError(
                     f"operation {op.name!r}: table length {len(table)}, expected {size}^{op.arity}"
                 )
-            if set(map(type, table)) != {int} or min(table) < 0 or max(table) >= size:
-                # the cell loop names the first bad entry and admits int subclasses
-                for v in table:
-                    if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
-                        raise ValidationError(
-                            f"operation {op.name!r}: table entry {v!r} out of range 0..{size - 1}"
-                        )
+            _check_range(table, size, lambda v: (
+                f"operation {op.name!r}: table entry {v!r} out of range 0..{size - 1}"))
         self._fields(name, size, ops)
 
     @classmethod
@@ -132,6 +128,16 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size}, sig=[{sig}])"
 
 
+def _check_range(values: Sequence[int], size: int, message) -> None:
+    """ValidationError(message(v)) for the first v of values that is not an int
+    in range(size).  One pass over types, min and max decides; the element
+    loop names the bad entry, admits int subclasses and refuses bools."""
+    if set(map(type, values)) != {int} or min(values) < 0 or max(values) >= size:
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < size):
+                raise ValidationError(message(v))
+
+
 def cell_type(size: int) -> type:
     """The type of every operation table of an algebra of the given size."""
     return bytes if size <= BYTE_CARRIER else tuple
@@ -141,6 +147,26 @@ def _byte_map(mapping: Sequence[int]) -> bytes:
     """mapping, whose domain and values lie below BYTE_CARRIER, as a
     bytes.translate table: bytes outside its domain map to 0."""
     return bytes(mapping).ljust(BYTE_CARRIER, b"\0")
+
+
+def compose(cells, mapping: Sequence[int], size: int):
+    """mapping[c] for every cell c of cells, as a cell_type(size) table.
+    mapping's domain is the carrier of cells, so bytes cells never meet a
+    map of more than BYTE_CARRIER entries."""
+    if type(cells) is bytes and size <= BYTE_CARRIER:
+        return cells.translate(_byte_map(mapping))
+    return cell_type(size)(_getter(cells)(mapping))
+
+
+def concat(rows: Iterable, cells: type):
+    """The rows, tables of type cells, joined into one table of that type."""
+    if cells is bytes:
+        return b"".join(rows)
+    # list += takes each row's length, which a tuple of an iterator cannot
+    out = []
+    for row in rows:
+        out += row
+    return tuple(out)
 
 
 def image_indices(mapping: Sequence[int], arity: int, size: int) -> list:
@@ -161,42 +187,26 @@ def _getter(indices: Sequence[int]):
     return itemgetter(*indices)
 
 
-def gather(table: Sequence[int], mapping: Sequence[int], arity: int, size: int):
-    """table[i] at every i of image_indices(mapping, arity, size), in table order.
+def gather(table, mapping: Sequence[int], arity: int, size: int):
+    """table[i] at every i of image_indices(mapping, arity, size), in table
+    order, as a table of table's type.
 
-    Works one first-argument block at a time: each distinct block
-    table[v*w:(v+1)*w] with v = mapping[a1] is gathered once at the
-    arity-1 image indices and reused by every a1 that maps to v.  A bytes
-    table gives bytes, any other table a list.
+    The cells whose first arity-1 arguments have the image prefix p form the
+    row table[p*size:(p+1)*size]; each distinct row is gathered once at the
+    last argument, and the rows are joined in prefix order.
     """
-    if type(table) is bytes:
-        return _gather_bytes(table, bytes(mapping), arity, size)
-    if arity == 0:
-        return [table[0]]
-    w = size ** (arity - 1)
-    pick = _getter(image_indices(mapping, arity - 1, size))
-    rows = {}
-    out = []
-    for v in mapping:
-        if v not in rows:
-            rows[v] = pick(table[v * w:(v + 1) * w])
-        out += rows[v]
-    return out
-
-
-def _gather_bytes(table: bytes, keys: bytes, arity: int, size: int) -> bytes:
-    """gather on a bytes table, with the map as bytes.  The cells whose
-    first arity-1 arguments have the image prefix p form the row
-    table[p*size:(p+1)*size]; each distinct row is gathered at the last
-    argument with one keys.translate, and the rows are joined in order."""
     if arity == 0:
         return table
-    if arity == 1:
-        return keys.translate(_byte_map(table))
-    prefixes = image_indices(keys, arity - 1, size)
-    rows = {p: keys.translate(table[p * size:(p + 1) * size].ljust(BYTE_CARRIER, b"\0"))
-            for p in set(prefixes)}
-    return b"".join(map(rows.__getitem__, prefixes))
+    prefixes = image_indices(mapping, arity - 1, size)
+    if type(table) is bytes:
+        # each row by one translate here: a compose call per row is slower
+        keys = bytes(mapping)
+        rows = {p: keys.translate(table[p * size:(p + 1) * size].ljust(BYTE_CARRIER, b"\0"))
+                for p in set(prefixes)}
+    else:
+        pick = _getter(mapping)
+        rows = {p: pick(table[p * size:(p + 1) * size]) for p in set(prefixes)}
+    return concat(map(rows.__getitem__, prefixes), type(table))
 
 
 def table_args(arity: int, size: int, idx: int) -> tuple:
@@ -513,22 +523,12 @@ class Homomorphism:
         mapping = tuple(mapping)
         if len(mapping) != source.size:
             raise ValidationError("mapping length differs from source size")
-        for v in mapping:
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < target.size):
-                raise ValidationError(f"mapping value {v!r} out of range")
-        # bytes rows on both sides when both carriers have bytes tables
-        by_bytes = max(source.size, target.size) <= BYTE_CARRIER
-        translation = _byte_map(mapping) if by_bytes else None
+        _check_range(mapping, target.size, lambda v: f"mapping value {v!r} out of range")
         # equal signatures list the same operations in the same order
         for op, op_t in zip(source.ops, target.ops):
-            # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), both rows in table order
+            # m(f(a1, .., ak)) against f(m(a1), .., m(ak)), in table order
+            lhs_row = compose(op.table, mapping, target.size)
             rhs_row = gather(op_t.table, mapping, op.arity, target.size)
-            if by_bytes:
-                lhs_row = op.table.translate(translation)
-            else:
-                lhs_row = list(_getter(op.table)(mapping))
-                if type(rhs_row) is bytes:
-                    rhs_row = list(rhs_row)
             if lhs_row != rhs_row:
                 i = next(i for i, (lhs, rhs) in enumerate(zip(lhs_row, rhs_row)) if lhs != rhs)
                 raise ValidationError(
@@ -594,25 +594,22 @@ def _product_ops(opsa, na: int, opsb, nb: int) -> list:
     n = na * nb
     left = [p // nb for p in range(n)]
     right = list(range(nb)) * na
-    if n <= BYTE_CARRIER:
-        # A's table scaled by nb, plus B's: each cell sum a*nb + b is below
-        # 256, so the tables add as big integers with no carry across cells
-        scale = _byte_map(range(0, n, nb))
-        return [
-            Operation(opa.name, opa.arity, (
-                int.from_bytes(gather(opa.table.translate(scale), left, opa.arity, na), "big")
-                + int.from_bytes(gather(opb.table, right, opa.arity, nb), "big")
-            ).to_bytes(n ** opa.arity, "big"))
-            for opa, opb in zip(opsa, opsb)
-        ]
-    return [
-        # a gather only reorders cells, so A's table is scaled by nb before it
-        Operation(opa.name, opa.arity, tuple(map(
-            add,
-            gather([v * nb for v in opa.table], left, opa.arity, na),
-            gather(opb.table, right, opa.arity, nb))))
-        for opa, opb in zip(opsa, opsb)
-    ]
+    # a list, as an itemgetter reads a range by building each int anew
+    scale = list(range(0, n, nb))
+    ops = []
+    for opa, opb in zip(opsa, opsb):
+        # A's table scaled by nb into cell_type(n) before the gather, which
+        # only reorders cells and keeps the type, plus B's
+        a = gather(compose(opa.table, scale, n), left, opa.arity, na)
+        b = gather(opb.table, right, opa.arity, nb)
+        if type(a) is bytes:
+            # each cell sum a*nb + b is below 256, so the tables add as big
+            # integers with no carry across cells
+            cells = (int.from_bytes(a, "big") + int.from_bytes(b, "big")).to_bytes(len(a), "big")
+        else:
+            cells = tuple(map(add, a, b))
+        ops.append(Operation(opa.name, opa.arity, cells))
+    return ops
 
 
 def direct_product(A: FiniteAlgebra, B: FiniteAlgebra, name: Optional[str] = None) -> FiniteAlgebra:
@@ -650,13 +647,10 @@ def _image(A: FiniteAlgebra, name: str, section: Sequence[int], projection: Sequ
     """The algebra on range(len(section)) whose f(i1, .., ik) is projection applied to
     A's f(section[i1], .., section[ik]), and the projection checked as a map onto it.
     Its tables are not cell-checked: projection must take values in that range."""
-    if A.size <= BYTE_CARRIER:
-        translation = _byte_map(projection)
-        tables = [gather(op.table, section, op.arity, A.size).translate(translation) for op in A.ops]
-    else:
-        tables = [_getter(gather(op.table, section, op.arity, A.size))(projection) for op in A.ops]
     B = FiniteAlgebra._built(name, len(section), [
-        Operation(op.name, op.arity, table) for op, table in zip(A.ops, tables)
+        Operation(op.name, op.arity,
+                  compose(gather(op.table, section, op.arity, A.size), projection, len(section)))
+        for op in A.ops
     ])
     return B, Homomorphism(A, B, projection)
 

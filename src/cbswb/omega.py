@@ -12,7 +12,6 @@ of the power, and works the pseudo-simple quasi-cyclic group example.
 """
 
 import math
-from itertools import chain
 from typing import NamedTuple
 
 from .algebra import (
@@ -20,6 +19,7 @@ from .algebra import (
     Homomorphism,
     Operation,
     cell_type,
+    concat,
     direct_product,
     power_algebra,
     quotient_algebra,
@@ -645,8 +645,7 @@ class QuasiCyclic(NamedTuple("QuasiCyclic", [("prime", int)])):
         size = _carrier(self.prime, m)
         # row a is (a + b) % size for b < size, a slice of 0..size-1 written twice
         doubled = cell_type(size)(range(size)) * 2
-        rows = (doubled[a:a + size] for a in range(size))
-        table = b"".join(rows) if type(doubled) is bytes else tuple(chain.from_iterable(rows))
+        table = concat((doubled[a:a + size] for a in range(size)), type(doubled))
         return FiniteAlgebra._built(f"z({self.prime}^{m})", size, [Operation("+", 2, table)])
 
     def subgroup_congruence(self, T: FiniteAlgebra, m: int, j: int) -> Congruence:

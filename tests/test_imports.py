@@ -1,8 +1,9 @@
 """No module of src imports a name it does not use or imports inside a
 function, no private helper of src goes unread, every module of src is
-reached from the command line, and starting the command line imports
+reached from the command line, starting the command line imports
 neither dataclasses nor inspect, whose imports and generated code would add
-to every run's start-up.
+to every run's start-up, and only algebra.py knows whether an operation
+table is bytes or a tuple.
 
 __init__.py is skipped by the import test: its imports are the package's
 re-exports.
@@ -84,6 +85,18 @@ def _names_read():
 def test_every_private_helper_is_read():
     read = _names_read()
     assert [d for d in _private_definitions() if d[1] not in read] == []
+
+
+def test_only_algebra_knows_the_table_format():
+    # compose, concat and gather in algebra.py choose between bytes and tuple
+    # tables; lattice.py's bitset digits use translate, which is no table test
+    found = []
+    for fn in sorted(os.listdir(SRC)):
+        if fn.endswith(".py") and fn != "algebra.py":
+            with open(os.path.join(SRC, fn)) as fh:
+                text = fh.read()
+            found += [(fn, word) for word in ("BYTE_CARRIER", "is bytes") if word in text]
+    assert found == []
 
 
 def _relative_imports(fn):

@@ -8,9 +8,9 @@ and, on meet- and join-closed sub-families, against pairwise refines, meet
 and join, the Boolean-sublattice witness (of the lattice tables and of
 boolean_sublattice_check) against a check on the relations themselves,
 homomorphism checks and their messages (arities up to 3) against
-exhaustive map enumeration, the block gather against per-cell indexing,
-isomorphism search (arities up to 3) against the bijective maps among
-them, the product, power, quotient and relabelling constructors against
+exhaustive map enumeration, the block gather, compose and concat against
+per-cell indexing, isomorphism search (arities up to 3) against the
+bijective maps among them, the product, power, quotient and relabelling constructors against
 cell-by-cell construction, quotients through a finer congruence (on up
 to 6 elements, arities up to 3) against the direct quotient, the unchecked
 diagonal quotient, inverses, composites, the maps the isomorphism search
@@ -33,15 +33,18 @@ Con(A/sigma), is checked against
 refinement scans on random algebras of at most 5 elements (arities up to
 3), also with one lift replaced by a wrong congruence; its factor block,
 for the kinds fc and zcon, and the pair checks of the centre report are
-checked against check_factor_pair run on every pair on the same algebras.  The verdict and
+checked against check_factor_pair run on every pair on the same algebras
+and on a hand-built 8-element algebra whose factor block lists failing
+quotient pairs.  The verdict and
 witness of satisfies are checked against a recursive evaluation of every
 assignment on random algebras of at most 4 elements (arities up to 3) and
 random sentences with up to two premises.  Around the largest carrier
 whose tables are bytes (256 elements), on seeded tables of 255 to 257
 elements, products of 255 to 289 elements and powers of 243 to 512
 elements with their quotients onto at most 256 blocks, the block gather,
-the constructors and the homomorphism check's verdicts and messages are
-checked against the same per-cell references.
+compose onto carriers of 1, 256 and 257 elements, the constructors and the
+homomorphism check's verdicts and messages are checked against the same
+per-cell references.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -61,6 +64,8 @@ from cbswb.algebra import (
     Sentence,
     Term,
     _isomorphisms,
+    compose,
+    concat,
     direct_product,
     gather,
     image_indices,
@@ -441,8 +446,18 @@ def gather_case(draw):
 def test_gather_and_table_args_match_per_cell_reference(case):
     table, mapping, k, size = case
     reference = [table[i] for i in image_indices(mapping, k, size)]
-    assert gather(table, mapping, k, size) == reference
+    assert gather(table, mapping, k, size) == tuple(reference)
     assert gather(bytes(table), mapping, k, size) == bytes(reference)
+    # the table's cells through a map on range(max(table) + 1): bytes and
+    # tuple cells onto a small carrier, and bytes cells into one above 256
+    onto = [mapping[v % len(mapping)] for v in range(max(table) + 1)]
+    composed = [onto[v] for v in table]
+    assert compose(bytes(table), onto, size) == bytes(composed)
+    assert compose(table, onto, size) == bytes(composed)
+    assert compose(bytes(table), [v + 256 for v in onto], size + 256) == tuple(v + 256 for v in composed)
+    rows = [reference[i:i + size] for i in range(0, len(reference), size)]
+    assert concat(map(bytes, rows), bytes) == bytes(reference)
+    assert concat(map(tuple, rows), tuple) == tuple(reference)
     n = len(mapping)
     cells = list(itertools.product(range(n), repeat=k))
     assert [table_args(k, n, i) for i in range(n ** k)] == cells
@@ -689,8 +704,14 @@ def test_kernels_match_per_cell_references_around_256_elements(case):
         for d in (1, 256, 257):
             mapping = [rng.randrange(n) for _ in range(d)]
             got = gather(op.table, mapping, op.arity, n)
-            assert type(got) is (bytes if n <= 256 else list)
+            assert type(got) is type(op.table)
             assert list(got) == [op.table[i] for i in image_indices(mapping, op.arity, n)]
+        # compose onto carriers on either side of 256 elements
+        for t in (1, 256, 257):
+            onto = [rng.randrange(t) for _ in range(n)]
+            got = compose(op.table, onto, t)
+            assert type(got) is (bytes if t <= 256 else tuple)
+            assert list(got) == [onto[c] for c in op.table]
     perm = rng.sample(range(n), n)
     inv = [perm.index(y) for y in range(n)]
     copy, iso = relabel(A, perm)
@@ -1138,3 +1159,29 @@ def test_factor_verdicts_match_factor_pair_scans(case):
     assert presheaf_check(A, kind)["conditions"]["factor"] == presheaf_factor(A, kind)
     report = z_con_report(A)
     assert report["pair_checks"] == center_pair_checks(A, report["center"])
+
+
+def test_factor_block_lists_failing_quotient_pairs():
+    """A reversal r and a collapse c of 8 elements: FC(A) has a sigma strictly
+    between the diagonal and a factor congruence theta with a complement c
+    for which theta ^ (c v sigma) != sigma, which no random algebra of at
+    most 5 elements and no corpus file gives, so the factor block lists
+    quotient pairs; both blocks agree with the oracles."""
+    A = FiniteAlgebra("rc", 8, [Operation("r", 1, (7, 6, 5, 4, 3, 2, 1, 0)),
+                                Operation("c", 1, (0, 0, 0, 0, 4, 4, 4, 4))])
+    kind = OperatorKind("fc")
+    assert len(all_congruences(A).elements) == 46
+    report = presheaf_check(A, kind)
+    assert report["failed_conditions"] == ["correspondence", "factor"]
+    factor = report["conditions"]["factor"]
+    assert len(factor["quotient_pairs"]) == 4
+    assert factor["quotient_pairs"][0] == {
+        "sigma": [[0, 1], [2, 3], [4, 5], [6, 7]],
+        "theta": [[0, 1, 2, 3], [4, 5, 6, 7]],
+        "complement": [[0, 4], [1, 6], [2, 5], [3, 7]],
+        "pair_ok": False,
+        "reason": "meet_not_diagonal",
+        "in_operator": True,
+    }
+    assert factor == presheaf_factor(A, kind)
+    assert report["conditions"]["correspondence"] == presheaf_correspondence(A, kind)
