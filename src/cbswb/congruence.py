@@ -27,7 +27,8 @@ from .algebra import (
     Quotient,
     _quotient_name,
     cell_type,
-    image_indices,
+    compose as compose_cells,
+    gather,
     quotient_algebra,
     satisfies,
     table_args,
@@ -203,25 +204,25 @@ class Congruence:
 
 
 def compatibility_witness(A: FiniteAlgebra, rep) -> Optional[dict]:
-    """None when rep is compatible with every operation, otherwise a witness.
+    """None when rep, a least-representative array, is compatible with every
+    operation, otherwise a witness.
 
-    Checks that each operation's table descends to the blocks: two argument
-    tuples that agree blockwise must produce values in the same block.  The
-    witness pairs the first argument tuple of a block tuple with the first
-    later one that lands in another block, both in table order.
-    """
+    rep o f must equal f(rep(a1), .., rep(ak)) read through rep, the check of
+    Homomorphism.  With rep least, rep applied to a is the first tuple of a's
+    block tuple in table order: the witness pairs it with the first a in
+    table order whose value lands in another block."""
     for op in A.ops:
-        vals = [rep[v] for v in op.table]
-        first = {}
-        for idx, key in enumerate(image_indices(rep, op.arity, A.size)):
-            prev = first.setdefault(key, idx)
-            if vals[prev] != vals[idx]:
-                return {
-                    "operation": op.name,
-                    "args": list(table_args(op.arity, A.size, prev)),
-                    "other_args": list(table_args(op.arity, A.size, idx)),
-                    "values": [vals[prev], vals[idx]],
-                }
+        cells = compose_cells(op.table, rep, A.size)
+        image = gather(cells, rep, op.arity, A.size)
+        if cells != image:
+            i = next(i for i, (u, v) in enumerate(zip(image, cells)) if u != v)
+            args = table_args(op.arity, A.size, i)
+            return {
+                "operation": op.name,
+                "args": [rep[a] for a in args],
+                "other_args": list(args),
+                "values": [image[i], cells[i]],
+            }
     return None
 
 
@@ -503,12 +504,13 @@ def transport(f: Homomorphism, theta: Congruence) -> Congruence:
 
 def relative_congruences(A: FiniteAlgebra, sentences, max_size: int = DEFAULT_CON_CAP,
                          budget: int = DEFAULT_EVAL_BUDGET):
-    """Congruences whose quotient satisfies every given sentence."""
-    lattice = all_congruences(A, max_size=max_size)
-    out = []
-    for theta in lattice:
-        Q = quotient_algebra(A, theta)
-        holds, _ = satisfies(Q.algebra, sentences, budget=budget)
-        if holds:
+    """Congruences whose quotient satisfies every given sentence, one check per distinct table."""
+    verdicts, out = {}, []
+    for theta in all_congruences(A, max_size=max_size):
+        Q = quotient_algebra(A, theta).algebra
+        key = Q.size, Q.ops  # a verdict depends on the tables alone
+        if key not in verdicts:
+            verdicts[key] = satisfies(Q, sentences, budget=budget)[0]
+        if verdicts[key]:
             out.append(theta)
     return out

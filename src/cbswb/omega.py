@@ -680,12 +680,11 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     size = T.size
 
     congs = [qc.subgroup_congruence(T, m, j) for j in range(m + 1)]
-    refines = [congs[j].refines(congs[j + 1]) for j in range(m)]
     # each level is certified by a projection check, which rejects a level
     # that is not a congruence with ValidationError: level 0 on T, level j on
     # T/level j-1.  Level j-1 relates x and y when x = y mod p^(m-j+1), which
-    # gives x = y mod p^(m-j), so it refines level j; quotient_through would
-    # refuse a level that it does not refine
+    # gives x = y mod p^(m-j), so it refines level j; quotient_through
+    # refuses a level that it does not refine, so the chain ascends
     quotients = [quotient_algebra(T, congs[0])]
     for j in range(1, m + 1):
         quotients.append(quotient_through(quotients[j - 1], congs[j]))
@@ -694,7 +693,7 @@ def quasicyclic_suite(p: int, n: int, m: int) -> dict:
     method = "exhaustive" if size <= 256 else "subgroup_closure"
     chain = [{"level": j, "blocks": c.nblocks, "method": method, "ok": True}
              for j, c in enumerate(congs)]
-    strict = all(refines[j] and congs[j].rep != congs[j + 1].rep for j in range(m))
+    strict = all(congs[j].rep != congs[j + 1].rep for j in range(m))
     ends_ok = congs[0].is_diagonal() and congs[m].is_total()
 
     # the level-n projection composes the step maps of the chain, so its

@@ -20,8 +20,11 @@ from .algebra import (
     Homomorphism,
     Term,
     compile_term,
+    compose as compose_cells,
     direct_product,
+    gather,
     quotient_algebra,
+    table_args,
 )
 from .congruence import (
     DEFAULT_CON_CAP,
@@ -268,8 +271,9 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int,
 
     centers = []
     failures = {}
+    P = direct_product(A, A)
     for e in range(A.size):
-        failure = _church_failure(A, ite, e, zero, one)
+        failure = _church_failure(A, P, ite, table[e * n * n:(e + 1) * n * n], e, zero, one)
         if failure is None:
             centers.append(e)
         else:
@@ -308,7 +312,7 @@ def church_centers(A: FiniteAlgebra, t: Term, zero: int, one: int,
     }
 
 
-def _church_failure(A, ite, e, zero, one):
+def _church_failure(A, P, ite, h, e, zero, one):
     n = A.size
     for x in range(n):
         if ite(e, x, x) != x:
@@ -322,19 +326,13 @@ def _church_failure(A, ite, e, zero, one):
                     return {"law": "t(e,x,t(e,y,w))=t(e,x,w)", "at": [x, y, w]}
     if ite(e, one, zero) != e:
         return {"law": "t(e,1,0)=e", "at": []}
-    for op in A.ops:
-        g = op.table
-        # the argument tuples in table order, so g[i] is g applied to args[i]
-        args = list(itertools.product(range(n), repeat=op.arity))
-        for i, avec in enumerate(args):
-            for j, bvec in enumerate(args):
-                at = 0
-                for a, b in zip(avec, bvec):
-                    at = at * n + ite(e, a, b)
-                if ite(e, g[i], g[j]) != g[at]:
-                    return {
-                        "law": "t(e,g(a),g(b))=g(t(e,a,b))",
-                        "operation": op.name,
-                        "at": [list(avec), list(bvec)],
-                    }
+    # law 4: h = t(e, -, -), read at a*n + b, is a homomorphism P = A x A -> A
+    for op, op_p in zip(A.ops, P.ops):
+        lhs, rhs = compose_cells(op_p.table, h, n), gather(op.table, h, op.arity, n)
+        if lhs != rhs:
+            # the least failing (a, b) in the order a, then b: not P's table order
+            tuples = (table_args(op.arity, n * n, i)
+                      for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            a, b = min(([p // n for p in ps], [p % n for p in ps]) for ps in tuples)
+            return {"law": "t(e,g(a),g(b))=g(t(e,a,b))", "operation": op.name, "at": [a, b]}
     return None

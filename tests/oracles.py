@@ -2,15 +2,16 @@
 
 Everything here recomputes results from first principles: set partitions by
 restricted growth strings, compatibility by comparing all blockwise-equal
-argument tuples, term values by direct recursion, periodic-set operations
-by pointwise membership over a window, the Pruefer group by fractions,
-text reports by a recursive walk over every cell.
+argument tuples and its first clash by a dict scan in table order, term
+values by direct recursion, periodic-set operations by pointwise membership
+over a window, the Pruefer group by fractions, text reports by a recursive
+walk over every cell.
 The eleven corpus algebras come from one loader, corpus_algebra, which reads
 the committed corpus/<name>.json with the package's parse_algebra; those
 files are the only corpus.
 None of it shares code with the package beyond the public data shapes,
-except the corpus loader, the CBS-sequence oracles, the routes and the
-automorphism list at the end.  The finite sequence state, its validator and the generic
+except the corpus loader, the count of relative sentence checks, the
+CBS-sequence oracles, the routes and the automorphism list at the end.  The finite sequence state, its validator and the generic
 sequence law list, which the validator shares with the set route of the
 symbolic validator, live here and read the package's f_hat, joins and
 shape check; the symbolic validator states its laws on window ints by
@@ -94,6 +95,22 @@ def respects(A, rep):
                     if rep[apply_raw(A, op, u)] != rep[apply_raw(A, op, v)]:
                         return False
     return True
+
+
+def compatibility_witness(A, rep):
+    """Reference for congruence.compatibility_witness by a dict scan over
+    every argument tuple in table order: each block tuple remembers its
+    first argument tuple, and the first later tuple whose value lands in
+    another block than that one's is the clash."""
+    for op in A.ops:
+        first = {}
+        for args in itertools.product(range(A.size), repeat=op.arity):
+            prev = first.setdefault(tuple(rep[a] for a in args), args)
+            values = [rep[apply_raw(A, op, prev)], rep[apply_raw(A, op, args)]]
+            if values[0] != values[1]:
+                return {"operation": op.name, "args": list(prev), "other_args": list(args),
+                        "values": values}
+    return None
 
 
 def brute_congruences(A):
@@ -934,6 +951,24 @@ def cbs_complete_search(A, kind, f=None, theta=None, sigma=None):
             attempt["conclusion"] = conclusion
             report["tried"].append(attempt)
     return report
+
+
+def relative_sentence_checks(A, kind):
+    """How many sentence checks presheaf_check runs for a relative kind: one
+    per distinct quotient table (size and operations) of A, of each quotient
+    of A by a K(A) member and of the relabelled copy, since each K builds on
+    relative_congruences, which checks a repeated table once."""
+    from cbswb.algebra import quotient_algebra, relabel
+    from cbswb.cbs import operator_eval
+    from cbswb.congruence import all_congruences
+
+    def tables(B):
+        return len({(Q.size, Q.ops) for Q in
+                    (quotient_algebra(B, theta).algebra for theta in all_congruences(B))})
+
+    copy, _ = relabel(A, [(x + 1) % A.size for x in range(A.size)])
+    return tables(A) + tables(copy) + sum(
+        tables(quotient_algebra(A, theta).algebra) for theta in operator_eval(A, kind))
 
 
 def presheaf_correspondence(A, kind):

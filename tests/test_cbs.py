@@ -38,8 +38,8 @@ from cbswb.errors import BudgetError, FormatError, ValidationError
 from cbswb.structure import z_con_report
 
 from oracles import (CORPUS_NAMES, QuotientIso, automorphisms, cbs_property_direct, corpus_algebra,
-                     f_hat_interval_check, infimum_in_k, reported_sequence, sigma_bracket,
-                     validate_sequence)
+                     f_hat_interval_check, infimum_in_k, relative_sentence_checks,
+                     reported_sequence, sigma_bracket, validate_sequence)
 
 COMM = "(+ x y) = (+ y x)"
 
@@ -448,12 +448,13 @@ def test_presheaf_con_everywhere_and_rel_on_groups():
 
 @pytest.mark.parametrize("name, sentence, calls", [
     ("z4", COMM, 12),
-    ("v4", "(+ (+ x y) z) = (+ x (+ y z))", 22),
+    ("v4", "(+ (+ x y) z) = (+ x (+ y z))", 17),
     ("z4ring", "(mul x y) = (mul y x)", 12),
 ])
 def test_relative_presheaf_checks_each_quotient_once(monkeypatch, name, sentence, calls):
     # K(A), K of the relabelled copy and K of each quotient run one sentence
-    # check per congruence; axiom1 reads K(A) and checks nothing again
+    # check per distinct quotient table; axiom1 reads K(A) and checks nothing
+    # again
     seen = []
     real = congruence.satisfies
 
@@ -463,9 +464,10 @@ def test_relative_presheaf_checks_each_quotient_once(monkeypatch, name, sentence
 
     for module in (congruence, cbs):
         monkeypatch.setattr(module, "satisfies", counted, raising=False)
-    got = presheaf_check(corpus_algebra(name), OperatorKind("rel", (parse_sentence(sentence),)))
+    A, kind = corpus_algebra(name), OperatorKind("rel", (parse_sentence(sentence),))
+    got = presheaf_check(A, kind)
     assert got["ok"] and got["conditions"]["axiom1"] == {"ok": True, "violations": []}
-    assert len(seen) == calls
+    assert len(seen) == calls == relative_sentence_checks(A, kind)
 
 
 def test_presheaf_reports_sampling_note():
@@ -475,6 +477,23 @@ def test_presheaf_reports_sampling_note():
     assert inv["sampled"] is True  # invariance is spot-checked, not proven
     assert inv["automorphisms"] == 6
     assert inv["violations"] == []
+
+
+def test_presheaf_reports_a_relabelled_copy_whose_k_differs(monkeypatch):
+    real = cbs._k_positions
+
+    def drop_on_copy(B, kind, max_size):
+        L, at = real(B, kind, max_size=max_size)
+        # the relabelled copy loses its last member; A and its quotients keep theirs
+        return (L, at[:-1]) if B.name == "z4~" else (L, at)
+
+    monkeypatch.setattr(cbs, "_k_positions", drop_on_copy)
+    got = presheaf_check(corpus_algebra("z4"), OperatorKind("con"))
+    assert got["failed_conditions"] == ["iso_invariance"]
+    assert got["conditions"]["iso_invariance"] == {
+        "ok": False, "sampled": True, "automorphisms": 2,
+        "violations": [{"target": "z4~", "mapping": [1, 2, 3, 0]}],
+    }
 
 
 def test_presheaf_boolean_condition():

@@ -44,7 +44,10 @@ elements, products of 255 to 289 elements and powers of 243 to 512
 elements with their quotients onto at most 256 blocks, the block gather,
 compose onto carriers of 1, 256 and 257 elements, the constructors and the
 homomorphism check's verdicts and messages are checked against the same
-per-cell references.
+per-cell references.  The compatibility witness of least-representative
+partitions is checked against the dict scan over every argument tuple, on
+seeded algebras of at most 6 elements (arities up to 3) and of 255, 256,
+257 and 300 elements.
 Hypothesis runs derandomized with a bounded number of examples, so every
 run tries the same algebras.
 """
@@ -91,6 +94,7 @@ from cbswb.congruence import (
     Congruence,
     CongruenceLattice,
     all_congruences,
+    compatibility_witness,
     congruence_join,
     congruence_meet,
     generated_congruence,
@@ -114,6 +118,7 @@ from oracles import (
     center_pair_checks,
     cbs_complete_search,
     cbs_property_search,
+    compatibility_witness as scanned_witness,
     corpus_algebra,
     factor_pair_verdict,
     general_cbs_sequence,
@@ -130,6 +135,7 @@ from oracles import (
     presheaf_correspondence,
     presheaf_factor,
     refines,
+    relative_sentence_checks,
     reported_sequence,
     validate_sequence,
 )
@@ -726,6 +732,42 @@ def test_kernels_match_per_cell_references_around_256_elements(case):
     check_quotient(A, least_rep(moved(rep, n - 1, (n - 2) % q)))
 
 
+def witness_partitions(A, q, rng):
+    """Least-representative partitions for the compatibility check on A,
+    whose tables plant x -> x % q: the planted congruence, it with its last
+    element moved to the block of the one before, one generated by two
+    random pairs and two random partitions."""
+    n = A.size
+    planted = least_rep([x % q for x in range(n)])
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+    return [planted, least_rep(moved(planted, n - 1, planted[n - 2])),
+            generated_congruence(A, pairs).rep,
+            *(least_rep([rng.randrange(k) for _ in range(n)]) for k in (2, n))]
+
+
+@KERNEL_SETTINGS
+@given(st.integers(1, 6), st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_compatibility_witness_matches_the_dict_scan(n, arities, q, seed):
+    A = FiniteAlgebra("r", n, seeded_ops(seed, n, arities, q))
+    for rep in witness_partitions(A, q, random.Random(seed)):
+        assert compatibility_witness(A, rep) == scanned_witness(A, rep), rep
+
+
+# a binary table on 300 elements is 90,000 cells for the scan, so few examples
+@settings(BOUNDARY_SETTINGS, max_examples=4)
+@given(st.sampled_from((255, 256, 257, 300)), st.lists(st.integers(0, 2), min_size=1, max_size=2),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example(255, [2], 3, 1)
+@example(256, [0, 1], 2, 2)
+@example(257, [2], 4, 3)
+@example(300, [2, 1], 3, 4)
+def test_compatibility_witness_matches_the_dict_scan_on_large_carriers(n, arities, q, seed):
+    A = FiniteAlgebra("a", n, seeded_ops(seed, n, arities, q))
+    for rep in witness_partitions(A, q, random.Random(seed)):
+        assert compatibility_witness(A, rep) == scanned_witness(A, rep), rep
+
+
 @st.composite
 def product_boundary_case(draw):
     """Factor sizes whose product is 255, 256 (cells reaching 255) or more,
@@ -1034,8 +1076,8 @@ def relative_case(draw):
 def test_relative_presheaf_reads_membership_off_k(case):
     """K(A) holds exactly the congruences whose quotients satisfy the
     sentence, so axiom1 holds with no sentence check of its own: satisfies
-    runs once per member of Con(A), of the relabelled copy's Con and of each
-    quotient's Con, and never again per member of K(A)."""
+    runs once per distinct quotient table of A, of the relabelled copy and
+    of each quotient, and never again per member of K(A)."""
     A, sentence = case
     kind = OperatorKind("rel", (parse_sentence(sentence),))
     calls = []
@@ -1058,8 +1100,7 @@ def test_relative_presheaf_reads_membership_off_k(case):
         for values in itertools.product(range(Q.size), repeat=len(names)):
             env = dict(zip(names, values))
             assert naive_eval(Q, s.lhs, env) == naive_eval(Q, s.rhs, env)
-    assert len(calls) == 2 * len(all_congruences(A)) + sum(
-        len(all_congruences(Q)) for Q in quotients)
+    assert len(calls) == relative_sentence_checks(A, kind)
 
 
 TERM_VARIABLES = ("x", "y", "z")

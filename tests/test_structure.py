@@ -73,6 +73,12 @@ def test_factor_pair_refutation_ordering():
     other = check_factor_pair(chain3, t2, t1)
     assert other["reason"] == "not_permutable"
     assert other["witness"] == [0, 2]
+    # a congruence of another algebra, here one of the same size, is refused first
+    v4_diagonal = Congruence.diagonal(corpus_algebra("v4"))
+    for pair in ((v4_diagonal, d), (d, v4_diagonal)):
+        with pytest.raises(ValidationError,
+                           match="^factor pair congruences must belong to the algebra$"):
+            check_factor_pair(z4, *pair)
 
 
 def test_chain3_has_no_proper_factor_pair():
