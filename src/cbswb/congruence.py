@@ -171,11 +171,6 @@ class Congruence:
     def is_total(self) -> bool:
         return self.nblocks == 1
 
-    def refines(self, other: "Congruence") -> bool:
-        """self <= other in Con(A)."""
-        self._same_parent(other)
-        return all(other.rep[x] == other.rep[self.rep[x]] for x in range(len(self.rep)))
-
     def key(self):
         """Canonical sort key: descending block count, then rep array."""
         return (-self.nblocks, self.rep)

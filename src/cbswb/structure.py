@@ -330,9 +330,13 @@ def _church_failure(A, P, ite, h, e, zero, one):
     for op, op_p in zip(A.ops, P.ops):
         lhs, rhs = compose_cells(op_p.table, h, n), gather(op.table, h, op.arity, n)
         if lhs != rhs:
-            # the least failing (a, b) in the order a, then b: not P's table order
+            # the least failing (a, b) in the order a, then b, which is not P's
+            # table order; it has the first failing cell's a1, and the cells
+            # with that a1 fill one block of n^(2 arity - 1) cells (one at arity 0)
+            first = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            width = max(1, len(lhs) // n)
             tuples = (table_args(op.arity, n * n, i)
-                      for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                      for i in range(first, first - first % width + width) if lhs[i] != rhs[i])
             a, b = min(([p // n for p in ps], [p % n for p in ps]) for ps in tuples)
             return {"law": "t(e,g(a),g(b))=g(t(e,a,b))", "operation": op.name, "at": [a, b]}
     return None

@@ -41,7 +41,7 @@ CORPUS_NAMES = ("boole2", "chain2", "chain3", "lat22", "one", "semilat2", "v4", 
 def corpus_algebra(name):
     """The committed corpus/<name>.json, parsed into a fresh FiniteAlgebra
     on every call, so no test sees a Con(A) another one kept."""
-    from cbswb import parse_algebra
+    from cbswb.algebra import parse_algebra
 
     with open(os.path.join(CORPUS_DIR, f"{name}.json")) as fh:
         return parse_algebra(json.load(fh))
@@ -236,6 +236,12 @@ def refines(r1, r2):
     return all(r2[x] == r2[y] for x in range(n) for y in range(n) if r1[x] == r1[y])
 
 
+def rep_leq(r1, r2):
+    """refines for a least-representative r1, in O(n): each x and its
+    representative r1[x] share a block of r2."""
+    return all(r2[x] == r2[r1[x]] for x in range(len(r1)))
+
+
 def order_bound(leq, i, j, lower):
     """Greatest lower (or least upper) bound of i and j read off an order matrix."""
     m = len(leq)
@@ -277,7 +283,7 @@ def boolean_sublattice_failure(members, n):
 
 def all_homs(A, B):
     """Brute-force enumeration of every homomorphism A -> B."""
-    from cbswb import Homomorphism
+    from cbswb.algebra import Homomorphism
 
     if A.signature() != B.signature():
         return []
@@ -590,7 +596,7 @@ def validate_sequence(state):
     if out:
         return out
     lattice = SequenceLattice(
-        fhat, congruence_join, Congruence.refines,
+        fhat, congruence_join, lambda s, t: rep_leq(s.rep, t.rep),
         Congruence.is_diagonal, Congruence.is_total,
         ("join", "is not total", "the pulled-back complement"),
     )
@@ -682,7 +688,7 @@ def general_cbs_sequence(A, f, theta, zeta, kind, complement=None):
     reps = {c.rep for c in ks}
     if theta.rep not in reps or zeta.rep not in reps:
         raise ValidationError("theta and zeta must belong to K(A)")
-    if not zeta.refines(theta):
+    if not rep_leq(zeta.rep, theta.rep):
         raise ValidationError("zeta must lie below theta")
 
     sigmas = [Congruence.diagonal(A), zeta]
@@ -720,12 +726,12 @@ def f_hat_interval_check(A, f, theta, kind):
 
     iso = QuotientIso(A, f, theta)
     ks = operator_eval(A, kind)
-    interval = {c.rep for c in ks if theta.refines(c)}
+    interval = {c.rep for c in ks if rep_leq(theta.rep, c.rep)}
     images = [iso.fhat(s) for s in ks]
     image_reps = {i.rep for i in images}
     onto = image_reps == interval
     injective = len(image_reps) == len(ks)
-    order = all(a.refines(b) == images[i].refines(images[j])
+    order = all(rep_leq(a.rep, b.rep) == rep_leq(images[i].rep, images[j].rep)
                 for i, a in enumerate(ks) for j, b in enumerate(ks))
     roundtrip = all(iso.fhat_inv(image).rep == s.rep for image, s in zip(images, ks))
     return {
@@ -747,10 +753,10 @@ def sigma_bracket(A, theta, sigma, kind):
     reps = {c.rep for c in ks}
     if theta.rep not in reps or sigma.rep not in reps:
         raise ValidationError("theta and sigma must belong to K(A)")
-    if not sigma.refines(theta):
+    if not rep_leq(sigma.rep, theta.rep):
         raise ValidationError("sigma must lie below theta")
     base = quotient_algebra(A, sigma).algebra
-    return [zeta for zeta in ks if zeta.refines(theta)
+    return [zeta for zeta in ks if rep_leq(zeta.rep, theta.rep)
             and iso_search(base, quotient_algebra(A, zeta).algebra)]
 
 
@@ -784,7 +790,7 @@ def cbs_property_search(A, kind):
     ks = operator_eval(A, kind)
     anchors = [c for c in ks if iso_search(A, quotient_algebra(A, c).algebra)]
     anchor_reps = {c.rep for c in anchors}
-    pairs = [(t, s) for t in anchors for s in ks if s.refines(t)]
+    pairs = [(t, s) for t in anchors for s in ks if rep_leq(s.rep, t.rep)]
     witnesses = [{"theta": t.to_blocks_list(), "sigma": s.to_blocks_list()}
                  for t, s in pairs if s.rep not in anchor_reps]
     return {
@@ -989,12 +995,12 @@ def presheaf_correspondence(A, kind):
         Q = quotient_algebra(A, s)
         kq = operator_eval(Q.algebra, kind)
         kq_reps = {q.rep for q in kq}
-        above = [t for t in ks if s.refines(t)]
+        above = [t for t in ks if rep_leq(s.rep, t.rep)]
         above_reps = {t.rep for t in above}
         down = {t.rep: quotient_lift(Q, t) for t in above}
         missing = [t for t in above if down[t.rep].rep not in kq_reps]
         extra = [q for q in kq if transport(Q.projection, q).rep not in above_reps]
-        order_ok = all(t1.refines(t2) == down[t1.rep].refines(down[t2.rep])
+        order_ok = all(rep_leq(t1.rep, t2.rep) == rep_leq(down[t1.rep].rep, down[t2.rep].rep)
                        for t1 in above for t2 in above)
         if missing or extra or not order_ok:
             block["ok"] = False

@@ -11,30 +11,13 @@ import time
 
 import pytest
 
-from cbswb import (
-    AffineFamily,
-    Congruence,
-    FiniteAlgebra,
-    Operation,
-    OperatorKind,
-    PeriodicSet,
-    all_congruences,
-    bfc_check,
-    cbs_property_check,
-    check_factor_pair,
-    countable_infimum,
-    decomposition_witness,
-    factor_congruences,
-    iso_search,
-    omega_cbs_run,
-    omega_validate,
-    parse_sentence,
-    quasicyclic_suite,
-    satisfies,
-    transport,
-    truncate_validate,
-)
-from cbswb.congruence import compatibility_witness
+from cbswb.algebra import FiniteAlgebra, Operation, iso_search, parse_sentence, satisfies
+from cbswb.cbs import OperatorKind, cbs_property_check
+from cbswb.congruence import Congruence, all_congruences, compatibility_witness, transport
+from cbswb.omega import (AffineFamily, countable_infimum, omega_cbs_run, omega_validate,
+                         quasicyclic_suite, truncate_validate)
+from cbswb.pset import PeriodicSet
+from cbswb.structure import bfc_check, check_factor_pair, decomposition_witness, factor_congruences
 
 from oracles import (CORPUS_NAMES, all_homs, automorphisms, brute_congruences, corpus_algebra,
                      members, reported_sequence, validate_sequence)
@@ -145,7 +128,7 @@ def test_criterion_03_transport_functoriality():
 
 
 def compose_is_total(A, t1, t2):
-    from cbswb import compose
+    from cbswb.congruence import compose
 
     rel, permutable = compose(t1, t2)
     return len(rel) == A.size ** 2 and permutable
@@ -155,7 +138,7 @@ def compose_is_total(A, t1, t2):
 
 
 def test_criterion_04_presheaf_axioms():
-    from cbswb import presheaf_check
+    from cbswb.cbs import presheaf_check
 
     modular_checked = 0
     for name, A in CORPUS.items():

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbswb import FormatError, Report, lattice_dot, parse_report, render_report
-from cbswb.algebra import FiniteAlgebra, Operation, direct_product, power_algebra, render_algebra
 from cbswb import cli
+from cbswb.algebra import FiniteAlgebra, Operation, direct_product, power_algebra, render_algebra
 from cbswb.cli import build_parser, main
 from cbswb.congruence import all_congruences
-from cbswb.report import json_text
+from cbswb.errors import FormatError
+from cbswb.report import Report, json_text, lattice_dot, parse_report, render_report
 from oracles import CORPUS_NAMES, corpus_algebra, text_lines
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -4,9 +4,6 @@ reached from the command line, starting the command line imports
 neither dataclasses nor inspect, whose imports and generated code would add
 to every run's start-up, and only algebra.py knows whether an operation
 table is bytes or a tuple.
-
-__init__.py is skipped by the import test: its imports are the package's
-re-exports.
 """
 
 import ast
@@ -34,8 +31,7 @@ def _unused_imports(fn):
 
 
 def test_every_imported_name_is_used():
-    unused = {fn: _unused_imports(fn) for fn in sorted(os.listdir(SRC))
-              if fn.endswith(".py") and fn != "__init__.py"}
+    unused = {fn: _unused_imports(fn) for fn in sorted(os.listdir(SRC)) if fn.endswith(".py")}
     assert {fn: names for fn, names in unused.items() if names} == {}
 
 

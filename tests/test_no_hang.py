@@ -16,7 +16,7 @@ import sys
 import pytest
 
 import cbswb
-from cbswb import FiniteAlgebra, power_algebra, render_algebra
+from cbswb.algebra import FiniteAlgebra, power_algebra, render_algebra
 
 from oracles import corpus_algebra
 

@@ -5,20 +5,12 @@ its exact message."""
 
 import pytest
 
-from cbswb import (
-    AffineFamily,
-    Congruence,
-    OmegaCongruence,
-    Operation,
-    OperatorKind,
-    PeriodicSet,
-    QuasiCyclic,
-    ShiftIso,
-    ValidationError,
-    parse_sentence,
-    parse_term,
-    quotient_algebra,
-)
+from cbswb.algebra import Operation, parse_sentence, parse_term, quotient_algebra
+from cbswb.cbs import OperatorKind
+from cbswb.congruence import Congruence
+from cbswb.errors import ValidationError
+from cbswb.omega import AffineFamily, OmegaCongruence, QuasiCyclic, ShiftIso
+from cbswb.pset import PeriodicSet
 
 from oracles import corpus_algebra
 
