@@ -305,7 +305,7 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
     factor = kind.selector in ("fc", "zcon")
     if factor:
         # FC(A), and each K(A) member's factor complements in K(A), ascending
-        fc = factor_congruences(A, max_size=max_size)
+        fc = L.factor_complements
         fc_in = {i: [j for j in fc.get(i, ()) if j in inside] for i in at}
     correspondence = {"ok": True, "violations": []}
     pair_bad = []
@@ -315,14 +315,14 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
         kq_in = set(kq)
         above = [j for j in at if L.leq[i][j]]
         above_in = set(above)
-        # j -> E[j]/sigma for the position j of each K(A) member above sigma
-        down = {j: quotient_lift(Q, E[j]) for j in above}
-        lift = {j: LQ.index.get(t.rep) for j, t in down.items()}
+        # j -> the position of E[j]/sigma in Con(A/sigma), or None, for j in [sigma, total]
+        lift = {j: LQ.index.get(quotient_lift(Q, E[j]).rep)
+                for j in range(i, len(L)) if L.leq[i][j]}
         missing = [j for j in above if lift[j] not in kq_in]
         extra = [q for q in kq
                  if L.index[transport(Q.projection, LQ.elements[q]).rep] not in above_in]
         # a lift outside Con(A/sigma) fails the order test
-        order_ok = None not in lift.values() and all(
+        order_ok = None not in map(lift.get, above) and all(
             L.leq[a][b] == LQ.leq[lift[a]][lift[b]] for a in above for b in above)
         if missing or extra or not order_ok:
             correspondence["ok"] = False
@@ -334,12 +334,14 @@ def presheaf_check(A: FiniteAlgebra, kind: OperatorKind, boolean: bool = False,
             })
         if not factor:
             continue
+        # verdicts come off FC(A/sigma); check_factor_pair gives a listed pair its reason
         for j in above:
             for c in fc_in[j]:
-                mate = quotient_lift(Q, E[L.join(c, i)])
-                verdict = check_factor_pair(Q.algebra, down[j], mate)
-                in_k = lift[j] in kq_in and LQ.index.get(mate.rep) in kq_in
-                if not verdict["ok"] or not in_k:
+                mate = L.join(c, i)
+                in_k = lift[j] in kq_in and lift[mate] in kq_in
+                if lift[mate] not in LQ.factor_complements.get(lift[j], ()) or not in_k:
+                    verdict = check_factor_pair(Q.algebra, quotient_lift(Q, E[j]),
+                                                quotient_lift(Q, E[mate]))
                     pair_bad.append({
                         "sigma": E[i].to_blocks_list(),
                         "theta": E[j].to_blocks_list(),

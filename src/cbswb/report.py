@@ -55,8 +55,7 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _flat(values) -> bool:
-    return all(not isinstance(v, (list, dict)) for v in values)
+_NESTED = {list, dict}
 
 
 def _row(values) -> str:
@@ -75,8 +74,10 @@ def _text(out: list, label, value, pad: str) -> None:
         for k in value:
             _text(out, k, value[k], pad + "  ")
     elif isinstance(value, list):
-        flat = _flat(value)
-        if len(value) <= 36 and (flat or all(isinstance(v, list) and _flat(v) for v in value)):
+        kinds = set(map(type, value))
+        flat = kinds.isdisjoint(_NESTED)
+        if len(value) <= 36 and (flat or kinds == {list} and all(
+                _NESTED.isdisjoint(map(type, v)) for v in value)):
             line = _row(value) if flat else "[" + ", ".join(map(_row, value)) + "]"
             if len(line) <= 72:
                 out.append(f"{head} {line}")

@@ -38,7 +38,7 @@ from cbswb.errors import BudgetError, FormatError, ValidationError
 from cbswb.structure import z_con_report
 
 from oracles import (CORPUS_NAMES, QuotientIso, automorphisms, cbs_property_direct, corpus_algebra,
-                     f_hat_interval_check, infimum_in_k, relative_sentence_checks,
+                     f_hat_interval_check, infimum_in_k, presheaf_factor, relative_sentence_checks,
                      reported_sequence, sigma_bracket, validate_sequence)
 
 COMM = "(+ x y) = (+ y x)"
@@ -506,11 +506,55 @@ def test_presheaf_boolean_condition():
     assert "boolean" in got2["failed_conditions"]
 
 
-def test_presheaf_reads_order_off_the_lattices():
-    cases = [(corpus_algebra("lat22"), OperatorKind("con")), (corpus_algebra("z4"), OperatorKind("fc"))]
-    usual = [presheaf_check(A, kind) for A, kind in cases]
-    assert all(got["ok"] for got in usual)
-    assert [presheaf_check(A, kind) for A, kind in cases] == usual
+def test_presheaf_lifts_each_congruence_once_and_reads_factor_verdicts_off_the_table(monkeypatch):
+    calls = {"lift": 0, "pair": 0}
+    lift, pair = cbs.quotient_lift, cbs.check_factor_pair
+
+    def counted_lift(Q, theta):
+        calls["lift"] += 1
+        return lift(Q, theta)
+
+    def counted_pair(A, t1, t2):
+        calls["pair"] += 1
+        return pair(A, t1, t2)
+
+    monkeypatch.setattr(cbs, "quotient_lift", counted_lift)
+    monkeypatch.setattr(cbs, "check_factor_pair", counted_pair)
+    z2_3, fc = power_algebra(corpus_algebra("z2"), 3), OperatorKind("fc")
+    assert presheaf_check(z2_3, fc)["ok"]
+    # one lift per member of [sigma, total], for each sigma in K(A), and no
+    # pair check: every quotient pair passes, so none is listed
+    L, at = cbs._k_positions(z2_3, fc)
+    assert calls == {"lift": sum(sum(L.leq[i]) for i in at), "pair": 0} == {"lift": 66, "pair": 0}
+    # the 8-element algebra of test_factor_block_lists_failing_quotient_pairs:
+    # one pair check per listed quotient pair
+    rc = FiniteAlgebra("rc", 8, [Operation("r", 1, (7, 6, 5, 4, 3, 2, 1, 0)),
+                                 Operation("c", 1, (0, 0, 0, 0, 4, 4, 4, 4))])
+    calls["pair"] = 0
+    pairs = presheaf_check(rc, fc)["conditions"]["factor"]["quotient_pairs"]
+    assert calls["pair"] == len(pairs) == 4
+
+
+def test_presheaf_lists_a_factor_pair_outside_the_quotient_operator(monkeypatch):
+    real = cbs._k_positions
+
+    def drop_total(B, kind, max_size):
+        L, at = real(B, kind, max_size=max_size)
+        # only the quotients of v4 by an atom lose their total congruence; A,
+        # A/diagonal and the relabelled copy have 4 elements and keep theirs
+        return (L, at[:-1]) if B.size == 2 else (L, at)
+
+    monkeypatch.setattr(cbs, "_k_positions", drop_total)
+    v4, fc = corpus_algebra("v4"), OperatorKind("fc")
+    factor = presheaf_check(v4, fc)["conditions"]["factor"]
+    assert factor == presheaf_factor(v4, fc)
+    # sigma = theta an atom and c another atom lift to (diagonal, total) on
+    # A/sigma: a factor pair, whose total congruence K(A/sigma) lacks
+    atoms = sorted(c.to_blocks_list() for c in all_congruences(v4) if c.nblocks == 2)
+    assert {
+        "sigma": atoms[0], "theta": atoms[0], "complement": atoms[1],
+        "pair_ok": True, "reason": None, "in_operator": False,
+    } in factor["quotient_pairs"]
 
 
 def test_presheaf_counts_a_lift_outside_the_quotient_lattice_as_an_order_failure(monkeypatch):

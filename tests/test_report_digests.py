@@ -3,8 +3,10 @@
 The three benchmark workloads' jobs at seed 3, whose inputs bench/gen.py
 writes, and every corpus file under each one-file verb, and under
 presheaf-check with each operator kind besides its default, in both formats
-run through cli.main in this process; and four runs on carriers of 256 and
-512 elements, either side of the largest carrier whose tables are bytes.
+run through cli.main in this process; four runs on carriers of 256 and
+512 elements, either side of the largest carrier whose tables are bytes;
+and presheaf-check --kind fc in both formats on the 8-element algebra rc,
+whose factor block lists quotient pairs.
 The exit status and the sha256 of standard output of each run must equal
 its row in report_digests.json, so a change that alters any report fails
 here.  A change that alters reports on
@@ -34,6 +36,11 @@ FILE_VERBS = ("con", "fc", "center", "zcon", "presheaf-check", "cbs-check", "cbs
 PRESHEAF_KINDS = (("--kind", "con"), ("--kind", "zcon"), ("--kind", "rel", "--sentence", "x = x"))
 # truncations of 2^8 and 2^9 elements: bytes tables up to 256 elements, tuples above
 BOUNDARY_LEVELS = (8, 9)
+# a reversal r and a collapse c: the factor block of its fc presheaf-check
+# lists quotient pairs, which no corpus file or workload job does
+RC = {"name": "rc", "size": 8, "operations": [
+    {"name": "r", "arity": 1, "table": [7, 6, 5, 4, 3, 2, 1, 0]},
+    {"name": "c", "arity": 1, "table": [0, 0, 0, 0, 4, 4, 4, 4]}]}
 
 
 def load_gen():
@@ -66,6 +73,11 @@ def runs(workdir):
         yield (f"boundary omega-demo z2 --shift 2 --zeta {{1}} --truncate {m}",
                ["omega-demo", "--base", os.path.join(CORPUS, "z2.json"),
                 "--shift", "2", "--zeta", "{1}", "--truncate", str(m)])
+    rc = os.path.join(workdir, "rc.json")
+    with open(rc, "w") as fh:
+        json.dump(RC, fh)
+    for fmt in ("text", "json"):
+        yield f"rc presheaf-check --kind fc {fmt}", ["presheaf-check", rc, "--kind", "fc", "--format", fmt]
 
 
 def digest(argv):
